@@ -5,7 +5,7 @@ Run from the repository root:  python3 demos/01_plan_catalog.py
 
 from pathlib import Path
 
-from tariffopt import load_catalog, rate_at, serialize_catalog
+from tariffopt import load_catalog, serialize_catalog
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -22,7 +22,7 @@ for plan in catalog.plans:
     print(f"plan {plan.id}: {plan.name}{status}")
     for rule, payoff in plan.subgroups:
         samples = ", ".join(
-            f"min {m}: {rate_at(payoff, m):g}" for m in (1, 3, 6, 31, 151)
+            f"min {m}: {payoff.rate_at(m):g}" for m in (1, 3, 6, 31, 151)
         )
         print(f"  {rule.subgroup_name:<18} ({rule.destination_class}/{rule.day_class})  {samples}")
     fees = plan.fixed

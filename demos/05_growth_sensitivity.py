@@ -1,10 +1,12 @@
 """How long does the chosen plan stay optimal as traffic grows?
 
-Scales the whole traffic volume by k (subgroup proportions fixed), re-solves
-the selection at every k, locates the switch points, and fits polynomial
-models to the with-switching cost curve. The optimal curve is the pointwise
-minimum of affine plan costs, so it is concave and kinks exactly where the
-best plan changes.
+Scales the whole traffic volume by k (subgroup proportions fixed). Every plan
+is priced once; its cost at k is the line fixed + k * variable. The sweep
+picks the best plan at every k, the switch points are read off the lower
+envelope of those lines, and polynomial models are fitted to the
+with-switching cost curve. The optimal curve is the pointwise minimum of
+affine plan costs, so it is concave and kinks exactly where the best plan
+changes.
 
 Run from the repository root:  python3 demos/05_growth_sensitivity.py
 """

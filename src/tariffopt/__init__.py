@@ -18,7 +18,6 @@ from .catalog import (
     SubgroupRule,
     SubscriberContext,
     load_catalog,
-    rate_at,
     serialize_catalog,
 )
 from .cost import (
@@ -41,7 +40,6 @@ from .sensitivity import (
     fit_report,
     k_grid,
     polyfit,
-    scale_traffic,
     sweep,
     switch_points,
 )

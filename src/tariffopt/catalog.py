@@ -145,11 +145,6 @@ class PayoffFunction:
         return float(self._rates.max())
 
 
-def rate_at(payoff: PayoffFunction, minute: int) -> float:
-    """Rate of the unique segment of `payoff` containing `minute`."""
-    return payoff.rate_at(minute)
-
-
 @dataclass(frozen=True)
 class SubgroupRule:
     """Routing rule for one plan subgroup; `any` wildcards either dimension."""

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 
 from .catalog import Catalog, CatalogError, load_catalog
-from .cost import BILLING_MODES, LOOKUP, full_costs, rank, report_csv, report_json
+from .cost import BILLING_MODES, LOOKUP, _subgroup_columns, full_costs, rank, report_csv, report_json
 from .sensitivity import fit_report, fits_json, k_grid, sweep, sweep_csv, switch_points
 from .simulate import SimConfig, SimulationError, run
 from .traffic import (
@@ -201,11 +201,7 @@ def cmd_rank(args) -> tuple[str, int]:
     if args.format == "csv":
         return report_csv(breakdowns, ranking), 0
 
-    columns: list[str] = []
-    for b in breakdowns:
-        for sub in b.subgroups:
-            if sub.name not in columns:
-                columns.append(sub.name)
+    columns = _subgroup_columns(breakdowns)
     header = ["plan", "name"] + columns + ["variable", "fixed", "full", "rank"]
     rows = []
     for b in breakdowns:

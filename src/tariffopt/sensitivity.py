@@ -2,8 +2,8 @@
 switch-point detection, and polynomial regression of the cost curves.
 
 Every plan's full cost is affine in the traffic multiplier k (fixed fees do
-not scale), so the optimal-cost curve is a concave piecewise-affine minimum
-whose kinks mark where the best plan changes.
+not scale), so the optimal-cost curve is the lower envelope of the plans'
+cost lines, and its breakpoints are exactly where the best plan changes.
 """
 
 from __future__ import annotations
@@ -11,14 +11,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .catalog import Catalog, SubscriberContext
 from .cost import LOOKUP, full_costs, rank
-from .traffic import TrafficProfile
+from .traffic import ProfileError, TrafficProfile
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,6 @@ class RegressionFit:
         return sum(c * x**p for c, p in zip(self.coefficients, powers))
 
 
-def scale_traffic(profile: TrafficProfile, k: float) -> TrafficProfile:
-    """Multiply every call rate by k, keeping subgroup proportions and durations."""
-    return profile.scaled(k)
-
-
 def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> list[float]:
     """Inclusive multiplier grid, built without floating-point drift."""
     if start <= 0 or step <= 0 or stop < start:
@@ -88,67 +84,69 @@ def sweep(
     grid: Sequence[float],
     mode: str = LOOKUP,
 ) -> list[SweepPoint]:
-    """Re-solve the plan selection at every multiplier of the grid."""
+    """Price every candidate once, then evaluate its cost line
+    ``fixed + k * variable`` at each multiplier and rank the plans there."""
     if not grid:
         raise ValueError("empty multiplier grid")
     if list(grid) != sorted(grid):
         raise ValueError("multiplier grid must be sorted")
+    if grid[0] <= 0:
+        raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
+    breakdowns = full_costs(catalog, context, profile, mode)
+    stay_id = next(b.plan_id for b in breakdowns if b.is_current)
     points = []
     for k in grid:
-        breakdowns = full_costs(catalog, context, scale_traffic(profile, k), mode)
-        ranking = rank(breakdowns)
-        costs = {b.plan_id: b.full for b in breakdowns}
-        stay = next(b.full for b in breakdowns if b.is_current)
+        k = float(k)
+        at_k = [replace(b, variable=k * b.variable) for b in breakdowns]
+        costs = {b.plan_id: b.full for b in at_k}
+        optimal_id = rank(at_k).optimal_id
         points.append(
             SweepPoint(
-                k=float(k),
-                optimal_plan_id=ranking.optimal_id,
-                optimal_full_cost=costs[ranking.optimal_id],
-                stay_cost=stay,
+                k=k,
+                optimal_plan_id=optimal_id,
+                optimal_full_cost=costs[optimal_id],
+                stay_cost=costs[stay_id],
                 plan_costs=costs,
             )
         )
     return points
 
 
-def _crossing(left: SweepPoint, right: SweepPoint) -> float:
-    """Bisect for the k where the two locally optimal plans swap.
-
-    Plan costs are affine in k, so interpolating each plan's cost between
-    the two grid points is exact and the sign change is unique.
-    """
-    a, b = left.optimal_plan_id, right.optimal_plan_id
-    span = right.k - left.k
-
-    def gap(k: float) -> float:
-        w = (k - left.k) / span
-        cost_a = (1 - w) * left.plan_costs[a] + w * right.plan_costs[a]
-        cost_b = (1 - w) * left.plan_costs[b] + w * right.plan_costs[b]
-        return cost_a - cost_b
-
-    lo, hi = left.k, right.k
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
-    """Contiguous optimal-plan intervals, with boundaries refined between grid points."""
+    """Exact breakpoints of the lower envelope of the plans' cost lines.
+
+    Each line is read off the first and last grid points. From the optimum
+    at the first point, the walk moves to the line that first undercuts the
+    one it is on; at a shared crossing the flattest line wins. Identical
+    lines follow :func:`rank`: the one it picked on the grid, if any, else
+    the lowest id.
+    """
     if not points:
         return []
-    intervals = []
-    start = points[0].k
-    for prev, cur in zip(points, points[1:]):
-        if cur.optimal_plan_id != prev.optimal_plan_id:
-            boundary = _crossing(prev, cur)
-            intervals.append(SwitchInterval(start, boundary, prev.optimal_plan_id))
-            start = boundary
-    intervals.append(SwitchInterval(start, points[-1].k, points[-1].optimal_plan_id))
-    return intervals
+    first, last = points[0], points[-1]
+    span = last.k - first.k
+    lines = {}
+    for pid, c0 in first.plan_costs.items():
+        slope = (last.plan_costs[pid] - c0) / span if span else 0.0
+        lines[pid] = (c0 - first.k * slope, slope)
+    on_grid = {p.optimal_plan_id for p in points}
+    plan_id, start, intervals = first.optimal_plan_id, first.k, []
+    while True:
+        fixed, slope = lines[plan_id]
+        crossing, *_, nxt = min(
+            (
+                ((f - fixed) / (slope - v), v, pid not in on_grid, pid)
+                for pid, (f, v) in lines.items()
+                if v < slope
+            ),
+            default=(math.inf, 0.0, False, plan_id),
+        )
+        if crossing >= last.k:
+            intervals.append(SwitchInterval(start, last.k, plan_id))
+            return intervals
+        crossing = max(crossing, start)  # rounding at near-concurrent lines
+        intervals.append(SwitchInterval(start, crossing, plan_id))
+        plan_id, start = nxt, crossing
 
 
 def polyfit(

@@ -14,7 +14,6 @@ from tariffopt import (
     PayoffFunction,
     RateSegment,
     load_catalog,
-    rate_at,
     serialize_catalog,
 )
 
@@ -109,12 +108,12 @@ def test_malformed_json_rejected():
 
 def test_rate_lookup_values(mts_catalog):
     bp1_mts = mts_catalog.plan(1).subgroups[0][1]
-    assert rate_at(bp1_mts, 1) == 2.5
-    assert rate_at(bp1_mts, 3) == 0.0
-    assert rate_at(bp1_mts, 6) == 2.5
+    assert bp1_mts.rate_at(1) == 2.5
+    assert bp1_mts.rate_at(3) == 0.0
+    assert bp1_mts.rate_at(6) == 2.5
     bp2_all = mts_catalog.plan(2).subgroups[0][1]
-    assert rate_at(bp2_all, 150) == 0.0
-    assert rate_at(bp2_all, 151) == 2.2
+    assert bp2_all.rate_at(150) == 0.0
+    assert bp2_all.rate_at(151) == 2.2
 
 
 def test_rate_lookup_rejects_minute_zero(mts_catalog):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
@@ -26,8 +27,11 @@ from tariffopt import (
     TrafficProfile,
     expected_call_cost,
     full_costs,
+    k_grid,
     rank,
     run,
+    sweep,
+    switch_points,
     variable_cost,
 )
 from tariffopt.catalog import ALL_CALL_CLASSES, DAY_CLASSES, DESTINATION_CLASSES
@@ -261,3 +265,31 @@ def test_monotonicity_under_pointwise_raise(payoff, mu):
     )
     model = Exponential(mu=mu)
     assert expected_call_cost(bumped, model) >= expected_call_cost(payoff, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    catalogs(),
+    traffic_profiles(),
+    st.sampled_from([k_grid(), k_grid(0.25, 3.0, 0.25), k_grid(1.0, 40.0, 3.0), [2.0]]),
+    st.booleans(),
+)
+def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, twin):
+    """Switch intervals tile the grid's range, and each names the rank optimum
+    of the lines fixed + k * variable at its midpoint. A twin of the last plan
+    puts identical lines on the envelope, where only the tie-break decides."""
+    if twin:
+        last = catalog.plans[-1]
+        copy = replace(last, id=last.id + 1, name=f"plan-{last.id + 1}")
+        catalog = replace(catalog, plans=catalog.plans + (copy,))
+    intervals = switch_points(sweep(catalog, catalog.context, profile, grid))
+    assert intervals[0].k_start == grid[0] and intervals[-1].k_end == grid[-1]
+    for left, right in zip(intervals, intervals[1:]):
+        assert left.k_end == right.k_start
+    assert all(iv.k_start <= iv.k_end for iv in intervals)
+    breakdowns = full_costs(catalog, catalog.context, profile)
+    for iv in intervals:
+        if iv.k_end > iv.k_start:
+            mid = 0.5 * (iv.k_start + iv.k_end)
+            at_mid = [replace(b, variable=mid * b.variable) for b in breakdowns]
+            assert iv.plan_id == rank(at_mid).optimal_id

@@ -7,13 +7,13 @@ import pytest
 
 from tariffopt import (
     Catalog,
+    ProfileError,
     SubscriberContext,
     fit_report,
     full_costs,
     k_grid,
     polyfit,
     rank,
-    scale_traffic,
     sweep,
     switch_points,
 )
@@ -39,10 +39,10 @@ def test_k_grid_endpoints():
 
 def test_scale_traffic_identity_and_linearity(mts_catalog):
     profile = make_reference_profile()
-    assert scale_traffic(profile, 1.0).cells == profile.cells
-    doubled = scale_traffic(profile, 2.0)
+    assert profile.scaled(1.0).cells == profile.cells
+    doubled = profile.scaled(2.0)
     assert doubled.lambda_for(mts_catalog.plan(6)) == pytest.approx((66.0, 12.0))
-    halved = scale_traffic(profile, 0.5)
+    halved = profile.scaled(0.5)
     assert halved.total_rate == pytest.approx(19.5)
 
 
@@ -76,6 +76,8 @@ def test_sweep_requires_sorted_nonempty_grid(mts_catalog):
         sweep(mts_catalog, mts_catalog.context, profile, [])
     with pytest.raises(ValueError):
         sweep(mts_catalog, mts_catalog.context, profile, [2.0, 1.0])
+    with pytest.raises(ProfileError):
+        sweep(mts_catalog, mts_catalog.context, profile, [0.0, 1.0])
 
 
 def test_full_cost_affine_in_k(mts_catalog, reference_sweep):
@@ -188,6 +190,63 @@ def test_switch_points_tied_identical_plans():
     intervals = switch_points(points)
     assert len(intervals) == 1
     assert intervals[0].plan_id == 2  # tie resolved toward the current plan
+
+
+def flat_plans_sweep(plans, current_plan_id):
+    """Sweep single-subgroup flat-rate plans, given as (id, fee, rate), at one
+    call a month over the default grid."""
+    import json
+
+    from tariffopt import Exponential, TrafficCell, TrafficProfile, load_catalog
+
+    doc = {
+        "plans": [
+            {
+                "id": plan_id,
+                "name": f"Flat {plan_id}",
+                "provider": "ACME",
+                "active": True,
+                "fixed": {"subscription_fee": fee, "switch_fee": 0, "purchase_cost": 0},
+                "subgroups": [
+                    {
+                        "name": "All",
+                        "destination_class": "any",
+                        "day_class": "any",
+                        "segments": [{"from": 1, "to": "open", "rate": rate}],
+                    }
+                ],
+            }
+            for plan_id, fee, rate in plans
+        ],
+        "context": {"current_plan_id": current_plan_id, "owned_sim_providers": ["ACME"]},
+    }
+    catalog = load_catalog(json.dumps(doc))
+    profile = TrafficProfile(
+        cells=(TrafficCell("landline", "workday", 1.0, Exponential(mu=0.5)),),
+        observation_months=1.0,
+    )
+    return sweep(catalog, catalog.context, profile, k_grid())
+
+
+def test_switch_points_find_plan_optimal_between_grid_points():
+    """Plan 3 wins only for k in [16/4.95, 16.5/5.05], inside one 0.5 grid step."""
+    points = flat_plans_sweep([(1, "0", "10"), (2, "32.5", "0"), (3, "16", "5.05")], 1)
+    intervals = switch_points(points)
+    assert [iv.plan_id for iv in intervals] == [1, 3, 2]
+    assert intervals[0].k_end == pytest.approx(16 / 4.95, abs=1e-9)
+    assert intervals[1].k_start == intervals[0].k_end
+    assert intervals[1].k_end == pytest.approx(16.5 / 5.05, abs=1e-9)
+    assert intervals[2].k_start == intervals[1].k_end
+
+
+def test_switch_points_enter_tied_plans_at_the_current_one():
+    """Identical plans 1 and 2 take over from plan 3 at k = 1.25; the current
+    plan 2 wins the tie there, as rank picks it at every later grid point."""
+    points = flat_plans_sweep([(1, "10", "2"), (2, "10", "2"), (3, "0", "10")], 2)
+    assert {p.optimal_plan_id for p in points if p.k > 1.25} == {2}
+    intervals = switch_points(points)
+    assert [iv.plan_id for iv in intervals] == [3, 2]
+    assert intervals[0].k_end == pytest.approx(1.25, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
