@@ -50,7 +50,7 @@ from .simulate import (
     SimResult,
     SimulationError,
     bill_call,
-    generate_month,
+    generate_months,
     replay_trace,
     run,
     substream,

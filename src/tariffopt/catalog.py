@@ -282,29 +282,40 @@ class Catalog:
         )
 
 
-def _read_source(source: Union[bytes, str, IO]) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
+def _read_source(
+    source: Union[bytes, str, IO], error: type[ValueError] = CatalogError, what: str = "catalog"
+) -> str:
+    """Text of a bytes, str or file source; bytes that are not UTF-8 raise `error`."""
+    data = source if isinstance(source, (bytes, str)) else source.read()
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not UTF-8 text: {exc}") from None
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise CatalogError(f"{what}: not an integer: {value!r}") from None
 
 
 def _parse_segment(raw: dict, where: str) -> RateSegment:
     try:
-        from_minute = int(raw["from"])
+        from_minute = _int(raw["from"], f"{where} from")
         to_raw = raw["to"]
         rate = _money(raw["rate"], f"{where} rate")
     except KeyError as exc:
         raise CatalogError(f"{where}: missing segment field {exc}") from None
-    to_minute = None if to_raw == "open" else int(to_raw)
+    to_minute = None if to_raw == "open" else _int(to_raw, f"{where} to")
     return RateSegment(from_minute=from_minute, to_minute=to_minute, rate=rate)
 
 
 def _parse_plan(raw: dict) -> BillingPlan:
     try:
-        plan_id = int(raw["id"])
+        plan_id = _int(raw["id"], "plan id")
         name = str(raw["name"])
         provider = str(raw["provider"])
         fixed_raw = raw["fixed"]
@@ -362,7 +373,7 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
     ctx_raw = doc["context"]
     try:
         context = SubscriberContext(
-            current_plan_id=int(ctx_raw["current_plan_id"]),
+            current_plan_id=_int(ctx_raw["current_plan_id"], "current_plan_id"),
             owned_sim_providers=frozenset(
                 str(p) for p in ctx_raw.get("owned_sim_providers", ())
             ),

@@ -1,7 +1,9 @@
 """Command-line front end: validate inputs, analyze traffic, rank plans,
 sweep traffic growth, fit cost regressions, and run the Monte-Carlo check.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
+Exit codes: 0 success, 1 validation error (one of the package's input
+errors), 2 I/O error, 3 internal error (anything else, a bare ValueError
+included).
 """
 
 from __future__ import annotations
@@ -395,7 +397,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CatalogError, CdrError, ProfileError, SimulationError, ValueError) as exc:
+    except (CatalogError, CdrError, ProfileError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,11 +159,10 @@ def full_costs(
     profile: TrafficProfile,
     mode: str = LOOKUP,
 ) -> list[CostBreakdown]:
-    """Cost breakdown per candidate plan (active plans plus the current one)."""
+    """Cost breakdown per switch candidate (active plans plus the current one)."""
     breakdowns = []
-    for plan in catalog.plans:
-        if not plan.active and plan.id != context.current_plan_id:
-            continue
+    # the candidate set depends on whose current plan it is
+    for plan in replace(catalog, context=context).switch_candidates():
         variable, subgroups = variable_cost(plan, profile, mode)
         breakdowns.append(
             CostBreakdown(

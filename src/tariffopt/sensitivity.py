@@ -31,6 +31,7 @@ class SweepPoint:
     optimal_full_cost: float
     stay_cost: float  # full cost of keeping the current plan
     plan_costs: dict[int, float]
+    current_plan_id: int
 
     def __post_init__(self):
         if self.optimal_full_cost > self.stay_cost + 1e-9:
@@ -71,8 +72,8 @@ class RegressionFit:
 
 def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> list[float]:
     """Inclusive multiplier grid, built without floating-point drift."""
-    if start <= 0 or step <= 0 or stop < start:
-        raise ValueError(f"bad grid spec start={start} stop={stop} step={step}")
+    if not (0 < start <= stop < math.inf and 0 < step < math.inf):
+        raise ProfileError(f"bad grid spec start={start} stop={stop} step={step}")
     count = int((stop - start) / step + 1e-9) + 1
     return [round(start + i * step, 12) for i in range(count)]
 
@@ -87,9 +88,9 @@ def sweep(
     """Price every candidate once, then evaluate its cost line
     ``fixed + k * variable`` at each multiplier and rank the plans there."""
     if not grid:
-        raise ValueError("empty multiplier grid")
+        raise ProfileError("empty multiplier grid")
     if list(grid) != sorted(grid):
-        raise ValueError("multiplier grid must be sorted")
+        raise ProfileError("multiplier grid must be sorted")
     if grid[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
     breakdowns = full_costs(catalog, context, profile, mode)
@@ -107,9 +108,17 @@ def sweep(
                 optimal_full_cost=costs[optimal_id],
                 stay_cost=costs[stay_id],
                 plan_costs=costs,
+                current_plan_id=stay_id,
             )
         )
     return points
+
+
+#: crossings closer than this to each other or to the grid's ends, relative
+#: to the grid's largest |k|, are one point: where three or more lines meet,
+#: rounding would otherwise leave slivers ~1e-15 wide for the lines that only
+#: touch the envelope there
+_TOUCH = 1e-9
 
 
 def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
@@ -117,9 +126,10 @@ def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
 
     Each line is read off the first and last grid points. From the optimum
     at the first point, the walk moves to the line that first undercuts the
-    one it is on; at a shared crossing the flattest line wins. Identical
-    lines follow :func:`rank`: the one it picked on the grid, if any, else
-    the lowest id.
+    one it is on; of the lines that undercut it at one point, the flattest
+    wins, and lines that only touch the envelope there get no interval.
+    Identical lines follow :func:`rank`: the current plan, else the one
+    rank picked on the grid, else the lowest id.
     """
     if not points:
         return []
@@ -130,23 +140,24 @@ def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
         slope = (last.plan_costs[pid] - c0) / span if span else 0.0
         lines[pid] = (c0 - first.k * slope, slope)
     on_grid = {p.optimal_plan_id for p in points}
+    current = first.current_plan_id
+    touch = _TOUCH * max(1.0, abs(first.k), abs(last.k))
     plan_id, start, intervals = first.optimal_plan_id, first.k, []
     while True:
         fixed, slope = lines[plan_id]
-        crossing, *_, nxt = min(
-            (
-                ((f - fixed) / (slope - v), v, pid not in on_grid, pid)
-                for pid, (f, v) in lines.items()
-                if v < slope
-            ),
-            default=(math.inf, 0.0, False, plan_id),
-        )
-        if crossing >= last.k:
+        below = [((f - fixed) / (slope - v), v, pid) for pid, (f, v) in lines.items() if v < slope]
+        crossing = min((c for c, _, _ in below), default=math.inf)
+        if crossing >= last.k - touch:
             intervals.append(SwitchInterval(start, last.k, plan_id))
             return intervals
-        crossing = max(crossing, start)  # rounding at near-concurrent lines
-        intervals.append(SwitchInterval(start, crossing, plan_id))
-        plan_id, start = nxt, crossing
+        if crossing > start + touch:
+            intervals.append(SwitchInterval(start, crossing, plan_id))
+            start = crossing
+        *_, plan_id = min(
+            (v, pid != current, pid not in on_grid, pid)
+            for c, v, pid in below
+            if c <= crossing + touch
+        )
 
 
 def polyfit(
@@ -211,7 +222,7 @@ def fit_report(points: Sequence[SweepPoint]) -> dict[str, RegressionFit]:
     so the gain from each extra term is visible in the R^2 progression.
     """
     if len(points) < 5:
-        raise ValueError(f"need at least 5 sweep points, got {len(points)}")
+        raise ProfileError(f"need at least 5 sweep points, got {len(points)}")
     stay = [(p.k, p.stay_cost) for p in points]
     optimal = [(p.k, p.optimal_full_cost) for p in points]
     fits = {}

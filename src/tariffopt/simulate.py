@@ -2,8 +2,15 @@
 
 Generates random months of traffic (exponential inter-arrival gaps, so call
 counts are Poisson; exponential durations) and pushes every generated call
-through each plan's price schedule. Sample means validate the analytic
-engine; sample percentiles describe the month-to-month cost spread.
+through each switch candidate's price schedule. Sample means validate the
+analytic engine; sample percentiles describe the month-to-month cost spread.
+
+Months are drawn in fixed chunks of :data:`CHUNK_RUNS`. Every (chunk, cell)
+pair has its own stream keyed by (seed, chunk, cell), so seeded output is
+byte-identical across reruns and independent of scheduling, and memory is
+bounded by one chunk's calls rather than growing with the run count. These
+keys replaced per-(run, cell) streams, which changed every seeded number
+once.
 """
 
 from __future__ import annotations
@@ -11,11 +18,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .catalog import Catalog, PayoffFunction
+from .catalog import BillingPlan, Catalog, PayoffFunction
 from .cost import BILLING_MODES, LOOKUP
 from .traffic import ClassifiedCall, Exponential, TrafficProfile
 
@@ -126,35 +133,40 @@ class SimResult:
         return json.dumps(doc, indent=2)
 
 
-def substream(seed: int, run_index: int, cell_index: int) -> np.random.Generator:
-    """Independent RNG stream for one (run, cell) pair.
+#: simulated months per chunk; each (chunk, cell) pair has its own stream
+CHUNK_RUNS = 4096
 
-    Deriving each stream from the master seed keeps results identical no
-    matter how runs are scheduled or parallelized.
+
+def substream(seed: int, chunk_index: int, cell_index: int) -> np.random.Generator:
+    """Independent RNG stream for one (chunk, cell) pair of a seeded run."""
+    return np.random.default_rng((seed, chunk_index, cell_index))
+
+
+def generate_months(
+    cell: SimCell, runs: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Call counts and durations (real minutes) of `runs` simulated months.
+
+    Each month is one row of exponential inter-arrival gaps, accumulated
+    until the month is full, so the call count is Poisson with the cell's
+    monthly rate. Rows whose block of gaps ends before the month does are
+    extended from the same stream, in row order. The durations of all
+    months follow in one draw, concatenated in run order.
     """
-    return np.random.default_rng((seed, run_index, cell_index))
-
-
-def generate_month(
-    config: SimConfig, cell_index: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Durations (real minutes) of one simulated month of a cell's calls.
-
-    Exponential inter-arrival gaps are accumulated until the month is full,
-    so the call count is Poisson with the cell's monthly rate.
-    """
-    cell = config.cells[cell_index]
     lam = cell.calls_per_month
     if lam == 0:
-        return np.empty(0)
+        return np.zeros(runs, dtype=np.int64), np.empty(0)
     block = max(8, int(lam + 9.0 * math.sqrt(lam) + 8))
-    gaps = rng.exponential(1.0 / lam, block)
-    arrivals = np.cumsum(gaps)
-    while arrivals[-1] < 1.0:
-        gaps = rng.exponential(1.0 / lam, block)
-        arrivals = np.concatenate([arrivals, arrivals[-1] + np.cumsum(gaps)])
-    count = int(np.searchsorted(arrivals, 1.0, side="left"))
-    return rng.exponential(1.0 / cell.duration_rate, count)
+    arrivals = rng.exponential(1.0 / lam, (runs, block))
+    np.cumsum(arrivals, axis=1, out=arrivals)
+    counts = np.count_nonzero(arrivals < 1.0, axis=1)
+    for r in np.flatnonzero(arrivals[:, -1] < 1.0):
+        last = arrivals[r, -1]
+        while last < 1.0:
+            more = last + np.cumsum(rng.exponential(1.0 / lam, block))
+            counts[r] += np.count_nonzero(more < 1.0)
+            last = more[-1]
+    return counts, rng.exponential(1.0 / cell.duration_rate, int(counts.sum()))
 
 
 def _bill_minutes(payoff: PayoffFunction, minutes: np.ndarray, mode: str) -> np.ndarray:
@@ -173,39 +185,50 @@ def bill_call(payoff: PayoffFunction, duration_minutes: float, mode: str = LOOKU
     return float(_bill_minutes(payoff, np.array([minute]), mode)[0])
 
 
+def _bill_classes(
+    plans: Sequence[BillingPlan],
+    classes: Sequence[tuple[str, str, np.ndarray]],
+    mode: str,
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Price each call class's billed minutes under each plan's subgroup.
+
+    `classes` holds (destination, day, billed minutes) triples; yields
+    (plan index, class index, per-call costs), plan by plan, classes in order.
+    """
+    for pi, plan in enumerate(plans):
+        for ci, (destination, day, minutes) in enumerate(classes):
+            payoff = plan.subgroups[plan.subgroup_index(destination, day)][1]
+            yield pi, ci, _bill_minutes(payoff, minutes, mode)
+
+
 def run(config: SimConfig, catalog: Catalog) -> SimResult:
-    """Simulate monthly traffic and bill it against every plan in the catalog."""
+    """Simulate monthly traffic and bill it against every switch candidate.
+
+    Runs are generated in chunks of :data:`CHUNK_RUNS`; each chunk's calls
+    are billed and dropped before the next chunk is drawn.
+    """
     runs = config.runs
-    # generate every run of every cell once; bill the same calls per plan
-    cell_minutes: list[np.ndarray] = []
-    cell_run_ids: list[np.ndarray] = []
-    for ci in range(len(config.cells)):
-        parts = []
-        counts = np.zeros(runs, dtype=np.int64)
-        for r in range(runs):
-            durations = generate_month(config, ci, substream(config.seed, r, ci))
-            counts[r] = durations.size
-            if durations.size:
-                parts.append(durations)
-        durations = np.concatenate(parts) if parts else np.empty(0)
-        cell_minutes.append(np.maximum(1, np.ceil(durations)).astype(np.int64))
-        cell_run_ids.append(np.repeat(np.arange(runs), counts))
+    plans = catalog.switch_candidates()
+    totals = np.zeros((len(plans), runs))
+    for chunk, lo in enumerate(range(0, runs, CHUNK_RUNS)):
+        n = min(CHUNK_RUNS, runs - lo)
+        classes, run_ids = [], []
+        for ci, cell in enumerate(config.cells):
+            counts, durations = generate_months(cell, n, substream(config.seed, chunk, ci))
+            minutes = np.maximum(1, np.ceil(durations)).astype(np.int64)
+            classes.append((cell.destination_class, cell.day_class, minutes))
+            run_ids.append(np.repeat(np.arange(n), counts))
+        for pi, ci, costs in _bill_classes(plans, classes, config.billing_mode):
+            totals[pi, lo : lo + n] += np.bincount(run_ids[ci], weights=costs, minlength=n)
 
     samples = []
-    for plan in catalog.plans:
-        totals = np.zeros(runs)
-        for ci, cell in enumerate(config.cells):
-            if cell_minutes[ci].size == 0:
-                continue
-            j = plan.subgroup_index(cell.destination_class, cell.day_class)
-            costs = _bill_minutes(plan.subgroups[j][1], cell_minutes[ci], config.billing_mode)
-            totals += np.bincount(cell_run_ids[ci], weights=costs, minlength=runs)
-        stddev = float(totals.std(ddof=1)) if runs > 1 else 0.0
-        p5, p50, p95 = np.percentile(totals, [5, 50, 95])
+    for plan, plan_totals in zip(plans, totals):
+        stddev = float(plan_totals.std(ddof=1)) if runs > 1 else 0.0
+        p5, p50, p95 = np.percentile(plan_totals, [5, 50, 95])
         samples.append(
             PlanSample(
                 plan_id=plan.id,
-                mean=float(totals.mean()),
+                mean=float(plan_totals.mean()),
                 stddev=stddev,
                 stderr=stddev / math.sqrt(runs),
                 percentiles=(float(p5), float(p50), float(p95)),
@@ -225,19 +248,21 @@ def replay_trace(
     months: float,
     mode: str = LOOKUP,
 ) -> dict[int, float]:
-    """Bill the historical call trace through every plan: rubles/month per plan.
+    """Bill the historical call trace through every switch candidate:
+    rubles/month per plan.
 
     A model-free cross-check of both the analytic engine and the synthetic
-    generator.
+    generator. Calls are grouped by (destination, day) class once, and each
+    class is billed per plan in one vectorised pass.
     """
     if months <= 0:
         raise SimulationError(f"months must be positive, got {months}")
-    out = {}
-    for plan in catalog.plans:
-        total = 0.0
-        for call in calls:
-            j = plan.subgroup_index(call.destination_class, call.day_class)
-            payoff = plan.subgroups[j][1]
-            total += float(_bill_minutes(payoff, np.array([call.minute_index]), mode)[0])
-        out[plan.id] = total / months
-    return out
+    grouped: dict[tuple[str, str], list[int]] = {}
+    for call in calls:
+        grouped.setdefault((call.destination_class, call.day_class), []).append(call.minute_index)
+    classes = [(dest, day, np.array(m, dtype=np.int64)) for (dest, day), m in grouped.items()]
+    plans = catalog.switch_candidates()
+    totals = [0.0] * len(plans)
+    for pi, _, costs in _bill_classes(plans, classes, mode):
+        totals[pi] += float(costs.sum())
+    return {plan.id: total / months for plan, total in zip(plans, totals)}

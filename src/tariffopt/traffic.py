@@ -24,6 +24,7 @@ from .catalog import (
     DESTINATION_CLASSES,
     BillingPlan,
     Catalog,
+    _read_source,
 )
 
 CDR_HEADER = ("date", "time", "number", "zone", "service", "duration", "cost")
@@ -100,13 +101,7 @@ def parse_cdr(
     `strict` is set, in which case they raise :class:`CdrError`. Rows with
     an unrecognized service tag are always skipped with a warning.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = _read_source(source, CdrError, "CDR")
     if issues is None:
         issues = []
 
@@ -171,13 +166,7 @@ class PrefixTable:
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
         """Load a ``prefix;destination_class`` table."""
-        if isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif isinstance(source, str):
-            text = source
-        else:
-            data = source.read()
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = _read_source(source, CdrError, "prefix table")
         mapping: dict[str, str] = {}
         for lineno, row in enumerate(csv.reader(io.StringIO(text), delimiter=";"), start=1):
             if not row or all(not col.strip() for col in row):
@@ -209,18 +198,15 @@ class WorkdayCalendar:
     @classmethod
     def from_file(cls, source: Union[bytes, str, IO]) -> "WorkdayCalendar":
         """Load a holiday list, one ISO date per line."""
-        if isinstance(source, bytes):
-            text = source.decode("utf-8")
-        elif isinstance(source, str):
-            text = source
-        else:
-            data = source.read()
-            text = data.decode("utf-8") if isinstance(data, bytes) else data
+        text = _read_source(source, CdrError, "holiday list")
         days = set()
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if line and not line.startswith("#"):
-                days.add(date.fromisoformat(line))
+                try:
+                    days.add(date.fromisoformat(line))
+                except ValueError:
+                    raise CdrError(f"holiday list line {lineno}: not an ISO date: {line!r}") from None
         return cls(frozenset(days))
 
     def day_class(self, day: date) -> str:

@@ -190,9 +190,51 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_bad_grid_is_validation_error(capsys):
-    code, _, err = invoke(capsys, "sweep", *BASE, "--k-from", "0", "--k-to", "1")
+    for grid in (["--k-from", "0", "--k-to", "1"], ["--k-step", "0"], ["--k-step", "nan"]):
+        code, _, err = invoke(capsys, "sweep", *BASE, *grid)
+        assert code == 1
+        assert "bad grid spec" in err
+
+
+def test_fit_on_a_short_grid_is_validation_error(capsys):
+    code, _, err = invoke(capsys, "fit", *BASE, "--k-from", "1", "--k-to", "2")
     assert code == 1
-    assert "error" in err
+    assert "at least 5 sweep points" in err
+
+
+def test_unreadable_inputs_are_validation_errors(tmp_path, capsys):
+    holidays = tmp_path / "holidays.txt"
+    holidays.write_text("2010-01-01\n2010-13-01\n")
+    code, _, err = invoke(capsys, "rank", *BASE, "--holidays", str(holidays))
+    assert code == 1
+    assert "holiday list line 2" in err
+
+    cdr = tmp_path / "latin1.csv"
+    cdr.write_bytes(CDR_PATH.read_bytes() + "20.08.2010;12:00:00;+7;Москва;Tel;0:10;1\n".encode("cp1251"))
+    code, _, err = invoke(capsys, "rank", *BASE[:2], "--cdr", str(cdr), *BASE[4:])
+    assert code == 1
+    assert "CDR is not UTF-8" in err
+
+    catalog = tmp_path / "catalog.json"
+    doc = json.loads(CATALOG_PATH.read_text())
+    doc["plans"][0]["id"] = "one"
+    catalog.write_text(json.dumps(doc))
+    code, _, err = invoke(capsys, "rank", "--catalog", str(catalog), *BASE[2:])
+    assert code == 1
+    assert "plan id: not an integer" in err
+
+
+def test_engine_value_error_is_internal_error(monkeypatch, capsys):
+    from tariffopt import cli
+
+    def broken_run(config, catalog):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    code, out, err = invoke(capsys, "simulate", *BASE, "--runs", "10")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
 
 
 def test_strict_parse_failure(tmp_path, capsys):

@@ -249,6 +249,34 @@ def test_switch_points_enter_tied_plans_at_the_current_one():
     assert intervals[0].k_end == pytest.approx(1.25, abs=1e-9)
 
 
+def test_switch_points_name_the_current_plan_among_identical_lines():
+    """Identical plans 3 and 4 are optimal only between two grid points; the
+    current plan 4 must be named, as rank would name it there."""
+    points = flat_plans_sweep(
+        [(1, "0", "10"), (2, "32.5", "0"), (3, "16", "5.05"), (4, "16", "5.05")], 4
+    )
+    assert [iv.plan_id for iv in switch_points(points)] == [1, 4, 2]
+
+
+def test_switch_points_leave_no_slivers_where_lines_meet():
+    """Four lines through one point: the ones that only touch the envelope
+    there get no interval, and the intervals still tile the grid."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        k_star = int(rng.integers(6, 95)) / 10  # a crossing between grid points
+        rates = rng.choice(np.arange(1, 2001), size=4, replace=False) / 100
+        cost = int(rng.integers(0, 5000)) / 100 + k_star * rates.max()
+        plans = [
+            (pid, f"{cost - k_star * rate:.4f}", f"{rate:.2f}")
+            for pid, rate in enumerate(rates, start=1)
+        ]
+        intervals = switch_points(flat_plans_sweep(plans, 1))
+        assert intervals[0].k_start == 0.5 and intervals[-1].k_end == 10.0
+        for left, right in zip(intervals, intervals[1:]):
+            assert left.k_end == right.k_start
+        assert all(iv.k_end - iv.k_start >= 1e-9 for iv in intervals), intervals
+
+
 # --------------------------------------------------------------------------
 # regression
 

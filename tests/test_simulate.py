@@ -15,12 +15,12 @@ from tariffopt import (
     SimulationError,
     bill_call,
     full_costs,
-    generate_month,
+    generate_months,
     replay_trace,
     run,
     substream,
 )
-
+from tariffopt import simulate
 
 
 def one_cell_config(lam, mu, runs, seed=7, mode="lookup"):
@@ -32,36 +32,64 @@ def one_cell_config(lam, mu, runs, seed=7, mode="lookup"):
     )
 
 
+def one_cell(lam, mu=0.41):
+    return SimCell("same-network", "workday", lam, mu)
+
+
 def test_zero_rate_generates_nothing():
-    config = one_cell_config(0.0, 0.41, runs=1)
-    for r in range(5):
-        assert generate_month(config, 0, substream(7, r, 0)).size == 0
+    counts, durations = generate_months(one_cell(0.0), 5, substream(7, 0, 0))
+    assert counts.tolist() == [0] * 5
+    assert durations.size == 0
 
 
 def test_poisson_count_mean():
-    """lambda=33: the mean monthly count over 1e4 runs sits within 3 sigma."""
-    config = one_cell_config(33.0, 0.41, runs=1)
-    counts = [generate_month(config, 0, substream(11, r, 0)).size for r in range(10_000)]
+    """lambda=33: the mean monthly count over 1e4 runs sits within 3 SE."""
+    counts, _ = generate_months(one_cell(33.0), 10_000, substream(11, 0, 0))
     tolerance = 3 * math.sqrt(33.0 / 10_000)
     assert abs(np.mean(counts) - 33.0) <= tolerance
 
 
+def test_poisson_count_variance():
+    """lambda=33: the sample variance of the monthly count sits within 3 SE
+    of lambda; for a Poisson count Var(s^2) ~ (lambda + 2 lambda^2) / n."""
+    counts, _ = generate_months(one_cell(33.0), 10_000, substream(12, 0, 0))
+    tolerance = 3 * math.sqrt((33.0 + 2 * 33.0**2) / 10_000)
+    assert abs(np.var(counts, ddof=1) - 33.0) <= tolerance
+
+
 def test_exponential_duration_mean():
-    config = one_cell_config(33.0, 0.41, runs=1)
-    durations = np.concatenate(
-        [generate_month(config, 0, substream(13, r, 0)) for r in range(3_000)]
-    )
+    _, durations = generate_months(one_cell(33.0), 3_000, substream(13, 0, 0))
     se = durations.std(ddof=1) / math.sqrt(durations.size)
     assert abs(durations.mean() - 1 / 0.41) <= 3 * se
 
 
-def test_generate_month_deterministic_per_run_and_cell():
-    config = one_cell_config(10.0, 0.5, runs=3)
-    a = generate_month(config, 0, substream(99, 2, 0))
-    b = generate_month(config, 0, substream(99, 2, 0))
-    assert np.array_equal(a, b)
-    c = generate_month(config, 0, substream(99, 3, 0))
-    assert not np.array_equal(a, c)
+def test_generate_months_deterministic_per_chunk_and_cell():
+    cell = one_cell(10.0, 0.5)
+    a = generate_months(cell, 64, substream(99, 2, 0))
+    b = generate_months(cell, 64, substream(99, 2, 0))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    for other in (substream(99, 3, 0), substream(99, 2, 1), substream(98, 2, 0)):
+        assert not np.array_equal(a[1], generate_months(cell, 64, other)[1])
+
+
+class _FixedGaps:
+    """Stub stream: every inter-arrival gap is exactly 1/64 of a month."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+
+    def exponential(self, scale, size):
+        if scale == 1.0 / 10.0:  # gaps
+            return np.full(size, 1.0 / 64)
+        return self.rng.exponential(scale, size)
+
+
+def test_generate_months_extends_rows_that_end_before_the_month():
+    """lambda=10 draws 46 gaps per row, so 1/64 gaps overflow every row; the
+    extension must still count exactly the 63 arrivals below 1."""
+    counts, durations = generate_months(one_cell(10.0), 5, _FixedGaps())
+    assert counts.tolist() == [63] * 5
+    assert durations.size == 5 * 63
 
 
 def test_bill_call_lookup(mts_catalog):
@@ -219,3 +247,42 @@ def test_replay_trace_matches_direct_billing(mts_catalog):
     assert per_plan[6] == pytest.approx(7.0)
     with pytest.raises(SimulationError):
         replay_trace(mts_catalog, calls, months=0.0)
+
+
+def test_run_across_a_chunk_boundary_is_bit_identical(mts_catalog, reference_profile):
+    config = SimConfig.from_profile(reference_profile, seed=5, runs=simulate.CHUNK_RUNS + 1)
+    assert run(config, mts_catalog).to_json() == run(config, mts_catalog).to_json()
+
+
+@pytest.mark.parametrize("mode", ["lookup", "cumulative"])
+def test_run_mean_matches_call_by_call_billing(mts_catalog, reference_profile, monkeypatch, mode):
+    """Redraw every chunk's months from its (seed, chunk, cell) stream and bill
+    them one call at a time; small chunks put the runs in three chunks."""
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 16)
+    config = SimConfig.from_profile(reference_profile, seed=31, runs=40, billing_mode=mode)
+    totals = dict.fromkeys((p.id for p in mts_catalog.plans), 0.0)
+    for chunk, n in enumerate((16, 16, 8)):
+        for ci, cell in enumerate(config.cells):
+            _, durations = generate_months(cell, n, substream(31, chunk, ci))
+            for plan in mts_catalog.plans:
+                payoff = plan.subgroups[plan.subgroup_index(cell.destination_class, cell.day_class)][1]
+                totals[plan.id] += sum(bill_call(payoff, d, mode) for d in durations)
+    for p in run(config, mts_catalog).plans:
+        assert abs(p.mean - totals[p.plan_id] / 40) <= 1e-9
+
+
+def test_inactive_non_current_plan_is_billed_nowhere(mts_catalog, reference_profile):
+    from datetime import date, time
+    from decimal import Decimal
+
+    from tariffopt import CallRecord, Catalog, ClassifiedCall, SubscriberContext
+
+    ctx = SubscriberContext(current_plan_id=1, owned_sim_providers=frozenset({"MTS"}))
+    moved = Catalog(plans=mts_catalog.plans, context=ctx)  # plan 6 is inactive
+    expected = [1, 2, 3, 4, 5]
+    assert [b.plan_id for b in full_costs(moved, ctx, reference_profile)] == expected
+    config = SimConfig.from_profile(reference_profile, seed=1, runs=10)
+    assert [p.plan_id for p in run(config, moved).plans] == expected
+    record = CallRecord(date(2010, 8, 20), time(9, 0), "+7", "", "Tel", 60, Decimal("0"))
+    calls = [ClassifiedCall(record, "landline", "workday", 1)]
+    assert sorted(replay_trace(moved, calls, months=1.0)) == expected
