@@ -255,8 +255,8 @@ def replay_trace(
     generator. Calls are grouped by (destination, day) class once, and each
     class is billed per plan in one vectorised pass.
     """
-    if months <= 0:
-        raise SimulationError(f"months must be positive, got {months}")
+    if not (math.isfinite(months) and months > 0):
+        raise SimulationError(f"months must be positive and finite, got {months}")
     grouped: dict[tuple[str, str], list[int]] = {}
     for call in calls:
         grouped.setdefault((call.destination_class, call.day_class), []).append(call.minute_index)

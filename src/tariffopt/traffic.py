@@ -11,10 +11,11 @@ import calendar
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
-from typing import IO, Iterable, Sequence, Union
+from types import MappingProxyType
+from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -88,6 +89,40 @@ def _parse_cost(raw: str) -> Decimal:
         raise ValueError(f"bad cost {raw!r}") from None
 
 
+def _fixed_fields(raw: str, sep: str, length: int) -> tuple[int, int, int] | None:
+    """The three ints of ``NN<sep>NN<sep>N...`` (`length` ASCII digits and
+    separators in all), or None when `raw` has any other form."""
+    if len(raw) == length and raw[2] == sep and raw[5] == sep:
+        digits = raw[:2] + raw[3:5] + raw[6:]
+        # int() would also take non-ASCII digits, which strptime rejects
+        if digits.isascii() and digits.isdigit():
+            return int(raw[:2]), int(raw[3:5]), int(raw[6:])
+    return None
+
+
+def _parse_date(raw: str) -> date:
+    """``DD.MM.YYYY`` as `datetime.strptime` reads it, without its cost."""
+    fields = _fixed_fields(raw, ".", 10)
+    if fields is not None:
+        day, month, year = fields
+        try:
+            return date(year, month, day)
+        except ValueError:
+            pass  # strptime words the error
+    return datetime.strptime(raw, "%d.%m.%Y").date()
+
+
+def _parse_time(raw: str) -> time:
+    """``HH:MM:SS`` as `datetime.strptime` reads it, without its cost."""
+    fields = _fixed_fields(raw, ":", 8)
+    if fields is not None:
+        try:
+            return time(*fields)
+        except ValueError:
+            pass  # strptime words the error
+    return datetime.strptime(raw, "%H:%M:%S").time()
+
+
 def parse_cdr(
     source: Union[bytes, str, IO],
     strict: bool = False,
@@ -114,14 +149,18 @@ def parse_cdr(
         raise CdrError(f"unexpected CDR header {rows[0]!r}")
 
     records: list[CallRecord] = []
+    days: dict[str, date] = {}  # a printout repeats each date on many rows
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not col.strip() for col in row):
             continue
         try:
             if len(row) != 7:
                 raise ValueError(f"expected 7 columns, got {len(row)}")
-            day = datetime.strptime(row[0].strip(), "%d.%m.%Y").date()
-            at = datetime.strptime(row[1].strip(), "%H:%M:%S").time()
+            raw_day = row[0].strip()
+            day = days.get(raw_day)
+            if day is None:
+                day = days[raw_day] = _parse_date(raw_day)
+            at = _parse_time(row[1].strip())
             number = row[2].strip()
             zone = row[3].strip()
             service = row[4].strip()
@@ -152,20 +191,31 @@ class PrefixTable:
     """Longest-prefix map from dialed numbers to destination classes.
 
     Numbers with no matching prefix fall back to `other-mobile`;
-    `unmapped_count` tallies how often that happened.
+    `unmapped_count` tallies how often that happened. `mapping` is kept as a
+    read-only copy, so the lookup index built from it cannot go stale.
     """
 
-    mapping: dict[str, str]
+    mapping: Mapping[str, str]
     unmapped_count: int = 0
+    _classes: dict[str, str] = field(init=False, repr=False, compare=False)
+    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.mapping = MappingProxyType(dict(self.mapping))
         for prefix, dest in self.mapping.items():
             if dest not in DESTINATION_CLASSES:
                 raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
+        # an empty prefix matches no number, not even an empty one
+        self._classes = {prefix: dest for prefix, dest in self.mapping.items() if prefix}
+        self._lengths = tuple(sorted({len(prefix) for prefix in self._classes}, reverse=True))
 
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
-        """Load a ``prefix;destination_class`` table."""
+        """Load a ``prefix;destination_class`` table.
+
+        An unknown class, an empty prefix, or a prefix listed again with
+        another class is an error that names its line.
+        """
         text = _read_source(source, CdrError, "prefix table")
         mapping: dict[str, str] = {}
         for lineno, row in enumerate(csv.reader(io.StringIO(text), delimiter=";"), start=1):
@@ -175,16 +225,23 @@ class PrefixTable:
                 continue
             if len(row) != 2:
                 raise CdrError(f"prefix table line {lineno}: expected 2 columns")
-            mapping[row[0].strip()] = row[1].strip()
+            prefix, dest = row[0].strip(), row[1].strip()
+            if not prefix:
+                raise CdrError(f"prefix table line {lineno}: empty prefix")
+            if dest not in DESTINATION_CLASSES:
+                raise CdrError(f"prefix table line {lineno}: unknown destination class {dest!r}")
+            if mapping.setdefault(prefix, dest) != dest:
+                raise CdrError(
+                    f"prefix table line {lineno}: prefix {prefix!r} listed again "
+                    f"as {dest!r}, was {mapping[prefix]!r}"
+                )
         return cls(mapping)
 
     def destination_class(self, number: str) -> str:
-        best = ""
-        for prefix in self.mapping:
-            if number.startswith(prefix) and len(prefix) > len(best):
-                best = prefix
-        if best:
-            return self.mapping[best]
+        for length in self._lengths:
+            dest = self._classes.get(number[:length])
+            if dest is not None:
+                return dest
         self.unmapped_count += 1
         return "other-mobile"
 
@@ -416,9 +473,9 @@ class TrafficProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
-        if self.observation_months <= 0:
+        if not (math.isfinite(self.observation_months) and self.observation_months > 0):
             raise ProfileError(
-                f"observation_months must be positive, got {self.observation_months}"
+                f"observation_months must be positive and finite, got {self.observation_months}"
             )
         seen = set()
         for cell in self.cells:
@@ -472,8 +529,8 @@ def estimate_profile(
     rarely have enough calls to stand alone). Rates are calls per month
     over the `months`-long observation window.
     """
-    if months <= 0:
-        raise ProfileError(f"months must be positive, got {months}")
+    if not (math.isfinite(months) and months > 0):
+        raise ProfileError(f"months must be positive and finite, got {months}")
     if not calls:
         raise ProfileError("no calls to estimate a profile from")
     if duration_model not in ("exponential", "empirical"):

@@ -196,6 +196,14 @@ def test_bad_grid_is_validation_error(capsys):
         assert "bad grid spec" in err
 
 
+def test_non_finite_months_is_validation_error(capsys):
+    for months in ("nan", "inf"):
+        code, out, err = invoke(capsys, "rank", *BASE[:6], "--months", months)
+        assert code == 1
+        assert out == ""
+        assert f"months must be positive and finite, got {months}" in err
+
+
 def test_fit_on_a_short_grid_is_validation_error(capsys):
     code, _, err = invoke(capsys, "fit", *BASE, "--k-from", "1", "--k-to", "2")
     assert code == 1
@@ -208,6 +216,12 @@ def test_unreadable_inputs_are_validation_errors(tmp_path, capsys):
     code, _, err = invoke(capsys, "rank", *BASE, "--holidays", str(holidays))
     assert code == 1
     assert "holiday list line 2" in err
+
+    prefixes = tmp_path / "prefixes.csv"
+    prefixes.write_text(PREFIXES_PATH.read_text() + "+7916;landline\n")
+    code, _, err = invoke(capsys, "rank", *BASE[:4], "--prefixes", str(prefixes), *BASE[6:])
+    assert code == 1
+    assert "prefix table line" in err
 
     cdr = tmp_path / "latin1.csv"
     cdr.write_bytes(CDR_PATH.read_bytes() + "20.08.2010;12:00:00;+7;Москва;Tel;0:10;1\n".encode("cp1251"))

@@ -18,6 +18,7 @@ from tariffopt import (
     Exponential,
     FixedCostSpec,
     PayoffFunction,
+    PrefixTable,
     RateSegment,
     SimCell,
     SimConfig,
@@ -293,3 +294,41 @@ def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, 
             mid = 0.5 * (iv.k_start + iv.k_end)
             at_mid = [replace(b, variable=mid * b.variable) for b in breakdowns]
             assert iv.plan_id == rank(at_mid).optimal_id
+
+
+def longest_prefix_scan(mapping, number):
+    """Reference lookup: scan every prefix and keep the longest non-empty match."""
+    best = ""
+    for prefix in mapping:
+        if number.startswith(prefix) and len(prefix) > len(best):
+            best = prefix
+    return mapping[best] if best else None
+
+
+@st.composite
+def prefix_tables_and_numbers(draw):
+    # three digits and short prefixes, so prefixes nest; digit 3 matches none
+    mapping = draw(
+        st.dictionaries(st.text("012", max_size=5), st.sampled_from(DESTINATION_CLASSES), max_size=12)
+    )
+    numbers = []
+    for _ in range(draw(st.integers(0, 20))):
+        if mapping and draw(st.booleans()):
+            prefix = draw(st.sampled_from(sorted(mapping)))
+            cut = draw(st.integers(0, len(prefix)))  # shorter than or equal to a prefix
+            numbers.append(prefix[:cut] + draw(st.text("0123", max_size=3)))
+        else:
+            numbers.append(draw(st.text("0123", max_size=7)))
+    return mapping, numbers
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_tables_and_numbers())
+def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
+    mapping, numbers = table_and_numbers
+    table = PrefixTable(mapping)
+    for number in numbers:
+        expected = longest_prefix_scan(mapping, number)
+        unmapped = table.unmapped_count
+        assert table.destination_class(number) == (expected or "other-mobile")
+        assert table.unmapped_count == unmapped + (expected is None)

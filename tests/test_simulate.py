@@ -245,8 +245,9 @@ def test_replay_trace_matches_direct_billing(mts_catalog):
     assert per_plan[1] == pytest.approx(2.5 + 0.0 + 0.0)
     # plan 6: workdays 3 + 3, weekend 1
     assert per_plan[6] == pytest.approx(7.0)
-    with pytest.raises(SimulationError):
-        replay_trace(mts_catalog, calls, months=0.0)
+    for months in (0.0, math.nan, math.inf):
+        with pytest.raises(SimulationError, match="months must be positive and finite"):
+            replay_trace(mts_catalog, calls, months=months)
 
 
 def test_run_across_a_chunk_boundary_is_bit_identical(mts_catalog, reference_profile):

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from datetime import date
+import re
+from datetime import date, datetime
 from decimal import Decimal
 
 import numpy as np
@@ -134,6 +135,65 @@ def test_parse_tel_integer_duration_is_malformed():
     assert issues
 
 
+def strptime_outcome(raw_day, raw_time):
+    """A row's date and time as `datetime.strptime` reads them, or the
+    skipped-row message its error gives on line 2."""
+    try:
+        return (
+            datetime.strptime(raw_day, "%d.%m.%Y").date(),
+            datetime.strptime(raw_time, "%H:%M:%S").time(),
+        )
+    except ValueError as exc:
+        return f"line 2: {exc}, row skipped"
+
+
+@pytest.mark.parametrize(
+    "raw_day, raw_time",
+    [
+        ("20.08.2010", "12:01:27"),
+        ("1.2.2010", "12:01:27"),
+        ("30.02.2010", "12:01:27"),
+        ("29.02.2012", "12:01:27"),
+        ("00.01.2010", "12:01:27"),
+        ("01.01.0000", "12:01:27"),
+        ("20.08.10", "12:01:27"),
+        ("20-08-2010", "12:01:27"),
+        ("\u0662\u0660.\u0660\u0668.\u0662\u0660\u0661\u0660", "12:01:27"),  # Arabic-Indic
+        ("\uff12\uff10.\uff10\uff18.\uff12\uff10\uff11\uff10", "12:01:27"),  # fullwidth
+        ("20.08.2010", "00:00:00"),
+        ("20.08.2010", "23:59:59"),
+        ("20.08.2010", "24:00:00"),
+        ("20.08.2010", "23:59:60"),
+        ("20.08.2010", "9:05:03"),
+        ("20.08.2010", "12:01"),
+        ("20.08.2010", "\u0661\u0662:\u0660\u0661:\u0662\u0667"),
+    ],
+)
+def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
+    issues = []
+    rows = parse_cdr(HEADER + f"{raw_day};{raw_time};+7985;Moscow;Tel;0:57;2.542\n", issues=issues)
+    got = (rows[0].date, rows[0].time) if rows else issues[0]
+    assert got == strptime_outcome(raw_day, raw_time)
+
+
+def test_date_memo_lives_for_one_parse(monkeypatch):
+    from tariffopt import traffic
+
+    seen = []
+    parse_date = traffic._parse_date
+    monkeypatch.setattr(traffic, "_parse_date", lambda raw: seen.append(raw) or parse_date(raw))
+    text = HEADER + "".join(
+        f"{day};12:00:00;+7985;Moscow;Tel;0:57;2.542\n"
+        for day in ("20.08.2010", "21.08.2010", "20.08.2010", "30.02.2010", "30.02.2010")
+    )
+    issues = []
+    first = parse_cdr(text, issues=issues)
+    assert seen == ["20.08.2010", "21.08.2010", "30.02.2010", "30.02.2010"]
+    assert issues == [f"line {n}: day is out of range for month, row skipped" for n in (5, 6)]
+    assert parse_cdr(text) == first
+    assert seen[4:] == seen[:4]
+
+
 # --------------------------------------------------------------------------
 # classification
 
@@ -187,9 +247,44 @@ def test_classify_calls_drops_sms_and_zero_duration():
 
 
 def test_prefix_table_from_csv():
-    table = PrefixTable.from_csv("prefix;destination_class\n+7916;same-network\n+7495;landline\n")
+    table = PrefixTable.from_csv(
+        "prefix;destination_class\n+7916;same-network\n+7495;landline\n+7916;same-network\n"
+    )
     assert table.destination_class("+79161") == "same-network"
     assert table.destination_class("+74951") == "landline"
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("+7916;same-network\n+7495;fixed-line\n", "line 3: unknown destination class 'fixed-line'"),
+        ("+7916;same-network\n;landline\n", "line 3: empty prefix"),
+        (
+            "+7916;same-network\n+7495;landline\n+7916;landline\n",
+            "line 4: prefix '+7916' listed again as 'landline', was 'same-network'",
+        ),
+    ],
+)
+def test_prefix_table_errors_name_the_line(rows, message):
+    with pytest.raises(CdrError, match=f"^{re.escape('prefix table ' + message)}$"):
+        PrefixTable.from_csv("prefix;destination_class\n" + rows)
+
+
+def test_prefix_table_keeps_a_read_only_copy():
+    source = {"+7916": "same-network"}
+    table = PrefixTable(source)
+    source["+79165"] = "landline"
+    assert table.destination_class("+791650") == "same-network"
+    with pytest.raises(TypeError):
+        table.mapping["+79165"] = "landline"
+
+
+def test_empty_prefix_matches_no_number():
+    table = PrefixTable({"": "landline", "+7": "same-network"})
+    assert table.destination_class("") == "other-mobile"
+    assert table.destination_class("+1") == "other-mobile"
+    assert table.destination_class("+7") == "same-network"
+    assert table.unmapped_count == 2
 
 
 # --------------------------------------------------------------------------
@@ -327,8 +422,11 @@ def test_estimate_profile_empty_subgroup_allowed(mts_catalog):
 
 
 def test_estimate_profile_rejects_bad_months(mts_catalog):
-    with pytest.raises(ProfileError):
-        estimate_profile(synth_calls(), mts_catalog, months=0)
+    for months in (0, math.nan, math.inf):
+        with pytest.raises(ProfileError, match="^months must be positive and finite"):
+            estimate_profile(synth_calls(), mts_catalog, months=months)
+        with pytest.raises(ProfileError, match="observation_months must be positive and finite"):
+            TrafficProfile(cells=(), observation_months=months)
 
 
 def test_estimate_profile_empirical_mode(mts_catalog):
