@@ -11,7 +11,7 @@ import calendar
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from types import MappingProxyType
@@ -149,17 +149,13 @@ def parse_cdr(
         raise CdrError(f"unexpected CDR header {rows[0]!r}")
 
     records: list[CallRecord] = []
-    days: dict[str, date] = {}  # a printout repeats each date on many rows
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not col.strip() for col in row):
             continue
         try:
             if len(row) != 7:
                 raise ValueError(f"expected 7 columns, got {len(row)}")
-            raw_day = row[0].strip()
-            day = days.get(raw_day)
-            if day is None:
-                day = days[raw_day] = _parse_date(raw_day)
+            day = _parse_date(row[0].strip())
             at = _parse_time(row[1].strip())
             number = row[2].strip()
             zone = row[3].strip()
@@ -192,22 +188,30 @@ class PrefixTable:
 
     Numbers with no matching prefix fall back to `other-mobile`;
     `unmapped_count` tallies how often that happened. `mapping` is kept as a
-    read-only copy, so the lookup index built from it cannot go stale.
+    read-only copy, and assigning a new one rebuilds the lookup index, so the
+    index cannot go stale.
     """
 
     mapping: Mapping[str, str]
     unmapped_count: int = 0
-    _classes: dict[str, str] = field(init=False, repr=False, compare=False)
-    _lengths: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self.mapping = MappingProxyType(dict(self.mapping))
-        for prefix, dest in self.mapping.items():
-            if dest not in DESTINATION_CLASSES:
-                raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
-        # an empty prefix matches no number, not even an empty one
-        self._classes = {prefix: dest for prefix, dest in self.mapping.items() if prefix}
-        self._lengths = tuple(sorted({len(prefix) for prefix in self._classes}, reverse=True))
+    def __setattr__(self, name, value):
+        if name == "mapping":
+            classes = dict(value)
+            for prefix, dest in classes.items():
+                if dest not in DESTINATION_CLASSES:
+                    raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
+            value = MappingProxyType(classes)
+            # an empty prefix matches no number; it must leave the lookup dict
+            # too, since number[:n] of the empty number is "" for every n
+            classes = {prefix: dest for prefix, dest in classes.items() if prefix}
+            super().__setattr__("_lengths", tuple(sorted({len(p) for p in classes}, reverse=True)))
+            super().__setattr__("_classes", classes)
+        super().__setattr__(name, value)
+
+    def __reduce__(self):
+        # a mappingproxy cannot be pickled or deep-copied; its dict can
+        return type(self), (dict(self.mapping), self.unmapped_count)
 
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":

@@ -7,7 +7,7 @@ from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tariffopt import (
@@ -324,6 +324,7 @@ def prefix_tables_and_numbers(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(prefix_tables_and_numbers())
+@example(({"": "landline", "1": "same-network"}, ["", "2", "1", "12"]))  # empty prefix, empty number
 def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
     mapping, numbers = table_and_numbers
     table = PrefixTable(mapping)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 from datetime import date, datetime
 from decimal import Decimal
@@ -176,24 +178,6 @@ def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
     assert got == strptime_outcome(raw_day, raw_time)
 
 
-def test_date_memo_lives_for_one_parse(monkeypatch):
-    from tariffopt import traffic
-
-    seen = []
-    parse_date = traffic._parse_date
-    monkeypatch.setattr(traffic, "_parse_date", lambda raw: seen.append(raw) or parse_date(raw))
-    text = HEADER + "".join(
-        f"{day};12:00:00;+7985;Moscow;Tel;0:57;2.542\n"
-        for day in ("20.08.2010", "21.08.2010", "20.08.2010", "30.02.2010", "30.02.2010")
-    )
-    issues = []
-    first = parse_cdr(text, issues=issues)
-    assert seen == ["20.08.2010", "21.08.2010", "30.02.2010", "30.02.2010"]
-    assert issues == [f"line {n}: day is out of range for month, row skipped" for n in (5, 6)]
-    assert parse_cdr(text) == first
-    assert seen[4:] == seen[:4]
-
-
 # --------------------------------------------------------------------------
 # classification
 
@@ -277,14 +261,19 @@ def test_prefix_table_keeps_a_read_only_copy():
     assert table.destination_class("+791650") == "same-network"
     with pytest.raises(TypeError):
         table.mapping["+79165"] = "landline"
+    table.mapping = source  # a new mapping rebuilds the index
+    assert table.destination_class("+791650") == "landline"
 
 
-def test_empty_prefix_matches_no_number():
-    table = PrefixTable({"": "landline", "+7": "same-network"})
-    assert table.destination_class("") == "other-mobile"
-    assert table.destination_class("+1") == "other-mobile"
-    assert table.destination_class("+7") == "same-network"
-    assert table.unmapped_count == 2
+@pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
+def test_prefix_table_copies_and_pickles(clone):
+    table = PrefixTable({"+7916": "same-network", "+791655": "landline"})
+    table.destination_class("+1555")
+    twin = clone(table)
+    assert twin == table and twin.unmapped_count == 1
+    assert twin.destination_class("+79165550000") == "landline"
+    assert twin.destination_class("+1555") == "other-mobile"
+    assert (twin.unmapped_count, table.unmapped_count) == (2, 1)
 
 
 # --------------------------------------------------------------------------
