@@ -103,12 +103,17 @@ class PayoffFunction:
             raise CatalogError("last segment must be open-ended")
 
     @cached_property
+    def float_segments(self) -> tuple[tuple[int, int | None, float], ...]:
+        """``(from_minute, to_minute, rate)`` of each segment, rate as a float."""
+        return tuple((seg.from_minute, seg.to_minute, float(seg.rate)) for seg in self.segments)
+
+    @cached_property
     def _starts(self) -> np.ndarray:
         return np.array([seg.from_minute for seg in self.segments], dtype=np.int64)
 
     @cached_property
     def _rates(self) -> np.ndarray:
-        return np.array([float(seg.rate) for seg in self.segments])
+        return np.array([rate for _, _, rate in self.float_segments])
 
     @cached_property
     def _cum_before(self) -> np.ndarray:
@@ -122,7 +127,7 @@ class PayoffFunction:
     def segment_index(self, minute: int) -> int:
         if minute < 1:
             raise ValueError(f"minute must be >= 1, got {minute}")
-        return int(np.searchsorted(self._starts, minute, side="right")) - 1
+        return int(self._starts.searchsorted(minute, side="right")) - 1
 
     def rate_at(self, minute: int) -> float:
         """Rate charged for a call whose billed duration is `minute`."""
@@ -130,13 +135,12 @@ class PayoffFunction:
 
     def rates(self, minutes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rate_at` over an integer minute array."""
-        idx = np.searchsorted(self._starts, minutes, side="right") - 1
-        return self._rates[idx]
+        return self._rates[self._starts.searchsorted(minutes, side="right") - 1]
 
     def cumulative(self, minutes: np.ndarray) -> np.ndarray:
         """Sum of per-minute rates over minutes 1..m, vectorized over m."""
         minutes = np.asarray(minutes, dtype=np.int64)
-        idx = np.searchsorted(self._starts, minutes, side="right") - 1
+        idx = self._starts.searchsorted(minutes, side="right") - 1
         within = minutes - self._starts[idx] + 1
         return self._cum_before[idx] + within * self._rates[idx]
 
@@ -214,21 +218,27 @@ class BillingPlan:
         wildcards = sum(rule.is_wildcard for rule, _ in self.subgroups)
         if wildcards > 1:
             raise CatalogError(f"plan {self.id} has {wildcards} catch-all rules")
+        routes = {}
         for dest, day in ALL_CALL_CLASSES:
-            if not any(rule.matches(dest, day) for rule, _ in self.subgroups):
+            matching = [j for j, (rule, _) in enumerate(self.subgroups) if rule.matches(dest, day)]
+            if not matching:
                 raise CatalogError(
                     f"plan {self.id} ({self.name!r}) leaves ({dest}, {day}) "
                     f"calls with no subgroup"
                 )
+            routes[dest, day] = matching[0]
+        # not a field: equality, repr and serialization see only the rules
+        object.__setattr__(self, "_routes", routes)
 
     def subgroup_index(self, destination_class: str, day_class: str) -> int:
-        """Index of the first rule matching the call class (always exists)."""
-        for j, (rule, _) in enumerate(self.subgroups):
-            if rule.matches(destination_class, day_class):
-                return j
-        raise CatalogError(
-            f"plan {self.id}: no subgroup for ({destination_class}, {day_class})"
-        )
+        """Index of the first rule matching the call class, from a table
+        built once per plan; a pair that is not a call class raises."""
+        try:
+            return self._routes[destination_class, day_class]
+        except KeyError:
+            raise CatalogError(
+                f"plan {self.id}: no subgroup for ({destination_class}, {day_class})"
+            ) from None
 
     def subgroup_names(self) -> tuple[str, ...]:
         return tuple(rule.subgroup_name for rule, _ in self.subgroups)

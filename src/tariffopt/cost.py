@@ -30,10 +30,10 @@ def _exponential_lookup(payoff: PayoffFunction, mu: float) -> float:
     # sum over segments of rate * P(billing minute lands in the segment),
     # evaluated in closed form with no truncation error
     total = 0.0
-    for seg in payoff.segments:
-        start = math.exp(-mu * (seg.from_minute - 1))
-        mass = start if seg.is_open else start - math.exp(-mu * seg.to_minute)
-        total += float(seg.rate) * mass
+    for from_minute, to_minute, rate in payoff.float_segments:
+        start = math.exp(-mu * (from_minute - 1))
+        mass = start if to_minute is None else start - math.exp(-mu * to_minute)
+        total += rate * mass
     return total
 
 
@@ -41,14 +41,14 @@ def _exponential_cumulative(payoff: PayoffFunction, mu: float) -> float:
     # E[sum_{m<=t} v(m)] = sum_m v(m) P(t >= m); geometric series per segment
     decay = math.exp(-mu)
     total = 0.0
-    for seg in payoff.segments:
-        start = math.exp(-mu * (seg.from_minute - 1))
-        if seg.is_open:
+    for from_minute, to_minute, rate in payoff.float_segments:
+        start = math.exp(-mu * (from_minute - 1))
+        if to_minute is None:
             weight = start / (1.0 - decay)
         else:
-            length = seg.to_minute - seg.from_minute + 1
+            length = to_minute - from_minute + 1
             weight = start * (1.0 - decay**length) / (1.0 - decay)
-        total += float(seg.rate) * weight
+        total += rate * weight
     return total
 
 

@@ -12,13 +12,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .catalog import Catalog, SubscriberContext
-from .cost import LOOKUP, full_costs, rank
+from .cost import LOOKUP, full_costs
 from .traffic import ProfileError, TrafficProfile
 
 
@@ -85,33 +85,42 @@ def sweep(
     grid: Sequence[float],
     mode: str = LOOKUP,
 ) -> list[SweepPoint]:
-    """Price every candidate once, then evaluate its cost line
-    ``fixed + k * variable`` at each multiplier and rank the plans there."""
+    """Price every candidate once, then evaluate the cost lines
+    ``fixed + k * variable`` as one (plans x grid) array.
+
+    Each point's optimum is the first minimum of its column, with the rows
+    taken in :func:`rank`'s tie order (the current plan, then ascending id),
+    so it is the plan ``rank`` picks from the same costs.
+    """
     if not grid:
         raise ProfileError("empty multiplier grid")
+    ks = np.array(grid, dtype=float)
+    if not np.isfinite(ks).all():
+        bad = next(k for k in grid if not math.isfinite(k))
+        raise ProfileError(f"traffic multiplier must be finite, got {bad}")
     if list(grid) != sorted(grid):
         raise ProfileError("multiplier grid must be sorted")
     if grid[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
     breakdowns = full_costs(catalog, context, profile, mode)
-    stay_id = next(b.plan_id for b in breakdowns if b.is_current)
-    points = []
-    for k in grid:
-        k = float(k)
-        at_k = [replace(b, variable=k * b.variable) for b in breakdowns]
-        costs = {b.plan_id: b.full for b in at_k}
-        optimal_id = rank(at_k).optimal_id
-        points.append(
-            SweepPoint(
-                k=k,
-                optimal_plan_id=optimal_id,
-                optimal_full_cost=costs[optimal_id],
-                stay_cost=costs[stay_id],
-                plan_costs=costs,
-                current_plan_id=stay_id,
-            )
+    ids = [b.plan_id for b in breakdowns]
+    stay = next(i for i, b in enumerate(breakdowns) if b.is_current)
+    tie_order = np.array(sorted(range(len(ids)), key=lambda i: (i != stay, ids[i])))
+    variable = np.array([b.variable for b in breakdowns])
+    fixed = np.array([b.fixed for b in breakdowns])
+    costs = variable[:, None] * ks + fixed[:, None]
+    optimal = tie_order[costs[tie_order].argmin(axis=0)]
+    return [
+        SweepPoint(
+            k=k,
+            optimal_plan_id=ids[best],
+            optimal_full_cost=column[best],
+            stay_cost=column[stay],
+            plan_costs=dict(zip(ids, column)),
+            current_plan_id=ids[stay],
         )
-    return points
+        for k, best, column in zip(ks.tolist(), optimal.tolist(), costs.T.tolist())
+    ]
 
 
 #: crossings closer than this to each other or to the grid's ends, relative

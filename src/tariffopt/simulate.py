@@ -41,8 +41,10 @@ class SimCell:
     duration_rate: float  # mu, 1/minutes
 
     def __post_init__(self):
-        if self.calls_per_month < 0:
-            raise SimulationError(f"negative call rate {self.calls_per_month}")
+        if not (math.isfinite(self.calls_per_month) and self.calls_per_month >= 0):
+            raise SimulationError(
+                f"call rate must be non-negative and finite, got {self.calls_per_month}"
+            )
         if not self.duration_rate > 0:
             raise SimulationError(f"duration rate must be positive, got {self.duration_rate}")
 

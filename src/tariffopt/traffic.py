@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
-from types import MappingProxyType
+from functools import cached_property
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -182,6 +182,20 @@ def parse_cdr(
     return records
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes. Unlike a mappingproxy it pickles,
+    deep-copies, goes through `dataclasses.asdict` and prints as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = _refuse
+    __ior__ = dict.__or__  # `mapping |= more` assigns a new mapping, as for a mappingproxy
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass
 class PrefixTable:
     """Longest-prefix map from dialed numbers to destination classes.
@@ -201,17 +215,13 @@ class PrefixTable:
             for prefix, dest in classes.items():
                 if dest not in DESTINATION_CLASSES:
                     raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
-            value = MappingProxyType(classes)
+            value = _ReadOnlyDict(classes)
             # an empty prefix matches no number; it must leave the lookup dict
             # too, since number[:n] of the empty number is "" for every n
             classes = {prefix: dest for prefix, dest in classes.items() if prefix}
             super().__setattr__("_lengths", tuple(sorted({len(p) for p in classes}, reverse=True)))
             super().__setattr__("_classes", classes)
         super().__setattr__(name, value)
-
-    def __reduce__(self):
-        # a mappingproxy cannot be pickled or deep-copied; its dict can
-        return type(self), (dict(self.mapping), self.unmapped_count)
 
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
@@ -345,7 +355,13 @@ class Empirical:
         return len(self.masses)
 
     def mass_array(self) -> np.ndarray:
-        return np.asarray(self.masses)
+        return self._mass_array
+
+    @cached_property
+    def _mass_array(self) -> np.ndarray:
+        masses = np.asarray(self.masses)
+        masses.flags.writeable = False  # shared by every call
+        return masses
 
 
 @dataclass(frozen=True)
@@ -454,8 +470,8 @@ class TrafficCell:
             raise ProfileError(f"unknown destination class {self.destination_class!r}")
         if self.day_class not in DAY_CLASSES:
             raise ProfileError(f"unknown day class {self.day_class!r}")
-        if self.rate < 0:
-            raise ProfileError(f"negative call rate {self.rate}")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ProfileError(f"call rate must be non-negative and finite, got {self.rate}")
         if self.rate > 0 and self.durations is None:
             raise ProfileError(
                 f"cell ({self.destination_class}, {self.day_class}) has traffic "
@@ -503,8 +519,8 @@ class TrafficProfile:
 
     def scaled(self, k: float) -> "TrafficProfile":
         """Profile with every call rate multiplied by k; durations untouched."""
-        if k <= 0:
-            raise ProfileError(f"traffic multiplier must be positive, got {k}")
+        if not (math.isfinite(k) and k > 0):
+            raise ProfileError(f"traffic multiplier must be positive and finite, got {k}")
         return TrafficProfile(
             cells=tuple(
                 TrafficCell(

@@ -7,12 +7,15 @@ from dataclasses import replace
 from decimal import Decimal
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tariffopt import (
+    BILLING_MODES,
     BillingPlan,
     Catalog,
+    CatalogError,
     CostBreakdown,
     Empirical,
     Exponential,
@@ -24,6 +27,7 @@ from tariffopt import (
     SimConfig,
     SubgroupRule,
     SubscriberContext,
+    SweepPoint,
     TrafficCell,
     TrafficProfile,
     expected_call_cost,
@@ -113,14 +117,21 @@ def test_payoff_segments_partition_minutes(payoff, minute):
 
 
 @settings(max_examples=200, deadline=None)
-@given(billing_plans())
-def test_classification_is_a_partition(plan):
-    """First-match routing assigns every call class exactly one subgroup."""
-    for dest, day in ALL_CALL_CLASSES:
-        j = plan.subgroup_index(dest, day)
-        assert 0 <= j < len(plan.subgroups)
-        matching = [i for i, (rule, _) in enumerate(plan.subgroups) if rule.matches(dest, day)]
-        assert matching and matching[0] == j
+@given(billing_plans(), st.randoms(use_true_random=False))
+def test_classification_is_a_partition(plan, rnd):
+    """First-match routing assigns every call class exactly one subgroup. The
+    routing table agrees with a scan of the rules, also for a plan rebuilt
+    with its rules in another order, and has no entry for other pairs."""
+    rules = list(plan.subgroups)
+    rnd.shuffle(rules)
+    for routed in (plan, replace(plan, subgroups=tuple(rules))):
+        for dest, day in ALL_CALL_CLASSES:
+            j = routed.subgroup_index(dest, day)
+            assert 0 <= j < len(routed.subgroups)
+            matching = [i for i, (rule, _) in enumerate(routed.subgroups) if rule.matches(dest, day)]
+            assert matching and matching[0] == j
+        with pytest.raises(CatalogError, match="no subgroup for"):
+            routed.subgroup_index("any", "any")
 
 
 @settings(max_examples=150, deadline=None)
@@ -294,6 +305,50 @@ def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, 
             mid = 0.5 * (iv.k_start + iv.k_end)
             at_mid = [replace(b, variable=mid * b.variable) for b in breakdowns]
             assert iv.plan_id == rank(at_mid).optimal_id
+
+
+@st.composite
+def catalogs_with_twins(draw):
+    """A catalog, maybe with a twin of the current plan (without a switch fee,
+    so that its cost line is the current plan's) and a twin of another plan.
+    Each twin takes the next free id and a drawn place in the plan order, so
+    identical lines come in any order."""
+    catalog = draw(catalogs())
+    plans = list(catalog.plans)
+    current = catalog.current_plan
+    twins = []
+    if draw(st.booleans()):
+        twins.append(replace(current, fixed=replace(current.fixed, switch_fee=Decimal(0))))
+    others = [p for p in plans if p.id != current.id]
+    if others and draw(st.booleans()):
+        twins.append(draw(st.sampled_from(others)))
+    for plan in twins:
+        twin_id = max(p.id for p in plans) + 1
+        twin = replace(plan, id=twin_id, name=f"plan-{twin_id}")
+        plans.insert(draw(st.integers(0, len(plans))), twin)
+    return replace(catalog, plans=tuple(plans))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    catalogs_with_twins(),
+    traffic_profiles(),
+    st.sampled_from([k_grid(), k_grid(0.25, 3.0, 0.25), k_grid(1.0, 40.0, 3.0), [2.0]]),
+    st.sampled_from(BILLING_MODES),
+)
+def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
+    """Each sweep point equals what `rank` makes of the scaled breakdowns at
+    its multiplier, bit for bit, with plan costs in breakdown order."""
+    breakdowns = full_costs(catalog, catalog.context, profile, mode)
+    current = next(b.plan_id for b in breakdowns if b.is_current)
+    points = sweep(catalog, catalog.context, profile, grid, mode)
+    assert len(points) == len(grid)
+    for k, point in zip(grid, points):
+        at_k = [replace(b, variable=k * b.variable) for b in breakdowns]
+        costs = {b.plan_id: b.full for b in at_k}
+        best = rank(at_k).optimal_id
+        assert point == SweepPoint(k, best, costs[best], costs[current], costs, current)
+        assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
 
 
 def longest_prefix_scan(mapping, number):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,9 @@ def test_sweep_requires_sorted_nonempty_grid(mts_catalog):
         sweep(mts_catalog, mts_catalog.context, profile, [2.0, 1.0])
     with pytest.raises(ProfileError):
         sweep(mts_catalog, mts_catalog.context, profile, [0.0, 1.0])
+    for grid in ([math.nan], [1.0, math.inf], [0.5, math.nan, 2.0], [-math.inf, 1.0]):
+        with pytest.raises(ProfileError, match="traffic multiplier must be finite"):
+            sweep(mts_catalog, mts_catalog.context, profile, grid)
 
 
 def test_full_cost_affine_in_k(mts_catalog, reference_sweep):

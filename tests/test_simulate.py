@@ -223,6 +223,9 @@ def test_config_validation():
         SimConfig(seed=1, runs=0, cells=())
     with pytest.raises(SimulationError):
         SimCell("landline", "workday", 1.0, 0.0)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(SimulationError, match="call rate must be non-negative and finite"):
+            SimCell("landline", "workday", lam, 0.41)
 
 
 def test_replay_trace_matches_direct_billing(mts_catalog):

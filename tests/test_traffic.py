@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import pickle
 import re
@@ -29,7 +30,7 @@ from tariffopt import (
     observation_months,
     parse_cdr,
 )
-from tariffopt.traffic import TrafficProfile
+from tariffopt.traffic import TrafficCell, TrafficProfile
 
 from conftest import REFERENCE_CELL_RATES, make_reference_profile
 
@@ -265,6 +266,33 @@ def test_prefix_table_keeps_a_read_only_copy():
     assert table.destination_class("+791650") == "landline"
 
 
+def test_prefix_table_converts_and_prints_as_a_dict():
+    table = PrefixTable({"+7916": "same-network"})
+    table.destination_class("+1555")
+    assert dataclasses.asdict(table) == {"mapping": {"+7916": "same-network"}, "unmapped_count": 1}
+    assert repr(table) == "PrefixTable(mapping={'+7916': 'same-network'}, unmapped_count=1)"
+    table.mapping |= {"+79165": "landline"}  # a new mapping, not an edit
+    assert table.destination_class("+791650") == "landline"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: m.update({"+79165": "landline"}),
+        lambda m: m.setdefault("+79165", "landline"),
+        lambda m: m.pop("+7916"),
+        lambda m: m.popitem(),
+        lambda m: m.clear(),
+        lambda m: m.__delitem__("+7916"),
+    ],
+)
+def test_prefix_table_mapping_refuses_every_edit(edit):
+    table = PrefixTable({"+7916": "same-network"})
+    with pytest.raises(TypeError, match="read-only"):
+        edit(table.mapping)
+    assert table.mapping == {"+7916": "same-network"}
+
+
 @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
 def test_prefix_table_copies_and_pickles(clone):
     table = PrefixTable({"+7916": "same-network", "+791655": "landline"})
@@ -430,13 +458,18 @@ def test_profile_scaling():
     assert profile.scaled(1.0).cells == profile.cells
     doubled = profile.scaled(2.0)
     assert doubled.total_rate == pytest.approx(78.0)
-    with pytest.raises(ProfileError):
-        profile.scaled(0)
+    for k in (0, -1.0, math.nan, math.inf):
+        with pytest.raises(ProfileError, match="traffic multiplier must be positive and finite"):
+            profile.scaled(k)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf])
+def test_traffic_cell_rejects_bad_call_rates(rate):
+    with pytest.raises(ProfileError, match="call rate must be non-negative and finite"):
+        TrafficCell("landline", "workday", rate, Exponential(0.5))
 
 
 def test_profile_rejects_duplicate_cells():
-    from tariffopt import TrafficCell
-
     model = Exponential(mu=0.5)
     cells = (
         TrafficCell("landline", "workday", 1.0, model),
