@@ -11,6 +11,7 @@ changes.
 Run from the repository root:  python3 demos/05_growth_sensitivity.py
 """
 
+import csv
 from pathlib import Path
 
 from tariffopt import (
@@ -23,7 +24,6 @@ from tariffopt import (
     sweep,
     switch_points,
 )
-from tariffopt.sensitivity import sweep_csv
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -60,6 +60,12 @@ for name, fit in fits.items():
     coefs = ", ".join(f"{c:.3f}" for c in fit.coefficients)
     print(f"{name:<24} coefficients ({coefs})  R^2 = {fit.r_squared:.4f}")
 
+# plottable table: k, the optimum, the stay-put cost, then every plan
+plan_ids = sorted(points[0].plan_costs)
 out = Path(__file__).resolve().parent / "sweep.csv"
-out.write_text(sweep_csv(points))
+with out.open("w", newline="") as fh:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["k", "optimal_plan", "optimal_cost", "stay_cost"] + [f"plan_{pid}" for pid in plan_ids])
+    for p in points:
+        writer.writerow([p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost] + [p.plan_costs[pid] for pid in plan_ids])
 print(f"\nplottable sweep written to {out}")

@@ -29,8 +29,6 @@ from .cost import (
     fixed_cost,
     full_costs,
     rank,
-    report_csv,
-    report_json,
     variable_cost,
 )
 from .sensitivity import (

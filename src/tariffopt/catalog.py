@@ -124,14 +124,11 @@ class PayoffFunction:
         )
         return np.concatenate([[0.0], np.cumsum(lengths * self._rates[:-1])])
 
-    def segment_index(self, minute: int) -> int:
-        if minute < 1:
-            raise ValueError(f"minute must be >= 1, got {minute}")
-        return int(self._starts.searchsorted(minute, side="right")) - 1
-
     def rate_at(self, minute: int) -> float:
         """Rate charged for a call whose billed duration is `minute`."""
-        return float(self._rates[self.segment_index(minute)])
+        if minute < 1:
+            raise ValueError(f"minute must be >= 1, got {minute}")
+        return float(self._rates[int(self._starts.searchsorted(minute, side="right")) - 1])
 
     def rates(self, minutes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`rate_at` over an integer minute array."""
@@ -143,10 +140,6 @@ class PayoffFunction:
         idx = self._starts.searchsorted(minutes, side="right") - 1
         within = minutes - self._starts[idx] + 1
         return self._cum_before[idx] + within * self._rates[idx]
-
-    @property
-    def max_rate(self) -> float:
-        return float(self._rates.max())
 
 
 @dataclass(frozen=True)

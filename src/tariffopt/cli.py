@@ -9,13 +9,16 @@ included).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable
 
 from .catalog import Catalog, CatalogError, load_catalog
-from .cost import BILLING_MODES, LOOKUP, _subgroup_columns, full_costs, rank, report_csv, report_json
-from .sensitivity import fit_report, fits_json, k_grid, sweep, sweep_csv, switch_points
+from .cost import BILLING_MODES, LOOKUP, full_costs, rank
+from .sensitivity import RegressionFit, fit_report, k_grid, sweep, switch_points
 from .simulate import SimConfig, SimulationError, run
 from .traffic import (
     CdrError,
@@ -39,7 +42,32 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _render_table(header: list[str], rows: list[list[str]]) -> str:
+def _fmt4(value: float) -> str:
+    return f"{value:.4f}"
+
+
+@dataclass(frozen=True)
+class Column:
+    """One report column. A column with no CSV header, or no table header,
+    appears only in the other format."""
+
+    csv: str | None
+    table: str | None
+    fmt: Callable[[Any], str] = _fmt  # table cell format
+
+
+@dataclass(frozen=True)
+class Report:
+    """What a report command builds: one document, rendered by :func:`render`."""
+
+    doc: Any  # the JSON document
+    columns: list[Column]
+    rows: list[list]  # raw values, one per column; None is a blank cell
+    before: list[str] = field(default_factory=list)  # table lines above the grid
+    after: list[str] = field(default_factory=list)  # table lines below it, after a blank line
+
+
+def _render_table(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(h) for h in header]
     for row in rows:
         for i, cell in enumerate(row):
@@ -48,6 +76,28 @@ def _render_table(header: list[str], rows: list[list[str]]) -> str:
     lines.append("  ".join("-" * w for w in widths))
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    return lines
+
+
+def render(report: Report, fmt: str) -> str:
+    """The report as a table, JSON or CSV; JSON and CSV carry full precision."""
+    if fmt == "json":
+        return json.dumps(report.doc, indent=2) + "\n"
+    if fmt == "csv":
+        keep = [i for i, c in enumerate(report.columns) if c.csv is not None]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow([report.columns[i].csv for i in keep])
+        writer.writerows([row[i] for i in keep] for row in report.rows)
+        return out.getvalue()
+    keep = [i for i, c in enumerate(report.columns) if c.table is not None]
+    cells = [
+        ["" if row[i] is None else report.columns[i].fmt(row[i]) for i in keep]
+        for row in report.rows
+    ]
+    lines = report.before + _render_table([report.columns[i].table for i in keep], cells)
+    if report.after:
+        lines += ["", *report.after]
     return "\n".join(lines) + "\n"
 
 
@@ -123,7 +173,7 @@ def cmd_validate(args) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def cmd_analyze(args) -> tuple[str, int]:
+def cmd_analyze(args) -> Report:
     inputs = _load_inputs(args)
     catalog, calls, profile = inputs.catalog, inputs.calls, inputs.profile
     minutes = [c.record.duration_seconds / 60.0 for c in calls]
@@ -134,199 +184,198 @@ def cmd_analyze(args) -> tuple[str, int]:
         plan.id: dict(zip(plan.subgroup_names(), profile.lambda_for(plan)))
         for plan in catalog.plans
     }
-    columns: list[str] = []
-    for plan in catalog.plans:
-        for name in plan.subgroup_names():
-            if name not in columns:
-                columns.append(name)
-
-    if args.format == "json":
-        doc = {
-            "months": inputs.months,
-            "total_calls": len(calls),
-            "calls_per_month": profile.total_rate,
-            "lambda": {str(pid): row for pid, row in lambda_rows.items()},
-            "duration": {
-                "mean_minutes": duration_fit.sample_mean,
-                "rmsd_minutes": duration_fit.sample_rmsd,
-                "mu": duration_fit.model.mu,
-                "sample_size": duration_fit.sample_size,
-            },
-            "histogram": list(histogram.masses),
-        }
-        return json.dumps(doc, indent=2) + "\n", 0
-
-    header = ["plan"] + columns + ["total"]
-    rows = []
-    for plan in catalog.plans:
-        row = [str(plan.id)]
-        for name in columns:
-            value = lambda_rows[plan.id].get(name)
-            row.append("" if value is None else _fmt(value))
-        row.append(_fmt(sum(lambda_rows[plan.id].values())))
-        rows.append(row)
-    if args.format == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n", 0
-
-    out = [
-        f"traffic: {len(calls)} calls over {inputs.months:.2f} months "
-        f"({profile.total_rate:.2f} calls/month)",
-        "",
-        "calls per month by plan subgroup:",
-        _render_table(header, rows),
-        f"durations: mean {duration_fit.sample_mean:.2f} min, "
-        f"rmsd {duration_fit.sample_rmsd:.2f} min, n={duration_fit.sample_size}",
-        f"fitted exponential: mu = {duration_fit.model.mu:.2f} (1/minutes)",
-        "",
-        "billed-minute histogram:",
-    ]
+    names = list(dict.fromkeys(name for row in lambda_rows.values() for name in row))
+    doc = {
+        "months": inputs.months,
+        "total_calls": len(calls),
+        "calls_per_month": profile.total_rate,
+        "lambda": {str(pid): row for pid, row in lambda_rows.items()},
+        "duration": {
+            "mean_minutes": duration_fit.sample_mean,
+            "rmsd_minutes": duration_fit.sample_rmsd,
+            "mu": duration_fit.model.mu,
+            "sample_size": duration_fit.sample_size,
+        },
+        "histogram": list(histogram.masses),
+    }
     shown = min(len(histogram.masses), 20)
-    for minute in range(1, shown + 1):
-        out.append(f"  minute {minute:>3}: {histogram.masses[minute - 1]:.4f}")
+    bins = [f"  minute {m:>3}: {histogram.masses[m - 1]:.4f}" for m in range(1, shown + 1)]
     if shown < len(histogram.masses):
-        rest = sum(histogram.masses[shown:])
-        out.append(f"  beyond minute {shown}: {rest:.4f}")
-    return "\n".join(out) + "\n", 0
+        bins.append(f"  beyond minute {shown}: {sum(histogram.masses[shown:]):.4f}")
+    return Report(
+        doc=doc,
+        columns=[Column("plan", "plan", str), *(Column(n, n) for n in names), Column("total", "total")],
+        rows=[
+            [pid, *(row.get(n) for n in names), sum(row.values())]
+            for pid, row in lambda_rows.items()
+        ],
+        before=[
+            f"traffic: {len(calls)} calls over {inputs.months:.2f} months "
+            f"({profile.total_rate:.2f} calls/month)",
+            "",
+            "calls per month by plan subgroup:",
+        ],
+        after=[
+            f"durations: mean {duration_fit.sample_mean:.2f} min, "
+            f"rmsd {duration_fit.sample_rmsd:.2f} min, n={duration_fit.sample_size}",
+            f"fitted exponential: mu = {duration_fit.model.mu:.2f} (1/minutes)",
+            "",
+            "billed-minute histogram:",
+            *bins,
+        ],
+    )
 
 
-def cmd_rank(args) -> tuple[str, int]:
+def cmd_rank(args) -> Report:
     inputs = _load_inputs(args)
     catalog = inputs.catalog
     breakdowns = full_costs(catalog, catalog.context, inputs.profile, args.billing_mode)
     ranking = rank(breakdowns)
-
-    if args.format == "json":
-        return report_json(breakdowns, ranking) + "\n", 0
-    if args.format == "csv":
-        return report_csv(breakdowns, ranking), 0
-
-    columns = _subgroup_columns(breakdowns)
-    header = ["plan", "name"] + columns + ["variable", "fixed", "full", "rank"]
+    ranks = {pid: i + 1 for i, pid in enumerate(ranking.order)}
+    names = list(dict.fromkeys(s.name for b in breakdowns for s in b.subgroups))
     rows = []
     for b in breakdowns:
-        by_name = {s.name: s for s in b.subgroups}
-        row = [str(b.plan_id), b.plan_name]
-        for name in columns:
-            sub = by_name.get(name)
-            row.append("" if sub is None or sub.one_call_cost is None else _fmt(sub.one_call_cost))
-        row += [_fmt(b.variable), _fmt(b.fixed), _fmt(b.full), str(ranking.order.index(b.plan_id) + 1)]
-        rows.append(row)
-    out = [
-        "expected monthly costs (rubles):",
-        _render_table(header, rows),
-        "ranking: " + ", ".join(str(pid) for pid in ranking.order),
-    ]
-    if ranking.optimal_id == catalog.context.current_plan_id:
-        out.append(f"optimal: plan {ranking.optimal_id} (stay)")
-    else:
-        out.append(
-            f"optimal: plan {ranking.optimal_id} "
-            f"(switch from plan {catalog.context.current_plan_id})"
+        one_call = {s.name: s.one_call_cost for s in b.subgroups}
+        rows.append(
+            [b.plan_id, b.plan_name, *(one_call.get(n) for n in names)]
+            + [b.variable, b.fixed, b.full, ranks[b.plan_id]]
         )
-    return "\n".join(out) + "\n", 0
+    current = catalog.context.current_plan_id
+    if ranking.optimal_id == current:
+        verdict = f"optimal: plan {ranking.optimal_id} (stay)"
+    else:
+        verdict = f"optimal: plan {ranking.optimal_id} (switch from plan {current})"
+    return Report(
+        doc={
+            "plans": [{**asdict(b), "full": b.full, "rank": ranks[b.plan_id]} for b in breakdowns],
+            "ranking": asdict(ranking),
+        },
+        columns=[
+            Column("plan_id", "plan", str),
+            Column("plan_name", "name", str),
+            *(Column(n, n) for n in names),
+            Column("variable", "variable"),
+            Column("fixed", "fixed"),
+            Column("full", "full"),
+            Column("rank", "rank", str),
+        ],
+        rows=rows,
+        before=["expected monthly costs (rubles):"],
+        after=["ranking: " + ", ".join(str(pid) for pid in ranking.order), verdict],
+    )
 
 
 def _sweep_points(args):
     inputs = _load_inputs(args)
     grid = k_grid(args.k_from, args.k_to, args.k_step)
-    points = sweep(inputs.catalog, inputs.catalog.context, inputs.profile, grid, args.billing_mode)
-    return inputs, points
+    return sweep(inputs.catalog, inputs.catalog.context, inputs.profile, grid, args.billing_mode)
 
 
-def cmd_sweep(args) -> tuple[str, int]:
-    _, points = _sweep_points(args)
+def cmd_sweep(args) -> Report:
+    points = _sweep_points(args)
     intervals = switch_points(points)
-    if args.format == "csv":
-        return sweep_csv(points), 0
-    if args.format == "json":
-        doc = {
-            "points": [
-                {
-                    "k": p.k,
-                    "optimal_plan": p.optimal_plan_id,
-                    "optimal_cost": p.optimal_full_cost,
-                    "stay_cost": p.stay_cost,
-                    "plan_costs": {str(pid): c for pid, c in sorted(p.plan_costs.items())},
-                }
-                for p in points
-            ],
-            "intervals": [
-                {"k_start": iv.k_start, "k_end": iv.k_end, "plan_id": iv.plan_id}
-                for iv in intervals
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n", 0
     plan_ids = sorted(points[0].plan_costs)
-    header = ["k", "optimal", "optimal_cost", "stay_cost"] + [f"plan_{pid}" for pid in plan_ids]
-    rows = [
-        [f"{p.k:.2f}", str(p.optimal_plan_id), _fmt(p.optimal_full_cost), _fmt(p.stay_cost)]
-        + [_fmt(p.plan_costs[pid]) for pid in plan_ids]
-        for p in points
-    ]
-    out = [_render_table(header, rows), "switch points:"]
-    for iv in intervals:
-        out.append(f"  plan {iv.plan_id} optimal for k in [{iv.k_start:.2f}, {iv.k_end:.2f}]")
-    return "\n".join(out) + "\n", 0
+    doc = {
+        "points": [
+            {
+                "k": p.k,
+                "optimal_plan": p.optimal_plan_id,
+                "optimal_cost": p.optimal_full_cost,
+                "stay_cost": p.stay_cost,
+                "plan_costs": {str(pid): c for pid, c in sorted(p.plan_costs.items())},
+            }
+            for p in points
+        ],
+        "intervals": [asdict(iv) for iv in intervals],
+    }
+    return Report(
+        doc=doc,
+        columns=[
+            Column("k", "k"),
+            Column("optimal_plan", "optimal", str),
+            Column("optimal_cost", "optimal_cost"),
+            Column("stay_cost", "stay_cost"),
+            *(Column(f"plan_{pid}", f"plan_{pid}") for pid in plan_ids),
+        ],
+        rows=[
+            [p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost]
+            + [p.plan_costs[pid] for pid in plan_ids]
+            for p in points
+        ],
+        after=[
+            "switch points:",
+            *(
+                f"  plan {iv.plan_id} optimal for k in [{iv.k_start:.2f}, {iv.k_end:.2f}]"
+                for iv in intervals
+            ),
+        ],
+    )
 
 
-def cmd_fit(args) -> tuple[str, int]:
-    _, points = _sweep_points(args)
+def _equation(fit: RegressionFit) -> str:
+    terms = []
+    powers = range(0 if fit.intercept else 1, fit.degree + 1)
+    for coef, power in zip(fit.coefficients, powers):
+        if power == 0:
+            terms.append(f"{coef:.3f}")
+        elif power == 1:
+            terms.append(f"{coef:.3f}k")
+        else:
+            terms.append(f"{coef:.3f}k^{power}")
+    return " + ".join(terms)
+
+
+def cmd_fit(args) -> Report:
+    points = _sweep_points(args)
     fits = fit_report(points)
-    if args.format == "json":
-        return fits_json(fits) + "\n", 0
-    if args.format == "csv":
-        lines = ["model,degree,intercept,coefficients,r_squared"]
-        for name, fit in fits.items():
-            coefs = ";".join(repr(c) for c in fit.coefficients)
-            lines.append(f"{name},{fit.degree},{int(fit.intercept)},{coefs},{fit.r_squared!r}")
-        return "\n".join(lines) + "\n", 0
-    header = ["model", "equation", "R^2"]
-    rows = []
-    for name, fit in fits.items():
-        terms = []
-        powers = range(0 if fit.intercept else 1, fit.degree + 1)
-        for coef, power in zip(fit.coefficients, powers):
-            if power == 0:
-                terms.append(f"{coef:.3f}")
-            elif power == 1:
-                terms.append(f"{coef:.3f}k")
-            else:
-                terms.append(f"{coef:.3f}k^{power}")
-        rows.append([name, " + ".join(terms), f"{fit.r_squared:.4f}"])
-    return _render_table(header, rows), 0
+    # the CSV spells out the coefficients; the table shows the equation
+    return Report(
+        doc={name: asdict(fit) for name, fit in fits.items()},
+        columns=[
+            Column("model", "model", str),
+            Column("degree", None),
+            Column("intercept", None),
+            Column("coefficients", None),
+            Column(None, "equation", str),
+            Column("r_squared", "R^2", _fmt4),
+        ],
+        rows=[
+            [
+                name,
+                fit.degree,
+                int(fit.intercept),
+                ";".join(repr(c) for c in fit.coefficients),
+                _equation(fit),
+                fit.r_squared,
+            ]
+            for name, fit in fits.items()
+        ],
+    )
 
 
-def cmd_simulate(args) -> tuple[str, int]:
+def cmd_simulate(args) -> Report:
     inputs = _load_inputs(args)
     config = SimConfig.from_profile(
         inputs.profile, seed=args.seed, runs=args.runs, billing_mode=args.billing_mode
     )
     result = run(config, inputs.catalog)
-    if args.format == "json":
-        return result.to_json() + "\n", 0
-    if args.format == "csv":
-        lines = ["plan_id,mean,stddev,stderr,p5,p50,p95"]
-        for p in result.plans:
-            lines.append(
-                f"{p.plan_id},{p.mean!r},{p.stddev!r},{p.stderr!r},"
-                f"{p.percentiles[0]!r},{p.percentiles[1]!r},{p.percentiles[2]!r}"
-            )
-        return "\n".join(lines) + "\n", 0
-    header = ["plan", "mean", "stddev", "stderr", "p5", "p50", "p95"]
-    rows = [
-        [str(p.plan_id), _fmt(p.mean), _fmt(p.stddev), f"{p.stderr:.4f}",
-         _fmt(p.percentiles[0]), _fmt(p.percentiles[1]), _fmt(p.percentiles[2])]
-        for p in result.plans
-    ]
-    out = [
-        f"monthly variable cost over {result.runs} simulated months "
-        f"(seed {result.seed}, {result.billing_mode} billing):",
-        _render_table(header, rows),
-    ]
-    return "\n".join(out), 0
+    return Report(
+        doc=result.document(),
+        columns=[
+            Column("plan_id", "plan", str),
+            Column("mean", "mean"),
+            Column("stddev", "stddev"),
+            Column("stderr", "stderr", _fmt4),
+            Column("p5", "p5"),
+            Column("p50", "p50"),
+            Column("p95", "p95"),
+        ],
+        rows=[[p.plan_id, p.mean, p.stddev, p.stderr, *p.percentiles] for p in result.plans],
+        before=[
+            f"monthly variable cost over {result.runs} simulated months "
+            f"(seed {result.seed}, {result.billing_mode} billing):"
+        ],
+    )
 
 
 # --------------------------------------------------------------------------
@@ -365,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cdr")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_validate)
 
     p = commands.add_parser("analyze", help="estimate traffic parameters from a CDR")
     _add_common(p)
@@ -393,7 +441,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, code = args.handler(args)
+        if args.command == "validate":
+            text, code = cmd_validate(args)
+        else:
+            text, code = render(args.handler(args), args.format), 0
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,6 @@ of adopting a plan gives the full cost that ranks the candidates.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -191,67 +188,3 @@ def rank(breakdowns: list[CostBreakdown]) -> Ranking:
     return Ranking(
         order=tuple(b.plan_id for b in ordered), optimal_id=ordered[0].plan_id
     )
-
-
-# --------------------------------------------------------------------------
-# report rendering
-
-
-def _subgroup_columns(breakdowns: list[CostBreakdown]) -> list[str]:
-    columns: list[str] = []
-    for b in breakdowns:
-        for sub in b.subgroups:
-            if sub.name not in columns:
-                columns.append(sub.name)
-    return columns
-
-
-def report_json(breakdowns: list[CostBreakdown], ranking: Ranking) -> str:
-    doc = {
-        "plans": [
-            {
-                "plan_id": b.plan_id,
-                "plan_name": b.plan_name,
-                "is_current": b.is_current,
-                "subgroups": [
-                    {
-                        "name": s.name,
-                        "calls_per_month": s.calls_per_month,
-                        "one_call_cost": s.one_call_cost,
-                        "monthly_cost": s.monthly_cost,
-                    }
-                    for s in b.subgroups
-                ],
-                "variable": b.variable,
-                "fixed": b.fixed,
-                "full": b.full,
-                "rank": ranking.order.index(b.plan_id) + 1,
-            }
-            for b in breakdowns
-        ],
-        "ranking": {"order": list(ranking.order), "optimal_id": ranking.optimal_id},
-    }
-    return json.dumps(doc, indent=2)
-
-
-def report_csv(breakdowns: list[CostBreakdown], ranking: Ranking) -> str:
-    """Flat table: one row per plan, one column per subgroup's one-call cost."""
-    columns = _subgroup_columns(breakdowns)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["plan_id", "plan_name"] + columns + ["variable", "fixed", "full", "rank"])
-    for b in breakdowns:
-        by_name = {s.name: s for s in b.subgroups}
-        cells = []
-        for name in columns:
-            sub = by_name.get(name)
-            if sub is None or sub.one_call_cost is None:
-                cells.append("")
-            else:
-                cells.append(repr(sub.one_call_cost))
-        writer.writerow(
-            [b.plan_id, b.plan_name]
-            + cells
-            + [repr(b.variable), repr(b.fixed), repr(b.full), ranking.order.index(b.plan_id) + 1]
-        )
-    return out.getvalue()

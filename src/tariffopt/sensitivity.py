@@ -8,9 +8,6 @@ cost lines, and its breakpoints are exactly where the best plan changes.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -239,33 +236,3 @@ def fit_report(points: Sequence[SweepPoint]) -> dict[str, RegressionFit]:
         data = stay if series == "stay" else optimal
         fits[name] = polyfit(data, degree, intercept)
     return fits
-
-
-def sweep_csv(points: Sequence[SweepPoint]) -> str:
-    """Plottable table: k, the optimum, the stay-put cost, then every plan."""
-    plan_ids = sorted(points[0].plan_costs) if points else []
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["k", "optimal_plan", "optimal_cost", "stay_cost"]
-        + [f"plan_{pid}" for pid in plan_ids]
-    )
-    for p in points:
-        writer.writerow(
-            [repr(p.k), p.optimal_plan_id, repr(p.optimal_full_cost), repr(p.stay_cost)]
-            + [repr(p.plan_costs[pid]) for pid in plan_ids]
-        )
-    return out.getvalue()
-
-
-def fits_json(fits: dict[str, RegressionFit]) -> str:
-    doc = {
-        name: {
-            "degree": fit.degree,
-            "intercept": fit.intercept,
-            "coefficients": list(fit.coefficients),
-            "r_squared": fit.r_squared,
-        }
-        for name, fit in fits.items()
-    }
-    return json.dumps(doc, indent=2)

@@ -45,8 +45,10 @@ class SimCell:
             raise SimulationError(
                 f"call rate must be non-negative and finite, got {self.calls_per_month}"
             )
-        if not self.duration_rate > 0:
-            raise SimulationError(f"duration rate must be positive, got {self.duration_rate}")
+        if not (math.isfinite(self.duration_rate) and self.duration_rate > 0):
+            raise SimulationError(
+                f"duration rate must be positive and finite, got {self.duration_rate}"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,9 @@ class SimResult:
     billing_mode: str
     plans: tuple[PlanSample, ...]
 
-    def to_json(self) -> str:
-        doc = {
+    def document(self) -> dict:
+        """This result as plain dicts, lists and numbers, ready for JSON."""
+        return {
             "seed": self.seed,
             "runs": self.runs,
             "billing_mode": self.billing_mode,
@@ -132,7 +135,9 @@ class SimResult:
                 for p in self.plans
             ],
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self.document(), indent=2)
 
 
 #: simulated months per chunk; each (chunk, cell) pair has its own stream

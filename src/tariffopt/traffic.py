@@ -377,8 +377,8 @@ class Exponential:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ProfileError(f"mu must be positive, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ProfileError(f"mu must be positive and finite, got {self.mu}")
         if self.truncation < 1:
             raise ProfileError(f"truncation must be >= 1, got {self.truncation}")
 
@@ -389,11 +389,6 @@ class Exponential:
     @property
     def tail_mass(self) -> float:
         return math.exp(-self.mu * self.truncation)
-
-    def mass(self, minute: int) -> float:
-        if minute < 1:
-            raise ValueError(f"minute must be >= 1, got {minute}")
-        return math.exp(-self.mu * (minute - 1)) - math.exp(-self.mu * minute)
 
     def mass_array(self) -> np.ndarray:
         edges = np.exp(-self.mu * np.arange(self.truncation + 1))

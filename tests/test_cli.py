@@ -138,6 +138,31 @@ def test_rank_json_matches_table_values(capsys):
         assert f"{plan['full']:.2f}" in table_out
 
 
+def test_reports_carry_identical_values(capsys):
+    _, json_out, _ = invoke(capsys, "rank", *BASE, "--format", "json")
+    _, csv_out, _ = invoke(capsys, "rank", *BASE, "--format", "csv")
+    doc = json.loads(json_out)
+    assert doc["ranking"]["order"] == [6, 1, 3, 2, 4, 5]
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    for key in ("full", "variable", "fixed"):
+        csv_values = {int(r["plan_id"]): float(r[key]) for r in rows}
+        json_values = {p["plan_id"]: p[key] for p in doc["plans"]}
+        assert csv_values == json_values
+
+
+def test_csv_quotes_subgroup_names(tmp_path, capsys):
+    doc = json.loads(CATALOG_PATH.read_text())
+    doc["plans"][0]["subgroups"][0]["name"] = 'Calls, "MTS"'
+    catalog = tmp_path / "quoted.json"
+    catalog.write_text(json.dumps(doc))
+    for command in ("analyze", "rank"):
+        code, out, _ = invoke(capsys, command, "--catalog", str(catalog), *BASE[2:], "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len({len(row) for row in rows}) == 1
+        assert 'Calls, "MTS"' in rows[0]
+
+
 def test_sweep_reports_plan_sequence(capsys):
     code, out, _ = invoke(capsys, "sweep", *BASE)
     assert code == 0

@@ -24,8 +24,6 @@ from tariffopt import (
     fixed_cost,
     full_costs,
     rank,
-    report_csv,
-    report_json,
     variable_cost,
 )
 
@@ -253,19 +251,3 @@ def test_monotonicity_raising_a_rate_never_lowers_cost(mts_catalog, reference_pr
     after = variable_cost(raised.plan(1), reference_profile)[0]
     assert after >= before
 
-
-def test_reports_carry_identical_values(mts_catalog, reference_profile):
-    import csv as csv_mod
-    import io
-    import json
-
-    breakdowns = full_costs(mts_catalog, mts_catalog.context, reference_profile)
-    ranking = rank(breakdowns)
-    doc = json.loads(report_json(breakdowns, ranking))
-    assert doc["ranking"]["order"] == [6, 1, 3, 2, 4, 5]
-    rows = list(csv_mod.reader(io.StringIO(report_csv(breakdowns, ranking))))
-    header, body = rows[0], rows[1:]
-    full_col = header.index("full")
-    csv_fulls = {int(r[0]): float(r[full_col]) for r in body}
-    json_fulls = {p["plan_id"]: p["full"] for p in doc["plans"]}
-    assert csv_fulls == json_fulls

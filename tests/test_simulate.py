@@ -221,8 +221,9 @@ def test_config_validation():
         SimConfig(seed=-1, runs=1, cells=())
     with pytest.raises(SimulationError):
         SimConfig(seed=1, runs=0, cells=())
-    with pytest.raises(SimulationError):
-        SimCell("landline", "workday", 1.0, 0.0)
+    for mu in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(SimulationError, match="duration rate must be positive and finite"):
+            SimCell("landline", "workday", 1.0, mu)
     for lam in (-1.0, math.nan, math.inf):
         with pytest.raises(SimulationError, match="call rate must be non-negative and finite"):
             SimCell("landline", "workday", lam, 0.41)

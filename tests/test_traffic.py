@@ -469,6 +469,12 @@ def test_traffic_cell_rejects_bad_call_rates(rate):
         TrafficCell("landline", "workday", rate, Exponential(0.5))
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
+def test_exponential_rejects_bad_mu(mu):
+    with pytest.raises(ProfileError, match="mu must be positive and finite"):
+        Exponential(mu)
+
+
 def test_profile_rejects_duplicate_cells():
     model = Exponential(mu=0.5)
     cells = (
