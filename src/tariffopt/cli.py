@@ -247,7 +247,16 @@ def cmd_rank(args) -> Report:
         verdict = f"optimal: plan {ranking.optimal_id} (switch from plan {current})"
     return Report(
         doc={
-            "plans": [{**asdict(b), "full": b.full, "rank": ranks[b.plan_id]} for b in breakdowns],
+            # shallow copies: asdict would deep-copy every field
+            "plans": [
+                {
+                    **vars(b),
+                    "subgroups": [dict(vars(s)) for s in b.subgroups],
+                    "full": b.full,
+                    "rank": ranks[b.plan_id],
+                }
+                for b in breakdowns
+            ],
             "ranking": asdict(ranking),
         },
         columns=[

@@ -10,43 +10,14 @@ of adopting a plan gives the full cost that ranks the candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .catalog import BillingPlan, Catalog, PayoffFunction, SubscriberContext
-from .traffic import DurationModel, Empirical, Exponential, TrafficProfile
+from .traffic import DurationModel, TrafficProfile
 
 LOOKUP = "lookup"
 CUMULATIVE = "cumulative"
 BILLING_MODES = (LOOKUP, CUMULATIVE)
-
-
-def _exponential_lookup(payoff: PayoffFunction, mu: float) -> float:
-    # sum over segments of rate * P(billing minute lands in the segment),
-    # evaluated in closed form with no truncation error
-    total = 0.0
-    for from_minute, to_minute, rate in payoff.float_segments:
-        start = math.exp(-mu * (from_minute - 1))
-        mass = start if to_minute is None else start - math.exp(-mu * to_minute)
-        total += rate * mass
-    return total
-
-
-def _exponential_cumulative(payoff: PayoffFunction, mu: float) -> float:
-    # E[sum_{m<=t} v(m)] = sum_m v(m) P(t >= m); geometric series per segment
-    decay = math.exp(-mu)
-    total = 0.0
-    for from_minute, to_minute, rate in payoff.float_segments:
-        start = math.exp(-mu * (from_minute - 1))
-        if to_minute is None:
-            weight = start / (1.0 - decay)
-        else:
-            length = to_minute - from_minute + 1
-            weight = start * (1.0 - decay**length) / (1.0 - decay)
-        total += rate * weight
-    return total
 
 
 def expected_call_cost(
@@ -54,20 +25,23 @@ def expected_call_cost(
 ) -> float:
     """Expected cost of one random call: E[v(t)] over billing minutes t.
 
-    Empirical models are summed over their bins; exponential models use the
-    closed form, which is exactly the discretized sum taken to infinity.
-    The non-default `cumulative` mode prices every elapsed minute instead
-    of looking up only the final one.
+    Every duration model is priced through its survival function
+    ``S(t) = P(billed minute > t)``. In `lookup` mode the final minute's
+    rate is charged, so segment [a, b] weighs its rate by
+    ``S(a-1) - S(b)``; the non-default `cumulative` mode prices every
+    elapsed minute, and minute m is elapsed with probability ``S(m-1)``,
+    so the segment weighs its rate by ``S(a-1) + ... + S(b-1)``.
     """
     if mode not in BILLING_MODES:
         raise ValueError(f"unknown billing mode {mode!r}")
-    if isinstance(durations, Exponential):
+    total = 0.0
+    for from_minute, to_minute, rate in payoff.float_segments:
         if mode == LOOKUP:
-            return _exponential_lookup(payoff, durations.mu)
-        return _exponential_cumulative(payoff, durations.mu)
-    minutes = np.arange(1, durations.truncation + 1)
-    per_minute = payoff.rates(minutes) if mode == LOOKUP else payoff.cumulative(minutes)
-    return float(per_minute @ durations.mass_array())
+            weight = durations.survival(from_minute - 1) - durations.survival(to_minute)
+        else:
+            weight = durations.survival_sum(from_minute - 1, to_minute)
+        total += rate * weight
+    return total
 
 
 @dataclass(frozen=True)

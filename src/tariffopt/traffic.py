@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
+from itertools import accumulate
 from typing import IO, Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -33,6 +34,9 @@ KNOWN_SERVICES = ("Tel", "SMS")
 
 #: default truncation horizon for discretized exponential duration models
 DEFAULT_TRUNCATION = 240
+
+#: longest call a printout row may record: 31 days
+MAX_CALL_SECONDS = 31 * 24 * 60 * 60
 
 
 class CdrError(ValueError):
@@ -75,6 +79,8 @@ def _parse_duration(raw: str, service: str) -> int:
         seconds = int(seconds_part)
         if minutes < 0 or not 0 <= seconds < 60:
             raise ValueError(f"bad duration {raw!r}")
+        if minutes * 60 + seconds > MAX_CALL_SECONDS:
+            raise ValueError(f"duration {raw!r} is longer than 31 days")
         return minutes * 60 + seconds
     if service == "SMS":
         int(raw)  # must still be a number
@@ -336,7 +342,7 @@ class Empirical:
 
     `masses[t]` is the probability the call is billed in minute t+1. Masses
     may sum to less than 1 (a truncated model keeps its tail implicit); they
-    are never renormalized here.
+    are never renormalized here, and the tail is never billed.
     """
 
     masses: tuple[float, ...]
@@ -345,6 +351,8 @@ class Empirical:
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
         if not self.masses:
             raise ProfileError("empirical model has no mass entries")
+        if not all(math.isfinite(m) for m in self.masses):
+            raise ProfileError("non-finite probability mass")
         if any(m < 0 for m in self.masses):
             raise ProfileError("negative probability mass")
         if sum(self.masses) > 1 + 1e-9:
@@ -354,14 +362,25 @@ class Empirical:
     def truncation(self) -> int:
         return len(self.masses)
 
-    def mass_array(self) -> np.ndarray:
-        return self._mass_array
+    @cached_property
+    def _survival(self) -> list[float]:
+        # S(0..T), summed from the tail so that small tails keep their digits
+        return list(accumulate(reversed(self.masses), initial=0.0))[::-1]
 
     @cached_property
-    def _mass_array(self) -> np.ndarray:
-        masses = np.asarray(self.masses)
-        masses.flags.writeable = False  # shared by every call
-        return masses
+    def _survival_tails(self) -> list[float]:
+        # S(t) + ... + S(T) for t = 0..T, also summed from the tail
+        return list(accumulate(reversed(self._survival)))[::-1]
+
+    def survival(self, t: int | None) -> float:
+        """P(billed minute > t); 0 for t None."""
+        return 0.0 if t is None else self._survival[min(t, self.truncation)]
+
+    def survival_sum(self, start: int, stop: int | None) -> float:
+        """S(start) + ... + S(stop - 1), to the end for stop None."""
+        tails = self._survival_tails
+        end = 0.0 if stop is None else tails[min(stop, self.truncation)]
+        return tails[min(start, self.truncation)] - end
 
 
 @dataclass(frozen=True)
@@ -379,12 +398,14 @@ class Exponential:
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ProfileError(f"mu must be positive and finite, got {self.mu}")
+        if self._decay == 1.0:
+            raise ProfileError(f"mu {self.mu} is too small: exp(-mu) rounds to 1")
         if self.truncation < 1:
             raise ProfileError(f"truncation must be >= 1, got {self.truncation}")
 
-    @property
-    def mean_minutes(self) -> float:
-        return 1.0 / self.mu
+    @cached_property
+    def _decay(self) -> float:
+        return math.exp(-self.mu)
 
     @property
     def tail_mass(self) -> float:
@@ -394,7 +415,19 @@ class Exponential:
         edges = np.exp(-self.mu * np.arange(self.truncation + 1))
         return edges[:-1] - edges[1:]
 
+    def survival(self, t: int | None) -> float:
+        """P(billed minute > t) = exp(-mu*t); 0 for t None."""
+        return 0.0 if t is None else math.exp(-self.mu * t)
 
+    def survival_sum(self, start: int, stop: int | None) -> float:
+        """S(start) + ... + S(stop - 1), a geometric series; to infinity for stop None."""
+        head = math.exp(-self.mu * start)
+        if stop is None:
+            return head / (1.0 - self._decay)
+        return head * (1.0 - self._decay ** (stop - start)) / (1.0 - self._decay)
+
+
+#: what the cost engine reads of a model is its `survival` and `survival_sum`
 DurationModel = Union[Empirical, Exponential]
 
 
@@ -542,7 +575,9 @@ def estimate_profile(
     `duration_model` selects fitted exponentials or empirical histograms;
     by default one shared model serves every class (individual classes
     rarely have enough calls to stand alone). Rates are calls per month
-    over the `months`-long observation window.
+    over the `months`-long observation window. `catalog` is unused: the
+    profile is keyed by call class, and every plan routes each class to
+    exactly one subgroup, so any plan sees the same monthly total.
     """
     if not (math.isfinite(months) and months > 0):
         raise ProfileError(f"months must be positive and finite, got {months}")
@@ -577,14 +612,7 @@ def estimate_profile(
                 durations=model,
             )
         )
-    profile = TrafficProfile(cells=tuple(cells), observation_months=months)
-
-    # every plan must see the same monthly total, however it splits the calls
-    total = profile.total_rate
-    for plan in catalog.plans:
-        if abs(sum(profile.lambda_for(plan)) - total) > 1e-9 * max(1.0, total):
-            raise ProfileError(f"plan {plan.id} does not partition the traffic")
-    return profile
+    return TrafficProfile(cells=tuple(cells), observation_months=months)
 
 
 def _add_months(day: date, months: int) -> date:

@@ -291,3 +291,30 @@ def test_strict_parse_failure(tmp_path, capsys):
     )
     assert code == 1
     assert "line 2" in err
+
+
+def _cdr_with_an_absurd_call(tmp_path):
+    """The bundled CDR plus one call of 1e20 minutes, and that row's line."""
+    cdr = tmp_path / "absurd.csv"
+    row = "15.03.2010;12:00:00;+791655583;Moscow;Tel;100000000000000000000:00;3.000\n"
+    cdr.write_text(CDR_PATH.read_text() + row)
+    return cdr, len(CDR_PATH.read_text().splitlines()) + 1
+
+
+def test_absurd_call_duration_is_a_skipped_row(tmp_path, capsys):
+    cdr, lineno = _cdr_with_an_absurd_call(tmp_path)
+    for command in (["rank", "--billing-mode", "cumulative"], ["analyze"]):
+        code, out, err = invoke(capsys, *command, *BASE[:2], "--cdr", str(cdr), *BASE[4:6])
+        assert (code, err) == (0, "")
+        assert out == invoke(capsys, *command, *BASE[:2], "--cdr", str(CDR_PATH), *BASE[4:6])[1]
+    code, out, _ = invoke(capsys, "validate", "--catalog", str(CATALOG_PATH), "--cdr", str(cdr))
+    assert code == 0
+    assert f"line {lineno}: duration '100000000000000000000:00' is longer than 31 days, row skipped" in out
+
+
+def test_absurd_call_duration_is_fatal_in_strict_mode(tmp_path, capsys):
+    cdr, lineno = _cdr_with_an_absurd_call(tmp_path)
+    for command in ("rank", "analyze"):
+        code, out, err = invoke(capsys, command, *BASE[:2], "--cdr", str(cdr), *BASE[4:6], "--strict")
+        assert (code, out) == (1, "")
+        assert f"line {lineno}: duration '100000000000000000000:00' is longer than 31 days" in err

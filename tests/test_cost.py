@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from tariffopt import (
+    BILLING_MODES,
     Catalog,
     Empirical,
     Exponential,
@@ -47,12 +48,14 @@ def flat(rate):
     return PayoffFunction((RateSegment(1, None, Decimal(str(rate))),))
 
 
-def brute_expected(payoff, mu, horizon=4000):
-    """Independent oracle: direct sum of rate(t) * mass(t) over minutes."""
-    total = 0.0
+def brute_expected(payoff, mu, horizon=4000, mode="lookup"):
+    """Independent oracle: direct sum of rate(t) * mass(t) over minutes, or
+    of the charge for minutes 1..t in cumulative mode."""
+    total = charge = 0.0
     for t in range(1, horizon + 1):
         mass = math.exp(-mu * (t - 1)) - math.exp(-mu * t)
-        total += payoff.rate_at(t) * mass
+        charge += payoff.rate_at(t)
+        total += (payoff.rate_at(t) if mode == "lookup" else charge) * mass
     return total
 
 
@@ -77,23 +80,25 @@ def test_one_call_cost_bp1_to_other(mts_catalog):
 
 def test_one_call_cost_matches_brute_force_for_all_plans(mts_catalog):
     model = Exponential(mu=MU)
-    for plan in mts_catalog.plans:
-        for _, payoff in plan.subgroups:
-            assert expected_call_cost(payoff, model) == pytest.approx(
-                brute_expected(payoff, MU), abs=1e-9
-            )
+    for mode in BILLING_MODES:
+        for plan in mts_catalog.plans:
+            for _, payoff in plan.subgroups:
+                assert expected_call_cost(payoff, model, mode) == pytest.approx(
+                    brute_expected(payoff, MU, mode=mode), abs=1e-9
+                )
 
 
 def test_empirical_agrees_with_closed_form(mts_catalog):
     model = Exponential(mu=MU, truncation=240)  # tail mass ~ 1e-43
     empirical = Empirical(tuple(model.mass_array()))
-    for plan in mts_catalog.plans:
-        for _, payoff in plan.subgroups:
-            if any(not s.is_open and s.to_minute > 240 for s in payoff.segments):
-                continue  # plan 5 prices only past the truncation horizon
-            assert expected_call_cost(payoff, empirical) == pytest.approx(
-                expected_call_cost(payoff, model), abs=1e-9
-            )
+    for mode in BILLING_MODES:
+        for plan in mts_catalog.plans:
+            for _, payoff in plan.subgroups:
+                if any(not s.is_open and s.to_minute > 240 for s in payoff.segments):
+                    continue  # plan 5 prices only past the truncation horizon
+                assert expected_call_cost(payoff, empirical, mode) == pytest.approx(
+                    expected_call_cost(payoff, model, mode), abs=1e-9
+                )
 
 
 def test_cumulative_mode_matches_brute_force(mts_catalog):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,73 @@ def test_expected_cost_linear_in_rates(payoff, mu, c):
     assert math.isclose(
         expected_call_cost(scaled, model), c_exact * base, rel_tol=1e-9, abs_tol=1e-12
     )
+
+
+@st.composite
+def payoffs_and_empirical_models(draw):
+    """A payoff and masses summing to at most 1, truncated before or after
+    the end of the payoff's last finite segment."""
+    payoff = draw(payoff_functions())
+    last_end = payoff.segments[-2].to_minute if len(payoff.segments) > 1 else 1
+    if draw(st.booleans()):
+        truncation = max(1, last_end - draw(st.integers(0, 30)))
+    else:
+        truncation = last_end + draw(st.integers(1, 30))
+    unit = st.floats(0.0, 1.0, allow_subnormal=False)
+    masses = draw(st.lists(unit, max_size=min(truncation, 40)))
+    masses += [0.0] * (truncation - len(masses))
+    for t, mass in draw(st.dictionaries(st.integers(0, truncation - 1), unit, max_size=20)).items():
+        masses[t] = mass
+    if sum(masses) > 1:
+        masses = [m / sum(masses) for m in masses]
+    return payoff, Empirical(tuple(masses))
+
+
+def exact_call_cost(payoff, masses, mode):
+    """The exact rational one-call cost, and the exact sum of the magnitudes
+    the survival kernel subtracts: S(a-1) and S(b) per segment [a, b] in
+    lookup mode, the tail sums of S from a-1 and from b in cumulative mode."""
+    n = len(masses)
+    survival = [Fraction(0)] * (n + 1)
+    for t in reversed(range(n)):
+        survival[t] = survival[t + 1] + Fraction(masses[t])
+    tails = survival[:]
+    for t in reversed(range(n)):
+        tails[t] += tails[t + 1]
+    weights = survival if mode == "lookup" else tails
+    value = scale = Fraction(0)
+    elapsed = Fraction(0)  # cumulative charge of minutes 1..t
+    for from_minute, to_minute, rate in payoff.float_segments:
+        rate = Fraction(rate)
+        for t in range(from_minute, min(n, to_minute or n) + 1):
+            elapsed += rate
+            value += (rate if mode == "lookup" else elapsed) * Fraction(masses[t - 1])
+        for t in (from_minute - 1, to_minute):
+            if t is not None and t < n:
+                scale += rate * weights[t]
+    return value, scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(payoffs_and_empirical_models(), st.sampled_from(BILLING_MODES))
+@example(  # a priced tail far behind a free head: prefix-sum differences lose it
+    (
+        PayoffFunction((RateSegment(1, 30, Decimal(0)), RateSegment(31, None, Decimal(1)))),
+        Empirical(tuple(math.exp(-0.5 * t) * (1 - math.exp(-0.5)) for t in range(60))),
+    ),
+    "cumulative",
+)
+def test_empirical_cost_matches_an_exact_sum(payoff_and_model, mode):
+    """The survival kernel prices an empirical model as the exact rational sum
+    of v(t) m(t) (of the cumulative v in cumulative mode) does, and leaves the
+    tail past the truncation unbilled. The error bound is that of summing the
+    T survival terms in float: (2T + 8) units of 2**-53 (under 1e-14 for
+    T <= 40) of the terms the kernel subtracts. A flat bound relative to the
+    result cannot hold: a light segment ahead of a heavy tail cancels."""
+    payoff, model = payoff_and_model
+    value, scale = exact_call_cost(payoff, model.masses, mode)
+    bound = Fraction(2 * model.truncation + 8, 2**53) * scale
+    assert abs(Fraction(expected_call_cost(payoff, model, mode)) - value) <= bound
 
 
 @settings(max_examples=100, deadline=None)

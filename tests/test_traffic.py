@@ -138,6 +138,18 @@ def test_parse_tel_integer_duration_is_malformed():
     assert issues
 
 
+def test_parse_calls_longer_than_31_days_are_malformed():
+    row = "20.08.2010;12:01:27;+7985;Moscow;Tel;{};2.542\n"
+    rows = parse_cdr(HEADER + row.format("44640:00"))  # 31 days exactly
+    assert rows[0].duration_seconds == 44640 * 60
+    for duration in ("44640:01", "44641:00", "100000000000000000000:00"):
+        issues = []
+        assert parse_cdr(HEADER + row.format(duration), issues=issues) == []
+        assert issues == [f"line 2: duration {duration!r} is longer than 31 days, row skipped"]
+        with pytest.raises(CdrError, match="^line 2: duration .* is longer than 31 days$"):
+            parse_cdr(HEADER + row.format(duration), strict=True)
+
+
 def strptime_outcome(raw_day, raw_time):
     """A row's date and time as `datetime.strptime` reads them, or the
     skipped-row message its error gives on line 2."""
@@ -391,6 +403,9 @@ def test_empirical_mass_validation():
         Empirical((0.6, 0.6))
     with pytest.raises(ProfileError):
         Empirical((-0.1, 0.5))
+    for masses in [(math.nan,), (0.5, math.nan), (math.inf,), (0.5, -math.inf)]:
+        with pytest.raises(ProfileError, match="non-finite probability mass"):
+            Empirical(masses)
     sub_unit = Empirical((0.5, 0.3))  # truncated models keep tail implicit
     assert sub_unit.truncation == 2
 
@@ -472,6 +487,12 @@ def test_traffic_cell_rejects_bad_call_rates(rate):
 @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
 def test_exponential_rejects_bad_mu(mu):
     with pytest.raises(ProfileError, match="mu must be positive and finite"):
+        Exponential(mu)
+
+
+@pytest.mark.parametrize("mu", [1e-20, 2.0**-54])
+def test_exponential_rejects_a_mu_whose_decay_rounds_to_one(mu):
+    with pytest.raises(ProfileError, match="exp\\(-mu\\) rounds to 1"):
         Exponential(mu)
 
 
