@@ -54,7 +54,9 @@ from .simulate import (
     substream,
 )
 from .traffic import (
+    CallLog,
     CallRecord,
+    CallTable,
     CdrError,
     ClassifiedCall,
     Empirical,
@@ -66,7 +68,6 @@ from .traffic import (
     TrafficProfile,
     WorkdayCalendar,
     build_histogram,
-    classify,
     classify_calls,
     estimate_profile,
     fit_exponential,

@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from datetime import date
 from typing import Any, Callable
 
 from .catalog import Catalog, CatalogError, load_catalog
@@ -21,8 +22,8 @@ from .cost import BILLING_MODES, LOOKUP, full_costs, rank
 from .sensitivity import RegressionFit, fit_report, k_grid, sweep, switch_points
 from .simulate import SimConfig, SimulationError, run
 from .traffic import (
+    CallTable,
     CdrError,
-    ClassifiedCall,
     PrefixTable,
     ProfileError,
     TrafficProfile,
@@ -104,7 +105,7 @@ def render(report: Report, fmt: str) -> str:
 @dataclass
 class Inputs:
     catalog: Catalog
-    calls: list[ClassifiedCall]
+    calls: CallTable
     profile: TrafficProfile
     months: float
     issues: list[str]
@@ -133,8 +134,8 @@ def _load_inputs(args) -> Inputs:
     if args.months is not None:
         months = args.months
     else:
-        dates = [c.record.date for c in calls]
-        months = observation_months(min(dates), max(dates))
+        dates = calls.date
+        months = observation_months(date.fromordinal(int(dates.min())), date.fromordinal(int(dates.max())))
     profile = estimate_profile(calls, catalog, months)
     return Inputs(catalog=catalog, calls=calls, profile=profile, months=months, issues=issues)
 
@@ -176,9 +177,8 @@ def cmd_validate(args) -> tuple[str, int]:
 def cmd_analyze(args) -> Report:
     inputs = _load_inputs(args)
     catalog, calls, profile = inputs.catalog, inputs.calls, inputs.profile
-    minutes = [c.record.duration_seconds / 60.0 for c in calls]
-    duration_fit = fit_exponential(minutes)
-    histogram = build_histogram(calls, truncation=max(c.minute_index for c in calls))
+    duration_fit = fit_exponential(calls.duration / 60.0)
+    histogram = build_histogram(calls, truncation=int(calls.minute.max()))
 
     lambda_rows = {
         plan.id: dict(zip(plan.subgroup_names(), profile.lambda_for(plan)))

@@ -22,9 +22,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .catalog import BillingPlan, Catalog, PayoffFunction
+from .catalog import ALL_CALL_CLASSES, BillingPlan, Catalog, PayoffFunction
 from .cost import BILLING_MODES, LOOKUP
-from .traffic import ClassifiedCall, Exponential, TrafficProfile
+from .traffic import CallTable, ClassifiedCall, Exponential, TrafficProfile
 
 
 class SimulationError(ValueError):
@@ -251,7 +251,7 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
 
 def replay_trace(
     catalog: Catalog,
-    calls: Sequence[ClassifiedCall],
+    calls: CallTable | Sequence[ClassifiedCall],
     months: float,
     mode: str = LOOKUP,
 ) -> dict[int, float]:
@@ -259,15 +259,18 @@ def replay_trace(
     rubles/month per plan.
 
     A model-free cross-check of both the analytic engine and the synthetic
-    generator. Calls are grouped by (destination, day) class once, and each
-    class is billed per plan in one vectorised pass.
+    generator. Calls are grouped by (destination, day) class, classes in
+    order of first appearance, and each class is billed per plan in one
+    vectorised pass.
     """
     if not (math.isfinite(months) and months > 0):
         raise SimulationError(f"months must be positive and finite, got {months}")
-    grouped: dict[tuple[str, str], list[int]] = {}
-    for call in calls:
-        grouped.setdefault((call.destination_class, call.day_class), []).append(call.minute_index)
-    classes = [(dest, day, np.array(m, dtype=np.int64)) for (dest, day), m in grouped.items()]
+    table = CallTable.of(calls)
+    call_class = table.call_class
+    classes = [
+        (*ALL_CALL_CLASSES[k], table.minute[call_class == k])
+        for k in dict.fromkeys(call_class.tolist())
+    ]
     plans = catalog.switch_candidates()
     totals = [0.0] * len(plans)
     for pi, _, costs in _bill_classes(plans, classes, mode):

@@ -2,21 +2,26 @@
 
 Turns a provider's chronological service printout into the quantities the
 cost engine consumes: per-class call rates (calls/month) and call-duration
-distributions, either empirical histograms or fitted exponentials.
+distributions, either empirical histograms or fitted exponentials. A printout
+is read into columns (:class:`CallLog`) and classified into columns
+(:class:`CallTable`); :class:`CallRecord` and :class:`ClassifiedCall` are the
+row views of those tables.
 """
 
 from __future__ import annotations
 
 import calendar
 import csv
-import io
 import math
+import operator
+import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import accumulate
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -37,6 +42,42 @@ DEFAULT_TRUNCATION = 240
 
 #: longest call a printout row may record: 31 days
 MAX_CALL_SECONDS = 31 * 24 * 60 * 60
+
+# A field that csv + strip() reads unchanged: no quote, separator or line
+# break, no whitespace at either end, and far below csv's field size limit.
+_PLAIN_FIELD = r'(?:[^\s;"](?:[^;"\r\n]{0,254}[^\s;"])?)?'
+
+#: one printout line whose seven fields are all in their plain form, with the
+#: checks of the per-row reader built in: ASCII digits, a real day and month
+#: number, a time inside 24 h, M:SS with seconds under 60, a bare count only
+#: for SMS, a plain decimal cost. The date and time come as one 19-character
+#: group. Any other line takes the `.*` branch, all groups empty, and goes
+#: through `_read_row`; so does a line whose date does not exist (31.02) or
+#: whose call is longer than 31 days.
+_PLAIN_ROW = re.compile(
+    r"^(?:"
+    r"((?:0[1-9]|[12][0-9]|3[01])\.(?:0[1-9]|1[0-2])\.[0-9]{4};"
+    r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]);"
+    rf"({_PLAIN_FIELD});({_PLAIN_FIELD});(Tel|SMS);"
+    r"(?:([0-9]{1,5}):([0-5][0-9])|(?<=SMS;)[0-9]{1,9});"
+    r"(-?[0-9]{1,64}(?:[.,][0-9]{1,64})?)\r?"
+    r"|.*)$",
+    re.MULTILINE,
+)
+
+#: characters of printout text matched in one `findall`; a block ends at a line end
+_BLOCK_CHARS = 1 << 16
+
+#: place values of the digits of ``DD.MM.YYYY;HH:MM:SS``: the digits times this
+#: matrix are the day, month, year, hour, minute and second
+_STAMP_PLACES = np.array(
+    [
+        [10 ** (stop - 1 - j) if start <= j < stop else 0
+         for start, stop in ((0, 2), (3, 5), (6, 10), (11, 13), (14, 16), (17, 19))]
+        for j in range(19)
+    ],
+    dtype=np.int64,
+)
 
 
 class CdrError(ValueError):
@@ -68,6 +109,125 @@ class ClassifiedCall:
     destination_class: str
     day_class: str
     minute_index: int
+
+
+class _RowViews(Sequence):
+    """A columnar table that compares equal to any sequence of the same rows."""
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class CallLog(_RowViews):
+    """The accepted rows of a printout as columns of ints, in line order.
+
+    The text columns hold indices into `strings`, the distinct texts of the
+    printout. Indexing and iteration build :class:`CallRecord` views.
+    """
+
+    date: np.ndarray  # proleptic Gregorian ordinal
+    time: np.ndarray  # seconds since midnight
+    number: np.ndarray  # index into strings
+    zone: np.ndarray  # index into strings
+    service: np.ndarray  # index into strings
+    duration: np.ndarray  # seconds; 0 for an SMS row with a bare count
+    cost: np.ndarray  # index into strings: the cost as printed, decimal comma allowed
+    strings: tuple[str, ...]
+
+    @classmethod
+    def of(cls, records: Iterable[CallRecord]) -> "CallLog":
+        """`records` as a log: a log as it is, call records converted."""
+        if isinstance(records, CallLog):
+            return records
+        builder = _LogBuilder()
+        builder.add_records(records)
+        return builder.build()
+
+    def code(self, text: str) -> int:
+        """The index of `text` in `strings`, or -1 when no row holds it."""
+        try:
+            return self.strings.index(text)
+        except ValueError:
+            return -1
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+    def __getitem__(self, i) -> CallRecord:
+        i = range(len(self))[operator.index(i)]
+        at = int(self.time[i])
+        text = self.strings
+        return CallRecord(
+            date=date.fromordinal(int(self.date[i])),
+            time=time(at // 3600, at // 60 % 60, at % 60),
+            number=text[self.number[i]],
+            zone=text[self.zone[i]],
+            service=text[self.service[i]],
+            duration_seconds=int(self.duration[i]),
+            cost=Decimal(text[self.cost[i]].replace(",", ".")),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class CallTable(_RowViews):
+    """Classified calls as columns, in printout order.
+
+    Indexing and iteration build :class:`ClassifiedCall` views.
+    """
+
+    log: CallLog  # the printout the calls come from
+    rows: np.ndarray  # each call's row in `log`
+    destination: np.ndarray  # index into DESTINATION_CLASSES
+    day: np.ndarray  # index into DAY_CLASSES
+    minute: np.ndarray  # billed minute: the duration in minutes rounded up, at least 1
+
+    @classmethod
+    def of(cls, calls: Iterable[ClassifiedCall]) -> "CallTable":
+        """`calls` as a table: a table as it is, classified calls converted."""
+        if isinstance(calls, CallTable):
+            return calls
+        calls = list(calls)
+        return cls(
+            log=CallLog.of(c.record for c in calls),
+            rows=np.arange(len(calls)),
+            destination=np.array(
+                [DESTINATION_CLASSES.index(c.destination_class) for c in calls], dtype=np.int64
+            ),
+            day=np.array([DAY_CLASSES.index(c.day_class) for c in calls], dtype=np.int64),
+            minute=np.array([c.minute_index for c in calls], dtype=np.int64),
+        )
+
+    @property
+    def call_class(self) -> np.ndarray:
+        """Each call's index into ALL_CALL_CLASSES."""
+        return self.destination * len(DAY_CLASSES) + self.day
+
+    @property
+    def date(self) -> np.ndarray:
+        """Each call's date, as an ordinal."""
+        return self.log.date[self.rows]
+
+    @property
+    def duration(self) -> np.ndarray:
+        """Each call's duration in seconds."""
+        return self.log.duration[self.rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i) -> ClassifiedCall:
+        i = range(len(self))[operator.index(i)]
+        return ClassifiedCall(
+            record=self.log[self.rows[i]],
+            destination_class=DESTINATION_CLASSES[self.destination[i]],
+            day_class=DAY_CLASSES[self.day[i]],
+            minute_index=int(self.minute[i]),
+        )
 
 
 def _parse_duration(raw: str, service: str) -> int:
@@ -129,63 +289,185 @@ def _parse_time(raw: str) -> time:
     return datetime.strptime(raw, "%H:%M:%S").time()
 
 
+def _fields(line: str) -> list[str]:
+    """The `;`-separated fields of one line as the csv module reads them.
+
+    A carriage return inside the line, or a field over csv's size limit, is
+    a ValueError.
+    """
+    try:
+        return next(csv.reader((line,), delimiter=";"), [])
+    except csv.Error as exc:
+        # drop csv's advice on opening files, which does not apply to a line
+        raise ValueError(str(exc).split(" - ", 1)[0]) from None
+
+
+def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRecord | None:
+    """The per-row reader: one printout line checked field by field.
+
+    Returns the line's record, or None for a blank line, a row with an
+    unrecognized service (noted in `issues`) or a malformed row (noted in
+    `issues`, or raised as :class:`CdrError` when `strict`).
+    """
+    try:
+        row = _fields(line)
+        if not row or all(not col.strip() for col in row):
+            return None
+        if len(row) != 7:
+            raise ValueError(f"expected 7 columns, got {len(row)}")
+        day = _parse_date(row[0].strip())
+        at = _parse_time(row[1].strip())
+        service = row[4].strip()
+        if service not in KNOWN_SERVICES:
+            issues.append(f"line {lineno}: unrecognized service {service!r}, skipped")
+            return None
+        return CallRecord(
+            date=day,
+            time=at,
+            number=row[2].strip(),
+            zone=row[3].strip(),
+            service=service,
+            duration_seconds=_parse_duration(row[5], service),
+            cost=_parse_cost(row[6]),
+        )
+    except ValueError as exc:
+        message = f"line {lineno}: {exc}"
+        if strict:
+            raise CdrError(message) from None
+        issues.append(f"{message}, row skipped")
+        return None
+
+
+def _ordinal(key: int) -> int:
+    """The ordinal of the date written YYYYMMDD, or -1 when there is no such date."""
+    year, month_day = divmod(key, 10000)
+    try:
+        return date(year, *divmod(month_day, 100)).toordinal()
+    except ValueError:
+        return -1
+
+
+class _LogBuilder:
+    """Collects a :class:`CallLog` block by block, numbering its distinct texts."""
+
+    def __init__(self):
+        self.strings: dict[str, int] = {}
+        self.ints: dict[str, int] = {"": 0}  # digit text -> its value; "" when absent
+        self.parts: list[np.ndarray] = []  # each a 7 x rows array
+
+    def codes_of(self, column: tuple[str, ...]) -> np.ndarray:
+        strings = self.strings
+        for text in dict.fromkeys(column):
+            strings.setdefault(text, len(strings))
+        return np.fromiter(map(strings.__getitem__, column), np.int64, len(column))
+
+    def ints_of(self, column: tuple[str, ...]) -> np.ndarray:
+        ints = self.ints
+        for text in set(column).difference(ints):
+            ints[text] = int(text)
+        return np.fromiter(map(ints.__getitem__, column), np.int64, len(column))
+
+    def columns_of(self, record: CallRecord) -> tuple[int, ...]:
+        at, strings = record.time, self.strings
+        return (
+            record.date.toordinal(),
+            at.hour * 3600 + at.minute * 60 + at.second,
+            strings.setdefault(record.number, len(strings)),
+            strings.setdefault(record.zone, len(strings)),
+            strings.setdefault(record.service, len(strings)),
+            record.duration_seconds,
+            strings.setdefault(str(record.cost), len(strings)),
+        )
+
+    def add_records(self, records: Iterable[CallRecord]) -> None:
+        rows = [self.columns_of(r) for r in records]
+        self.parts.append(np.array(rows, dtype=np.int64).reshape(-1, 7).T)
+
+    def add_lines(self, block: str, lineno: int, strict: bool, issues: list[str]) -> int:
+        """Add the rows of `block`, whole lines of which the first is line
+        `lineno`, in line order; returns the block's line count."""
+        rows = _PLAIN_ROW.findall(block)
+        n = len(rows)
+        stamp, number, zone, service, minutes, seconds, cost = zip(*rows)
+        stamps = np.array(stamp, dtype="U19")
+        plain = stamps != ""
+        # the pattern let only ASCII digits through, so code point - 48 is the digit
+        digits = stamps.view(np.uint32).reshape(n, 19).astype(np.int64) - ord("0")
+        day, month, year, hour, minute, second = (digits @ _STAMP_PLACES).T
+        # each distinct date once, as YYYYMMDD; 0, no date, on the other rows
+        keys = np.where(plain, (year * 100 + month) * 100 + day, 0).tolist()
+        ordinals = {key: _ordinal(key) for key in set(keys)}
+        ordinal = np.fromiter(map(ordinals.__getitem__, keys), np.int64, n)
+        duration = self.ints_of(minutes) * 60 + self.ints_of(seconds)
+        columns = np.stack([
+            ordinal,
+            (hour * 60 + minute) * 60 + second,
+            self.codes_of(number),
+            self.codes_of(zone),
+            self.codes_of(service),
+            duration,
+            self.codes_of(cost),
+        ])
+        keep = plain & (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
+        others = np.flatnonzero(~keep).tolist()
+        if others:
+            lines = block.split("\n")
+            for i in others:
+                record = _read_row(lines[i], lineno + i, strict, issues)
+                if record is not None:
+                    columns[:, i] = self.columns_of(record)
+                    keep[i] = True
+        self.parts.append(columns[:, keep])
+        return n
+
+    def build(self) -> CallLog:
+        columns = np.concatenate(self.parts, axis=1) if self.parts else np.zeros((7, 0), np.int64)
+        return CallLog(*columns, strings=tuple(self.strings))
+
+
 def parse_cdr(
     source: Union[bytes, str, IO],
     strict: bool = False,
     issues: list[str] | None = None,
-) -> list[CallRecord]:
-    """Parse a semicolon-separated CDR printout into call records.
+) -> CallLog:
+    """Parse a semicolon-separated CDR printout into a :class:`CallLog`.
 
     Expected header: ``date;time;number;zone;service;duration;cost`` with
-    dates as DD.MM.YYYY and costs using either decimal point or comma.
-    Malformed rows are skipped (with a note appended to `issues`) unless
-    `strict` is set, in which case they raise :class:`CdrError`. Rows with
-    an unrecognized service tag are always skipped with a warning.
+    dates as DD.MM.YYYY and costs using either decimal point or comma. Each
+    line is one row; CRLF line ends are accepted. Malformed rows are skipped
+    (with a note appended to `issues`) unless `strict` is set, in which case
+    they raise :class:`CdrError`. Rows with an unrecognized service tag are
+    always skipped with a warning.
+
+    Lines are read in blocks, each matched by one pass of :data:`_PLAIN_ROW`;
+    the lines it does not take go through the per-row reader in line order,
+    so both give the same rows and the same issues.
     """
     text = _read_source(source, CdrError, "CDR")
     if issues is None:
         issues = []
-
-    reader = csv.reader(io.StringIO(text), delimiter=";")
-    rows = list(reader)
-    if not rows:
+    if not text:
         raise CdrError("empty CDR document (missing header)")
-    header = tuple(col.strip().lower() for col in rows[0])
-    if header != CDR_HEADER:
-        raise CdrError(f"unexpected CDR header {rows[0]!r}")
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    try:
+        header = _fields(text[:end])
+    except ValueError as exc:
+        raise CdrError(f"unreadable CDR header: {exc}") from None
+    if tuple(col.strip().lower() for col in header) != CDR_HEADER:
+        raise CdrError(f"unexpected CDR header {header!r}")
 
-    records: list[CallRecord] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not col.strip() for col in row):
-            continue
-        try:
-            if len(row) != 7:
-                raise ValueError(f"expected 7 columns, got {len(row)}")
-            day = _parse_date(row[0].strip())
-            at = _parse_time(row[1].strip())
-            number = row[2].strip()
-            zone = row[3].strip()
-            service = row[4].strip()
-            if service not in KNOWN_SERVICES:
-                issues.append(f"line {lineno}: unrecognized service {service!r}, skipped")
-                continue
-            record = CallRecord(
-                date=day,
-                time=at,
-                number=number,
-                zone=zone,
-                service=service,
-                duration_seconds=_parse_duration(row[5], service),
-                cost=_parse_cost(row[6]),
-            )
-        except ValueError as exc:
-            message = f"line {lineno}: {exc}"
-            if strict:
-                raise CdrError(message) from None
-            issues.append(f"{message}, row skipped")
-            continue
-        records.append(record)
-    return records
+    builder = _LogBuilder()
+    start, lineno = end + 1, 2
+    last = len(text) - text.endswith("\n")  # a final line end opens no line
+    while start < last:
+        stop = text.find("\n", start + _BLOCK_CHARS, last)
+        if stop < 0:
+            stop = last
+        lineno += builder.add_lines(text[start:stop], lineno, strict, issues)
+        start = stop + 1
+    return builder.build()
 
 
 class _ReadOnlyDict(dict):
@@ -231,14 +513,18 @@ class PrefixTable:
 
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
-        """Load a ``prefix;destination_class`` table.
+        """Load a ``prefix;destination_class`` table, one entry per line.
 
-        An unknown class, an empty prefix, or a prefix listed again with
-        another class is an error that names its line.
+        An unreadable line, an unknown class, an empty prefix, or a prefix
+        listed again with another class is an error that names its line.
         """
         text = _read_source(source, CdrError, "prefix table")
         mapping: dict[str, str] = {}
-        for lineno, row in enumerate(csv.reader(io.StringIO(text), delimiter=";"), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            try:
+                row = _fields(line)
+            except ValueError as exc:
+                raise CdrError(f"prefix table line {lineno}: {exc}") from None
             if not row or all(not col.strip() for col in row):
                 continue
             if [c.strip().lower() for c in row] == ["prefix", "destination_class"]:
@@ -257,13 +543,21 @@ class PrefixTable:
                 )
         return cls(mapping)
 
-    def destination_class(self, number: str) -> str:
+    def _lookup(self, number: str) -> str | None:
+        """The class of `number`'s longest listed prefix; None when no prefix is listed."""
+        classes = self._classes
         for length in self._lengths:
-            dest = self._classes.get(number[:length])
+            dest = classes.get(number[:length])
             if dest is not None:
                 return dest
-        self.unmapped_count += 1
-        return "other-mobile"
+        return None
+
+    def destination_class(self, number: str) -> str:
+        dest = self._lookup(number)
+        if dest is None:
+            self.unmapped_count += 1
+            return "other-mobile"
+        return dest
 
 
 @dataclass(frozen=True)
@@ -292,44 +586,46 @@ class WorkdayCalendar:
         return "workday"
 
 
-def classify(
-    record: CallRecord, prefix_table: PrefixTable, calendar: WorkdayCalendar
-) -> ClassifiedCall:
-    """Route one call record to its (destination, day) class and billing minute.
-
-    The billing minute is the ceiling of the duration in minutes; sub-minute
-    calls land in minute 1.
-    """
-    if record.duration_seconds <= 0:
-        raise CdrError("cannot classify a zero-duration call")
-    minute_index = max(1, math.ceil(record.duration_seconds / 60))
-    return ClassifiedCall(
-        record=record,
-        destination_class=prefix_table.destination_class(record.number),
-        day_class=calendar.day_class(record.date),
-        minute_index=minute_index,
-    )
-
-
 def classify_calls(
     records: Iterable[CallRecord],
     prefix_table: PrefixTable,
     calendar: WorkdayCalendar,
     issues: list[str] | None = None,
-) -> list[ClassifiedCall]:
-    """Classify all outgoing calls, dropping SMS rows and zero-duration calls."""
-    calls = []
-    dropped = 0
-    for record in records:
-        if record.service != "Tel":
-            continue
-        if record.duration_seconds <= 0:
-            dropped += 1
-            continue
-        calls.append(classify(record, prefix_table, calendar))
+) -> CallTable:
+    """Classify all outgoing calls, dropping SMS rows and zero-duration calls.
+
+    Each call goes to the class of its number's longest listed prefix and
+    of its date's day class; each distinct number and date is looked up
+    once. A call to an unlisted number goes to `other-mobile` and adds one
+    to the prefix table's `unmapped_count`. The billing minute is the
+    ceiling of the duration in minutes. `records` is a :class:`CallLog` or
+    a sequence of :class:`CallRecord`.
+    """
+    log = CallLog.of(records)
+    tel = log.service == log.code("Tel")
+    rows = np.flatnonzero(tel & (log.duration > 0))
+    numbers = log.number[rows]
+    per_number = np.bincount(numbers, minlength=len(log.strings))
+    destination = np.zeros(len(log.strings), dtype=np.int64)
+    lookup = prefix_table._lookup
+    for code in np.flatnonzero(per_number).tolist():
+        dest = lookup(log.strings[code])
+        if dest is None:
+            dest = "other-mobile"
+            prefix_table.unmapped_count += int(per_number[code])
+        destination[code] = DESTINATION_CLASSES.index(dest)
+    days, day_of_call = np.unique(log.date[rows], return_inverse=True)
+    day_of = [DAY_CLASSES.index(calendar.day_class(date.fromordinal(d))) for d in days.tolist()]
+    dropped = int(np.count_nonzero(tel)) - len(rows)
     if dropped and issues is not None:
         issues.append(f"{dropped} zero-duration call(s) dropped")
-    return calls
+    return CallTable(
+        log=log,
+        rows=rows,
+        destination=destination[numbers],
+        day=np.array(day_of, dtype=np.int64)[day_of_call.reshape(-1)],
+        minute=np.maximum(1, -(-log.duration[rows] // 60)),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -449,7 +745,7 @@ def fit_exponential(
     durations_minutes: Sequence[float], truncation: int = DEFAULT_TRUNCATION
 ) -> ExponentialFit:
     """Fit an exponential duration model: mu = 1 / sample mean."""
-    values = np.asarray(list(durations_minutes), dtype=float)
+    values = np.asarray(durations_minutes, dtype=float)
     if values.size == 0:
         raise ProfileError("cannot fit an exponential to an empty sample")
     mean = float(values.mean())
@@ -464,19 +760,21 @@ def fit_exponential(
     )
 
 
-def build_histogram(calls: Sequence[ClassifiedCall], truncation: int) -> Empirical:
+def build_histogram(calls: CallTable | Sequence[ClassifiedCall], truncation: int) -> Empirical:
     """Empirical per-minute distribution of billed call minutes.
 
     Minutes beyond `truncation` accumulate in the last bin, so masses always
     sum to exactly 1.
     """
-    if not calls:
+    return _histogram(CallTable.of(calls).minute, truncation)
+
+
+def _histogram(minutes: np.ndarray, truncation: int) -> Empirical:
+    if not len(minutes):
         raise ProfileError("cannot build a histogram from zero calls")
     if truncation < 1:
         raise ProfileError(f"truncation must be >= 1, got {truncation}")
-    counts = np.zeros(truncation, dtype=float)
-    for call in calls:
-        counts[min(call.minute_index, truncation) - 1] += 1
+    counts = np.bincount(np.minimum(minutes, truncation) - 1, minlength=truncation)
     return Empirical(tuple(counts / counts.sum()))
 
 
@@ -564,7 +862,7 @@ class TrafficProfile:
 
 
 def estimate_profile(
-    calls: Sequence[ClassifiedCall],
+    calls: CallTable | Sequence[ClassifiedCall],
     catalog: Catalog,
     months: float,
     duration_model: str = "exponential",
@@ -581,34 +879,33 @@ def estimate_profile(
     """
     if not (math.isfinite(months) and months > 0):
         raise ProfileError(f"months must be positive and finite, got {months}")
-    if not calls:
+    table = CallTable.of(calls)
+    if not len(table):
         raise ProfileError("no calls to estimate a profile from")
     if duration_model not in ("exponential", "empirical"):
         raise ProfileError(f"unknown duration model {duration_model!r}")
 
-    by_class: dict[tuple[str, str], list[ClassifiedCall]] = {
-        key: [] for key in ALL_CALL_CLASSES
-    }
-    for call in calls:
-        by_class[(call.destination_class, call.day_class)].append(call)
+    classes = table.call_class
+    minutes = table.duration / 60.0
 
-    def _model_for(subset: Sequence[ClassifiedCall]) -> DurationModel | None:
-        if not subset:
+    def _model_for(chosen: np.ndarray) -> DurationModel | None:
+        if not chosen.any():
             return None
         if duration_model == "exponential":
-            minutes = [c.record.duration_seconds / 60.0 for c in subset]
-            return fit_exponential(minutes).model
-        return build_histogram(subset, truncation=max(c.minute_index for c in subset))
+            return fit_exponential(minutes[chosen]).model
+        billed = table.minute[chosen]
+        return _histogram(billed, truncation=int(billed.max()))
 
-    shared = None if per_class_durations else _model_for(calls)
+    shared = None if per_class_durations else _model_for(np.full(len(table), True))
+    counts = np.bincount(classes, minlength=len(ALL_CALL_CLASSES)).tolist()
     cells = []
-    for (dest, day), subset in by_class.items():
-        model = _model_for(subset) if per_class_durations else shared
+    for k, (dest, day) in enumerate(ALL_CALL_CLASSES):
+        model = _model_for(classes == k) if per_class_durations else shared
         cells.append(
             TrafficCell(
                 destination_class=dest,
                 day_class=day,
-                rate=len(subset) / months,
+                rate=counts[k] / months,
                 durations=model,
             )
         )

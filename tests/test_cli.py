@@ -6,6 +6,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from tariffopt.cli import main
 
 from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH
@@ -318,3 +320,49 @@ def test_absurd_call_duration_is_fatal_in_strict_mode(tmp_path, capsys):
         code, out, err = invoke(capsys, command, *BASE[:2], "--cdr", str(cdr), *BASE[4:6], "--strict")
         assert (code, out) == (1, "")
         assert f"line {lineno}: duration '100000000000000000000:00' is longer than 31 days" in err
+
+
+#: a line that csv cannot read, and csv's words for it
+UNREADABLE_LINES = {
+    "bare CR": (
+        "01.03.2010;10:00:00;+7916;M;Tel;1:00;3.000\r01.03.2010;10:00:00;+7916;M;Tel;1:00;3.000",
+        "new-line character seen in unquoted field",
+    ),
+    "huge field": (
+        "01.03.2010;10:00:00;+7916" + "1" * 131072 + ";M;Tel;1:00;3.000",
+        "field larger than field limit (131072)",
+    ),
+}
+
+
+@pytest.mark.parametrize("line, message", UNREADABLE_LINES.values(), ids=UNREADABLE_LINES)
+def test_an_unreadable_cdr_line_is_a_malformed_row(tmp_path, capsys, line, message):
+    cdr = tmp_path / "unreadable.csv"
+    cdr.write_bytes(CDR_PATH.read_bytes() + line.encode() + b"\n")
+    lineno = len(CDR_PATH.read_bytes().splitlines()) + 1
+    code, out, err = invoke(capsys, "rank", *BASE[:2], "--cdr", str(cdr), *BASE[4:])
+    assert (code, err) == (0, "")
+    assert out == invoke(capsys, "rank", *BASE)[1]
+    code, out, _ = invoke(capsys, "validate", "--catalog", str(CATALOG_PATH), "--cdr", str(cdr))
+    assert code == 0
+    assert f"  warning: line {lineno}: {message}, row skipped\n" in out
+    for command in (["rank", *BASE[:2], "--cdr", str(cdr), *BASE[4:]],
+                    ["validate", "--catalog", str(CATALOG_PATH), "--cdr", str(cdr)]):
+        code, out, err = invoke(capsys, *command, "--strict")
+        assert code == 1
+        assert f"line {lineno}: {message}\n" in out + err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("+7916;landline\r+7495;landline", UNREADABLE_LINES["bare CR"][1]),
+     ("+7916" + "1" * 131072 + ";landline", UNREADABLE_LINES["huge field"][1])],
+    ids=UNREADABLE_LINES,
+)
+def test_an_unreadable_prefix_table_line_is_a_validation_error(tmp_path, capsys, line, message):
+    prefixes = tmp_path / "prefixes.csv"
+    prefixes.write_bytes(PREFIXES_PATH.read_bytes() + line.encode() + b"\n")
+    lineno = len(PREFIXES_PATH.read_bytes().splitlines()) + 1
+    code, out, err = invoke(capsys, "rank", *BASE[:4], "--prefixes", str(prefixes), *BASE[6:])
+    assert (code, out) == (1, "")
+    assert err == f"error: prefix table line {lineno}: {message}\n"

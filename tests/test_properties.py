@@ -17,6 +17,7 @@ from tariffopt import (
     BillingPlan,
     Catalog,
     CatalogError,
+    CdrError,
     CostBreakdown,
     Empirical,
     Exponential,
@@ -34,12 +35,14 @@ from tariffopt import (
     expected_call_cost,
     full_costs,
     k_grid,
+    parse_cdr,
     rank,
     run,
     sweep,
     switch_points,
     variable_cost,
 )
+from tariffopt import traffic
 from tariffopt.catalog import ALL_CALL_CLASSES, DAY_CLASSES, DESTINATION_CLASSES
 
 rates_st = st.decimals(
@@ -456,3 +459,139 @@ def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
         unmapped = table.unmapped_count
         assert table.destination_class(number) == (expected or "other-mobile")
         assert table.unmapped_count == unmapped + (expected is None)
+
+
+# --------------------------------------------------------------------------
+# the block reader of parse_cdr against the per-row reader
+
+CDR_HEADER_LINE = "date;time;number;zone;service;duration;cost"
+GOOD_ROW = "20.08.2010;12:01:27;+79161234567;Moscow;Tel;0:57;2.542"
+ARABIC_INDIC = dict(zip("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+PADDING = (" ", "\t", " ", "　")
+#: field values that only the per-row reader handles: a malformed value, or
+#: one that csv + strip() reads into a valid row by another spelling
+NEAR_MISS_FIELDS = {
+    0: ("1.3.2010", "31.02.2010", "29.02.2011", "01.01.0000", "2010-08-20"),
+    1: ("24:00:00", "9:05:03", "23:59:60", "12:01"),
+    4: ("GPRS", "tel"),
+    5: ("1:75", "44640:01", "57", "+1", "1:5"),
+    6: ("3.0.0", "3,000", "1e5", "abc", " 1"),
+}
+
+
+@st.composite
+def plain_rows(draw):
+    """A row in the plain form that the block pattern takes."""
+    day = draw(st.dates())
+    at = draw(st.times())
+    number = draw(st.sampled_from(["+79161234567", "+7916", "", "8 800 2000", "٣٣"]))
+    zone = draw(st.sampled_from(["Moscow", "", "Moscow region", "Москва"]))
+    service = draw(st.sampled_from(["Tel", "SMS"]))
+    if service == "SMS" and draw(st.booleans()):
+        duration = str(draw(st.integers(0, 999)))
+    else:
+        duration = f"{draw(st.integers(0, 44640))}:{draw(st.integers(0, 59)):02d}"
+    cost = draw(st.from_regex(r"-?[0-9]{1,4}([.,][0-9]{1,3})?", fullmatch=True))
+    return (
+        f"{day.day:02d}.{day.month:02d}.{day.year:04d};{at.hour:02d}:{at.minute:02d}:{at.second:02d};"
+        f"{number};{zone};{service};{duration};{cost}"
+    )
+
+
+@st.composite
+def printout_lines(draw):
+    """A plain row, or a near miss of one."""
+    row = draw(plain_rows())
+    fields = row.split(";")
+    kind = draw(st.sampled_from(
+        ["plain", "padded", "arabic", "field", "columns", "quoted", "crlf", "bare cr", "blank"]
+    ))
+    if kind == "padded":
+        i = draw(st.integers(0, 6))
+        fields[i] = draw(st.sampled_from(PADDING)) * draw(st.integers(0, 1)) + fields[i]
+        fields[i] += draw(st.sampled_from(PADDING))
+    elif kind == "arabic":
+        spots = [i for i, c in enumerate(row) if c.isdigit()]
+        i = draw(st.sampled_from(spots))
+        return row[:i] + ARABIC_INDIC.get(row[i], row[i]) + row[i + 1:]
+    elif kind == "field":
+        i = draw(st.sampled_from(sorted(NEAR_MISS_FIELDS)))
+        fields[i] = draw(st.sampled_from(NEAR_MISS_FIELDS[i]))
+    elif kind == "columns":
+        if draw(st.booleans()):
+            del fields[draw(st.integers(0, 6))]
+        else:
+            fields.insert(draw(st.integers(0, 7)), "x")
+    elif kind == "quoted":
+        i = draw(st.integers(0, 6))
+        fields[i] = f'"{fields[i]}"'
+    elif kind == "crlf":
+        return row + "\r"
+    elif kind == "bare cr":
+        i = draw(st.integers(1, len(row) - 1))
+        return row[:i] + "\r" + row[i:]
+    elif kind == "blank":
+        return draw(st.sampled_from(["", ";;;;;;", "  "]))
+    return ";".join(fields)
+
+
+def per_row_reader(text, strict, issues):
+    """The per-row reader applied to every line after the header."""
+    records = []
+    for lineno, line in enumerate(text.split("\n")[1:], start=2):
+        record = traffic._read_row(line, lineno, strict, issues)
+        if record is not None:
+            records.append(record)
+    return records
+
+
+def block_reader(text, strict, issues):
+    return list(parse_cdr(text, strict=strict, issues=issues))
+
+
+def reading(reader, text, strict):
+    """Every field of every row, the cost as a Decimal and as printed by it,
+    and the issues; or the message of the first fatal line."""
+    issues = []
+    try:
+        records = reader(text, strict, issues)
+    except CdrError as exc:
+        return str(exc)
+    return [(*vars(r).values(), str(r.cost)) for r in records], issues
+
+
+def printout(*lines, final_newline=True):
+    return "\n".join([CDR_HEADER_LINE, *lines]) + "\n" * final_newline
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(printout_lines(), max_size=12), st.booleans(), st.sampled_from([1, 40, 1 << 16]))
+@example([GOOD_ROW, " 20.08.2010;12:01:27;+7916;Moscow;Tel;0:57;2.542"], True, 1 << 16)  # padded
+@example([GOOD_ROW.replace("Moscow", "Moscow ")], True, 1 << 16)  # NBSP pad
+@example([GOOD_ROW.replace("12:01:27", "1٢:01:27")], True, 1 << 16)  # Arabic-Indic digit
+@example([GOOD_ROW.replace("2010", "٢٠١٠")], False, 1 << 16)
+@example([GOOD_ROW.replace("20.08.2010", "1.3.2010")], True, 1 << 16)
+@example([GOOD_ROW.replace("20.08.2010", "31.02.2010"), GOOD_ROW], True, 1 << 16)
+@example([GOOD_ROW.replace("12:01:27", "24:00:00")], True, 1 << 16)
+@example([GOOD_ROW.replace("0:57", "1:75")], True, 1 << 16)
+@example([GOOD_ROW.replace("0:57", "44640:01"), GOOD_ROW.replace("0:57", "44640:00")], True, 1 << 16)
+@example([GOOD_ROW.replace("0:57", "57")], True, 1 << 16)  # a Tel row with a bare count
+@example([GOOD_ROW.replace("Tel;0:57", "SMS;1"), GOOD_ROW.replace("Tel;0:57", "SMS;0012")], True, 1 << 16)
+@example([GOOD_ROW.replace("2.542", "2,542"), GOOD_ROW.replace("2.542", "3.0.0")], True, 1 << 16)
+@example([GOOD_ROW.rsplit(";", 1)[0], GOOD_ROW + ";x"], True, 1 << 16)  # six and eight columns
+@example([GOOD_ROW.replace("Moscow", '"Moscow"'), GOOD_ROW.replace("Moscow", '"Mos;cow"')], True, 1 << 16)
+@example([GOOD_ROW + "\r", GOOD_ROW + "\r"], False, 1 << 16)  # CRLF line ends
+@example([GOOD_ROW.replace(";Tel", "\r;Tel"), GOOD_ROW], True, 1 << 16)  # a bare CR
+@example(["", ";;;;;;", GOOD_ROW, "  "], False, 1 << 16)  # blank lines
+@example([GOOD_ROW, "bad", GOOD_ROW, GOOD_ROW.replace("Tel", "GPRS"), GOOD_ROW], True, 40)  # blocks
+def test_block_reader_matches_the_per_row_reader(lines, final_newline, block_chars):
+    """parse_cdr gives the rows and issues of the per-row reader run on every
+    line, and under strict fails on the same line, whatever the block size."""
+    text = printout(*lines, final_newline=final_newline)
+    saved = traffic._BLOCK_CHARS
+    traffic._BLOCK_CHARS = block_chars
+    try:
+        for strict in (False, True):
+            assert reading(block_reader, text, strict) == reading(per_row_reader, text, strict)
+    finally:
+        traffic._BLOCK_CHARS = saved

@@ -15,6 +15,7 @@ import pytest
 
 from tariffopt import (
     CallRecord,
+    CallTable,
     CdrError,
     ClassifiedCall,
     Empirical,
@@ -23,16 +24,16 @@ from tariffopt import (
     ProfileError,
     WorkdayCalendar,
     build_histogram,
-    classify,
     classify_calls,
     estimate_profile,
     fit_exponential,
     observation_months,
     parse_cdr,
+    replay_trace,
 )
 from tariffopt.traffic import TrafficCell, TrafficProfile
 
-from conftest import REFERENCE_CELL_RATES, make_reference_profile
+from conftest import CDR_PATH, PREFIXES_PATH, REFERENCE_CELL_RATES, make_reference_profile
 
 HEADER = "date;time;number;zone;service;duration;cost\n"
 
@@ -197,37 +198,37 @@ def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
 
 def test_classify_same_network_workday_sub_minute():
     # 2010-08-20 is a Friday
-    call = classify(record(duration_seconds=33), PREFIXES, WorkdayCalendar())
+    [call] = classify_calls([record(duration_seconds=33)], PREFIXES, WorkdayCalendar())
     assert call.destination_class == "same-network"
     assert call.day_class == "workday"
     assert call.minute_index == 1
 
 
 def test_classify_saturday_is_weekend():
-    call = classify(record(date=date(2010, 8, 21)), PREFIXES, WorkdayCalendar())
+    [call] = classify_calls([record(date=date(2010, 8, 21))], PREFIXES, WorkdayCalendar())
     assert call.day_class == "weekend"
 
 
 def test_classify_holiday_is_weekend():
     cal = WorkdayCalendar(holidays=frozenset({date(2010, 8, 20)}))
-    assert classify(record(), PREFIXES, cal).day_class == "weekend"
+    assert classify_calls([record()], PREFIXES, cal)[0].day_class == "weekend"
 
 
 def test_minute_index_ceiling():
-    assert classify(record(duration_seconds=60), PREFIXES, WorkdayCalendar()).minute_index == 1
-    assert classify(record(duration_seconds=61), PREFIXES, WorkdayCalendar()).minute_index == 2
+    assert classify_calls([record(duration_seconds=60)], PREFIXES, WorkdayCalendar())[0].minute_index == 1
+    assert classify_calls([record(duration_seconds=61)], PREFIXES, WorkdayCalendar())[0].minute_index == 2
 
 
 def test_classify_unmapped_prefix_counts_warning():
     table = PrefixTable({"+7916": "same-network"})
-    call = classify(record(number="+15551234567"), table, WorkdayCalendar())
+    [call] = classify_calls([record(number="+15551234567")], table, WorkdayCalendar())
     assert call.destination_class == "other-mobile"
     assert table.unmapped_count == 1
 
 
 def test_classify_longest_prefix_wins():
     table = PrefixTable({"+7916": "same-network", "+791655": "landline"})
-    call = classify(record(number="+79165550000"), table, WorkdayCalendar())
+    [call] = classify_calls([record(number="+79165550000")], table, WorkdayCalendar())
     assert call.destination_class == "landline"
 
 
@@ -241,6 +242,39 @@ def test_classify_calls_drops_sms_and_zero_duration():
     calls = classify_calls(records, PREFIXES, WorkdayCalendar(), issues)
     assert len(calls) == 1
     assert "zero-duration" in issues[0]
+
+
+def test_unmapped_count_adds_one_per_unmapped_call():
+    table = PrefixTable({"+7916": "same-network"})
+    calls = classify_calls([record(number="+15551234567")] * 3 + [record()], table, WorkdayCalendar())
+    assert [c.destination_class for c in calls] == ["other-mobile"] * 3 + ["same-network"]
+    assert table.unmapped_count == 3
+
+
+def sample_log():
+    return parse_cdr(CDR_PATH.read_bytes())
+
+
+def test_classify_calls_reads_a_record_list_as_it_reads_the_log():
+    log = sample_log()
+    from_log = classify_calls(log, PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar())
+    from_list = classify_calls(list(log), PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar())
+    assert isinstance(from_list, CallTable) and len(from_list) == 234
+    for column in ("rows", "destination", "day", "minute"):
+        assert np.array_equal(getattr(from_list, column), getattr(from_log, column))
+    assert from_list == from_log == list(from_log)
+
+
+def test_profile_and_replay_read_call_views_as_they_read_the_table(mts_catalog):
+    table = classify_calls(sample_log(), PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar())
+    views = list(table)
+    assert all(isinstance(c, ClassifiedCall) for c in views)
+    for model in ("exponential", "empirical"):
+        for per_class in (False, True):
+            from_table = estimate_profile(table, mts_catalog, 6.0, model, per_class)
+            assert from_table == estimate_profile(views, mts_catalog, 6.0, model, per_class)
+    for mode in ("lookup", "cumulative"):
+        assert replay_trace(mts_catalog, table, 6.0, mode) == replay_trace(mts_catalog, views, 6.0, mode)
 
 
 def test_prefix_table_from_csv():
