@@ -24,6 +24,8 @@ ANY = "any"
 ALL_CALL_CLASSES = tuple(
     (dest, day) for dest in DESTINATION_CLASSES for day in DAY_CLASSES
 )
+#: position of each call class in ALL_CALL_CLASSES
+CALL_CLASS_INDEX = {call_class: k for k, call_class in enumerate(ALL_CALL_CLASSES)}
 
 
 class CatalogError(ValueError):
@@ -143,6 +145,57 @@ class PayoffFunction:
 
 
 @dataclass(frozen=True)
+class PricingTable:
+    """A set of payoffs over their shared survival arguments.
+
+    Segment [a, b] weighs its rate by a duration model at ``a - 1`` and
+    ``b`` (b None for the open tail). `spans` holds each distinct
+    ``(a - 1, b)`` once and `points` the sorted distinct finite arguments.
+    Each payoff is kept as ``(column, column, rate)`` per segment, in
+    segment order, twice: in `by_point`, the columns of ``a - 1`` and
+    ``b`` in `points`; in `by_span`, the segment's span and the column
+    after the last span. The open tail's end is the column after the last
+    point, so a row over `points` or `spans` with 0 appended prices each
+    segment as ``rate * (row[first] - row[second])``. Both map each key of
+    the groups the table was built from to its payoffs.
+    """
+
+    spans: tuple[tuple[int, int | None], ...]
+    points: tuple[int, ...]
+    by_point: dict
+    by_span: dict
+
+    @classmethod
+    def of(cls, groups: dict) -> "PricingTable":
+        """Table of `groups`, a dict from any key to a sequence of payoffs."""
+        segments = {key: [payoff.float_segments for payoff in payoffs] for key, payoffs in groups.items()}
+        spans = {}
+        for payoffs in segments.values():
+            for payoff in payoffs:
+                for a, b, _ in payoff:
+                    spans.setdefault((a - 1, b), len(spans))
+        points = sorted({t for span in spans for t in span if t is not None})
+        column = {t: c for c, t in enumerate(points)}
+        column[None] = len(points)
+        return cls(
+            spans=tuple(spans),
+            points=tuple(points),
+            by_point={
+                key: tuple(
+                    tuple((column[a - 1], column[b], rate) for a, b, rate in payoff) for payoff in payoffs
+                )
+                for key, payoffs in segments.items()
+            },
+            by_span={
+                key: tuple(
+                    tuple((spans[a - 1, b], len(spans), rate) for a, b, rate in payoff) for payoff in payoffs
+                )
+                for key, payoffs in segments.items()
+            },
+        )
+
+
+@dataclass(frozen=True)
 class SubgroupRule:
     """Routing rule for one plan subgroup; `any` wildcards either dimension."""
 
@@ -211,7 +264,7 @@ class BillingPlan:
         wildcards = sum(rule.is_wildcard for rule, _ in self.subgroups)
         if wildcards > 1:
             raise CatalogError(f"plan {self.id} has {wildcards} catch-all rules")
-        routes = {}
+        routes = []
         for dest, day in ALL_CALL_CLASSES:
             matching = [j for j, (rule, _) in enumerate(self.subgroups) if rule.matches(dest, day)]
             if not matching:
@@ -219,15 +272,21 @@ class BillingPlan:
                     f"plan {self.id} ({self.name!r}) leaves ({dest}, {day}) "
                     f"calls with no subgroup"
                 )
-            routes[dest, day] = matching[0]
+            routes.append(matching[0])
         # not a field: equality, repr and serialization see only the rules
-        object.__setattr__(self, "_routes", routes)
+        object.__setattr__(self, "_routes", tuple(routes))
+
+    @property
+    def routes(self) -> tuple[int, ...]:
+        """Index of the first rule matching each call class, in
+        :data:`ALL_CALL_CLASSES` order, from a table built once per plan."""
+        return self._routes
 
     def subgroup_index(self, destination_class: str, day_class: str) -> int:
-        """Index of the first rule matching the call class, from a table
-        built once per plan; a pair that is not a call class raises."""
+        """Index of the first rule matching the call class; a pair that is
+        not a call class raises."""
         try:
-            return self._routes[destination_class, day_class]
+            return self._routes[CALL_CLASS_INDEX[destination_class, day_class]]
         except KeyError:
             raise CatalogError(
                 f"plan {self.id}: no subgroup for ({destination_class}, {day_class})"
@@ -259,10 +318,21 @@ class Catalog:
                 raise CatalogError(f"duplicate plan id {plan.id}")
             by_id[plan.id] = plan
         object.__setattr__(self, "_by_id", by_id)
-        if self.context.current_plan_id not in by_id:
-            raise CatalogError(
-                f"current_plan_id {self.context.current_plan_id} not in catalog"
-            )
+        self.check_context(self.context)
+        # not a field: equality, repr and serialization see only the plans
+        pricing = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans})
+        object.__setattr__(self, "_pricing", pricing)
+
+    @property
+    def pricing(self) -> PricingTable:
+        """Every plan's payoffs over the catalog's shared breakpoints, keyed
+        by plan id, from a table built once per catalog."""
+        return self._pricing
+
+    def check_context(self, context: SubscriberContext) -> None:
+        """Raise unless `context`'s current plan is in the catalog."""
+        if context.current_plan_id not in self._by_id:
+            raise CatalogError(f"current_plan_id {context.current_plan_id} not in catalog")
 
     def plan(self, plan_id: int) -> BillingPlan:
         try:
@@ -274,15 +344,15 @@ class Catalog:
     def current_plan(self) -> BillingPlan:
         return self._by_id[self.context.current_plan_id]
 
-    def switch_candidates(self) -> tuple[BillingPlan, ...]:
-        """Plans the subscriber can end up on: active ones plus the current one.
+    def switch_candidates(self, context: SubscriberContext | None = None) -> tuple[BillingPlan, ...]:
+        """Plans the subscriber can end up on: active ones plus the current one,
+        which is `context`'s (the catalog's own by default).
 
         An inactive plan stays valid while it is the current plan, but cannot
         be switched to.
         """
-        return tuple(
-            p for p in self.plans if p.active or p.id == self.context.current_plan_id
-        )
+        current = (context or self.context).current_plan_id
+        return tuple(p for p in self.plans if p.active or p.id == current)
 
 
 def _read_source(

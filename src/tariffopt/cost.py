@@ -10,9 +10,17 @@ of adopting a plan gives the full cost that ranks the candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
-from .catalog import BillingPlan, Catalog, PayoffFunction, SubscriberContext
+from .catalog import (
+    CALL_CLASS_INDEX,
+    BillingPlan,
+    Catalog,
+    PayoffFunction,
+    PricingTable,
+    SubscriberContext,
+)
 from .traffic import DurationModel, TrafficProfile
 
 LOOKUP = "lookup"
@@ -20,28 +28,10 @@ CUMULATIVE = "cumulative"
 BILLING_MODES = (LOOKUP, CUMULATIVE)
 
 
-def expected_call_cost(
-    payoff: PayoffFunction, durations: DurationModel, mode: str = LOOKUP
-) -> float:
-    """Expected cost of one random call: E[v(t)] over billing minutes t.
-
-    Every duration model is priced through its survival function
-    ``S(t) = P(billed minute > t)``. In `lookup` mode the final minute's
-    rate is charged, so segment [a, b] weighs its rate by
-    ``S(a-1) - S(b)``; the non-default `cumulative` mode prices every
-    elapsed minute, and minute m is elapsed with probability ``S(m-1)``,
-    so the segment weighs its rate by ``S(a-1) + ... + S(b-1)``.
-    """
+def check_billing_mode(mode: str) -> None:
+    """Raise ValueError unless `mode` is one of :data:`BILLING_MODES`."""
     if mode not in BILLING_MODES:
         raise ValueError(f"unknown billing mode {mode!r}")
-    total = 0.0
-    for from_minute, to_minute, rate in payoff.float_segments:
-        if mode == LOOKUP:
-            weight = durations.survival(from_minute - 1) - durations.survival(to_minute)
-        else:
-            weight = durations.survival_sum(from_minute - 1, to_minute)
-        total += rate * weight
-    return total
 
 
 @dataclass(frozen=True)
@@ -76,26 +66,79 @@ class Ranking:
     optimal_id: int
 
 
-def variable_cost(
-    plan: BillingPlan, profile: TrafficProfile, mode: str = LOOKUP
-) -> tuple[float, tuple[SubgroupCost, ...]]:
-    """Expected monthly traffic cost of a plan: sum of rate * one-call cost.
+# --------------------------------------------------------------------------
+# the pricing kernel
 
-    Each traffic cell is priced under the subgroup its calls route to, so a
-    subgroup aggregating several cells reports the rate-weighted average
-    one-call cost.
+
+def _rows(table: PricingTable, mode: str) -> tuple[dict, Callable[[DurationModel], list[float]]]:
+    """The table's payoffs for `mode`, and how to build a duration model's
+    row for them.
+
+    Every duration model is priced through its survival function
+    ``S(t) = P(billed minute > t)``. In `lookup` mode the final minute's
+    rate is charged, so segment [a, b] weighs its rate by
+    ``S(a-1) - S(b)``: the row is S over the table's points. The
+    non-default `cumulative` mode prices every elapsed minute, and minute m
+    is elapsed with probability ``S(m-1)``, so the segment weighs its rate
+    by ``S(a-1) + ... + S(b-1)``: the row holds that sum for each of the
+    table's spans. Either row ends in 0, for the open tail.
     """
-    n = len(plan.subgroups)
-    rates = [0.0] * n
-    costs = [0.0] * n
+    check_billing_mode(mode)
+    if mode == LOOKUP:
+        return table.by_point, lambda durations: durations.survivals(table.points) + [0.0]
+    return table.by_span, lambda durations: durations.survival_sums(table.spans) + [0.0]
+
+
+def _one_call(segments: tuple[tuple[int, int, float], ...], row: list[float]) -> float:
+    """Expected cost of one call under a payoff's segments, given its row."""
+    total = 0.0
+    for first, second, rate in segments:
+        total += rate * (row[first] - row[second])
+    return total
+
+
+def _priced(
+    table: PricingTable, plans: Sequence[BillingPlan], profile: TrafficProfile, mode: str
+) -> Iterator[tuple[BillingPlan, list[float], list[float]]]:
+    """Each plan with its subgroups' calls per month and monthly costs.
+
+    Each traffic cell is priced under the subgroup its calls route to, with
+    one row per distinct duration model; the table holds each plan's
+    payoffs under its id.
+    """
+    by_plan, row_of = _rows(table, mode)
+    rows, cells = {}, []
     for cell in profile.cells:
         if cell.rate == 0:
             continue
-        j = plan.subgroup_index(cell.destination_class, cell.day_class)
-        _, payoff = plan.subgroups[j]
-        rates[j] += cell.rate
-        costs[j] += cell.rate * expected_call_cost(payoff, cell.durations, mode)
-    breakdown = tuple(
+        key = id(cell.durations)
+        if key not in rows:
+            rows[key] = row_of(cell.durations)
+        cells.append((CALL_CLASS_INDEX[cell.destination_class, cell.day_class], cell.rate, rows[key]))
+    for plan in plans:
+        payoffs, routes = by_plan[plan.id], plan.routes
+        rates = [0.0] * len(payoffs)
+        costs = [0.0] * len(payoffs)
+        for k, rate, row in cells:
+            j = routes[k]
+            rates[j] += rate
+            costs[j] += rate * _one_call(payoffs[j], row)
+        yield plan, rates, costs
+
+
+def expected_call_cost(
+    payoff: PayoffFunction, durations: DurationModel, mode: str = LOOKUP
+) -> float:
+    """Expected cost of one random call: E[v(t)] over billing minutes t."""
+    table = PricingTable.of({None: [payoff]})
+    by_key, row_of = _rows(table, mode)
+    return _one_call(by_key[None][0], row_of(durations))
+
+
+def _subgroup_costs(plan: BillingPlan, rates: list[float], costs: list[float]) -> tuple[SubgroupCost, ...]:
+    """A subgroup aggregating several cells reports the rate-weighted
+    average one-call cost."""
+    return tuple(
         SubgroupCost(
             name=rule.subgroup_name,
             calls_per_month=rates[j],
@@ -104,7 +147,24 @@ def variable_cost(
         )
         for j, (rule, _) in enumerate(plan.subgroups)
     )
-    return sum(costs), breakdown
+
+
+def variable_cost(
+    plan: BillingPlan, profile: TrafficProfile, mode: str = LOOKUP
+) -> tuple[float, tuple[SubgroupCost, ...]]:
+    """Expected monthly traffic cost of a plan: sum of rate * one-call cost."""
+    table = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups]})
+    ((_, rates, costs),) = _priced(table, (plan,), profile, mode)
+    return sum(costs), _subgroup_costs(plan, rates, costs)
+
+
+def _fee(target: BillingPlan, context: SubscriberContext) -> float:
+    fee = target.fixed.subscription_fee
+    if target.id != context.current_plan_id:
+        fee += target.fixed.switch_fee
+    if target.provider not in context.owned_sim_providers:
+        fee += target.fixed.purchase_cost
+    return float(fee)
 
 
 def fixed_cost(
@@ -115,13 +175,17 @@ def fixed_cost(
     The switch fee applies only when leaving the current plan; the purchase
     cost only when no SIM of the target's provider is on hand.
     """
-    catalog.plan(context.current_plan_id)  # context must be valid
-    fee = target.fixed.subscription_fee
-    if target.id != context.current_plan_id:
-        fee += target.fixed.switch_fee
-    if target.provider not in context.owned_sim_providers:
-        fee += target.fixed.purchase_cost
-    return float(fee)
+    catalog.check_context(context)
+    return _fee(target, context)
+
+
+def _candidates_priced(
+    catalog: Catalog, context: SubscriberContext, profile: TrafficProfile, mode: str
+) -> Iterator[tuple[BillingPlan, list[float], list[float]]]:
+    """:func:`_priced` over the switch candidates, which depend on whose
+    current plan it is, through the catalog's own table."""
+    catalog.check_context(context)
+    return _priced(catalog.pricing, catalog.switch_candidates(context), profile, mode)
 
 
 def full_costs(
@@ -131,21 +195,31 @@ def full_costs(
     mode: str = LOOKUP,
 ) -> list[CostBreakdown]:
     """Cost breakdown per switch candidate (active plans plus the current one)."""
-    breakdowns = []
-    # the candidate set depends on whose current plan it is
-    for plan in replace(catalog, context=context).switch_candidates():
-        variable, subgroups = variable_cost(plan, profile, mode)
-        breakdowns.append(
-            CostBreakdown(
-                plan_id=plan.id,
-                plan_name=plan.name,
-                is_current=plan.id == context.current_plan_id,
-                subgroups=subgroups,
-                variable=variable,
-                fixed=fixed_cost(plan, context, catalog),
-            )
+    return [
+        CostBreakdown(
+            plan_id=plan.id,
+            plan_name=plan.name,
+            is_current=plan.id == context.current_plan_id,
+            subgroups=_subgroup_costs(plan, rates, costs),
+            variable=sum(costs),
+            fixed=_fee(plan, context),
         )
-    return breakdowns
+        for plan, rates, costs in _candidates_priced(catalog, context, profile, mode)
+    ]
+
+
+def cost_lines(
+    catalog: Catalog,
+    context: SubscriberContext,
+    profile: TrafficProfile,
+    mode: str = LOOKUP,
+) -> list[tuple[int, float, float]]:
+    """``(plan id, fixed, variable)`` per switch candidate, in
+    :func:`full_costs`' order and with its floats, building no breakdown."""
+    return [
+        (plan.id, _fee(plan, context), sum(costs))
+        for plan, _, costs in _candidates_priced(catalog, context, profile, mode)
+    ]
 
 
 def rank(breakdowns: list[CostBreakdown]) -> Ranking:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog, SubscriberContext
-from .cost import LOOKUP, full_costs
+from .cost import LOOKUP, cost_lines
 from .traffic import ProfileError, TrafficProfile
 
 
@@ -82,8 +82,9 @@ def sweep(
     grid: Sequence[float],
     mode: str = LOOKUP,
 ) -> list[SweepPoint]:
-    """Price every candidate once, then evaluate the cost lines
-    ``fixed + k * variable`` as one (plans x grid) array.
+    """Price every candidate once (:func:`~tariffopt.cost.cost_lines`), then
+    evaluate the cost lines ``fixed + k * variable`` as one (plans x grid)
+    array.
 
     Each point's optimum is the first minimum of its column, with the rows
     taken in :func:`rank`'s tie order (the current plan, then ascending id),
@@ -99,13 +100,10 @@ def sweep(
         raise ProfileError("multiplier grid must be sorted")
     if grid[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
-    breakdowns = full_costs(catalog, context, profile, mode)
-    ids = [b.plan_id for b in breakdowns]
-    stay = next(i for i, b in enumerate(breakdowns) if b.is_current)
+    ids, fixed, variable = zip(*cost_lines(catalog, context, profile, mode))
+    stay = ids.index(context.current_plan_id)
     tie_order = np.array(sorted(range(len(ids)), key=lambda i: (i != stay, ids[i])))
-    variable = np.array([b.variable for b in breakdowns])
-    fixed = np.array([b.fixed for b in breakdowns])
-    costs = variable[:, None] * ks + fixed[:, None]
+    costs = np.array(variable)[:, None] * ks + np.array(fixed)[:, None]
     optimal = tie_order[costs[tie_order].argmin(axis=0)]
     return [
         SweepPoint(

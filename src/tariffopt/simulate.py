@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .catalog import ALL_CALL_CLASSES, BillingPlan, Catalog, PayoffFunction
-from .cost import BILLING_MODES, LOOKUP
+from .cost import BILLING_MODES, LOOKUP, check_billing_mode
 from .traffic import CallTable, ClassifiedCall, Exponential, TrafficProfile
 
 
@@ -184,8 +184,7 @@ def _bill_minutes(payoff: PayoffFunction, minutes: np.ndarray, mode: str) -> np.
 
 def bill_call(payoff: PayoffFunction, duration_minutes: float, mode: str = LOOKUP) -> float:
     """Price one call: look up (or accumulate up to) its final billed minute."""
-    if mode not in BILLING_MODES:
-        raise ValueError(f"unknown billing mode {mode!r}")
+    check_billing_mode(mode)
     if not duration_minutes > 0:
         raise ValueError(f"duration must be positive, got {duration_minutes}")
     minute = max(1, math.ceil(duration_minutes))
@@ -263,6 +262,7 @@ def replay_trace(
     order of first appearance, and each class is billed per plan in one
     vectorised pass.
     """
+    check_billing_mode(mode)
     if not (math.isfinite(months) and months > 0):
         raise SimulationError(f"months must be positive and finite, got {months}")
     table = CallTable.of(calls)

@@ -678,14 +678,27 @@ class Empirical:
         end = 0.0 if stop is None else tails[min(stop, self.truncation)]
         return tails[min(start, self.truncation)] - end
 
+    def survivals(self, points: Sequence[int]) -> list[float]:
+        """:meth:`survival` at each point: an index into S(0..T), clipped at T."""
+        survival, last = self._survival, self.truncation
+        return [survival[t if t < last else last] for t in points]
+
+    def survival_sums(self, spans: Sequence[tuple[int, int | None]]) -> list[float]:
+        """:meth:`survival_sum` of each ``(start, stop)`` span."""
+        tails, last = self._survival_tails, self.truncation
+        return [
+            tails[min(start, last)] - (0.0 if stop is None else tails[min(stop, last)])
+            for start, stop in spans
+        ]
+
 
 @dataclass(frozen=True)
 class Exponential:
     """Exponential call-duration model with rate `mu` (1/minutes).
 
     Discretized to whole billing minutes, the mass of minute t is
-    ``exp(-mu*(t-1)) - exp(-mu*t)``; the tail mass beyond `truncation`
-    is ``exp(-mu*truncation)`` and is reported, not redistributed.
+    ``exp(-mu*(t-1)) - exp(-mu*t)``. Pricing reads the survival function
+    ``exp(-mu*t)`` at any minute, so no mass is cut off at `truncation`.
     """
 
     mu: float
@@ -703,14 +716,6 @@ class Exponential:
     def _decay(self) -> float:
         return math.exp(-self.mu)
 
-    @property
-    def tail_mass(self) -> float:
-        return math.exp(-self.mu * self.truncation)
-
-    def mass_array(self) -> np.ndarray:
-        edges = np.exp(-self.mu * np.arange(self.truncation + 1))
-        return edges[:-1] - edges[1:]
-
     def survival(self, t: int | None) -> float:
         """P(billed minute > t) = exp(-mu*t); 0 for t None."""
         return 0.0 if t is None else math.exp(-self.mu * t)
@@ -722,8 +727,25 @@ class Exponential:
             return head / (1.0 - self._decay)
         return head * (1.0 - self._decay ** (stop - start)) / (1.0 - self._decay)
 
+    def survivals(self, points: Sequence[int]) -> list[float]:
+        """:meth:`survival` at each point, by ``math.exp`` (whose last bit
+        ``np.exp`` does not always reproduce)."""
+        mu = self.mu
+        return [math.exp(-mu * t) for t in points]
 
-#: what the cost engine reads of a model is its `survival` and `survival_sum`
+    def survival_sums(self, spans: Sequence[tuple[int, int | None]]) -> list[float]:
+        """:meth:`survival_sum` of each ``(start, stop)`` span."""
+        decay, mu = self._decay, self.mu
+        return [
+            math.exp(-mu * start) / (1.0 - decay)
+            if stop is None
+            else math.exp(-mu * start) * (1.0 - decay ** (stop - start)) / (1.0 - decay)
+            for start, stop in spans
+        ]
+
+
+#: what the cost engine reads of a model is its `survivals` and `survival_sums`;
+#: `survival` and `survival_sum` give the same values one argument at a time
 DurationModel = Union[Empirical, Exponential]
 
 

@@ -322,13 +322,13 @@ def test_criterion_6_property_suites(mts_catalog):
             break
         cases += 1
 
-    # discretized exponential mass monotonicity
+    # discretized exponential mass monotonicity: S(t-1) - S(t) as priced
     for _ in range(300):
         mu = float(rng.uniform(0.01, 4.0))
         truncation = int(rng.integers(1, 300))
         if mu * truncation >= 700:  # float64 underflow region
             truncation = max(1, int(650 / mu))
-        masses = Exponential(mu=mu, truncation=truncation).mass_array()
+        masses = -np.diff(Exponential(mu=mu).survivals(range(truncation + 1)))
         ok = (masses > 0).all() and (np.diff(masses) < 0).all() and abs(
             masses.sum() - (1 - math.exp(-mu * truncation))
         ) < 1e-12

@@ -21,12 +21,15 @@ from tariffopt import (
     PayoffFunction,
     RateSegment,
     SubscriberContext,
+    TrafficCell,
+    TrafficProfile,
     expected_call_cost,
     fixed_cost,
     full_costs,
     rank,
     variable_cost,
 )
+from tariffopt.catalog import ALL_CALL_CLASSES
 
 
 MU = 0.41
@@ -88,9 +91,15 @@ def test_one_call_cost_matches_brute_force_for_all_plans(mts_catalog):
                 )
 
 
+def exponential_masses(mu: float, truncation: int) -> np.ndarray:
+    """Masses of minutes 1..truncation of the discretized Exp(mu)."""
+    edges = np.exp(-mu * np.arange(truncation + 1))
+    return edges[:-1] - edges[1:]
+
+
 def test_empirical_agrees_with_closed_form(mts_catalog):
     model = Exponential(mu=MU, truncation=240)  # tail mass ~ 1e-43
-    empirical = Empirical(tuple(model.mass_array()))
+    empirical = Empirical(tuple(exponential_masses(MU, model.truncation)))
     for mode in BILLING_MODES:
         for plan in mts_catalog.plans:
             for _, payoff in plan.subgroups:
@@ -256,3 +265,16 @@ def test_monotonicity_raising_a_rate_never_lowers_cost(mts_catalog, reference_pr
     after = variable_cost(raised.plan(1), reference_profile)[0]
     assert after >= before
 
+
+
+def test_unknown_billing_mode_rejected_when_nothing_is_billed(mts_catalog):
+    idle = TrafficProfile(
+        cells=tuple(TrafficCell(dest, day, 0.0, None) for dest, day in ALL_CALL_CLASSES),
+        observation_months=1.0,
+    )
+    with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
+        full_costs(mts_catalog, mts_catalog.context, idle, "bogus")
+    with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
+        variable_cost(mts_catalog.plan(1), idle, "bogus")
+    with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
+        expected_call_cost(flat(1.0), Exponential(mu=MU), "bogus")

@@ -27,12 +27,14 @@ from tariffopt import (
     RateSegment,
     SimCell,
     SimConfig,
+    SubgroupCost,
     SubgroupRule,
     SubscriberContext,
     SweepPoint,
     TrafficCell,
     TrafficProfile,
     expected_call_cost,
+    fixed_cost,
     full_costs,
     k_grid,
     parse_cdr,
@@ -264,10 +266,11 @@ def test_full_cost_decomposition(catalog, profile):
 @settings(max_examples=250, deadline=None)
 @given(st.floats(0.01, 5.0), st.integers(1, 300))
 def test_discretized_exponential_masses(mu, truncation):
-    """Masses are positive, strictly decreasing, and sum to 1 - exp(-mu*T)."""
+    """The masses S(t-1) - S(t) that pricing reads off the survival function
+    are positive, strictly decreasing, and sum to 1 - exp(-mu*T) over the
+    first T minutes."""
     assume(mu * truncation < 700)  # stay above float64 underflow
-    model = Exponential(mu=mu, truncation=truncation)
-    masses = model.mass_array()
+    masses = -np.diff(Exponential(mu=mu).survivals(range(truncation + 1)))
     assert (masses > 0).all()
     assert (np.diff(masses) < 0).all() if truncation > 1 else True
     assert math.isclose(float(masses.sum()), 1 - math.exp(-mu * truncation), abs_tol=1e-12)
@@ -419,6 +422,132 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
         costs = {b.plan_id: b.full for b in at_k}
         best = rank(at_k).optimal_id
         assert point == SweepPoint(k, best, costs[best], costs[current], costs, current)
+        assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
+
+
+@st.composite
+def shared_breakpoint_catalogs(draw):
+    """Catalogs whose payoffs cut at minutes drawn from one small pool, so
+    breakpoints are shared, plus minutes of their own; a payoff without cuts
+    is one open tail from minute 1. Plans may be inactive; the catalog's
+    current plan is active, and a second context names any plan as current
+    and owns other SIMs."""
+    pool = draw(st.lists(st.integers(2, 60), unique=True, min_size=1, max_size=8))
+    cut_st = st.lists(st.sampled_from(pool) | st.integers(2, 90), unique=True, max_size=4)
+    rate_st = st.sampled_from([Decimal(0), Decimal("0.05"), Decimal("1.3")]) | rates_st
+    plans = []
+    for pid in range(1, draw(st.integers(1, 5)) + 1):
+        plan = draw(billing_plans(plan_id=pid))
+        subgroups = []
+        for rule, _ in plan.subgroups:
+            starts = [1] + [c + 1 for c in sorted(draw(cut_st))]
+            ends = [s - 1 for s in starts[1:]] + [None]
+            payoff = PayoffFunction(tuple(RateSegment(a, b, draw(rate_st)) for a, b in zip(starts, ends)))
+            subgroups.append((rule, payoff))
+        provider = draw(st.sampled_from(["ACME", "Other"]))
+        active = pid == 1 or draw(st.booleans())
+        plans.append(replace(plan, provider=provider, active=active, subgroups=tuple(subgroups)))
+    catalog = Catalog(plans=tuple(plans), context=SubscriberContext(1, frozenset({"ACME"})))
+    other = SubscriberContext(draw(st.integers(1, len(plans))), frozenset({"Other"}))
+    return catalog, other
+
+
+@st.composite
+def mixed_profiles(draw):
+    """Cells with no traffic, exponential cells and empirical cells truncated
+    below or above the catalogs' breakpoints, some cells sharing one model."""
+    shared = Exponential(mu=draw(st.floats(0.05, 3.0)))
+    cells = []
+    for dest, day in ALL_CALL_CLASSES:
+        kind = draw(st.sampled_from(["none", "shared", "exponential", "empirical"]))
+        if kind == "none":
+            cells.append(TrafficCell(dest, day, 0.0, draw(st.none() | st.just(shared))))
+            continue
+        if kind == "shared":
+            model = shared
+        elif kind == "exponential":
+            model = Exponential(mu=draw(st.floats(0.05, 3.0)))
+        else:
+            truncation = draw(st.integers(1, 100))
+            masses = draw(st.lists(st.floats(0.0, 1.0), min_size=truncation, max_size=truncation))
+            total = max(1.0, sum(masses))
+            model = Empirical(tuple(m / total for m in masses))
+        cells.append(TrafficCell(dest, day, draw(st.floats(0.0, 50.0)), model))
+    return TrafficProfile(cells=tuple(cells), observation_months=1.0)
+
+
+def one_call_by_segment(payoff, model, mode):
+    """Reference one-call cost: each segment through the model's scalar
+    survival function."""
+    total = 0.0
+    for a, b, rate in payoff.float_segments:
+        if mode == "lookup":
+            total += rate * (model.survival(a - 1) - model.survival(b))
+        else:
+            total += rate * model.survival_sum(a - 1, b)
+    return total
+
+
+def priced_plan_by_plan(catalog, context, profile, mode):
+    """Reference breakdowns: every plan and cell priced on its own."""
+    breakdowns = []
+    for plan in catalog.plans:
+        if not (plan.active or plan.id == context.current_plan_id):
+            continue
+        rates = [0.0] * len(plan.subgroups)
+        costs = [0.0] * len(plan.subgroups)
+        for cell in profile.cells:
+            if cell.rate == 0:
+                continue
+            j = plan.subgroup_index(cell.destination_class, cell.day_class)
+            rates[j] += cell.rate
+            costs[j] += cell.rate * one_call_by_segment(plan.subgroups[j][1], cell.durations, mode)
+        breakdowns.append(
+            CostBreakdown(
+                plan_id=plan.id,
+                plan_name=plan.name,
+                is_current=plan.id == context.current_plan_id,
+                subgroups=tuple(
+                    SubgroupCost(name, rates[j], costs[j] / rates[j] if rates[j] > 0 else None, costs[j])
+                    for j, name in enumerate(plan.subgroup_names())
+                ),
+                variable=sum(costs),
+                fixed=fixed_cost(plan, context, catalog),
+            )
+        )
+    return breakdowns
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_breakpoint_catalogs(), mixed_profiles(), st.sampled_from(BILLING_MODES), st.booleans())
+def test_full_costs_equal_plan_by_plan_pricing(catalog_and_context, profile, mode, own_context):
+    """Pricing over the catalog's shared breakpoints gives every breakdown
+    field exactly (==) as pricing each plan, cell and segment on its own;
+    so does `variable_cost`, and `expected_call_cost` for each payoff."""
+    catalog, other = catalog_and_context
+    context = catalog.context if own_context else other
+    expected = priced_plan_by_plan(catalog, context, profile, mode)
+    assert full_costs(catalog, context, profile, mode) == expected
+    for b in expected:
+        assert variable_cost(catalog.plan(b.plan_id), profile, mode) == (b.variable, b.subgroups)
+    models = {id(cell.durations): cell.durations for cell in profile.cells if cell.durations}
+    for plan in catalog.plans:
+        for _, payoff in plan.subgroups:
+            for model in models.values():
+                assert expected_call_cost(payoff, model, mode) == one_call_by_segment(payoff, model, mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_breakpoint_catalogs(), mixed_profiles(), st.sampled_from(BILLING_MODES), st.booleans())
+def test_sweep_points_lie_on_the_full_cost_lines(catalog_and_context, profile, mode, own_context):
+    """`sweep` prices the candidates without `full_costs`; every point's cost
+    of each plan is still ``variable * k + fixed`` of `full_costs`, bit for bit."""
+    catalog, other = catalog_and_context
+    context = catalog.context if own_context else other
+    grid = k_grid(0.25, 12.0, 0.25)
+    breakdowns = full_costs(catalog, context, profile, mode)
+    for k, point in zip(grid, sweep(catalog, context, profile, grid, mode)):
+        assert point.plan_costs == {b.plan_id: b.variable * k + b.fixed for b in breakdowns}
         assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
 
 

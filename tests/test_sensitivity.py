@@ -11,6 +11,8 @@ from tariffopt import (
     Catalog,
     ProfileError,
     SubscriberContext,
+    TrafficCell,
+    TrafficProfile,
     fit_report,
     full_costs,
     k_grid,
@@ -19,6 +21,8 @@ from tariffopt import (
     sweep,
     switch_points,
 )
+
+from tariffopt.catalog import ALL_CALL_CLASSES
 
 from conftest import make_reference_profile
 
@@ -401,3 +405,12 @@ def test_fit_report_single_flat_plan_affine():
 def test_distinct_optimal_plans_bounded_by_candidates(mts_catalog, reference_sweep):
     distinct = {p.optimal_plan_id for p in reference_sweep}
     assert len(distinct) <= len(mts_catalog.switch_candidates())
+
+
+def test_sweep_rejects_an_unknown_billing_mode_when_nothing_is_billed(mts_catalog):
+    idle = TrafficProfile(
+        cells=tuple(TrafficCell(dest, day, 0.0, None) for dest, day in ALL_CALL_CLASSES),
+        observation_months=1.0,
+    )
+    with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
+        sweep(mts_catalog, mts_catalog.context, idle, GRID, "bogus")

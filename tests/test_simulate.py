@@ -291,3 +291,8 @@ def test_inactive_non_current_plan_is_billed_nowhere(mts_catalog, reference_prof
     record = CallRecord(date(2010, 8, 20), time(9, 0), "+7", "", "Tel", 60, Decimal("0"))
     calls = [ClassifiedCall(record, "landline", "workday", 1)]
     assert sorted(replay_trace(moved, calls, months=1.0)) == expected
+
+
+def test_replay_rejects_an_unknown_billing_mode_on_an_empty_trace(mts_catalog):
+    with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
+        replay_trace(mts_catalog, [], months=1.0, mode="bogus")

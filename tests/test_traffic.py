@@ -408,10 +408,15 @@ def test_histogram_empty_rejected():
         build_histogram([], truncation=5)
 
 
+def exponential_masses(mu: float, truncation: int) -> np.ndarray:
+    """Masses of minutes 1..truncation of the discretized Exp(mu)."""
+    edges = np.exp(-mu * np.arange(truncation + 1))
+    return edges[:-1] - edges[1:]
+
+
 def test_histogram_matches_discretized_exponential_within_3_sigma():
     """1000 draws from the discretized Exp(0.41) land within 3 sigma per bin."""
-    model = Exponential(mu=0.41, truncation=40)
-    masses = model.mass_array()
+    masses = exponential_masses(0.41, 40)
     probs = np.append(masses, 1 - masses.sum())  # overflow bin
     rng = np.random.default_rng(2021)
     n = 1000
@@ -421,15 +426,6 @@ def test_histogram_matches_discretized_exponential_within_3_sigma():
         p = masses[theta - 1]
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(hist.masses[theta - 1] - p) <= 3 * sigma + 1e-12
-
-
-def test_exponential_masses_positive_decreasing_and_sum():
-    model = Exponential(mu=0.41, truncation=240)
-    masses = model.mass_array()
-    assert (masses > 0).all()
-    assert (np.diff(masses) < 0).all()
-    assert masses.sum() == pytest.approx(1 - math.exp(-0.41 * 240), abs=1e-12)
-    assert model.tail_mass == pytest.approx(math.exp(-0.41 * 240))
 
 
 def test_empirical_mass_validation():
