@@ -61,11 +61,12 @@ for name, fit in fits.items():
     print(f"{name:<24} coefficients ({coefs})  R^2 = {fit.r_squared:.4f}")
 
 # plottable table: k, the optimum, the stay-put cost, then every plan
-plan_ids = sorted(points[0].plan_costs)
+plan_ids = sorted(points[0].lines)
 out = Path(__file__).resolve().parent / "sweep.csv"
 with out.open("w", newline="") as fh:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["k", "optimal_plan", "optimal_cost", "stay_cost"] + [f"plan_{pid}" for pid in plan_ids])
     for p in points:
-        writer.writerow([p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost] + [p.plan_costs[pid] for pid in plan_ids])
+        at_k = p.plan_costs
+        writer.writerow([p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost] + [at_k[pid] for pid in plan_ids])
 print(f"\nplottable sweep written to {out}")

@@ -283,7 +283,8 @@ def _sweep_points(args):
 def cmd_sweep(args) -> Report:
     points = _sweep_points(args)
     intervals = switch_points(points)
-    plan_ids = sorted(points[0].plan_costs)
+    plan_ids = sorted(points[0].lines)
+    costs = [p.plan_costs for p in points]
     doc = {
         "points": [
             {
@@ -291,9 +292,9 @@ def cmd_sweep(args) -> Report:
                 "optimal_plan": p.optimal_plan_id,
                 "optimal_cost": p.optimal_full_cost,
                 "stay_cost": p.stay_cost,
-                "plan_costs": {str(pid): c for pid, c in sorted(p.plan_costs.items())},
+                "plan_costs": {str(pid): at_k[pid] for pid in plan_ids},
             }
-            for p in points
+            for p, at_k in zip(points, costs)
         ],
         "intervals": [asdict(iv) for iv in intervals],
     }
@@ -308,8 +309,8 @@ def cmd_sweep(args) -> Report:
         ],
         rows=[
             [p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost]
-            + [p.plan_costs[pid] for pid in plan_ids]
-            for p in points
+            + [at_k[pid] for pid in plan_ids]
+            for p, at_k in zip(points, costs)
         ],
         after=[
             "switch points:",

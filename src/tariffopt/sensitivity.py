@@ -21,14 +21,19 @@ from .traffic import ProfileError, TrafficProfile
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Costs of all candidate plans at one traffic multiplier."""
+    """The optimum and the stay-put cost at one traffic multiplier.
+
+    `lines` maps each candidate's id to its cost line ``(fixed, variable)``,
+    in :func:`~tariffopt.cost.full_costs`' order; every point of one sweep
+    shares the one mapping.
+    """
 
     k: float
     optimal_plan_id: int
     optimal_full_cost: float
     stay_cost: float  # full cost of keeping the current plan
-    plan_costs: dict[int, float]
     current_plan_id: int
+    lines: dict[int, tuple[float, float]]
 
     def __post_init__(self):
         if self.optimal_full_cost > self.stay_cost + 1e-9:
@@ -36,6 +41,11 @@ class SweepPoint:
                 f"optimal cost {self.optimal_full_cost} above stay cost "
                 f"{self.stay_cost} at k={self.k}"
             )
+
+    @property
+    def plan_costs(self) -> dict[int, float]:
+        """Every candidate's full cost ``variable * k + fixed`` at this point."""
+        return {pid: variable * self.k + fixed for pid, (fixed, variable) in self.lines.items()}
 
 
 @dataclass(frozen=True)
@@ -100,68 +110,56 @@ def sweep(
         raise ProfileError("multiplier grid must be sorted")
     if grid[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
-    ids, fixed, variable = zip(*cost_lines(catalog, context, profile, mode))
+    lines = {pid: (fixed, variable) for pid, fixed, variable in cost_lines(catalog, context, profile, mode)}
+    ids = list(lines)
     stay = ids.index(context.current_plan_id)
     tie_order = np.array(sorted(range(len(ids)), key=lambda i: (i != stay, ids[i])))
-    costs = np.array(variable)[:, None] * ks + np.array(fixed)[:, None]
+    fixed, variable = np.array(list(lines.values())).T
+    costs = variable[:, None] * ks + fixed[:, None]
     optimal = tie_order[costs[tie_order].argmin(axis=0)]
+    best_costs = costs[optimal, np.arange(ks.size)]
     return [
-        SweepPoint(
-            k=k,
-            optimal_plan_id=ids[best],
-            optimal_full_cost=column[best],
-            stay_cost=column[stay],
-            plan_costs=dict(zip(ids, column)),
-            current_plan_id=ids[stay],
+        SweepPoint(k, ids[best], best_cost, stay_cost, ids[stay], lines)
+        for k, best, best_cost, stay_cost in zip(
+            ks.tolist(), optimal.tolist(), best_costs.tolist(), costs[stay].tolist()
         )
-        for k, best, column in zip(ks.tolist(), optimal.tolist(), costs.T.tolist())
     ]
 
 
 #: crossings closer than this to each other or to the grid's ends, relative
 #: to the grid's largest |k|, are one point: where three or more lines meet,
-#: rounding would otherwise leave slivers ~1e-15 wide for the lines that only
-#: touch the envelope there
+#: the rounding of each crossing would otherwise leave slivers up to ~1e-12
+#: wide for the lines that only touch the envelope there
 _TOUCH = 1e-9
 
 
 def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
     """Exact breakpoints of the lower envelope of the plans' cost lines.
 
-    Each line is read off the first and last grid points. From the optimum
-    at the first point, the walk moves to the line that first undercuts the
-    one it is on; of the lines that undercut it at one point, the flattest
-    wins, and lines that only touch the envelope there get no interval.
-    Identical lines follow :func:`rank`: the current plan, else the one
-    rank picked on the grid, else the lowest id.
+    The walk reads the sweep's exact lines (``SweepPoint.lines``). From the
+    optimum at the first point, it moves to the line that first undercuts
+    the one it is on, and lines that only touch the envelope there get no
+    interval. Of the lines that undercut it at one crossing, the one first
+    in :func:`rank`'s order past that crossing wins: the flattest, then the
+    cheapest, then the current plan, then the lowest id.
     """
     if not points:
         return []
     first, last = points[0], points[-1]
-    span = last.k - first.k
-    lines = {}
-    for pid, c0 in first.plan_costs.items():
-        slope = (last.plan_costs[pid] - c0) / span if span else 0.0
-        lines[pid] = (c0 - first.k * slope, slope)
-    on_grid = {p.optimal_plan_id for p in points}
-    current = first.current_plan_id
+    lines, current = first.lines, first.current_plan_id
     touch = _TOUCH * max(1.0, abs(first.k), abs(last.k))
     plan_id, start, intervals = first.optimal_plan_id, first.k, []
     while True:
         fixed, slope = lines[plan_id]
-        below = [((f - fixed) / (slope - v), v, pid) for pid, (f, v) in lines.items() if v < slope]
-        crossing = min((c for c, _, _ in below), default=math.inf)
+        below = [((f - fixed) / (slope - v), v, f, pid) for pid, (f, v) in lines.items() if v < slope]
+        crossing = min((c for c, *_ in below), default=math.inf)
         if crossing >= last.k - touch:
             intervals.append(SwitchInterval(start, last.k, plan_id))
             return intervals
         if crossing > start + touch:
             intervals.append(SwitchInterval(start, crossing, plan_id))
             start = crossing
-        *_, plan_id = min(
-            (v, pid != current, pid not in on_grid, pid)
-            for c, v, pid in below
-            if c <= crossing + touch
-        )
+        *_, plan_id = min((v, f, pid != current, pid) for c, v, f, pid in below if c <= crossing + touch)
 
 
 def polyfit(

@@ -37,9 +37,6 @@ from .catalog import (
 CDR_HEADER = ("date", "time", "number", "zone", "service", "duration", "cost")
 KNOWN_SERVICES = ("Tel", "SMS")
 
-#: default truncation horizon for discretized exponential duration models
-DEFAULT_TRUNCATION = 240
-
 #: longest call a printout row may record: 31 days
 MAX_CALL_SECONDS = 31 * 24 * 60 * 60
 
@@ -255,40 +252,6 @@ def _parse_cost(raw: str) -> Decimal:
         raise ValueError(f"bad cost {raw!r}") from None
 
 
-def _fixed_fields(raw: str, sep: str, length: int) -> tuple[int, int, int] | None:
-    """The three ints of ``NN<sep>NN<sep>N...`` (`length` ASCII digits and
-    separators in all), or None when `raw` has any other form."""
-    if len(raw) == length and raw[2] == sep and raw[5] == sep:
-        digits = raw[:2] + raw[3:5] + raw[6:]
-        # int() would also take non-ASCII digits, which strptime rejects
-        if digits.isascii() and digits.isdigit():
-            return int(raw[:2]), int(raw[3:5]), int(raw[6:])
-    return None
-
-
-def _parse_date(raw: str) -> date:
-    """``DD.MM.YYYY`` as `datetime.strptime` reads it, without its cost."""
-    fields = _fixed_fields(raw, ".", 10)
-    if fields is not None:
-        day, month, year = fields
-        try:
-            return date(year, month, day)
-        except ValueError:
-            pass  # strptime words the error
-    return datetime.strptime(raw, "%d.%m.%Y").date()
-
-
-def _parse_time(raw: str) -> time:
-    """``HH:MM:SS`` as `datetime.strptime` reads it, without its cost."""
-    fields = _fixed_fields(raw, ":", 8)
-    if fields is not None:
-        try:
-            return time(*fields)
-        except ValueError:
-            pass  # strptime words the error
-    return datetime.strptime(raw, "%H:%M:%S").time()
-
-
 def _fields(line: str) -> list[str]:
     """The `;`-separated fields of one line as the csv module reads them.
 
@@ -315,8 +278,8 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRe
             return None
         if len(row) != 7:
             raise ValueError(f"expected 7 columns, got {len(row)}")
-        day = _parse_date(row[0].strip())
-        at = _parse_time(row[1].strip())
+        day = datetime.strptime(row[0].strip(), "%d.%m.%Y").date()
+        at = datetime.strptime(row[1].strip(), "%H:%M:%S").time()
         service = row[4].strip()
         if service not in KNOWN_SERVICES:
             issues.append(f"line {lineno}: unrecognized service {service!r}, skipped")
@@ -698,19 +661,16 @@ class Exponential:
 
     Discretized to whole billing minutes, the mass of minute t is
     ``exp(-mu*(t-1)) - exp(-mu*t)``. Pricing reads the survival function
-    ``exp(-mu*t)`` at any minute, so no mass is cut off at `truncation`.
+    ``exp(-mu*t)`` at any minute, so no mass is cut off.
     """
 
     mu: float
-    truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ProfileError(f"mu must be positive and finite, got {self.mu}")
         if self._decay == 1.0:
             raise ProfileError(f"mu {self.mu} is too small: exp(-mu) rounds to 1")
-        if self.truncation < 1:
-            raise ProfileError(f"truncation must be >= 1, got {self.truncation}")
 
     @cached_property
     def _decay(self) -> float:
@@ -763,9 +723,7 @@ class ExponentialFit:
     sample_size: int
 
 
-def fit_exponential(
-    durations_minutes: Sequence[float], truncation: int = DEFAULT_TRUNCATION
-) -> ExponentialFit:
+def fit_exponential(durations_minutes: Sequence[float]) -> ExponentialFit:
     """Fit an exponential duration model: mu = 1 / sample mean."""
     values = np.asarray(durations_minutes, dtype=float)
     if values.size == 0:
@@ -775,7 +733,7 @@ def fit_exponential(
         raise ProfileError("cannot fit an exponential to a zero-mean sample")
     rmsd = float(np.sqrt(np.mean((values - mean) ** 2)))
     return ExponentialFit(
-        model=Exponential(mu=1.0 / mean, truncation=truncation),
+        model=Exponential(mu=1.0 / mean),
         sample_mean=mean,
         sample_rmsd=rmsd,
         sample_size=int(values.size),

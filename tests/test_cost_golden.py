@@ -87,7 +87,7 @@ def golden_profile():
         ("same-network", "weekend"): (4.0, _masses(10, 1.0)),  # ends below 12, 30, 40
         ("other-mobile", "workday"): (6.0, _masses(60, 0.9995)),  # ends between 40 and 150
         ("other-mobile", "weekend"): (0.0, None),
-        ("landline", "workday"): (8.0, Exponential(mu=0.23, truncation=90)),
+        ("landline", "workday"): (8.0, Exponential(mu=0.23)),
         ("landline", "weekend"): (1.5, _masses(3, 0.75)),  # ends below 5
     }
     return TrafficProfile(
@@ -112,7 +112,14 @@ def priced() -> dict:
             doc[f"{mode}/{name}"] = {
                 "full_costs": [dataclasses.asdict(b) for b in full_costs(catalog, context, profile, mode)],
                 "sweep": [
-                    {**dataclasses.asdict(p), "plan_costs": sorted(p.plan_costs.items())}
+                    {
+                        "k": p.k,
+                        "optimal_plan_id": p.optimal_plan_id,
+                        "optimal_full_cost": p.optimal_full_cost,
+                        "stay_cost": p.stay_cost,
+                        "plan_costs": sorted(p.plan_costs.items()),
+                        "current_plan_id": p.current_plan_id,
+                    }
                     for p in sweep(catalog, context, profile, grid, mode)
                 ],
             }

@@ -415,13 +415,15 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
     its multiplier, bit for bit, with plan costs in breakdown order."""
     breakdowns = full_costs(catalog, catalog.context, profile, mode)
     current = next(b.plan_id for b in breakdowns if b.is_current)
+    lines = {b.plan_id: (b.fixed, b.variable) for b in breakdowns}
     points = sweep(catalog, catalog.context, profile, grid, mode)
     assert len(points) == len(grid)
     for k, point in zip(grid, points):
         at_k = [replace(b, variable=k * b.variable) for b in breakdowns]
         costs = {b.plan_id: b.full for b in at_k}
         best = rank(at_k).optimal_id
-        assert point == SweepPoint(k, best, costs[best], costs[current], costs, current)
+        assert point == SweepPoint(k, best, costs[best], costs[current], current, lines)
+        assert point.plan_costs == costs
         assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
 
 
@@ -540,13 +542,17 @@ def test_full_costs_equal_plan_by_plan_pricing(catalog_and_context, profile, mod
 @settings(max_examples=100, deadline=None)
 @given(shared_breakpoint_catalogs(), mixed_profiles(), st.sampled_from(BILLING_MODES), st.booleans())
 def test_sweep_points_lie_on_the_full_cost_lines(catalog_and_context, profile, mode, own_context):
-    """`sweep` prices the candidates without `full_costs`; every point's cost
-    of each plan is still ``variable * k + fixed`` of `full_costs`, bit for bit."""
+    """`sweep` prices the candidates without `full_costs`; all points share
+    one mapping of `full_costs`' lines, and every point's cost of each plan
+    is still ``variable * k + fixed`` of `full_costs`, bit for bit."""
     catalog, other = catalog_and_context
     context = catalog.context if own_context else other
     grid = k_grid(0.25, 12.0, 0.25)
     breakdowns = full_costs(catalog, context, profile, mode)
-    for k, point in zip(grid, sweep(catalog, context, profile, grid, mode)):
+    points = sweep(catalog, context, profile, grid, mode)
+    for k, point in zip(grid, points):
+        assert point.lines is points[0].lines
+        assert all(point.lines[b.plan_id] == (b.fixed, b.variable) for b in breakdowns)
         assert point.plan_costs == {b.plan_id: b.variable * k + b.fixed for b in breakdowns}
         assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
 

@@ -267,6 +267,16 @@ def test_switch_points_name_the_current_plan_among_identical_lines():
     assert [iv.plan_id for iv in switch_points(points)] == [1, 4, 2]
 
 
+def test_switch_points_take_the_cheaper_of_near_parallel_lines():
+    """Plans 2 and 3 differ only by 1e-8 in the fee; once they undercut plan 1,
+    the cheaper plan 2 is optimal, as on every later grid point, though plan 3
+    is current."""
+    points = flat_plans_sweep([(1, "0", "8.90"), (2, "31.98", "3.65"), (3, "31.98000001", "3.65")], 3)
+    intervals = switch_points(points)
+    assert [iv.plan_id for iv in intervals] == [1, 2]
+    assert {p.optimal_plan_id for p in points if p.k > intervals[0].k_end} == {2}
+
+
 def test_switch_points_leave_no_slivers_where_lines_meet():
     """Four lines through one point: the ones that only touch the envelope
     there get no interval, and the intervals still tile the grid."""
