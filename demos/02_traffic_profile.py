@@ -7,6 +7,7 @@ a duration distribution.
 Run from the repository root:  python3 demos/02_traffic_profile.py
 """
 
+from datetime import date
 from pathlib import Path
 
 from tariffopt import (
@@ -31,15 +32,14 @@ records = parse_cdr((DATA / "sample_cdr.csv").read_bytes(), issues=issues)
 print(f"parsed {len(records)} rows ({len(issues)} warnings)")
 
 calls = classify_calls(records, prefixes, WorkdayCalendar(), issues)
-dates = [c.record.date for c in calls]
-months = observation_months(min(dates), max(dates))
+months = observation_months(date.fromordinal(int(calls.date.min())),
+                            date.fromordinal(int(calls.date.max())))
 print(f"{len(calls)} outgoing calls over {months:.2f} months")
 print()
 
 # Duration sample: when the mean and the spread agree, a one-parameter
 # exponential model describes the durations well.
-minutes = [c.record.duration_seconds / 60 for c in calls]
-fit = fit_exponential(minutes)
+fit = fit_exponential(calls.duration / 60)
 print(f"duration mean {fit.sample_mean:.2f} min, rmsd {fit.sample_rmsd:.2f} min "
       f"-> exponential rate mu = {fit.model.mu:.2f} per minute")
 

@@ -26,10 +26,8 @@ from .cost import (
     Ranking,
     SubgroupCost,
     expected_call_cost,
-    fixed_cost,
     full_costs,
     rank,
-    variable_cost,
 )
 from .sensitivity import (
     RegressionFit,
@@ -47,7 +45,6 @@ from .simulate import (
     SimConfig,
     SimResult,
     SimulationError,
-    bill_call,
     generate_months,
     replay_trace,
     run,
@@ -58,7 +55,6 @@ from .traffic import (
     CallRecord,
     CallTable,
     CdrError,
-    ClassifiedCall,
     Empirical,
     Exponential,
     ExponentialFit,

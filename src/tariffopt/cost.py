@@ -11,7 +11,7 @@ of adopting a plan gives the full cost that ranks the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .catalog import (
     CALL_CLASS_INDEX,
@@ -98,15 +98,17 @@ def _one_call(segments: tuple[tuple[int, int, float], ...], row: list[float]) ->
 
 
 def _priced(
-    table: PricingTable, plans: Sequence[BillingPlan], profile: TrafficProfile, mode: str
+    catalog: Catalog, context: SubscriberContext, profile: TrafficProfile, mode: str
 ) -> Iterator[tuple[BillingPlan, list[float], list[float]]]:
-    """Each plan with its subgroups' calls per month and monthly costs.
+    """Each switch candidate with its subgroups' calls per month and monthly
+    costs. The candidates depend on whose current plan it is.
 
     Each traffic cell is priced under the subgroup its calls route to, with
-    one row per distinct duration model; the table holds each plan's
-    payoffs under its id.
+    one row per distinct duration model, through the catalog's own table,
+    which holds each plan's payoffs under its id.
     """
-    by_plan, row_of = _rows(table, mode)
+    catalog.check_context(context)
+    by_plan, row_of = _rows(catalog.pricing, mode)
     rows, cells = {}, []
     for cell in profile.cells:
         if cell.rate == 0:
@@ -115,7 +117,7 @@ def _priced(
         if key not in rows:
             rows[key] = row_of(cell.durations)
         cells.append((CALL_CLASS_INDEX[cell.destination_class, cell.day_class], cell.rate, rows[key]))
-    for plan in plans:
+    for plan in catalog.switch_candidates(context):
         payoffs, routes = by_plan[plan.id], plan.routes
         rates = [0.0] * len(payoffs)
         costs = [0.0] * len(payoffs)
@@ -149,43 +151,18 @@ def _subgroup_costs(plan: BillingPlan, rates: list[float], costs: list[float]) -
     )
 
 
-def variable_cost(
-    plan: BillingPlan, profile: TrafficProfile, mode: str = LOOKUP
-) -> tuple[float, tuple[SubgroupCost, ...]]:
-    """Expected monthly traffic cost of a plan: sum of rate * one-call cost."""
-    table = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups]})
-    ((_, rates, costs),) = _priced(table, (plan,), profile, mode)
-    return sum(costs), _subgroup_costs(plan, rates, costs)
-
-
 def _fee(target: BillingPlan, context: SubscriberContext) -> float:
+    """Fees of adopting `target` for a month, given what is already owned.
+
+    The switch fee applies only when leaving the current plan; the purchase
+    cost only when no SIM of the target's provider is on hand.
+    """
     fee = target.fixed.subscription_fee
     if target.id != context.current_plan_id:
         fee += target.fixed.switch_fee
     if target.provider not in context.owned_sim_providers:
         fee += target.fixed.purchase_cost
     return float(fee)
-
-
-def fixed_cost(
-    target: BillingPlan, context: SubscriberContext, catalog: Catalog
-) -> float:
-    """Fees of adopting `target` for a month, given what is already owned.
-
-    The switch fee applies only when leaving the current plan; the purchase
-    cost only when no SIM of the target's provider is on hand.
-    """
-    catalog.check_context(context)
-    return _fee(target, context)
-
-
-def _candidates_priced(
-    catalog: Catalog, context: SubscriberContext, profile: TrafficProfile, mode: str
-) -> Iterator[tuple[BillingPlan, list[float], list[float]]]:
-    """:func:`_priced` over the switch candidates, which depend on whose
-    current plan it is, through the catalog's own table."""
-    catalog.check_context(context)
-    return _priced(catalog.pricing, catalog.switch_candidates(context), profile, mode)
 
 
 def full_costs(
@@ -204,7 +181,7 @@ def full_costs(
             variable=sum(costs),
             fixed=_fee(plan, context),
         )
-        for plan, rates, costs in _candidates_priced(catalog, context, profile, mode)
+        for plan, rates, costs in _priced(catalog, context, profile, mode)
     ]
 
 
@@ -218,7 +195,7 @@ def cost_lines(
     :func:`full_costs`' order and with its floats, building no breakdown."""
     return [
         (plan.id, _fee(plan, context), sum(costs))
-        for plan, _, costs in _candidates_priced(catalog, context, profile, mode)
+        for plan, _, costs in _priced(catalog, context, profile, mode)
     ]
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .catalog import ALL_CALL_CLASSES, BillingPlan, Catalog, PayoffFunction
 from .cost import BILLING_MODES, LOOKUP, check_billing_mode
-from .traffic import CallTable, ClassifiedCall, Exponential, TrafficProfile
+from .traffic import CallTable, Exponential, TrafficProfile
 
 
 class SimulationError(ValueError):
@@ -182,15 +182,6 @@ def _bill_minutes(payoff: PayoffFunction, minutes: np.ndarray, mode: str) -> np.
     return payoff.cumulative(minutes)
 
 
-def bill_call(payoff: PayoffFunction, duration_minutes: float, mode: str = LOOKUP) -> float:
-    """Price one call: look up (or accumulate up to) its final billed minute."""
-    check_billing_mode(mode)
-    if not duration_minutes > 0:
-        raise ValueError(f"duration must be positive, got {duration_minutes}")
-    minute = max(1, math.ceil(duration_minutes))
-    return float(_bill_minutes(payoff, np.array([minute]), mode)[0])
-
-
 def _bill_classes(
     plans: Sequence[BillingPlan],
     classes: Sequence[tuple[str, str, np.ndarray]],
@@ -250,7 +241,7 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
 
 def replay_trace(
     catalog: Catalog,
-    calls: CallTable | Sequence[ClassifiedCall],
+    calls: CallTable,
     months: float,
     mode: str = LOOKUP,
 ) -> dict[int, float]:
@@ -265,10 +256,9 @@ def replay_trace(
     check_billing_mode(mode)
     if not (math.isfinite(months) and months > 0):
         raise SimulationError(f"months must be positive and finite, got {months}")
-    table = CallTable.of(calls)
-    call_class = table.call_class
+    call_class = calls.call_class
     classes = [
-        (*ALL_CALL_CLASSES[k], table.minute[call_class == k])
+        (*ALL_CALL_CLASSES[k], calls.minute[call_class == k])
         for k in dict.fromkeys(call_class.tolist())
     ]
     plans = catalog.switch_candidates()

@@ -2,10 +2,11 @@
 
 Turns a provider's chronological service printout into the quantities the
 cost engine consumes: per-class call rates (calls/month) and call-duration
-distributions, either empirical histograms or fitted exponentials. A printout
-is read into columns (:class:`CallLog`) and classified into columns
-(:class:`CallTable`); :class:`CallRecord` and :class:`ClassifiedCall` are the
-row views of those tables.
+distributions, either empirical histograms or fitted exponentials. The one
+way in is printout text: :func:`parse_cdr` reads it into columns
+(:class:`CallLog`), :func:`classify_calls` classifies those into columns
+(:class:`CallTable`), and the estimators read the table. :class:`CallRecord`
+is the row view of a log and what the per-row reader returns.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from itertools import accumulate
-from typing import IO, Iterable, Mapping, Union
+from typing import IO, Mapping, Union
 
 import numpy as np
 
@@ -98,33 +99,13 @@ class CallRecord:
     cost: Decimal
 
 
-@dataclass(frozen=True)
-class ClassifiedCall:
-    """A call record routed to a (destination, day) class and billing minute."""
-
-    record: CallRecord
-    destination_class: str
-    day_class: str
-    minute_index: int
-
-
-class _RowViews(Sequence):
-    """A columnar table that compares equal to any sequence of the same rows."""
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-
 @dataclass(frozen=True, eq=False)
-class CallLog(_RowViews):
+class CallLog(Sequence):
     """The accepted rows of a printout as columns of ints, in line order.
 
     The text columns hold indices into `strings`, the distinct texts of the
-    printout. Indexing and iteration build :class:`CallRecord` views.
+    printout. Indexing and iteration build :class:`CallRecord` views, and a
+    log compares equal to any sequence of the same records.
     """
 
     date: np.ndarray  # proleptic Gregorian ordinal
@@ -135,15 +116,6 @@ class CallLog(_RowViews):
     duration: np.ndarray  # seconds; 0 for an SMS row with a bare count
     cost: np.ndarray  # index into strings: the cost as printed, decimal comma allowed
     strings: tuple[str, ...]
-
-    @classmethod
-    def of(cls, records: Iterable[CallRecord]) -> "CallLog":
-        """`records` as a log: a log as it is, call records converted."""
-        if isinstance(records, CallLog):
-            return records
-        builder = _LogBuilder()
-        builder.add_records(records)
-        return builder.build()
 
     def code(self, text: str) -> int:
         """The index of `text` in `strings`, or -1 when no row holds it."""
@@ -169,35 +141,22 @@ class CallLog(_RowViews):
             cost=Decimal(text[self.cost[i]].replace(",", ".")),
         )
 
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
 
 @dataclass(frozen=True, eq=False)
-class CallTable(_RowViews):
-    """Classified calls as columns, in printout order.
-
-    Indexing and iteration build :class:`ClassifiedCall` views.
-    """
+class CallTable:
+    """Classified calls as columns, in printout order: what
+    :func:`classify_calls` returns and the estimators read."""
 
     log: CallLog  # the printout the calls come from
     rows: np.ndarray  # each call's row in `log`
     destination: np.ndarray  # index into DESTINATION_CLASSES
     day: np.ndarray  # index into DAY_CLASSES
     minute: np.ndarray  # billed minute: the duration in minutes rounded up, at least 1
-
-    @classmethod
-    def of(cls, calls: Iterable[ClassifiedCall]) -> "CallTable":
-        """`calls` as a table: a table as it is, classified calls converted."""
-        if isinstance(calls, CallTable):
-            return calls
-        calls = list(calls)
-        return cls(
-            log=CallLog.of(c.record for c in calls),
-            rows=np.arange(len(calls)),
-            destination=np.array(
-                [DESTINATION_CLASSES.index(c.destination_class) for c in calls], dtype=np.int64
-            ),
-            day=np.array([DAY_CLASSES.index(c.day_class) for c in calls], dtype=np.int64),
-            minute=np.array([c.minute_index for c in calls], dtype=np.int64),
-        )
 
     @property
     def call_class(self) -> np.ndarray:
@@ -216,15 +175,6 @@ class CallTable(_RowViews):
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, i) -> ClassifiedCall:
-        i = range(len(self))[operator.index(i)]
-        return ClassifiedCall(
-            record=self.log[self.rows[i]],
-            destination_class=DESTINATION_CLASSES[self.destination[i]],
-            day_class=DAY_CLASSES[self.day[i]],
-            minute_index=int(self.minute[i]),
-        )
 
 
 def _parse_duration(raw: str, service: str) -> int:
@@ -341,10 +291,6 @@ class _LogBuilder:
             record.duration_seconds,
             strings.setdefault(str(record.cost), len(strings)),
         )
-
-    def add_records(self, records: Iterable[CallRecord]) -> None:
-        rows = [self.columns_of(r) for r in records]
-        self.parts.append(np.array(rows, dtype=np.int64).reshape(-1, 7).T)
 
     def add_lines(self, block: str, lineno: int, strict: bool, issues: list[str]) -> int:
         """Add the rows of `block`, whole lines of which the first is line
@@ -550,7 +496,7 @@ class WorkdayCalendar:
 
 
 def classify_calls(
-    records: Iterable[CallRecord],
+    log: CallLog,
     prefix_table: PrefixTable,
     calendar: WorkdayCalendar,
     issues: list[str] | None = None,
@@ -561,10 +507,9 @@ def classify_calls(
     of its date's day class; each distinct number and date is looked up
     once. A call to an unlisted number goes to `other-mobile` and adds one
     to the prefix table's `unmapped_count`. The billing minute is the
-    ceiling of the duration in minutes. `records` is a :class:`CallLog` or
-    a sequence of :class:`CallRecord`.
+    ceiling of the duration in minutes. `log` is what :func:`parse_cdr`
+    returns.
     """
-    log = CallLog.of(records)
     tel = log.service == log.code("Tel")
     rows = np.flatnonzero(tel & (log.duration > 0))
     numbers = log.number[rows]
@@ -631,23 +576,14 @@ class Empirical:
         # S(t) + ... + S(T) for t = 0..T, also summed from the tail
         return list(accumulate(reversed(self._survival)))[::-1]
 
-    def survival(self, t: int | None) -> float:
-        """P(billed minute > t); 0 for t None."""
-        return 0.0 if t is None else self._survival[min(t, self.truncation)]
-
-    def survival_sum(self, start: int, stop: int | None) -> float:
-        """S(start) + ... + S(stop - 1), to the end for stop None."""
-        tails = self._survival_tails
-        end = 0.0 if stop is None else tails[min(stop, self.truncation)]
-        return tails[min(start, self.truncation)] - end
-
     def survivals(self, points: Sequence[int]) -> list[float]:
-        """:meth:`survival` at each point: an index into S(0..T), clipped at T."""
+        """P(billed minute > t) at each point t: an index into S(0..T), clipped at T."""
         survival, last = self._survival, self.truncation
         return [survival[t if t < last else last] for t in points]
 
     def survival_sums(self, spans: Sequence[tuple[int, int | None]]) -> list[float]:
-        """:meth:`survival_sum` of each ``(start, stop)`` span."""
+        """S(start) + ... + S(stop - 1) of each ``(start, stop)`` span, to
+        the end for stop None."""
         tails, last = self._survival_tails, self.truncation
         return [
             tails[min(start, last)] - (0.0 if stop is None else tails[min(stop, last)])
@@ -676,25 +612,15 @@ class Exponential:
     def _decay(self) -> float:
         return math.exp(-self.mu)
 
-    def survival(self, t: int | None) -> float:
-        """P(billed minute > t) = exp(-mu*t); 0 for t None."""
-        return 0.0 if t is None else math.exp(-self.mu * t)
-
-    def survival_sum(self, start: int, stop: int | None) -> float:
-        """S(start) + ... + S(stop - 1), a geometric series; to infinity for stop None."""
-        head = math.exp(-self.mu * start)
-        if stop is None:
-            return head / (1.0 - self._decay)
-        return head * (1.0 - self._decay ** (stop - start)) / (1.0 - self._decay)
-
     def survivals(self, points: Sequence[int]) -> list[float]:
-        """:meth:`survival` at each point, by ``math.exp`` (whose last bit
-        ``np.exp`` does not always reproduce)."""
+        """P(billed minute > t) = exp(-mu*t) at each point t, by ``math.exp``
+        (whose last bit ``np.exp`` does not always reproduce)."""
         mu = self.mu
         return [math.exp(-mu * t) for t in points]
 
     def survival_sums(self, spans: Sequence[tuple[int, int | None]]) -> list[float]:
-        """:meth:`survival_sum` of each ``(start, stop)`` span."""
+        """S(start) + ... + S(stop - 1) of each ``(start, stop)`` span, a
+        geometric series; to infinity for stop None."""
         decay, mu = self._decay, self.mu
         return [
             math.exp(-mu * start) / (1.0 - decay)
@@ -704,8 +630,7 @@ class Exponential:
         ]
 
 
-#: what the cost engine reads of a model is its `survivals` and `survival_sums`;
-#: `survival` and `survival_sum` give the same values one argument at a time
+#: what the cost engine reads of a model is its `survivals` and `survival_sums`
 DurationModel = Union[Empirical, Exponential]
 
 
@@ -740,13 +665,13 @@ def fit_exponential(durations_minutes: Sequence[float]) -> ExponentialFit:
     )
 
 
-def build_histogram(calls: CallTable | Sequence[ClassifiedCall], truncation: int) -> Empirical:
+def build_histogram(calls: CallTable, truncation: int) -> Empirical:
     """Empirical per-minute distribution of billed call minutes.
 
     Minutes beyond `truncation` accumulate in the last bin, so masses always
     sum to exactly 1.
     """
-    return _histogram(CallTable.of(calls).minute, truncation)
+    return _histogram(calls.minute, truncation)
 
 
 def _histogram(minutes: np.ndarray, truncation: int) -> Empirical:
@@ -842,7 +767,7 @@ class TrafficProfile:
 
 
 def estimate_profile(
-    calls: CallTable | Sequence[ClassifiedCall],
+    calls: CallTable,
     catalog: Catalog,
     months: float,
     duration_model: str = "exponential",
@@ -859,24 +784,23 @@ def estimate_profile(
     """
     if not (math.isfinite(months) and months > 0):
         raise ProfileError(f"months must be positive and finite, got {months}")
-    table = CallTable.of(calls)
-    if not len(table):
+    if not len(calls):
         raise ProfileError("no calls to estimate a profile from")
     if duration_model not in ("exponential", "empirical"):
         raise ProfileError(f"unknown duration model {duration_model!r}")
 
-    classes = table.call_class
-    minutes = table.duration / 60.0
+    classes = calls.call_class
+    minutes = calls.duration / 60.0
 
     def _model_for(chosen: np.ndarray) -> DurationModel | None:
         if not chosen.any():
             return None
         if duration_model == "exponential":
             return fit_exponential(minutes[chosen]).model
-        billed = table.minute[chosen]
+        billed = calls.minute[chosen]
         return _histogram(billed, truncation=int(billed.max()))
 
-    shared = None if per_class_durations else _model_for(np.full(len(table), True))
+    shared = None if per_class_durations else _model_for(np.full(len(calls), True))
     counts = np.bincount(classes, minlength=len(ALL_CALL_CLASSES)).tolist()
     cells = []
     for k, (dest, day) in enumerate(ALL_CALL_CLASSES):

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from tariffopt import Exponential, TrafficCell, TrafficProfile, load_catalog
+from tariffopt import (
+    CallTable,
+    Exponential,
+    PrefixTable,
+    TrafficCell,
+    TrafficProfile,
+    WorkdayCalendar,
+    classify_calls,
+    load_catalog,
+    parse_cdr,
+)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -27,6 +37,36 @@ REFERENCE_CELL_RATES = {
 }
 
 REFERENCE_MU = 0.41
+
+CDR_HEADER = "date;time;number;zone;service;duration;cost\n"
+
+#: a dialed number per destination class
+CLASS_NUMBERS = {
+    "same-network": "+79161234567",
+    "other-mobile": "+79261234567",
+    "landline": "+74951234567",
+}
+
+#: a date per day class: 20.08.2010 is a Friday, 21.08.2010 a Saturday
+CLASS_DATES = {"workday": "20.08.2010", "weekend": "21.08.2010"}
+
+
+def cdr_text(rows) -> str:
+    """A printout with one Tel row per ``(number, date, seconds)``, the date
+    written DD.MM.YYYY."""
+    return CDR_HEADER + "".join(
+        f"{day};12:00:00;{number};Moscow;Tel;{seconds // 60}:{seconds % 60:02d};2.542\n"
+        for number, day, seconds in rows
+    )
+
+
+def classified(calls) -> CallTable:
+    """`calls`, each ``(destination class, day class, seconds)``, written as a
+    printout, parsed, and classified with a prefix table that lists each
+    number under its class."""
+    rows = [(CLASS_NUMBERS[dest], CLASS_DATES[day], seconds) for dest, day, seconds in calls]
+    prefixes = PrefixTable({number: dest for dest, number in CLASS_NUMBERS.items()})
+    return classify_calls(parse_cdr(cdr_text(rows)), prefixes, WorkdayCalendar())
 
 
 def make_reference_profile(mu: float = REFERENCE_MU, months: float = 6.0) -> TrafficProfile:

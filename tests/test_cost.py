@@ -24,10 +24,8 @@ from tariffopt import (
     TrafficCell,
     TrafficProfile,
     expected_call_cost,
-    fixed_cost,
     full_costs,
     rank,
-    variable_cost,
 )
 from tariffopt.catalog import ALL_CALL_CLASSES
 
@@ -127,8 +125,16 @@ def test_constant_payoff_identity_with_truncated_masses():
     assert expected_call_cost(flat(2.5), model) == pytest.approx(2.5 * 0.8, abs=1e-12)
 
 
+def breakdown_of(catalog, plan_id, profile, context=None):
+    """The breakdown `full_costs` gives plan `plan_id`, under the catalog's
+    own context unless `context` is given."""
+    breakdowns = full_costs(catalog, context or catalog.context, profile)
+    return next(b for b in breakdowns if b.plan_id == plan_id)
+
+
 def test_variable_cost_bp1(mts_catalog, reference_profile):
-    total, subgroups = variable_cost(mts_catalog.plan(1), reference_profile)
+    b = breakdown_of(mts_catalog, 1, reference_profile)
+    total, subgroups = b.variable, b.subgroups
     s12 = 2.5 * (1 - math.exp(-MU)) + 2.5 * math.exp(-5 * MU)
     s13 = 3.5 * (1 - math.exp(-MU)) + 3.5 * math.exp(-5 * MU)
     assert total == pytest.approx(23 * s12 + 16 * s13, abs=1e-9)
@@ -138,26 +144,24 @@ def test_variable_cost_bp1(mts_catalog, reference_profile):
 
 
 def test_variable_cost_bp2_is_negligible(mts_catalog, reference_profile):
-    total, _ = variable_cost(mts_catalog.plan(2), reference_profile)
-    assert total < 1e-20
+    assert breakdown_of(mts_catalog, 2, reference_profile).variable < 1e-20
 
 
 def test_variable_cost_zero_traffic(mts_catalog, reference_profile):
     silent = reference_profile.scaled(1e-300)  # rates effectively zero
-    total, _ = variable_cost(mts_catalog.plan(6), silent)
+    total = breakdown_of(mts_catalog, 6, silent).variable
     assert total == pytest.approx(0.0, abs=1e-290)
 
 
-def test_fixed_cost_switch_with_owned_sim(mts_catalog):
-    ctx = mts_catalog.context
-    assert fixed_cost(mts_catalog.plan(2), ctx, mts_catalog) == 315.0
-    assert fixed_cost(mts_catalog.plan(6), ctx, mts_catalog) == 0.0
-    assert fixed_cost(mts_catalog.plan(5), ctx, mts_catalog) == 2750.0
+def test_fixed_cost_switch_with_owned_sim(mts_catalog, reference_profile):
+    assert breakdown_of(mts_catalog, 2, reference_profile).fixed == 315.0
+    assert breakdown_of(mts_catalog, 6, reference_profile).fixed == 0.0
+    assert breakdown_of(mts_catalog, 5, reference_profile).fixed == 2750.0
 
 
-def test_fixed_cost_unowned_provider_pays_purchase(mts_catalog):
+def test_fixed_cost_unowned_provider_pays_purchase(mts_catalog, reference_profile):
     ctx = SubscriberContext(current_plan_id=6, owned_sim_providers=frozenset())
-    assert fixed_cost(mts_catalog.plan(1), ctx, mts_catalog) == 90.0 + 195.0
+    assert breakdown_of(mts_catalog, 1, reference_profile, ctx).fixed == 90.0 + 195.0
 
 
 def test_full_costs_reproduce_reference_table(mts_catalog, reference_profile):
@@ -261,8 +265,8 @@ def test_monotonicity_raising_a_rate_never_lowers_cost(mts_catalog, reference_pr
     doc = json.loads(serialize_catalog(mts_catalog))
     doc["plans"][0]["subgroups"][0]["segments"][1]["rate"] = "1.5"  # was 0
     raised = load_catalog(json.dumps(doc))
-    before = variable_cost(mts_catalog.plan(1), reference_profile)[0]
-    after = variable_cost(raised.plan(1), reference_profile)[0]
+    before = breakdown_of(mts_catalog, 1, reference_profile).variable
+    after = breakdown_of(raised, 1, reference_profile).variable
     assert after >= before
 
 
@@ -274,7 +278,5 @@ def test_unknown_billing_mode_rejected_when_nothing_is_billed(mts_catalog):
     )
     with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
         full_costs(mts_catalog, mts_catalog.context, idle, "bogus")
-    with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
-        variable_cost(mts_catalog.plan(1), idle, "bogus")
     with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
         expected_call_cost(flat(1.0), Exponential(mu=MU), "bogus")

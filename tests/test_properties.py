@@ -34,7 +34,6 @@ from tariffopt import (
     TrafficCell,
     TrafficProfile,
     expected_call_cost,
-    fixed_cost,
     full_costs,
     k_grid,
     parse_cdr,
@@ -42,10 +41,11 @@ from tariffopt import (
     run,
     sweep,
     switch_points,
-    variable_cost,
 )
 from tariffopt import traffic
 from tariffopt.catalog import ALL_CALL_CLASSES, DAY_CLASSES, DESTINATION_CLASSES
+
+from conftest import classified
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -279,21 +279,9 @@ def test_discretized_exponential_masses(mu, truncation):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=200), st.integers(1, 50))
 def test_histogram_masses_sum_to_one(minutes, truncation):
-    from datetime import date, time
-
-    from tariffopt import CallRecord, ClassifiedCall
-
-    calls = [
-        ClassifiedCall(
-            CallRecord(date(2010, 1, 4), time(9, 0), "+7", "", "Tel", m * 60, Decimal(0)),
-            "landline",
-            "workday",
-            m,
-        )
-        for m in minutes
-    ]
     from tariffopt import build_histogram
 
+    calls = classified([("landline", "workday", m * 60) for m in minutes])
     hist = build_histogram(calls, truncation=truncation)
     assert abs(sum(hist.masses) - 1.0) < 1e-12
 
@@ -479,15 +467,30 @@ def mixed_profiles(draw):
 
 
 def one_call_by_segment(payoff, model, mode):
-    """Reference one-call cost: each segment through the model's scalar
-    survival function."""
+    """Reference one-call cost: each segment through the model's survival
+    function, one argument at a time."""
     total = 0.0
     for a, b, rate in payoff.float_segments:
         if mode == "lookup":
-            total += rate * (model.survival(a - 1) - model.survival(b))
+            (head,) = model.survivals([a - 1])
+            tail = 0.0 if b is None else model.survivals([b])[0]
+            total += rate * (head - tail)
         else:
-            total += rate * model.survival_sum(a - 1, b)
+            (span,) = model.survival_sums([(a - 1, b)])
+            total += rate * span
     return total
+
+
+def fee_of(plan, context):
+    """Reference fixed cost: the subscription, plus the switch fee when
+    leaving the current plan, plus the purchase cost when no SIM of the
+    plan's provider is owned."""
+    fee = plan.fixed.subscription_fee
+    if plan.id != context.current_plan_id:
+        fee += plan.fixed.switch_fee
+    if plan.provider not in context.owned_sim_providers:
+        fee += plan.fixed.purchase_cost
+    return float(fee)
 
 
 def priced_plan_by_plan(catalog, context, profile, mode):
@@ -514,7 +517,7 @@ def priced_plan_by_plan(catalog, context, profile, mode):
                     for j, name in enumerate(plan.subgroup_names())
                 ),
                 variable=sum(costs),
-                fixed=fixed_cost(plan, context, catalog),
+                fixed=fee_of(plan, context),
             )
         )
     return breakdowns
@@ -525,13 +528,11 @@ def priced_plan_by_plan(catalog, context, profile, mode):
 def test_full_costs_equal_plan_by_plan_pricing(catalog_and_context, profile, mode, own_context):
     """Pricing over the catalog's shared breakpoints gives every breakdown
     field exactly (==) as pricing each plan, cell and segment on its own;
-    so does `variable_cost`, and `expected_call_cost` for each payoff."""
+    so does `expected_call_cost` for each payoff."""
     catalog, other = catalog_and_context
     context = catalog.context if own_context else other
     expected = priced_plan_by_plan(catalog, context, profile, mode)
     assert full_costs(catalog, context, profile, mode) == expected
-    for b in expected:
-        assert variable_cost(catalog.plan(b.plan_id), profile, mode) == (b.variable, b.subgroups)
     models = {id(cell.durations): cell.durations for cell in profile.cells if cell.durations}
     for plan in catalog.plans:
         for _, payoff in plan.subgroups:

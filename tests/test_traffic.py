@@ -14,10 +14,7 @@ import numpy as np
 import pytest
 
 from tariffopt import (
-    CallRecord,
-    CallTable,
     CdrError,
-    ClassifiedCall,
     Empirical,
     Exponential,
     PrefixTable,
@@ -29,13 +26,11 @@ from tariffopt import (
     fit_exponential,
     observation_months,
     parse_cdr,
-    replay_trace,
 )
+from tariffopt.catalog import DAY_CLASSES, DESTINATION_CLASSES
 from tariffopt.traffic import TrafficCell, TrafficProfile
 
-from conftest import CDR_PATH, PREFIXES_PATH, REFERENCE_CELL_RATES, make_reference_profile
-
-HEADER = "date;time;number;zone;service;duration;cost\n"
+from conftest import CDR_HEADER as HEADER, REFERENCE_CELL_RATES, cdr_text, classified, make_reference_profile
 
 PREFIXES = PrefixTable(
     {
@@ -47,22 +42,22 @@ PREFIXES = PrefixTable(
 )
 
 
-def record(**kwargs):
-    base = dict(
-        date=date(2010, 8, 20),
-        time=None,
-        number="+79161234567",
-        zone="Moscow",
-        service="Tel",
-        duration_seconds=57,
-        cost=Decimal("2.542"),
-    )
-    base.update(kwargs)
-    if base["time"] is None:
-        from datetime import time as _time
+def classify_rows(rows, prefixes=PREFIXES, calendar=WorkdayCalendar(), issues=None):
+    """`rows`, each ``(number, date, seconds)``, as :func:`classify_calls`
+    reads them from a printout."""
+    return classify_calls(parse_cdr(cdr_text(rows)), prefixes, calendar, issues)
 
-        base["time"] = _time(12, 0, 0)
-    return CallRecord(**base)
+
+def call_classes(calls):
+    """Each call's ``(destination class, day class, billed minute)``."""
+    return [
+        (DESTINATION_CLASSES[dest], DAY_CLASSES[day], minute)
+        for dest, day, minute in zip(calls.destination.tolist(), calls.day.tolist(), calls.minute.tolist())
+    ]
+
+
+#: a call to a same-network number on a Friday, 57 seconds long
+FRIDAY_CALL = ("+79161234567", "20.08.2010", 57)
 
 
 # --------------------------------------------------------------------------
@@ -198,83 +193,55 @@ def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
 
 def test_classify_same_network_workday_sub_minute():
     # 2010-08-20 is a Friday
-    [call] = classify_calls([record(duration_seconds=33)], PREFIXES, WorkdayCalendar())
-    assert call.destination_class == "same-network"
-    assert call.day_class == "workday"
-    assert call.minute_index == 1
+    [call] = call_classes(classify_rows([("+79161234567", "20.08.2010", 33)]))
+    assert call == ("same-network", "workday", 1)
 
 
 def test_classify_saturday_is_weekend():
-    [call] = classify_calls([record(date=date(2010, 8, 21))], PREFIXES, WorkdayCalendar())
-    assert call.day_class == "weekend"
+    [(_, day, _)] = call_classes(classify_rows([("+79161234567", "21.08.2010", 57)]))
+    assert day == "weekend"
 
 
 def test_classify_holiday_is_weekend():
     cal = WorkdayCalendar(holidays=frozenset({date(2010, 8, 20)}))
-    assert classify_calls([record()], PREFIXES, cal)[0].day_class == "weekend"
+    assert call_classes(classify_rows([FRIDAY_CALL], calendar=cal))[0][1] == "weekend"
 
 
 def test_minute_index_ceiling():
-    assert classify_calls([record(duration_seconds=60)], PREFIXES, WorkdayCalendar())[0].minute_index == 1
-    assert classify_calls([record(duration_seconds=61)], PREFIXES, WorkdayCalendar())[0].minute_index == 2
+    assert classify_rows([("+79161234567", "20.08.2010", 60)]).minute.tolist() == [1]
+    assert classify_rows([("+79161234567", "20.08.2010", 61)]).minute.tolist() == [2]
 
 
 def test_classify_unmapped_prefix_counts_warning():
     table = PrefixTable({"+7916": "same-network"})
-    [call] = classify_calls([record(number="+15551234567")], table, WorkdayCalendar())
-    assert call.destination_class == "other-mobile"
+    [(dest, _, _)] = call_classes(classify_rows([("+15551234567", "20.08.2010", 57)], table))
+    assert dest == "other-mobile"
     assert table.unmapped_count == 1
 
 
 def test_classify_longest_prefix_wins():
     table = PrefixTable({"+7916": "same-network", "+791655": "landline"})
-    [call] = classify_calls([record(number="+79165550000")], table, WorkdayCalendar())
-    assert call.destination_class == "landline"
+    [(dest, _, _)] = call_classes(classify_rows([("+79165550000", "20.08.2010", 57)], table))
+    assert dest == "landline"
 
 
 def test_classify_calls_drops_sms_and_zero_duration():
     issues = []
-    records = [
-        record(),
-        record(service="SMS", duration_seconds=0),
-        record(duration_seconds=0),
-    ]
-    calls = classify_calls(records, PREFIXES, WorkdayCalendar(), issues)
+    text = (
+        cdr_text([FRIDAY_CALL])
+        + "20.08.2010;12:00:00;+79161234567;Moscow;SMS;1;2.542\n"
+        + "20.08.2010;12:00:00;+79161234567;Moscow;Tel;0:00;2.542\n"
+    )
+    calls = classify_calls(parse_cdr(text), PREFIXES, WorkdayCalendar(), issues)
     assert len(calls) == 1
     assert "zero-duration" in issues[0]
 
 
 def test_unmapped_count_adds_one_per_unmapped_call():
     table = PrefixTable({"+7916": "same-network"})
-    calls = classify_calls([record(number="+15551234567")] * 3 + [record()], table, WorkdayCalendar())
-    assert [c.destination_class for c in calls] == ["other-mobile"] * 3 + ["same-network"]
+    calls = classify_rows([("+15551234567", "20.08.2010", 57)] * 3 + [FRIDAY_CALL], table)
+    assert [dest for dest, _, _ in call_classes(calls)] == ["other-mobile"] * 3 + ["same-network"]
     assert table.unmapped_count == 3
-
-
-def sample_log():
-    return parse_cdr(CDR_PATH.read_bytes())
-
-
-def test_classify_calls_reads_a_record_list_as_it_reads_the_log():
-    log = sample_log()
-    from_log = classify_calls(log, PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar())
-    from_list = classify_calls(list(log), PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar())
-    assert isinstance(from_list, CallTable) and len(from_list) == 234
-    for column in ("rows", "destination", "day", "minute"):
-        assert np.array_equal(getattr(from_list, column), getattr(from_log, column))
-    assert from_list == from_log == list(from_log)
-
-
-def test_profile_and_replay_read_call_views_as_they_read_the_table(mts_catalog):
-    table = classify_calls(sample_log(), PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar())
-    views = list(table)
-    assert all(isinstance(c, ClassifiedCall) for c in views)
-    for model in ("exponential", "empirical"):
-        for per_class in (False, True):
-            from_table = estimate_profile(table, mts_catalog, 6.0, model, per_class)
-            assert from_table == estimate_profile(views, mts_catalog, 6.0, model, per_class)
-    for mode in ("lookup", "cumulative"):
-        assert replay_trace(mts_catalog, table, 6.0, mode) == replay_trace(mts_catalog, views, 6.0, mode)
 
 
 def test_prefix_table_from_csv():
@@ -378,34 +345,30 @@ def test_fit_exponential_rejects_empty_and_zero_mean():
         fit_exponential([0.0, 0.0])
 
 
-def classified(minute):
-    return ClassifiedCall(
-        record=record(duration_seconds=minute * 60),
-        destination_class="same-network",
-        day_class="workday",
-        minute_index=minute,
-    )
+def calls_of_minutes(*minutes):
+    """Same-network workday calls, each lasting a whole number of minutes."""
+    return classified([("same-network", "workday", m * 60) for m in minutes])
 
 
 def test_histogram_counts():
-    hist = build_histogram([classified(1), classified(1), classified(2)], truncation=5)
+    hist = build_histogram(calls_of_minutes(1, 1, 2), truncation=5)
     assert hist.masses == (2 / 3, 1 / 3, 0.0, 0.0, 0.0)
 
 
 def test_histogram_single_call():
-    hist = build_histogram([classified(4)], truncation=6)
+    hist = build_histogram(calls_of_minutes(4), truncation=6)
     assert hist.masses[3] == 1.0
     assert sum(hist.masses) == 1.0
 
 
 def test_histogram_overflow_clamps_to_last_bin():
-    hist = build_histogram([classified(9)], truncation=5)
+    hist = build_histogram(calls_of_minutes(9), truncation=5)
     assert hist.masses[4] == 1.0
 
 
 def test_histogram_empty_rejected():
     with pytest.raises(ProfileError):
-        build_histogram([], truncation=5)
+        build_histogram(calls_of_minutes(), truncation=5)
 
 
 def exponential_masses(mu: float, truncation: int) -> np.ndarray:
@@ -421,7 +384,7 @@ def test_histogram_matches_discretized_exponential_within_3_sigma():
     rng = np.random.default_rng(2021)
     n = 1000
     minutes = rng.choice(np.arange(1, 42), size=n, p=probs / probs.sum())
-    hist = build_histogram([classified(int(m)) for m in minutes], truncation=41)
+    hist = build_histogram(calls_of_minutes(*minutes.tolist()), truncation=41)
     for theta in range(1, 41):
         p = masses[theta - 1]
         sigma = math.sqrt(p * (1 - p) / n)
@@ -445,20 +408,10 @@ def test_empirical_mass_validation():
 
 
 def synth_calls():
-    """One observation month of calls per reference cell, repeated 6 times."""
-    calls = []
-    for (dest, day), rate in REFERENCE_CELL_RATES.items():
-        day_date = date(2010, 8, 20) if day == "workday" else date(2010, 8, 21)
-        for _ in range(int(rate) * 6):
-            calls.append(
-                ClassifiedCall(
-                    record=record(date=day_date),
-                    destination_class=dest,
-                    day_class=day,
-                    minute_index=1,
-                )
-            )
-    return calls
+    """One observation month of 57-second calls per reference cell, repeated 6 times."""
+    return classified(
+        [(dest, day, 57) for (dest, day), rate in REFERENCE_CELL_RATES.items() for _ in range(int(rate) * 6)]
+    )
 
 
 def test_estimate_profile_reproduces_reference_rates(mts_catalog):
@@ -477,7 +430,7 @@ def test_estimate_profile_row_totals_agree_across_plans(mts_catalog):
 
 
 def test_estimate_profile_empty_subgroup_allowed(mts_catalog):
-    calls = [classified(1)]  # only same-network workday traffic
+    calls = calls_of_minutes(1)  # only same-network workday traffic
     profile = estimate_profile(calls, mts_catalog, months=1.0, per_class_durations=True)
     lam = profile.lambda_for(mts_catalog.plan(6))
     assert lam == (1.0, 0.0)
