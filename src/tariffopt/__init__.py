@@ -41,7 +41,6 @@ from .sensitivity import (
 )
 from .simulate import (
     PlanSample,
-    SimCell,
     SimConfig,
     SimResult,
     SimulationError,

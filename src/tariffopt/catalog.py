@@ -9,7 +9,7 @@ and safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from typing import IO, Union
@@ -282,16 +282,6 @@ class BillingPlan:
         :data:`ALL_CALL_CLASSES` order, from a table built once per plan."""
         return self._routes
 
-    def subgroup_index(self, destination_class: str, day_class: str) -> int:
-        """Index of the first rule matching the call class; a pair that is
-        not a call class raises."""
-        try:
-            return self._routes[CALL_CLASS_INDEX[destination_class, day_class]]
-        except KeyError:
-            raise CatalogError(
-                f"plan {self.id}: no subgroup for ({destination_class}, {day_class})"
-            ) from None
-
     def subgroup_names(self) -> tuple[str, ...]:
         return tuple(rule.subgroup_name for rule, _ in self.subgroups)
 
@@ -308,7 +298,6 @@ class SubscriberContext:
 class Catalog:
     plans: tuple[BillingPlan, ...]
     context: SubscriberContext
-    _by_id: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "plans", tuple(self.plans))
@@ -317,9 +306,9 @@ class Catalog:
             if plan.id in by_id:
                 raise CatalogError(f"duplicate plan id {plan.id}")
             by_id[plan.id] = plan
+        # not fields: equality, repr and serialization see only the plans
         object.__setattr__(self, "_by_id", by_id)
         self.check_context(self.context)
-        # not a field: equality, repr and serialization see only the plans
         pricing = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans})
         object.__setattr__(self, "_pricing", pricing)
 

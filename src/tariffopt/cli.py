@@ -392,13 +392,12 @@ def cmd_simulate(args) -> Report:
 # parser
 
 
-def _add_common(sub, cdr: bool = True, grid: bool = False, sim: bool = False):
+def _add_common(sub, grid: bool = False, sim: bool = False):
     sub.add_argument("--catalog", required=True, help="plan-catalog JSON document")
-    if cdr:
-        sub.add_argument("--cdr", required=True, help="call-detail CSV printout")
-        sub.add_argument("--prefixes", required=True, help="prefix;destination_class CSV")
-        sub.add_argument("--holidays", help="holiday list, one ISO date per line")
-        sub.add_argument("--months", type=float, help="observation window length (default: derived from the CDR)")
+    sub.add_argument("--cdr", required=True, help="call-detail CSV printout")
+    sub.add_argument("--prefixes", required=True, help="prefix;destination_class CSV")
+    sub.add_argument("--holidays", help="holiday list, one ISO date per line")
+    sub.add_argument("--months", type=float, help="observation window length (default: derived from the CDR)")
     sub.add_argument("--strict", action="store_true", help="malformed CDR rows are fatal")
     if grid:
         sub.add_argument("--k-from", type=float, default=0.5)

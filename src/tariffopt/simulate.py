@@ -1,8 +1,10 @@
 """Monte-Carlo billing oracle.
 
-Generates random months of traffic (exponential inter-arrival gaps, so call
-counts are Poisson; exponential durations) and pushes every generated call
-through each switch candidate's price schedule. Sample means validate the
+Generates random months of traffic from the profile's own traffic cells
+(:class:`~tariffopt.traffic.TrafficCell`: exponential inter-arrival gaps, so
+call counts are Poisson; exponential durations) and pushes every generated
+call through each switch candidate's price schedule, routed to a subgroup
+by the plan's `routes` as in the pricing kernel. Sample means validate the
 analytic engine; sample percentiles describe the month-to-month cost spread.
 
 Months are drawn in fixed chunks of :data:`CHUNK_RUNS`. Every (chunk, cell)
@@ -22,9 +24,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .catalog import ALL_CALL_CLASSES, BillingPlan, Catalog, PayoffFunction
+from .catalog import CALL_CLASS_INDEX, BillingPlan, Catalog
 from .cost import BILLING_MODES, LOOKUP, check_billing_mode
-from .traffic import CallTable, Exponential, TrafficProfile
+from .traffic import CallTable, Exponential, TrafficCell, TrafficProfile
 
 
 class SimulationError(ValueError):
@@ -32,30 +34,14 @@ class SimulationError(ValueError):
 
 
 @dataclass(frozen=True)
-class SimCell:
-    """Traffic generator for one call class: arrival and duration rates."""
-
-    destination_class: str
-    day_class: str
-    calls_per_month: float
-    duration_rate: float  # mu, 1/minutes
-
-    def __post_init__(self):
-        if not (math.isfinite(self.calls_per_month) and self.calls_per_month >= 0):
-            raise SimulationError(
-                f"call rate must be non-negative and finite, got {self.calls_per_month}"
-            )
-        if not (math.isfinite(self.duration_rate) and self.duration_rate > 0):
-            raise SimulationError(
-                f"duration rate must be positive and finite, got {self.duration_rate}"
-            )
-
-
-@dataclass(frozen=True)
 class SimConfig:
+    """A seeded oracle run. `cells` are the profile's traffic cells; each
+    one with traffic needs an :class:`Exponential` duration model, and cell
+    `i`'s calls come from stream `i` of each chunk."""
+
     seed: int
     runs: int
-    cells: tuple[SimCell, ...]
+    cells: tuple[TrafficCell, ...]
     billing_mode: str = LOOKUP
 
     def __post_init__(self):
@@ -66,6 +52,12 @@ class SimConfig:
             raise SimulationError(f"runs must be >= 1, got {self.runs}")
         if self.billing_mode not in BILLING_MODES:
             raise SimulationError(f"unknown billing mode {self.billing_mode!r}")
+        for cell in self.cells:
+            if cell.rate and not isinstance(cell.durations, Exponential):
+                raise SimulationError(
+                    f"cell ({cell.destination_class}, {cell.day_class}) has no "
+                    f"exponential duration model to simulate from"
+                )
 
     @classmethod
     def from_profile(
@@ -75,25 +67,9 @@ class SimConfig:
         runs: int,
         billing_mode: str = LOOKUP,
     ) -> "SimConfig":
-        """Simulation config matching an exponential-duration traffic profile."""
-        cells = []
-        for cell in profile.cells:
-            if cell.rate == 0:
-                continue
-            if not isinstance(cell.durations, Exponential):
-                raise SimulationError(
-                    f"cell ({cell.destination_class}, {cell.day_class}) has no "
-                    f"exponential duration model to simulate from"
-                )
-            cells.append(
-                SimCell(
-                    destination_class=cell.destination_class,
-                    day_class=cell.day_class,
-                    calls_per_month=cell.rate,
-                    duration_rate=cell.durations.mu,
-                )
-            )
-        return cls(seed=seed, runs=runs, cells=tuple(cells), billing_mode=billing_mode)
+        """Simulation config over the profile's cells that have traffic."""
+        cells = tuple(cell for cell in profile.cells if cell.rate)
+        return cls(seed=seed, runs=runs, cells=cells, billing_mode=billing_mode)
 
 
 @dataclass(frozen=True)
@@ -150,7 +126,7 @@ def substream(seed: int, chunk_index: int, cell_index: int) -> np.random.Generat
 
 
 def generate_months(
-    cell: SimCell, runs: int, rng: np.random.Generator
+    cell: TrafficCell, runs: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Call counts and durations (real minutes) of `runs` simulated months.
 
@@ -160,7 +136,7 @@ def generate_months(
     extended from the same stream, in row order. The durations of all
     months follow in one draw, concatenated in run order.
     """
-    lam = cell.calls_per_month
+    lam = cell.rate
     if lam == 0:
         return np.zeros(runs, dtype=np.int64), np.empty(0)
     block = max(8, int(lam + 9.0 * math.sqrt(lam) + 8))
@@ -173,29 +149,24 @@ def generate_months(
             more = last + np.cumsum(rng.exponential(1.0 / lam, block))
             counts[r] += np.count_nonzero(more < 1.0)
             last = more[-1]
-    return counts, rng.exponential(1.0 / cell.duration_rate, int(counts.sum()))
-
-
-def _bill_minutes(payoff: PayoffFunction, minutes: np.ndarray, mode: str) -> np.ndarray:
-    if mode == LOOKUP:
-        return payoff.rates(minutes)
-    return payoff.cumulative(minutes)
+    return counts, rng.exponential(1.0 / cell.durations.mu, int(counts.sum()))
 
 
 def _bill_classes(
     plans: Sequence[BillingPlan],
-    classes: Sequence[tuple[str, str, np.ndarray]],
+    classes: Sequence[tuple[int, np.ndarray]],
     mode: str,
 ) -> Iterator[tuple[int, int, np.ndarray]]:
     """Price each call class's billed minutes under each plan's subgroup.
 
-    `classes` holds (destination, day, billed minutes) triples; yields
-    (plan index, class index, per-call costs), plan by plan, classes in order.
+    `classes` holds (index into ALL_CALL_CLASSES, billed minutes) pairs;
+    yields (plan index, position in `classes`, per-call costs), plan by plan,
+    classes in order.
     """
     for pi, plan in enumerate(plans):
-        for ci, (destination, day, minutes) in enumerate(classes):
-            payoff = plan.subgroups[plan.subgroup_index(destination, day)][1]
-            yield pi, ci, _bill_minutes(payoff, minutes, mode)
+        for ci, (k, minutes) in enumerate(classes):
+            payoff = plan.subgroups[plan.routes[k]][1]
+            yield pi, ci, payoff.rates(minutes) if mode == LOOKUP else payoff.cumulative(minutes)
 
 
 def run(config: SimConfig, catalog: Catalog) -> SimResult:
@@ -207,13 +178,14 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
     runs = config.runs
     plans = catalog.switch_candidates()
     totals = np.zeros((len(plans), runs))
+    class_of = [CALL_CLASS_INDEX[cell.destination_class, cell.day_class] for cell in config.cells]
     for chunk, lo in enumerate(range(0, runs, CHUNK_RUNS)):
         n = min(CHUNK_RUNS, runs - lo)
         classes, run_ids = [], []
         for ci, cell in enumerate(config.cells):
             counts, durations = generate_months(cell, n, substream(config.seed, chunk, ci))
             minutes = np.maximum(1, np.ceil(durations)).astype(np.int64)
-            classes.append((cell.destination_class, cell.day_class, minutes))
+            classes.append((class_of[ci], minutes))
             run_ids.append(np.repeat(np.arange(n), counts))
         for pi, ci, costs in _bill_classes(plans, classes, config.billing_mode):
             totals[pi, lo : lo + n] += np.bincount(run_ids[ci], weights=costs, minlength=n)
@@ -257,10 +229,7 @@ def replay_trace(
     if not (math.isfinite(months) and months > 0):
         raise SimulationError(f"months must be positive and finite, got {months}")
     call_class = calls.call_class
-    classes = [
-        (*ALL_CALL_CLASSES[k], calls.minute[call_class == k])
-        for k in dict.fromkeys(call_class.tolist())
-    ]
+    classes = [(k, calls.minute[call_class == k]) for k in dict.fromkeys(call_class.tolist())]
     plans = catalog.switch_candidates()
     totals = [0.0] * len(plans)
     for pi, _, costs in _bill_classes(plans, classes, mode):

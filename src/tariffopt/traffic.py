@@ -28,6 +28,7 @@ import numpy as np
 
 from .catalog import (
     ALL_CALL_CLASSES,
+    CALL_CLASS_INDEX,
     DAY_CLASSES,
     DESTINATION_CLASSES,
     BillingPlan,
@@ -104,8 +105,8 @@ class CallLog(Sequence):
     """The accepted rows of a printout as columns of ints, in line order.
 
     The text columns hold indices into `strings`, the distinct texts of the
-    printout. Indexing and iteration build :class:`CallRecord` views, and a
-    log compares equal to any sequence of the same records.
+    printout. Indexing and iteration build :class:`CallRecord` views; a log
+    compares by identity.
     """
 
     date: np.ndarray  # proleptic Gregorian ordinal
@@ -140,11 +141,6 @@ class CallLog(Sequence):
             duration_seconds=int(self.duration[i]),
             cost=Decimal(text[self.cost[i]].replace(",", ".")),
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True, eq=False)
@@ -744,8 +740,8 @@ class TrafficProfile:
         """Calls/month landing in each of the plan's subgroups, in rule order."""
         rates = [0.0] * len(plan.subgroups)
         for cell in self.cells:
-            j = plan.subgroup_index(cell.destination_class, cell.day_class)
-            rates[j] += cell.rate
+            k = CALL_CLASS_INDEX[cell.destination_class, cell.day_class]
+            rates[plan.routes[k]] += cell.rate
         return tuple(rates)
 
     def scaled(self, k: float) -> "TrafficProfile":

@@ -69,6 +69,14 @@ def classified(calls) -> CallTable:
     return classify_calls(parse_cdr(cdr_text(rows)), prefixes, WorkdayCalendar())
 
 
+def first_match(plan, destination_class: str, day_class: str) -> int:
+    """Index of the plan's first subgroup rule matching the call class, found
+    by scanning the rules rather than through `plan.routes`."""
+    return next(
+        j for j, (rule, _) in enumerate(plan.subgroups) if rule.matches(destination_class, day_class)
+    )
+
+
 def make_reference_profile(mu: float = REFERENCE_MU, months: float = 6.0) -> TrafficProfile:
     model = Exponential(mu=mu)
     cells = tuple(

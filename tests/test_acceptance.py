@@ -24,7 +24,6 @@ from tariffopt import (
     FixedCostSpec,
     PayoffFunction,
     RateSegment,
-    SimCell,
     SimConfig,
     SubgroupRule,
     SubscriberContext,
@@ -273,8 +272,7 @@ def test_criterion_6_property_suites(mts_catalog):
     for _ in range(250):
         plan = _random_plan(rng, 1)
         profile = _random_profile(rng)
-        for dest, day in ALL_CALL_CLASSES:
-            j = plan.subgroup_index(dest, day)
+        for (dest, day), j in zip(ALL_CALL_CLASSES, plan.routes):
             matching = [i for i, (r, _) in enumerate(plan.subgroups) if r.matches(dest, day)]
             if matching[0] != j:
                 failures.append("first-match classification broken")
@@ -314,7 +312,9 @@ def test_criterion_6_property_suites(mts_catalog):
             seed=int(rng.integers(0, 2**32)),
             runs=int(rng.integers(1, 4)),
             cells=(
-                SimCell("landline", "workday", float(rng.uniform(0.5, 10)), float(rng.uniform(0.2, 2))),
+                TrafficCell(
+                    "landline", "workday", float(rng.uniform(0.5, 10)), Exponential(float(rng.uniform(0.2, 2)))
+                ),
             ),
         )
         if run(config, mts_catalog).to_json() != run(config, mts_catalog).to_json():

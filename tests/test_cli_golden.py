@@ -1,5 +1,6 @@
 """The exact stdout of every report command in every format, on the bundled
-data (lookup billing, six months, `simulate --runs 200 --seed 7`).
+data (lookup billing, six months, `simulate --runs 200 --seed 7`), and of
+`rank` and `simulate` under cumulative billing (files `<command>-cumulative.*`).
 
 A mismatch prints a unified diff against the pinned file in `tests/golden/`.
 After a deliberate output change, regenerate the files from the repository
@@ -26,19 +27,26 @@ BASE = [
     "--months", "6",
 ]
 
+SIMULATE = ["--runs", "200", "--seed", "7"]
+CUMULATIVE = ["--billing-mode", "cumulative"]
+
+# golden file stem -> command line after the shared inputs
 COMMANDS = {
-    "analyze": [],
-    "rank": [],
-    "sweep": [],
-    "fit": [],
-    "simulate": ["--runs", "200", "--seed", "7"],
+    "analyze": ["analyze"],
+    "rank": ["rank"],
+    "sweep": ["sweep"],
+    "fit": ["fit"],
+    "simulate": ["simulate", *SIMULATE],
+    "rank-cumulative": ["rank", *CUMULATIVE],
+    "simulate-cumulative": ["simulate", *SIMULATE, *CUMULATIVE],
 }
 
-CASES = [(command, fmt) for command in COMMANDS for fmt in FORMATS]
+CASES = [(name, fmt) for name in COMMANDS for fmt in FORMATS]
 
 
-def _argv(command: str, fmt: str) -> list[str]:
-    return [command, *BASE, *COMMANDS[command], "--format", fmt]
+def _argv(name: str, fmt: str) -> list[str]:
+    command, *extra = COMMANDS[name]
+    return [command, *BASE, *extra, "--format", fmt]
 
 
 @pytest.mark.parametrize("command,fmt", CASES)

@@ -16,7 +16,6 @@ from tariffopt import (
     BILLING_MODES,
     BillingPlan,
     Catalog,
-    CatalogError,
     CdrError,
     CostBreakdown,
     Empirical,
@@ -25,7 +24,6 @@ from tariffopt import (
     PayoffFunction,
     PrefixTable,
     RateSegment,
-    SimCell,
     SimConfig,
     SubgroupCost,
     SubgroupRule,
@@ -43,9 +41,9 @@ from tariffopt import (
     switch_points,
 )
 from tariffopt import traffic
-from tariffopt.catalog import ALL_CALL_CLASSES, DAY_CLASSES, DESTINATION_CLASSES
+from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
-from conftest import classified
+from conftest import classified, first_match
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -131,13 +129,12 @@ def test_classification_is_a_partition(plan, rnd):
     rules = list(plan.subgroups)
     rnd.shuffle(rules)
     for routed in (plan, replace(plan, subgroups=tuple(rules))):
-        for dest, day in ALL_CALL_CLASSES:
-            j = routed.subgroup_index(dest, day)
+        assert len(routed.routes) == len(ALL_CALL_CLASSES)
+        for (dest, day), j in zip(ALL_CALL_CLASSES, routed.routes):
             assert 0 <= j < len(routed.subgroups)
             matching = [i for i, (rule, _) in enumerate(routed.subgroups) if rule.matches(dest, day)]
             assert matching and matching[0] == j
-        with pytest.raises(CatalogError, match="no subgroup for"):
-            routed.subgroup_index("any", "any")
+    assert ("any", "any") not in CALL_CLASS_INDEX
 
 
 @settings(max_examples=150, deadline=None)
@@ -320,7 +317,7 @@ def test_simulation_reruns_bit_identical(seed, lam, mu, runs):
     }
     catalog = load_catalog(json.dumps(doc))
     config = SimConfig(
-        seed=seed, runs=runs, cells=(SimCell("landline", "workday", lam, mu),)
+        seed=seed, runs=runs, cells=(TrafficCell("landline", "workday", lam, Exponential(mu)),)
     )
     assert run(config, catalog).to_json() == run(config, catalog).to_json()
 
@@ -504,7 +501,7 @@ def priced_plan_by_plan(catalog, context, profile, mode):
         for cell in profile.cells:
             if cell.rate == 0:
                 continue
-            j = plan.subgroup_index(cell.destination_class, cell.day_class)
+            j = first_match(plan, cell.destination_class, cell.day_class)
             rates[j] += cell.rate
             costs[j] += cell.rate * one_call_by_segment(plan.subgroups[j][1], cell.durations, mode)
         breakdowns.append(

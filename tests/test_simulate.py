@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from tariffopt import (
+    Empirical,
     Exponential,
-    SimCell,
     SimConfig,
     SimulationError,
+    TrafficCell,
+    TrafficProfile,
     full_costs,
     generate_months,
     replay_trace,
@@ -21,20 +23,20 @@ from tariffopt import (
 )
 from tariffopt import simulate
 
-from conftest import classified
+from conftest import classified, first_match
 
 
 def one_cell_config(lam, mu, runs, seed=7, mode="lookup"):
     return SimConfig(
         seed=seed,
         runs=runs,
-        cells=(SimCell("same-network", "workday", lam, mu),),
+        cells=(TrafficCell("same-network", "workday", lam, Exponential(mu)),),
         billing_mode=mode,
     )
 
 
 def one_cell(lam, mu=0.41):
-    return SimCell("same-network", "workday", lam, mu)
+    return TrafficCell("same-network", "workday", lam, Exponential(mu))
 
 
 def test_zero_rate_generates_nothing():
@@ -172,7 +174,7 @@ def test_run_flat_plan_matches_analytic():
 
 
 def test_run_zero_traffic_costs_nothing(mts_catalog):
-    config = SimConfig(seed=5, runs=50, cells=(SimCell("landline", "weekend", 0.0, 1.0),))
+    config = SimConfig(seed=5, runs=50, cells=(TrafficCell("landline", "weekend", 0.0, Exponential(1.0)),))
     result = run(config, mts_catalog)
     for p in result.plans:
         assert p.mean == 0.0 and p.stddev == 0.0
@@ -207,15 +209,27 @@ def test_oracle_equivalence_small(mts_catalog, reference_profile):
         assert abs(p.mean - analytic[p.plan_id]) <= 5 * p.stderr + 1e-9
 
 
-def test_from_profile_requires_exponential_durations(mts_catalog):
-    from tariffopt import Empirical, TrafficCell, TrafficProfile
-
-    profile = TrafficProfile(
-        cells=(TrafficCell("landline", "workday", 2.0, Empirical((1.0,))),),
-        observation_months=1.0,
+def test_from_profile_keeps_the_profile_cells_with_traffic():
+    cells = (
+        TrafficCell("same-network", "workday", 19.0, Exponential(0.41)),
+        TrafficCell("same-network", "weekend", 0.0, None),
+        TrafficCell("landline", "workday", 8.0, Exponential(0.5)),
+        TrafficCell("landline", "weekend", 0.0, Empirical((1.0,))),
     )
+    profile = TrafficProfile(cells=cells, observation_months=6.0)
+    config = SimConfig.from_profile(profile, seed=3, runs=10, billing_mode="cumulative")
+    assert config.cells == tuple(c for c in profile.cells if c.rate)
+    assert config.cells == (cells[0], cells[2])
+    assert (config.seed, config.runs, config.billing_mode) == (3, 10, "cumulative")
+
+
+def test_from_profile_requires_exponential_durations(mts_catalog):
+    cell = TrafficCell("landline", "workday", 2.0, Empirical((1.0,)))
+    profile = TrafficProfile(cells=(cell,), observation_months=1.0)
     with pytest.raises(SimulationError, match="exponential"):
         SimConfig.from_profile(profile, seed=1, runs=1)
+    with pytest.raises(SimulationError, match=r"cell \(landline, workday\) has no exponential"):
+        SimConfig(seed=1, runs=1, cells=(cell,))
 
 
 def test_config_validation():
@@ -223,12 +237,6 @@ def test_config_validation():
         SimConfig(seed=-1, runs=1, cells=())
     with pytest.raises(SimulationError):
         SimConfig(seed=1, runs=0, cells=())
-    for mu in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(SimulationError, match="duration rate must be positive and finite"):
-            SimCell("landline", "workday", 1.0, mu)
-    for lam in (-1.0, math.nan, math.inf):
-        with pytest.raises(SimulationError, match="call rate must be non-negative and finite"):
-            SimCell("landline", "workday", lam, 0.41)
 
 
 def test_replay_trace_matches_direct_billing(mts_catalog):
@@ -265,7 +273,7 @@ def test_run_mean_matches_call_by_call_billing(mts_catalog, reference_profile, m
         for ci, cell in enumerate(config.cells):
             _, durations = generate_months(cell, n, substream(31, chunk, ci))
             for plan in mts_catalog.plans:
-                payoff = plan.subgroups[plan.subgroup_index(cell.destination_class, cell.day_class)][1]
+                payoff = plan.subgroups[first_match(plan, cell.destination_class, cell.day_class)][1]
                 totals[plan.id] += sum(bill_call(payoff, d, mode) for d in durations)
     for p in run(config, mts_catalog).plans:
         assert abs(p.mean - totals[p.plan_id] / 40) <= 1e-9

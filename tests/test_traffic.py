@@ -80,7 +80,9 @@ def test_parse_minutes_and_seconds():
 
 
 def test_parse_header_only():
-    assert parse_cdr(HEADER) == []
+    log = parse_cdr(HEADER)
+    assert list(log) == []
+    assert log != "" and log != ()  # a log compares by identity
 
 
 def test_parse_sms_duration_is_zero():
@@ -118,7 +120,7 @@ def test_parse_unknown_service_skipped_with_warning():
         HEADER + "20.08.2010;12:01:27;+79851112233;Moscow;GPRS;0:57;2.542\n",
         issues=issues,
     )
-    assert rows == []
+    assert list(rows) == []
     assert "GPRS" in issues[0]
 
 
@@ -130,7 +132,7 @@ def test_parse_rejects_wrong_header():
 def test_parse_tel_integer_duration_is_malformed():
     issues = []
     rows = parse_cdr(HEADER + "20.08.2010;12:01:27;+7985;Moscow;Tel;57;2.542\n", issues=issues)
-    assert rows == []
+    assert list(rows) == []
     assert issues
 
 
@@ -140,7 +142,7 @@ def test_parse_calls_longer_than_31_days_are_malformed():
     assert rows[0].duration_seconds == 44640 * 60
     for duration in ("44640:01", "44641:00", "100000000000000000000:00"):
         issues = []
-        assert parse_cdr(HEADER + row.format(duration), issues=issues) == []
+        assert list(parse_cdr(HEADER + row.format(duration), issues=issues)) == []
         assert issues == [f"line 2: duration {duration!r} is longer than 31 days, row skipped"]
         with pytest.raises(CdrError, match="^line 2: duration .* is longer than 31 days$"):
             parse_cdr(HEADER + row.format(duration), strict=True)
@@ -465,6 +467,13 @@ def test_profile_scaling():
 def test_traffic_cell_rejects_bad_call_rates(rate):
     with pytest.raises(ProfileError, match="call rate must be non-negative and finite"):
         TrafficCell("landline", "workday", rate, Exponential(0.5))
+
+
+def test_traffic_cell_rejects_unknown_classes():
+    with pytest.raises(ProfileError, match="unknown destination class 'nowhere'"):
+        TrafficCell("nowhere", "workday", 5.0, Exponential(0.4))
+    with pytest.raises(ProfileError, match="unknown day class 'holiday'"):
+        TrafficCell("landline", "holiday", 5.0, Exponential(0.4))
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
