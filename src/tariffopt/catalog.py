@@ -126,6 +126,20 @@ class PayoffFunction:
         )
         return np.concatenate([[0.0], np.cumsum(lengths * self._rates[:-1])])
 
+    def on_intervals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(from_minute, rate, charge before)`` of the segment that holds
+        each interval of `points`, sorted minutes that include every
+        segment's ``from_minute - 1``.
+
+        Interval ``i = points.searchsorted(m)`` holds the minutes m with
+        ``points[i-1] < m <= points[i]``, all in one segment; interval 0
+        holds no minute >= 1. A call of billed minute m is charged
+        ``rate[i]`` per lookup, ``before[i] + (m - start[i] + 1) * rate[i]``
+        cumulatively, the same floats as :meth:`rates` and :meth:`cumulative`.
+        """
+        seg = self._starts.searchsorted(np.concatenate(([0], points)) + 1, side="right") - 1
+        return self._starts[seg], self._rates[seg], self._cum_before[seg]
+
     def rate_at(self, minute: int) -> float:
         """Rate charged for a call whose billed duration is `minute`."""
         if minute < 1:
@@ -317,6 +331,18 @@ class Catalog:
         """Every plan's payoffs over the catalog's shared breakpoints, keyed
         by plan id, from a table built once per catalog."""
         return self._pricing
+
+    @cached_property
+    def billing(self) -> tuple[np.ndarray, dict[int, tuple]]:
+        """The pricing table's points as an array, and for each plan id its
+        subgroups' :meth:`PayoffFunction.on_intervals` over them, in subgroup
+        order: a call's billed minutes are searched against the points once,
+        and every plan reads its charge from the interval found. Built on
+        first use, once per catalog."""
+        points = np.array(self.pricing.points, dtype=np.int64)
+        return points, {
+            plan.id: tuple(payoff.on_intervals(points) for _, payoff in plan.subgroups) for plan in self.plans
+        }
 
     def check_context(self, context: SubscriberContext) -> None:
         """Raise unless `context`'s current plan is in the catalog."""

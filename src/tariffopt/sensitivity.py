@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -77,12 +78,29 @@ class RegressionFit:
         return sum(c * x**p for c, p in zip(self.coefficients, powers))
 
 
+#: most points :func:`k_grid` builds; a mistyped step fails before any list
+#: is allocated
+MAX_GRID_POINTS = 10**6
+
+
 def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> list[float]:
-    """Inclusive multiplier grid, built without floating-point drift."""
+    """Inclusive multiplier grid, built without floating-point drift.
+
+    Each point is rounded to 12 decimals, so a step below that resolution
+    would repeat points; such a grid, and one of more than
+    :data:`MAX_GRID_POINTS` points, is a :class:`ProfileError`.
+    """
     if not (0 < start <= stop < math.inf and 0 < step < math.inf):
         raise ProfileError(f"bad grid spec start={start} stop={stop} step={step}")
-    count = int((stop - start) / step + 1e-9) + 1
-    return [round(start + i * step, 12) for i in range(count)]
+    steps = (stop - start) / step + 1e-9  # inf when step is tiny
+    if steps >= MAX_GRID_POINTS:
+        raise ProfileError(
+            f"grid from {start} to {stop} by {step} has more than {MAX_GRID_POINTS} points"
+        )
+    grid = [round(start + i * step, 12) for i in range(int(steps) + 1)]
+    if len(set(grid)) < len(grid):
+        raise ProfileError(f"grid step {step} is too fine: points rounded to 12 decimals coincide")
+    return grid
 
 
 def sweep(
@@ -182,19 +200,43 @@ def polyfit(
         )
     if np.all(x == x[0]):
         raise ValueError("x values are all identical")
-    powers = range(0 if intercept else 1, degree + 1)
-    design = np.column_stack([x**p for p in powers])
+    return _fit(_powers(x, degree), _Series(y), degree, intercept)
+
+
+def _powers(x: np.ndarray, degree: int) -> np.ndarray:
+    """The columns ``x**0 ... x**degree``, one row per point."""
+    return np.column_stack([x**p for p in range(degree + 1)])
+
+
+class _Series:
+    """A response vector with the sums of squares its fits need, each
+    computed once."""
+
+    def __init__(self, y: np.ndarray):
+        self.y = y
+        self.ss = float(y @ y)
+
+    @cached_property
+    def ss_centered(self) -> float:
+        centered = self.y - self.y.mean()
+        return float(centered @ centered)
+
+
+def _fit(powers: np.ndarray, series: _Series, degree: int, intercept: bool) -> RegressionFit:
+    """Least-squares fit of `series` on the columns of `powers` (see
+    :func:`_powers`) up to `degree`, from column 0 with an intercept and
+    from column 1 without."""
+    # C-contiguous, as np.column_stack builds it: `design @ coef` must sum
+    # in the same order whichever caller built the columns
+    design = np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1])
+    y = series.y
     coef, _, rank_, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank_ < n_coef:
+    if rank_ < design.shape[1]:
         raise ValueError("rank-deficient design matrix")
     residuals = y - design @ coef
     ss_res = float(residuals @ residuals)
-    if intercept:
-        centered = y - y.mean()
-        ss_tot = float(centered @ centered)
-    else:
-        ss_tot = float(y @ y)
-    if ss_tot <= 1e-12 * max(1.0, float(y @ y)):
+    ss_tot = series.ss_centered if intercept else series.ss
+    if ss_tot <= 1e-12 * max(1.0, series.ss):
         r_squared = 0.0  # constant response: no variance to explain
     else:
         r_squared = 1.0 - ss_res / ss_tot
@@ -225,10 +267,15 @@ def fit_report(points: Sequence[SweepPoint]) -> dict[str, RegressionFit]:
     """
     if len(points) < 5:
         raise ProfileError(f"need at least 5 sweep points, got {len(points)}")
-    stay = [(p.k, p.stay_cost) for p in points]
-    optimal = [(p.k, p.optimal_full_cost) for p in points]
-    fits = {}
-    for name, series, degree, intercept in FIT_FORMS:
-        data = stay if series == "stay" else optimal
-        fits[name] = polyfit(data, degree, intercept)
-    return fits
+    k = np.array([p.k for p in points], dtype=float)
+    if np.all(k == k[0]):
+        raise ValueError("x values are all identical")
+    powers = _powers(k, max(degree for _, _, degree, _ in FIT_FORMS))
+    series = {
+        "stay": _Series(np.array([p.stay_cost for p in points], dtype=float)),
+        "optimal": _Series(np.array([p.optimal_full_cost for p in points], dtype=float)),
+    }
+    return {
+        name: _fit(powers, series[which], degree, intercept)
+        for name, which, degree, intercept in FIT_FORMS
+    }

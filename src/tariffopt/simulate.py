@@ -7,12 +7,14 @@ call through each switch candidate's price schedule, routed to a subgroup
 by the plan's `routes` as in the pricing kernel. Sample means validate the
 analytic engine; sample percentiles describe the month-to-month cost spread.
 
-Months are drawn in fixed chunks of :data:`CHUNK_RUNS`. Every (chunk, cell)
-pair has its own stream keyed by (seed, chunk, cell), so seeded output is
-byte-identical across reruns and independent of scheduling, and memory is
-bounded by one chunk's calls rather than growing with the run count. These
-keys replaced per-(run, cell) streams, which changed every seeded number
-once.
+Months are drawn in fixed chunks. A chunk holds at most :data:`CHUNK_GAPS`
+inter-arrival gaps, so its run count (:func:`chunk_runs`, at most
+:data:`CHUNK_RUNS`) falls as the cells' call rates rise; it is a pure
+function of the config. Every (chunk, cell) pair has its own stream keyed by
+(seed, chunk, cell), so seeded output is byte-identical across reruns and
+independent of scheduling, and memory is bounded by one chunk's calls
+rather than growing with the run count or the call rate. These keys
+replaced per-(run, cell) streams, which changed every seeded number once.
 """
 
 from __future__ import annotations
@@ -116,8 +118,24 @@ class SimResult:
         return json.dumps(self.document(), indent=2)
 
 
-#: simulated months per chunk; each (chunk, cell) pair has its own stream
+#: most simulated months per chunk; each (chunk, cell) pair has its own stream
 CHUNK_RUNS = 4096
+#: most inter-arrival gaps one chunk draws: CHUNK_RUNS months of the bundled
+#: profile's cells, whose gap blocks come to 209 per month
+CHUNK_GAPS = CHUNK_RUNS * 209
+
+
+def _gap_block(rate: float) -> int:
+    """Inter-arrival gaps drawn per month at once for a cell of this monthly
+    call rate: enough to fill nearly every month in one draw."""
+    return max(8, int(rate + 9.0 * math.sqrt(rate) + 8))
+
+
+def chunk_runs(config: SimConfig) -> int:
+    """Months per chunk: as many as fit :data:`CHUNK_GAPS` gap draws over all
+    of the config's cells with traffic, at least 1 and at most :data:`CHUNK_RUNS`."""
+    gaps = sum(_gap_block(cell.rate) for cell in config.cells if cell.rate)
+    return max(1, min(CHUNK_RUNS, CHUNK_GAPS // max(1, gaps)))
 
 
 def substream(seed: int, chunk_index: int, cell_index: int) -> np.random.Generator:
@@ -139,7 +157,7 @@ def generate_months(
     lam = cell.rate
     if lam == 0:
         return np.zeros(runs, dtype=np.int64), np.empty(0)
-    block = max(8, int(lam + 9.0 * math.sqrt(lam) + 8))
+    block = _gap_block(lam)
     arrivals = rng.exponential(1.0 / lam, (runs, block))
     np.cumsum(arrivals, axis=1, out=arrivals)
     counts = np.count_nonzero(arrivals < 1.0, axis=1)
@@ -153,6 +171,7 @@ def generate_months(
 
 
 def _bill_classes(
+    catalog: Catalog,
     plans: Sequence[BillingPlan],
     classes: Sequence[tuple[int, np.ndarray]],
     mode: str,
@@ -160,35 +179,42 @@ def _bill_classes(
     """Price each call class's billed minutes under each plan's subgroup.
 
     `classes` holds (index into ALL_CALL_CLASSES, billed minutes) pairs;
-    yields (plan index, position in `classes`, per-call costs), plan by plan,
-    classes in order.
+    yields (plan index, position in `classes`, per-call costs), class by
+    class, plans in order. Each class's minutes are searched once against
+    the catalog's shared breakpoints (:attr:`Catalog.billing`).
     """
-    for pi, plan in enumerate(plans):
-        for ci, (k, minutes) in enumerate(classes):
-            payoff = plan.subgroups[plan.routes[k]][1]
-            yield pi, ci, payoff.rates(minutes) if mode == LOOKUP else payoff.cumulative(minutes)
+    points, tables = catalog.billing
+    for ci, (k, minutes) in enumerate(classes):
+        interval = points.searchsorted(minutes)
+        for pi, plan in enumerate(plans):
+            start, rate, before = tables[plan.id][plan.routes[k]]
+            if mode == LOOKUP:
+                yield pi, ci, rate[interval]
+            else:
+                yield pi, ci, before[interval] + (minutes - start[interval] + 1) * rate[interval]
 
 
 def run(config: SimConfig, catalog: Catalog) -> SimResult:
     """Simulate monthly traffic and bill it against every switch candidate.
 
-    Runs are generated in chunks of :data:`CHUNK_RUNS`; each chunk's calls
-    are billed and dropped before the next chunk is drawn.
+    Runs are generated in chunks of :func:`chunk_runs` months; each chunk's
+    calls are billed and dropped before the next chunk is drawn.
     """
-    runs = config.runs
+    runs, size = config.runs, chunk_runs(config)
     plans = catalog.switch_candidates()
     totals = np.zeros((len(plans), runs))
     class_of = [CALL_CLASS_INDEX[cell.destination_class, cell.day_class] for cell in config.cells]
-    for chunk, lo in enumerate(range(0, runs, CHUNK_RUNS)):
-        n = min(CHUNK_RUNS, runs - lo)
+    for chunk, lo in enumerate(range(0, runs, size)):
+        n = min(size, runs - lo)
         classes, run_ids = [], []
         for ci, cell in enumerate(config.cells):
             counts, durations = generate_months(cell, n, substream(config.seed, chunk, ci))
             minutes = np.maximum(1, np.ceil(durations)).astype(np.int64)
             classes.append((class_of[ci], minutes))
             run_ids.append(np.repeat(np.arange(n), counts))
-        for pi, ci, costs in _bill_classes(plans, classes, config.billing_mode):
+        for pi, ci, costs in _bill_classes(catalog, plans, classes, config.billing_mode):
             totals[pi, lo : lo + n] += np.bincount(run_ids[ci], weights=costs, minlength=n)
+            del costs  # free before the next plan's costs of this class are drawn
 
     samples = []
     for plan, plan_totals in zip(plans, totals):
@@ -232,6 +258,6 @@ def replay_trace(
     classes = [(k, calls.minute[call_class == k]) for k in dict.fromkeys(call_class.tolist())]
     plans = catalog.switch_candidates()
     totals = [0.0] * len(plans)
-    for pi, _, costs in _bill_classes(plans, classes, mode):
+    for pi, _, costs in _bill_classes(catalog, plans, classes, mode):
         totals[pi] += float(costs.sum())
     return {plan.id: total / months for plan, total in zip(plans, totals)}

@@ -223,6 +223,18 @@ def test_bad_grid_is_validation_error(capsys):
         assert "bad grid spec" in err
 
 
+def test_collapsed_or_oversized_grid_is_validation_error(capsys):
+    # steps below the grid's 12-decimal rounding repeat k = 1.0; 10**6 + 1
+    # points is one over MAX_GRID_POINTS
+    for command in ("sweep", "fit"):
+        code, out, err = invoke(capsys, command, *BASE, "--k-from", "1", "--k-to", "1.0000000000001", "--k-step", "1e-14")
+        assert (code, out) == (1, "")
+        assert "points rounded to 12 decimals coincide" in err
+        code, out, err = invoke(capsys, command, *BASE, "--k-from", "1", "--k-to", "1000001", "--k-step", "1")
+        assert (code, out) == (1, "")
+        assert "more than 1000000 points" in err
+
+
 def test_non_finite_months_is_validation_error(capsys):
     for months in ("nan", "inf"):
         code, out, err = invoke(capsys, "rank", *BASE[:6], "--months", months)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -24,6 +25,7 @@ from tariffopt import (
     PayoffFunction,
     PrefixTable,
     RateSegment,
+    RegressionFit,
     SimConfig,
     SubgroupCost,
     SubgroupRule,
@@ -32,6 +34,7 @@ from tariffopt import (
     TrafficCell,
     TrafficProfile,
     expected_call_cost,
+    fit_report,
     full_costs,
     k_grid,
     parse_cdr,
@@ -40,7 +43,8 @@ from tariffopt import (
     sweep,
     switch_points,
 )
-from tariffopt import traffic
+from tariffopt import simulate, traffic
+from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
 from conftest import classified, first_match
@@ -553,6 +557,94 @@ def test_sweep_points_lie_on_the_full_cost_lines(catalog_and_context, profile, m
         assert all(point.lines[b.plan_id] == (b.fixed, b.variable) for b in breakdowns)
         assert point.plan_costs == {b.plan_id: b.variable * k + b.fixed for b in breakdowns}
         assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
+
+
+def reference_polyfit(points, degree, intercept):
+    """The fit as `polyfit` computed it before `fit_report` shared one set of
+    power columns: lists, then np.column_stack, then lstsq."""
+    x = np.array([p[0] for p in points], dtype=float)
+    y = np.array([p[1] for p in points], dtype=float)
+    n_coef = degree + (1 if intercept else 0)
+    if x.size <= n_coef:
+        raise ValueError(f"need more than {n_coef} points for a degree-{degree} fit, got {x.size}")
+    if np.all(x == x[0]):
+        raise ValueError("x values are all identical")
+    powers = range(0 if intercept else 1, degree + 1)
+    design = np.column_stack([x**p for p in powers])
+    coef, _, rank_, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank_ < n_coef:
+        raise ValueError("rank-deficient design matrix")
+    residuals = y - design @ coef
+    ss_res = float(residuals @ residuals)
+    if intercept:
+        centered = y - y.mean()
+        ss_tot = float(centered @ centered)
+    else:
+        ss_tot = float(y @ y)
+    if ss_tot <= 1e-12 * max(1.0, float(y @ y)):
+        r_squared = 0.0
+    else:
+        r_squared = 1.0 - ss_res / ss_tot
+    return RegressionFit(degree, intercept, tuple(float(c) for c in coef), r_squared)
+
+
+def reference_fit_report(points):
+    series = {
+        "stay": [(p.k, p.stay_cost) for p in points],
+        "optimal": [(p.k, p.optimal_full_cost) for p in points],
+    }
+    return {name: reference_polyfit(series[which], degree, intercept) for name, which, degree, intercept in FIT_FORMS}
+
+
+@st.composite
+def fit_grids(draw):
+    """Sorted grids of 5-60 multipliers: evenly stepped as `k_grid` builds
+    them, or drawn one by one, repeats allowed."""
+    count = draw(st.integers(5, 60))
+    if draw(st.booleans()):
+        start, step = draw(st.floats(0.01, 5.0)), draw(st.floats(0.001, 2.0))
+        return k_grid(start, start + (count - 1) * step, step)
+    return sorted(draw(st.lists(st.floats(0.01, 100.0), min_size=count, max_size=count)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_breakpoint_catalogs(), mixed_profiles(), fit_grids(), st.sampled_from(BILLING_MODES))
+def test_fit_report_matches_the_reference_fit(catalog_and_context, profile, grid, mode):
+    """Every fit of `fit_report` equals the reference fit of its series by
+    repr, bit for bit, or both raise the same error."""
+    catalog, _ = catalog_and_context
+    points = sweep(catalog, catalog.context, profile, grid, mode)
+    try:
+        expected = repr(reference_fit_report(points))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            fit_report(points)
+    else:
+        assert repr(fit_report(points)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shared_breakpoint_catalogs(),
+    st.lists(
+        st.tuples(st.integers(0, len(ALL_CALL_CLASSES) - 1), st.lists(st.integers(1, 100) | st.integers(1, 10**6))),
+        max_size=len(ALL_CALL_CLASSES),
+    ),
+    st.sampled_from(BILLING_MODES),
+)
+def test_oracle_billing_matches_each_payoff(catalog_and_context, classes, mode):
+    """Billing through the catalog's shared breakpoints charges every call
+    exactly (array_equal) what its subgroup's own payoff charges."""
+    catalog, _ = catalog_and_context
+    plans = catalog.switch_candidates()
+    classes = [(k, np.array(minutes, dtype=np.int64)) for k, minutes in classes]
+    billed = list(simulate._bill_classes(catalog, plans, classes, mode))
+    assert [(pi, ci) for pi, ci, _ in billed] == [(pi, ci) for ci in range(len(classes)) for pi in range(len(plans))]
+    for pi, ci, costs in billed:
+        k, minutes = classes[ci]
+        payoff = plans[pi].subgroups[plans[pi].routes[k]][1]
+        own = payoff.rates(minutes) if mode == "lookup" else payoff.cumulative(minutes)
+        assert costs.dtype == own.dtype and np.array_equal(costs, own)
 
 
 def longest_prefix_scan(mapping, number):

@@ -23,6 +23,7 @@ from tariffopt import (
 )
 
 from tariffopt.catalog import ALL_CALL_CLASSES
+from tariffopt.sensitivity import MAX_GRID_POINTS
 
 from conftest import make_reference_profile
 
@@ -41,6 +42,24 @@ def test_k_grid_endpoints():
     assert grid[0] == 0.5 and grid[-1] == 10.0 and len(grid) == 20
     with pytest.raises(ValueError):
         k_grid(0, 1, 0.5)
+
+
+def test_k_grid_rejects_coinciding_points():
+    # rounded to 12 decimals, every point of this grid is 1.0
+    with pytest.raises(ProfileError, match="coincide"):
+        k_grid(1.0, 1.0000000000001, 1e-14)
+    assert len(k_grid(1.0, 1.00000000001, 1e-12)) == 11
+
+
+def test_k_grid_point_limit():
+    limit = MAX_GRID_POINTS
+    with pytest.raises(ProfileError, match=f"more than {limit} points"):
+        k_grid(1.0, 1.0 + limit, 1.0)
+    # a step so small that the point count overflows to inf
+    with pytest.raises(ProfileError, match=f"more than {limit} points"):
+        k_grid(0.5, 10.0, 1e-320)
+    grid = k_grid(1.0, float(limit), 1.0)
+    assert len(grid) == limit and grid[-1] == limit
 
 
 def test_scale_traffic_identity_and_linearity(mts_catalog):

@@ -4,6 +4,10 @@ reproducibility, and agreement with the analytic engine."""
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from tariffopt import (
 )
 from tariffopt import simulate
 
-from conftest import classified, first_match
+from conftest import CATALOG_PATH, classified, first_match
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def one_cell_config(lam, mu, runs, seed=7, mode="lookup"):
@@ -277,6 +283,61 @@ def test_run_mean_matches_call_by_call_billing(mts_catalog, reference_profile, m
                 totals[plan.id] += sum(bill_call(payoff, d, mode) for d in durations)
     for p in run(config, mts_catalog).plans:
         assert abs(p.mean - totals[p.plan_id] / 40) <= 1e-9
+
+
+def test_a_gap_budget_chunks_runs_as_a_run_count_does(mts_catalog, reference_profile, monkeypatch):
+    """A budget of 16 months of the profile's 209 gaps, plus less than one
+    month more, draws the same chunks as 16 runs per chunk."""
+    config = SimConfig.from_profile(reference_profile, seed=31, runs=40)
+    whole = run(config, mts_catalog).to_json()
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 16)
+    by_runs = run(config, mts_catalog).to_json()
+    assert by_runs != whole
+    monkeypatch.undo()
+    monkeypatch.setattr(simulate, "CHUNK_GAPS", 16 * 209 + 208)
+    assert run(config, mts_catalog).to_json() == by_runs
+
+
+def test_chunk_runs_follow_the_gap_budget(reference_profile):
+    bundled = SimConfig.from_profile(reference_profile, seed=1, runs=10)
+    assert simulate.chunk_runs(bundled) == simulate.CHUNK_RUNS
+    # 5000 + 9 * sqrt(5000) + 8 -> 5644 gaps per month
+    assert simulate.chunk_runs(one_cell_config(5000.0, 0.41, runs=10)) == simulate.CHUNK_GAPS // 5644 == 151
+    assert simulate.chunk_runs(one_cell_config(1e9, 0.41, runs=10)) == 1
+    idle = SimConfig(seed=1, runs=10, cells=(one_cell(0.0),))
+    assert simulate.chunk_runs(idle) == simulate.CHUNK_RUNS
+
+
+MEMORY_PROBE = """
+import sys
+from tariffopt import Exponential, SimConfig, TrafficCell, load_catalog, run
+catalog = load_catalog(open(sys.argv[1], "rb").read())
+cell = TrafficCell("same-network", "workday", 5000.0, Exponential(0.41))
+run(SimConfig(seed=1, runs=1024, cells=(cell,)), catalog)
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def test_oracle_memory_at_a_high_call_rate():
+    """One cell at 5000 calls/month over 1024 runs: a chunk of all 1024
+    months held a 1024 x 5644 gap matrix and peaked near 270 MB.
+
+    The peak is the probe's own VmHWM: Linux carries the spawning process's
+    peak into the child's ``ru_maxrss`` across exec, so under pytest that
+    reads the pytest process's peak, not the probe's.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", MEMORY_PROBE, str(CATALOG_PATH)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    peak_kib = int(result.stdout)
+    assert peak_kib < 150 * 1024
 
 
 def test_inactive_non_current_plan_is_billed_nowhere(mts_catalog, reference_profile):
