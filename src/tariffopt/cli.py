@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -411,7 +412,11 @@ def _add_common(sub, grid: bool = False, sim: bool = False):
     sub.add_argument("--out", help="write output to a file instead of stdout")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    :func:`main` call: `parse_args` returns a fresh namespace each time, and
+    every default is immutable."""
     parser = argparse.ArgumentParser(
         prog="tariffopt",
         description="Pick the cheapest billing plan for the observed call traffic.",

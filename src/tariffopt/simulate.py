@@ -35,6 +35,11 @@ class SimulationError(ValueError):
     """Raised for invalid simulation configurations."""
 
 
+#: most simulated months one run takes; a mistyped run count fails before the
+#: (plans x runs) totals are allocated
+MAX_RUNS = 10**7
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """A seeded oracle run. `cells` are the profile's traffic cells; each
@@ -50,8 +55,8 @@ class SimConfig:
         object.__setattr__(self, "cells", tuple(self.cells))
         if not 0 <= self.seed < 2**64:
             raise SimulationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.runs < 1:
-            raise SimulationError(f"runs must be >= 1, got {self.runs}")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise SimulationError(f"runs must be between 1 and {MAX_RUNS}, got {self.runs}")
         if self.billing_mode not in BILLING_MODES:
             raise SimulationError(f"unknown billing mode {self.billing_mode!r}")
         for cell in self.cells:
@@ -216,24 +221,23 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
             totals[pi, lo : lo + n] += np.bincount(run_ids[ci], weights=costs, minlength=n)
             del costs  # free before the next plan's costs of this class are drawn
 
-    samples = []
-    for plan, plan_totals in zip(plans, totals):
-        stddev = float(plan_totals.std(ddof=1)) if runs > 1 else 0.0
-        p5, p50, p95 = np.percentile(plan_totals, [5, 50, 95])
-        samples.append(
-            PlanSample(
-                plan_id=plan.id,
-                mean=float(plan_totals.mean()),
-                stddev=stddev,
-                stderr=stddev / math.sqrt(runs),
-                percentiles=(float(p5), float(p50), float(p95)),
-            )
-        )
+    means = totals.mean(axis=1).tolist()
+    stddevs = totals.std(axis=1, ddof=1).tolist() if runs > 1 else [0.0] * len(plans)
+    percentiles = np.percentile(totals, [5, 50, 95], axis=1).T.tolist()
     return SimResult(
         seed=config.seed,
         runs=config.runs,
         billing_mode=config.billing_mode,
-        plans=tuple(samples),
+        plans=tuple(
+            PlanSample(
+                plan_id=plan.id,
+                mean=mean,
+                stddev=stddev,
+                stderr=stddev / math.sqrt(runs),
+                percentiles=tuple(p),
+            )
+            for plan, mean, stddev, p in zip(plans, means, stddevs, percentiles)
+        ),
     )
 
 

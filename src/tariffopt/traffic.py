@@ -247,13 +247,21 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRe
         return None
 
 
-def _ordinal(key: int) -> int:
-    """The ordinal of the date written YYYYMMDD, or -1 when there is no such date."""
-    year, month_day = divmod(key, 10000)
-    try:
-        return date(year, *divmod(month_day, 100)).toordinal()
-    except ValueError:
-        return -1
+#: the days in each month of a common year, and the days before it; index 0 unused
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
+
+
+def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """The proleptic Gregorian ordinals of the dates (`date.toordinal`), or
+    -1 where there is no such date (31.02, 29.02 of a common year, year 0)."""
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = np.where((month >= 1) & (month <= 12), month, 0)
+    length = _DAYS_IN_MONTH[m] + (leap & (m == 2))
+    valid = (year >= 1) & (year <= 9999) & (m > 0) & (day >= 1) & (day <= length)
+    y = year - 1
+    ordinal = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (leap & (m > 2)) + day
+    return np.where(valid, ordinal, -1)
 
 
 class _LogBuilder:
@@ -299,10 +307,7 @@ class _LogBuilder:
         # the pattern let only ASCII digits through, so code point - 48 is the digit
         digits = stamps.view(np.uint32).reshape(n, 19).astype(np.int64) - ord("0")
         day, month, year, hour, minute, second = (digits @ _STAMP_PLACES).T
-        # each distinct date once, as YYYYMMDD; 0, no date, on the other rows
-        keys = np.where(plain, (year * 100 + month) * 100 + day, 0).tolist()
-        ordinals = {key: _ordinal(key) for key in set(keys)}
-        ordinal = np.fromiter(map(ordinals.__getitem__, keys), np.int64, n)
+        ordinal = np.where(plain, _date_ordinals(year, month, day), -1)
         duration = self.ints_of(minutes) * 60 + self.ints_of(seconds)
         columns = np.stack([
             ordinal,

@@ -283,11 +283,26 @@ def test_engine_value_error_is_internal_error(monkeypatch, capsys):
     def broken_run(config, catalog):
         raise ValueError("operands could not be broadcast together")
 
+    # the parser main() has already built and kept must still reach the patched `run`
+    assert invoke(capsys, "simulate", *BASE, "--runs", "10")[0] == 0
     monkeypatch.setattr(cli, "run", broken_run)
     code, out, err = invoke(capsys, "simulate", *BASE, "--runs", "10")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error:")
+
+
+def test_absurd_run_count_is_validation_error(monkeypatch, capsys):
+    from tariffopt import cli
+
+    def unreachable_run(config, catalog):
+        raise AssertionError("the run count is checked before the oracle allocates anything")
+
+    monkeypatch.setattr(cli, "run", unreachable_run)
+    code, out, err = invoke(capsys, "simulate", *BASE, "--runs", "10000000000000")
+    assert code == 1
+    assert out == ""
+    assert err == "error: runs must be between 1 and 10000000, got 10000000000000\n"
 
 
 def test_strict_parse_failure(tmp_path, capsys):

@@ -10,6 +10,9 @@ root with:  PYTHONPATH=src python tests/test_cli_golden.py
 from __future__ import annotations
 
 import difflib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from tariffopt.cli import FORMATS, main
 from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BASE = [
     "--catalog", str(CATALOG_PATH),
@@ -63,6 +67,42 @@ def test_stdout_matches_golden(command, fmt, capsys):
             tofile="stdout",
         )
         pytest.fail("output differs from the golden file:\n" + "".join(diff), pytrace=False)
+
+
+def _fresh_stdout(argv: list[str]) -> str:
+    """Stdout of the command run by `main` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from tariffopt.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_calls_in_one_process_share_no_state(capsys):
+    """main() keeps its parser between calls; no call's options, defaults or
+    failure may leak into the next one."""
+    unscaled = BASE[:-2]  # without `--months 6`: the window comes from the CDR
+    calls = [
+        (["rank", *BASE], (GOLDEN / "rank.table").read_text(encoding="utf-8")),
+        (["sweep", *BASE, "--k-step", "0.25"], None),
+        (["sweep", *BASE], (GOLDEN / "sweep.table").read_text(encoding="utf-8")),
+        (["fit", *unscaled], None),
+    ]
+    for argv, expected in calls:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == (expected if expected is not None else _fresh_stdout(argv)), argv
+    with pytest.raises(SystemExit) as rejected:
+        main(["rank", *BASE, "--format", "xml"])
+    assert rejected.value.code == 2
+    assert capsys.readouterr().out == ""
+    assert main(["rank", *BASE]) == 0
+    assert capsys.readouterr().out == calls[0][1]
 
 
 if __name__ == "__main__":

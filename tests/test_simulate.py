@@ -243,6 +243,10 @@ def test_config_validation():
         SimConfig(seed=-1, runs=1, cells=())
     with pytest.raises(SimulationError):
         SimConfig(seed=1, runs=0, cells=())
+    # built, never run: at the cap the totals alone would be 80 MB per plan
+    assert SimConfig(seed=1, runs=simulate.MAX_RUNS, cells=()).runs == simulate.MAX_RUNS
+    with pytest.raises(SimulationError, match=f"between 1 and {simulate.MAX_RUNS}, got 10000000000000"):
+        SimConfig(seed=1, runs=10**13, cells=())
 
 
 def test_replay_trace_matches_direct_billing(mts_catalog):

@@ -189,6 +189,22 @@ def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
     assert got == strptime_outcome(raw_day, raw_time)
 
 
+@pytest.mark.parametrize("year", [0, 1, 1900, 2000, 2011, 2012, 9999])
+def test_date_ordinals_match_date_toordinal(year):
+    from tariffopt.traffic import _date_ordinals
+
+    days = [(month, day) for month in range(1, 13) for day in range(1, 32)]
+    expected = []
+    for month, day in days:
+        try:
+            expected.append(date(year, month, day).toordinal())
+        except ValueError:
+            expected.append(-1)
+    month, day = np.array(days).T
+    got = _date_ordinals(np.full(len(days), year), month, day)
+    assert got.tolist() == expected
+
+
 # --------------------------------------------------------------------------
 # classification
 
