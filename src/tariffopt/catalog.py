@@ -278,6 +278,10 @@ class BillingPlan:
         wildcards = sum(rule.is_wildcard for rule, _ in self.subgroups)
         if wildcards > 1:
             raise CatalogError(f"plan {self.id} has {wildcards} catch-all rules")
+        names = self.subgroup_names()
+        for j, name in enumerate(names):
+            if name in names[:j]:
+                raise CatalogError(f"plan {self.id} ({self.name!r}) has two subgroups named {name!r}")
         routes = []
         for dest, day in ALL_CALL_CLASSES:
             matching = [j for j, (rule, _) in enumerate(self.subgroups) if rule.matches(dest, day)]
@@ -373,12 +377,13 @@ class Catalog:
 def _read_source(
     source: Union[bytes, str, IO], error: type[ValueError] = CatalogError, what: str = "catalog"
 ) -> str:
-    """Text of a bytes, str or file source; bytes that are not UTF-8 raise `error`."""
+    """Text of a bytes, str or file source, without a leading UTF-8 byte-order
+    mark; bytes that are not UTF-8 raise `error`."""
     data = source if isinstance(source, (bytes, str)) else source.read()
     if isinstance(data, str):
-        return data
+        return data.removeprefix("\ufeff")
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8 text: {exc}") from None
 

@@ -12,9 +12,13 @@ inter-arrival gaps, so its run count (:func:`chunk_runs`, at most
 :data:`CHUNK_RUNS`) falls as the cells' call rates rise; it is a pure
 function of the config. Every (chunk, cell) pair has its own stream keyed by
 (seed, chunk, cell), so seeded output is byte-identical across reruns and
-independent of scheduling, and memory is bounded by one chunk's calls
-rather than growing with the run count or the call rate. These keys
-replaced per-(run, cell) streams, which changed every seeded number once.
+independent of scheduling. These keys replaced per-(run, cell) streams,
+which changed every seeded number once.
+
+Each cell of a chunk is drawn, billed under every plan and dropped before
+the next cell is drawn, and the statistics are taken in place. So an oracle
+run holds one (plans x runs) float64 totals array plus the arrays of one
+cell of one chunk, whatever the run count or the call rate.
 """
 
 from __future__ import annotations
@@ -172,6 +176,7 @@ def generate_months(
             more = last + np.cumsum(rng.exponential(1.0 / lam, block))
             counts[r] += np.count_nonzero(more < 1.0)
             last = more[-1]
+    del arrivals
     return counts, rng.exponential(1.0 / cell.durations.mu, int(counts.sum()))
 
 
@@ -202,8 +207,10 @@ def _bill_classes(
 def run(config: SimConfig, catalog: Catalog) -> SimResult:
     """Simulate monthly traffic and bill it against every switch candidate.
 
-    Runs are generated in chunks of :func:`chunk_runs` months; each chunk's
-    calls are billed and dropped before the next chunk is drawn.
+    Runs are generated in chunks of :func:`chunk_runs` months. Within a
+    chunk each cell's calls are drawn, billed under every plan and dropped
+    before the next cell is drawn, cells in order, so each plan's totals add
+    up class by class as the cells come.
     """
     runs, size = config.runs, chunk_runs(config)
     plans = catalog.switch_candidates()
@@ -211,19 +218,23 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
     class_of = [CALL_CLASS_INDEX[cell.destination_class, cell.day_class] for cell in config.cells]
     for chunk, lo in enumerate(range(0, runs, size)):
         n = min(size, runs - lo)
-        classes, run_ids = [], []
         for ci, cell in enumerate(config.cells):
-            counts, durations = generate_months(cell, n, substream(config.seed, chunk, ci))
-            minutes = np.maximum(1, np.ceil(durations)).astype(np.int64)
-            classes.append((class_of[ci], minutes))
-            run_ids.append(np.repeat(np.arange(n), counts))
-        for pi, ci, costs in _bill_classes(catalog, plans, classes, config.billing_mode):
-            totals[pi, lo : lo + n] += np.bincount(run_ids[ci], weights=costs, minlength=n)
-            del costs  # free before the next plan's costs of this class are drawn
+            counts, minutes = generate_months(cell, n, substream(config.seed, chunk, ci))
+            np.ceil(minutes, out=minutes)
+            np.maximum(minutes, 1, out=minutes)
+            minutes = minutes.astype(np.int64)
+            run_ids = np.repeat(np.arange(n), counts)
+            for pi, _, costs in _bill_classes(catalog, plans, [(class_of[ci], minutes)], config.billing_mode):
+                totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
+                del costs  # free before the next plan's costs are drawn
+            del minutes, run_ids  # free before the next cell is drawn
 
     means = totals.mean(axis=1).tolist()
-    stddevs = totals.std(axis=1, ddof=1).tolist() if runs > 1 else [0.0] * len(plans)
-    percentiles = np.percentile(totals, [5, 50, 95], axis=1).T.tolist()
+    # row by row: each contiguous row sums pairwise as along axis 1, without
+    # a (plans x runs) array of deviations
+    stddevs = [float(row.std(ddof=1)) for row in totals] if runs > 1 else [0.0] * len(plans)
+    # last: partitioning in place reorders each row
+    percentiles = np.percentile(totals, [5, 50, 95], axis=1, overwrite_input=True).T.tolist()
     return SimResult(
         seed=config.seed,
         runs=config.runs,

@@ -101,6 +101,19 @@ def test_two_wildcard_rules_rejected():
         load_catalog(json.dumps(doc))
 
 
+def test_two_subgroups_with_one_name_rejected():
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    doc["plans"][0]["subgroups"][1]["name"] = "To MTS Numbers"
+    with pytest.raises(CatalogError, match="plan 1 .* two subgroups named 'To MTS Numbers'"):
+        load_catalog(json.dumps(doc))
+
+
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_catalog_read_with_a_byte_order_mark(encode):
+    text = CATALOG_PATH.read_text(encoding="utf-8")
+    assert load_catalog(encode("\ufeff" + text)) == load_catalog(encode(text))
+
+
 def test_malformed_json_rejected():
     with pytest.raises(CatalogError, match="not valid JSON"):
         load_catalog(b"{nope")

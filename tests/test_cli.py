@@ -277,6 +277,19 @@ def test_unreadable_inputs_are_validation_errors(tmp_path, capsys):
     assert "plan id: not an integer" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "analyze"])
+def test_two_subgroups_with_one_name_are_validation_errors(command, tmp_path, capsys):
+    """Both commands key a plan's subgroups by name; two with one name would
+    merge, and a row of the table would go missing."""
+    catalog = tmp_path / "catalog.json"
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    doc["plans"][0]["subgroups"][1]["name"] = "To MTS Numbers"
+    catalog.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(capsys, command, "--catalog", str(catalog), *BASE[2:])
+    assert (code, out) == (1, "")
+    assert "two subgroups named 'To MTS Numbers'" in err
+
+
 def test_engine_value_error_is_internal_error(monkeypatch, capsys):
     from tariffopt import cli
 

@@ -69,6 +69,15 @@ def test_stdout_matches_golden(command, fmt, capsys):
         pytest.fail("output differs from the golden file:\n" + "".join(diff), pytrace=False)
 
 
+def test_rank_reads_inputs_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    """Spreadsheet tools often save a UTF-8 byte-order mark ahead of the text."""
+    catalog, cdr = tmp_path / "catalog.json", tmp_path / "cdr.csv"
+    catalog.write_bytes("\ufeff".encode() + CATALOG_PATH.read_bytes())
+    cdr.write_bytes("\ufeff".encode() + CDR_PATH.read_bytes())
+    assert main(["rank", "--catalog", str(catalog), "--cdr", str(cdr), *BASE[4:]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "rank.table").read_text(encoding="utf-8")
+
+
 def _fresh_stdout(argv: list[str]) -> str:
     """Stdout of the command run by `main` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

@@ -27,7 +27,7 @@ from tariffopt import (
 )
 from tariffopt import simulate
 
-from conftest import CATALOG_PATH, classified, first_match
+from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH, classified, first_match
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -342,6 +342,72 @@ def test_oracle_memory_at_a_high_call_rate():
     assert result.returncode == 0, result.stderr
     peak_kib = int(result.stdout)
     assert peak_kib < 150 * 1024
+
+
+@pytest.mark.parametrize("mode", ["lookup", "cumulative"])
+def test_run_statistics_are_those_of_the_totals(mts_catalog, reference_profile, monkeypatch, mode):
+    """Rebuild the (plans x runs) totals as `run` adds them up, chunk by chunk
+    and cell by cell, and take each statistic with one call along axis 1:
+    `run`'s row-by-row deviations and in-place percentiles give the same bits."""
+    monkeypatch.setattr(simulate, "CHUNK_RUNS", 16)
+    config = SimConfig.from_profile(reference_profile, seed=31, runs=40, billing_mode=mode)
+    plans = mts_catalog.switch_candidates()
+    totals = np.zeros((len(plans), 40))
+    for chunk, (lo, n) in enumerate(((0, 16), (16, 16), (32, 8))):
+        for ci, cell in enumerate(config.cells):
+            counts, durations = generate_months(cell, n, substream(31, chunk, ci))
+            minutes = np.maximum(1, np.ceil(durations)).astype(np.int64)
+            run_ids = np.repeat(np.arange(n), counts)
+            for pi, plan in enumerate(plans):
+                payoff = plan.subgroups[first_match(plan, cell.destination_class, cell.day_class)][1]
+                costs = payoff.rates(minutes) if mode == "lookup" else payoff.cumulative(minutes)
+                totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
+    result = run(config, mts_catalog)
+    assert [p.plan_id for p in result.plans] == [plan.id for plan in plans]
+    assert [p.mean for p in result.plans] == totals.mean(axis=1).tolist()
+    assert [p.stddev for p in result.plans] == totals.std(axis=1, ddof=1).tolist()
+    percentiles = np.percentile(totals, [5, 50, 95], axis=1).T.tolist()
+    assert [p.percentiles for p in result.plans] == [tuple(row) for row in percentiles]
+
+
+RUN_COUNT_PROBE = """
+import sys
+from tariffopt import (PrefixTable, SimConfig, WorkdayCalendar, classify_calls, estimate_profile,
+                       load_catalog, parse_cdr, run)
+catalog_path, cdr_path, prefixes_path = sys.argv[1:]
+catalog = load_catalog(open(catalog_path, "rb").read())
+calls = classify_calls(parse_cdr(open(cdr_path, "rb").read()),
+                       PrefixTable.from_csv(open(prefixes_path, "rb").read()), WorkdayCalendar())
+config = SimConfig.from_profile(estimate_profile(calls, catalog, 6.0), seed=1, runs=300_000)
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return int(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+
+before = peak_kib()
+run(config, catalog)
+print(len(catalog.switch_candidates()), peak_kib() - before)
+"""
+
+
+def test_oracle_memory_at_a_high_run_count():
+    """The bundled catalog and profile over 300,000 runs: `run` holds one
+    (plans x runs) float64 totals array plus one cell's arrays of one chunk.
+    It held every cell of a chunk at once, and its statistics copied the
+    totals twice more, raising the peak by about 2.1 times the totals.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_COUNT_PROBE, str(CATALOG_PATH), str(CDR_PATH), str(PREFIXES_PATH)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    plans, added_kib = map(int, result.stdout.split())
+    totals_bytes = plans * 300_000 * 8
+    assert added_kib * 1024 < totals_bytes + 12e6
 
 
 def test_inactive_non_current_plan_is_billed_nowhere(mts_catalog, reference_profile):

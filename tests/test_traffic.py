@@ -286,6 +286,23 @@ def test_prefix_table_errors_name_the_line(rows, message):
         PrefixTable.from_csv("prefix;destination_class\n" + rows)
 
 
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (lambda source: list(parse_cdr(source)), cdr_text([FRIDAY_CALL])),
+        (lambda source: dict(PrefixTable.from_csv(source).mapping), "prefix;destination_class\n+7916;landline\n"),
+        (WorkdayCalendar.from_file, "2010-03-08\n2010-05-10\n"),
+    ],
+    ids=["cdr", "prefix table", "holiday list"],
+)
+@pytest.mark.parametrize("encode", [str, str.encode], ids=["str", "bytes"])
+def test_readers_skip_a_byte_order_mark(read, text, encode):
+    """A UTF-8 byte-order mark ahead of the text changes nothing."""
+    expected = read(encode(text))
+    assert expected
+    assert read(encode("\ufeff" + text)) == expected
+
+
 def test_prefix_table_keeps_a_read_only_copy():
     source = {"+7916": "same-network"}
     table = PrefixTable(source)
