@@ -1,8 +1,8 @@
 """Validate the analytic engine by brute force.
 
-Generates 20,000 random months of traffic (Poisson call counts via
-exponential gaps, exponential durations), bills every call under every
-plan, and compares sample means against the closed-form variable costs.
+Generates 20,000 random months of traffic (Poisson call counts,
+exponential durations), bills every call under every plan, and compares
+sample means against the closed-form variable costs.
 The percentiles show how much a real month can deviate from the mean.
 
 Run from the repository root:  python3 demos/04_monte_carlo_check.py

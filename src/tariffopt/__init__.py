@@ -44,10 +44,8 @@ from .simulate import (
     SimConfig,
     SimResult,
     SimulationError,
-    generate_months,
     replay_trace,
     run,
-    substream,
 )
 from .traffic import (
     CallLog,

@@ -1,17 +1,19 @@
 """Monte-Carlo billing oracle.
 
 Generates random months of traffic from the profile's own traffic cells
-(:class:`~tariffopt.traffic.TrafficCell`: exponential inter-arrival gaps, so
-call counts are Poisson; exponential durations) and pushes every generated
-call through each switch candidate's price schedule, routed to a subgroup
-by the plan's `routes` as in the pricing kernel. Sample means validate the
-analytic engine; sample percentiles describe the month-to-month cost spread.
+(:class:`~tariffopt.traffic.TrafficCell`: Poisson call counts, exponential
+durations) and pushes every generated call through each switch candidate's
+price schedule, routed to a subgroup by the plan's `routes` as in the
+pricing kernel. Sample means validate the analytic engine; sample
+percentiles describe the month-to-month cost spread.
 
-Months are drawn in fixed chunks. A chunk holds at most :data:`CHUNK_GAPS`
-inter-arrival gaps, so its run count (:func:`chunk_runs`, at most
-:data:`CHUNK_RUNS`) falls as the cells' call rates rise; it is a pure
-function of the config. Every (chunk, cell) pair has its own stream keyed by
-(seed, chunk, cell), so seeded output is byte-identical across reruns and
+Months are drawn in fixed chunks. A chunk's budget is :data:`CHUNK_CALLS`
+calls, each month counted at a bound about 9 standard deviations above its
+mean call count; so its run count (:func:`chunk_runs`, at most
+:data:`CHUNK_RUNS`) falls as the cells' call rates rise, and it is a pure
+function of the config. A config whose month alone exceeds the budget is
+rejected. Every (chunk, cell) pair has its own stream keyed by (seed,
+chunk, cell), so seeded output is byte-identical across reruns and
 independent of scheduling. These keys replaced per-(run, cell) streams,
 which changed every seeded number once.
 
@@ -42,6 +44,22 @@ class SimulationError(ValueError):
 #: most simulated months one run takes; a mistyped run count fails before the
 #: (plans x runs) totals are allocated
 MAX_RUNS = 10**7
+#: most simulated months per chunk; each (chunk, cell) pair has its own stream
+CHUNK_RUNS = 4096
+#: most calls one chunk budgets for: CHUNK_RUNS months of the bundled
+#: profile's cells, whose bounds come to 209 calls per month
+CHUNK_CALLS = CHUNK_RUNS * 209
+
+
+def _cell_calls(rate: float) -> int:
+    """Calls budgeted per month for a cell of this monthly call rate: about
+    9 standard deviations above the Poisson mean."""
+    return max(8, int(rate + 9.0 * math.sqrt(rate) + 8))
+
+
+def _month_calls(cells: Sequence[TrafficCell]) -> int:
+    """Calls budgeted per month over the cells with traffic."""
+    return sum(_cell_calls(cell.rate) for cell in cells if cell.rate)
 
 
 @dataclass(frozen=True)
@@ -69,6 +87,12 @@ class SimConfig:
                     f"cell ({cell.destination_class}, {cell.day_class}) has no "
                     f"exponential duration model to simulate from"
                 )
+        calls = _month_calls(self.cells)
+        if calls > CHUNK_CALLS:
+            raise SimulationError(
+                f"traffic too busy to simulate: a month is bounded at {calls} "
+                f"calls, over the chunk budget of {CHUNK_CALLS} calls"
+            )
 
     @classmethod
     def from_profile(
@@ -127,24 +151,10 @@ class SimResult:
         return json.dumps(self.document(), indent=2)
 
 
-#: most simulated months per chunk; each (chunk, cell) pair has its own stream
-CHUNK_RUNS = 4096
-#: most inter-arrival gaps one chunk draws: CHUNK_RUNS months of the bundled
-#: profile's cells, whose gap blocks come to 209 per month
-CHUNK_GAPS = CHUNK_RUNS * 209
-
-
-def _gap_block(rate: float) -> int:
-    """Inter-arrival gaps drawn per month at once for a cell of this monthly
-    call rate: enough to fill nearly every month in one draw."""
-    return max(8, int(rate + 9.0 * math.sqrt(rate) + 8))
-
-
 def chunk_runs(config: SimConfig) -> int:
-    """Months per chunk: as many as fit :data:`CHUNK_GAPS` gap draws over all
-    of the config's cells with traffic, at least 1 and at most :data:`CHUNK_RUNS`."""
-    gaps = sum(_gap_block(cell.rate) for cell in config.cells if cell.rate)
-    return max(1, min(CHUNK_RUNS, CHUNK_GAPS // max(1, gaps)))
+    """Months per chunk: as many as fit :data:`CHUNK_CALLS` calls at the
+    config's bound per month, at most :data:`CHUNK_RUNS`."""
+    return min(CHUNK_RUNS, CHUNK_CALLS // max(1, _month_calls(config.cells)))
 
 
 def substream(seed: int, chunk_index: int, cell_index: int) -> np.random.Generator:
@@ -157,26 +167,13 @@ def generate_months(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Call counts and durations (real minutes) of `runs` simulated months.
 
-    Each month is one row of exponential inter-arrival gaps, accumulated
-    until the month is full, so the call count is Poisson with the cell's
-    monthly rate. Rows whose block of gaps ends before the month does are
-    extended from the same stream, in row order. The durations of all
-    months follow in one draw, concatenated in run order.
+    Each month's call count is one Poisson draw at the cell's monthly rate;
+    the durations of all months follow in one draw, concatenated in run
+    order.
     """
-    lam = cell.rate
-    if lam == 0:
+    if cell.rate == 0:
         return np.zeros(runs, dtype=np.int64), np.empty(0)
-    block = _gap_block(lam)
-    arrivals = rng.exponential(1.0 / lam, (runs, block))
-    np.cumsum(arrivals, axis=1, out=arrivals)
-    counts = np.count_nonzero(arrivals < 1.0, axis=1)
-    for r in np.flatnonzero(arrivals[:, -1] < 1.0):
-        last = arrivals[r, -1]
-        while last < 1.0:
-            more = last + np.cumsum(rng.exponential(1.0 / lam, block))
-            counts[r] += np.count_nonzero(more < 1.0)
-            last = more[-1]
-    del arrivals
+    counts = rng.poisson(cell.rate, runs)
     return counts, rng.exponential(1.0 / cell.durations.mu, int(counts.sum()))
 
 

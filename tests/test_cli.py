@@ -318,6 +318,16 @@ def test_absurd_run_count_is_validation_error(monkeypatch, capsys):
     assert err == "error: runs must be between 1 and 10000000, got 10000000000000\n"
 
 
+def test_traffic_too_busy_for_one_chunk_is_validation_error(capsys):
+    """A tiny observation window makes every cell's monthly rate astronomical;
+    the oracle refused to allocate it and exited 3 with a numpy error."""
+    code, out, err = invoke(capsys, "simulate", *BASE[:6], "--months", "1e-300", "--runs", "10")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: traffic too busy to simulate: a month is bounded at ")
+    assert err.endswith(" calls, over the chunk budget of 856064 calls\n")
+
+
 def test_strict_parse_failure(tmp_path, capsys):
     cdr = tmp_path / "broken.csv"
     cdr.write_text(

@@ -20,12 +20,11 @@ from tariffopt import (
     TrafficCell,
     TrafficProfile,
     full_costs,
-    generate_months,
     replay_trace,
     run,
-    substream,
 )
 from tariffopt import simulate
+from tariffopt.simulate import generate_months, substream
 
 from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH, classified, first_match
 
@@ -81,24 +80,31 @@ def test_generate_months_deterministic_per_chunk_and_cell():
         assert not np.array_equal(a[1], generate_months(cell, 64, other)[1])
 
 
-class _FixedGaps:
-    """Stub stream: every inter-arrival gap is exactly 1/64 of a month."""
+class _RecordingStream:
+    """Stub stream: records every draw it is asked for and returns fixed
+    counts and unit durations."""
 
-    def __init__(self):
-        self.rng = np.random.default_rng(0)
+    def __init__(self, counts):
+        self.counts = np.array(counts)
+        self.calls = []
+
+    def poisson(self, lam, size):
+        self.calls.append(("poisson", lam, size))
+        return self.counts
 
     def exponential(self, scale, size):
-        if scale == 1.0 / 10.0:  # gaps
-            return np.full(size, 1.0 / 64)
-        return self.rng.exponential(scale, size)
+        self.calls.append(("exponential", scale, size))
+        return np.ones(size)
 
 
-def test_generate_months_extends_rows_that_end_before_the_month():
-    """lambda=10 draws 46 gaps per row, so 1/64 gaps overflow every row; the
-    extension must still count exactly the 63 arrivals below 1."""
-    counts, durations = generate_months(one_cell(10.0), 5, _FixedGaps())
-    assert counts.tolist() == [63] * 5
-    assert durations.size == 5 * 63
+def test_generate_months_draws_one_poisson_count_per_month():
+    """One Poisson draw gives every month's count and one exponential draw
+    every duration; the counts come back as drawn."""
+    stream = _RecordingStream([3, 0, 7, 1, 2])
+    counts, durations = generate_months(one_cell(10.0, 0.5), 5, stream)
+    assert stream.calls == [("poisson", 10.0, 5), ("exponential", 2.0, 13)]
+    assert counts is stream.counts
+    assert durations.size == 13
 
 
 def bill_call(payoff, duration_minutes, mode="lookup"):
@@ -290,7 +296,7 @@ def test_run_mean_matches_call_by_call_billing(mts_catalog, reference_profile, m
 
 
 def test_a_gap_budget_chunks_runs_as_a_run_count_does(mts_catalog, reference_profile, monkeypatch):
-    """A budget of 16 months of the profile's 209 gaps, plus less than one
+    """A budget of 16 months of the profile's 209 calls, plus less than one
     month more, draws the same chunks as 16 runs per chunk."""
     config = SimConfig.from_profile(reference_profile, seed=31, runs=40)
     whole = run(config, mts_catalog).to_json()
@@ -298,16 +304,21 @@ def test_a_gap_budget_chunks_runs_as_a_run_count_does(mts_catalog, reference_pro
     by_runs = run(config, mts_catalog).to_json()
     assert by_runs != whole
     monkeypatch.undo()
-    monkeypatch.setattr(simulate, "CHUNK_GAPS", 16 * 209 + 208)
+    monkeypatch.setattr(simulate, "CHUNK_CALLS", 16 * 209 + 208)
     assert run(config, mts_catalog).to_json() == by_runs
 
 
 def test_chunk_runs_follow_the_gap_budget(reference_profile):
     bundled = SimConfig.from_profile(reference_profile, seed=1, runs=10)
     assert simulate.chunk_runs(bundled) == simulate.CHUNK_RUNS
-    # 5000 + 9 * sqrt(5000) + 8 -> 5644 gaps per month
-    assert simulate.chunk_runs(one_cell_config(5000.0, 0.41, runs=10)) == simulate.CHUNK_GAPS // 5644 == 151
-    assert simulate.chunk_runs(one_cell_config(1e9, 0.41, runs=10)) == 1
+    # 5000 + 9 * sqrt(5000) + 8 -> 5644 calls per month
+    assert simulate.chunk_runs(one_cell_config(5000.0, 0.41, runs=10)) == simulate.CHUNK_CALLS // 5644 == 151
+    # 8e5 -> 808,057 calls: one month per chunk; 1e6 -> 1,009,008, over the budget
+    assert simulate.chunk_runs(one_cell_config(8e5, 0.41, runs=10)) == 1
+    with pytest.raises(SimulationError, match="a month is bounded at 1009008 calls, over the chunk budget of 856064"):
+        one_cell_config(1e6, 0.41, runs=10)
+    with pytest.raises(SimulationError):
+        one_cell_config(1e9, 0.41, runs=10)
     idle = SimConfig(seed=1, runs=10, cells=(one_cell(0.0),))
     assert simulate.chunk_runs(idle) == simulate.CHUNK_RUNS
 
