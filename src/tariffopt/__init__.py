@@ -35,7 +35,6 @@ from .sensitivity import (
     SwitchInterval,
     fit_report,
     k_grid,
-    polyfit,
     sweep,
     switch_points,
 )

@@ -259,7 +259,10 @@ class BillingPlan:
     """One tariff offer: fixed fees plus an ordered list of rated subgroups.
 
     Subgroup rules are applied first-match-wins; together they must cover
-    every (destination, day) combination.
+    every (destination, day) combination. `routes` holds the index of the
+    first rule matching each call class, in :data:`ALL_CALL_CLASSES` order.
+    It is built once and is not a field: equality, repr and serialization
+    see only the rules.
     """
 
     id: int
@@ -291,14 +294,7 @@ class BillingPlan:
                     f"calls with no subgroup"
                 )
             routes.append(matching[0])
-        # not a field: equality, repr and serialization see only the rules
-        object.__setattr__(self, "_routes", tuple(routes))
-
-    @property
-    def routes(self) -> tuple[int, ...]:
-        """Index of the first rule matching each call class, in
-        :data:`ALL_CALL_CLASSES` order, from a table built once per plan."""
-        return self._routes
+        object.__setattr__(self, "routes", tuple(routes))
 
     def subgroup_names(self) -> tuple[str, ...]:
         return tuple(rule.subgroup_name for rule, _ in self.subgroups)
@@ -314,6 +310,13 @@ class SubscriberContext:
 
 @dataclass(frozen=True)
 class Catalog:
+    """The candidate plans and the subscriber's context.
+
+    `pricing` holds every plan's payoffs over the catalog's shared
+    breakpoints, keyed by plan id. It is built once and is not a field:
+    equality, repr and serialization see only the plans.
+    """
+
     plans: tuple[BillingPlan, ...]
     context: SubscriberContext
 
@@ -328,13 +331,7 @@ class Catalog:
         object.__setattr__(self, "_by_id", by_id)
         self.check_context(self.context)
         pricing = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans})
-        object.__setattr__(self, "_pricing", pricing)
-
-    @property
-    def pricing(self) -> PricingTable:
-        """Every plan's payoffs over the catalog's shared breakpoints, keyed
-        by plan id, from a table built once per catalog."""
-        return self._pricing
+        object.__setattr__(self, "pricing", pricing)
 
     @cached_property
     def billing(self) -> tuple[np.ndarray, dict[int, tuple]]:

@@ -73,10 +73,6 @@ class RegressionFit:
                 f"got {len(self.coefficients)}"
             )
 
-    def predict(self, x: float) -> float:
-        powers = range(0 if self.intercept else 1, self.degree + 1)
-        return sum(c * x**p for c, p in zip(self.coefficients, powers))
-
 
 #: most points :func:`k_grid` builds; a mistyped step fails before any list
 #: is allocated
@@ -178,29 +174,6 @@ def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
             intervals.append(SwitchInterval(start, crossing, plan_id))
             start = crossing
         *_, plan_id = min((v, f, pid != current, pid) for c, v, f, pid in below if c <= crossing + touch)
-
-
-def polyfit(
-    points: Sequence[tuple[float, float]], degree: int, intercept: bool = True
-) -> RegressionFit:
-    """Ordinary least-squares polynomial fit with its determination coefficient.
-
-    R^2 compares residuals against the centered total sum of squares; for
-    through-origin models (no intercept) the uncentered sum of y^2 is used
-    instead, keeping R^2 in [0, 1] in both cases.
-    """
-    if degree < 1:
-        raise ValueError(f"degree must be >= 1, got {degree}")
-    x = np.array([p[0] for p in points], dtype=float)
-    y = np.array([p[1] for p in points], dtype=float)
-    n_coef = degree + (1 if intercept else 0)
-    if x.size <= n_coef:
-        raise ValueError(
-            f"need more than {n_coef} points for a degree-{degree} fit, got {x.size}"
-        )
-    if np.all(x == x[0]):
-        raise ValueError("x values are all identical")
-    return _fit(_powers(x, degree), _Series(y), degree, intercept)
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:

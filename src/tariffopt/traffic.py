@@ -11,7 +11,6 @@ is the row view of a log and what the per-row reader returns.
 
 from __future__ import annotations
 
-import calendar
 import csv
 import math
 import operator
@@ -252,10 +251,15 @@ _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
 
 
+def _is_leap(year):
+    """Whether `year`, an int or an array of ints, is a Gregorian leap year."""
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+
+
 def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
     """The proleptic Gregorian ordinals of the dates (`date.toordinal`), or
     -1 where there is no such date (31.02, 29.02 of a common year, year 0)."""
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    leap = _is_leap(year)
     m = np.where((month >= 1) & (month <= 12), month, 0)
     length = _DAYS_IN_MONTH[m] + (leap & (m == 2))
     valid = (year >= 1) & (year <= 9999) & (m > 0) & (day >= 1) & (day <= length)
@@ -398,8 +402,8 @@ class _ReadOnlyDict(dict):
 class PrefixTable:
     """Longest-prefix map from dialed numbers to destination classes.
 
-    Numbers with no matching prefix fall back to `other-mobile`;
-    `unmapped_count` tallies how often that happened. `mapping` is kept as a
+    :func:`classify_calls` sends a call to a number with no listed prefix to
+    `other-mobile` and counts it in `unmapped_count`. `mapping` is kept as a
     read-only copy, and assigning a new one rebuilds the lookup index, so the
     index cannot go stale.
     """
@@ -461,13 +465,6 @@ class PrefixTable:
             if dest is not None:
                 return dest
         return None
-
-    def destination_class(self, number: str) -> str:
-        dest = self._lookup(number)
-        if dest is None:
-            self.unmapped_count += 1
-            return "other-mobile"
-        return dest
 
 
 @dataclass(frozen=True)
@@ -670,17 +667,15 @@ def build_histogram(calls: CallTable, truncation: int) -> Empirical:
     """Empirical per-minute distribution of billed call minutes.
 
     Minutes beyond `truncation` accumulate in the last bin, so masses always
-    sum to exactly 1.
+    sum to exactly 1. This is the model :func:`estimate_profile` shares
+    among all classes for ``duration_model="empirical"``, with `truncation`
+    the longest billed minute.
     """
-    return _histogram(calls.minute, truncation)
-
-
-def _histogram(minutes: np.ndarray, truncation: int) -> Empirical:
-    if not len(minutes):
+    if not len(calls):
         raise ProfileError("cannot build a histogram from zero calls")
     if truncation < 1:
         raise ProfileError(f"truncation must be >= 1, got {truncation}")
-    counts = np.bincount(np.minimum(minutes, truncation) - 1, minlength=truncation)
+    counts = np.bincount(np.minimum(calls.minute, truncation) - 1, minlength=truncation)
     return Empirical(tuple(counts / counts.sum()))
 
 
@@ -772,16 +767,16 @@ def estimate_profile(
     catalog: Catalog,
     months: float,
     duration_model: str = "exponential",
-    per_class_durations: bool = False,
 ) -> TrafficProfile:
-    """Estimate per-class call rates and duration models from classified calls.
+    """Estimate per-class call rates and one duration model from classified calls.
 
-    `duration_model` selects fitted exponentials or empirical histograms;
-    by default one shared model serves every class (individual classes
-    rarely have enough calls to stand alone). Rates are calls per month
-    over the `months`-long observation window. `catalog` is unused: the
-    profile is keyed by call class, and every plan routes each class to
-    exactly one subgroup, so any plan sees the same monthly total.
+    `duration_model` selects an exponential fitted to all call durations
+    (:func:`fit_exponential`) or the histogram of all billed minutes
+    (:func:`build_histogram`). The one model serves every class, since
+    single classes rarely have enough calls to stand alone. Rates are calls
+    per month over the `months`-long observation window. `catalog` is
+    unused: the profile is keyed by call class, and every plan routes each
+    class to exactly one subgroup, so any plan sees the same monthly total.
     """
     if not (math.isfinite(months) and months > 0):
         raise ProfileError(f"months must be positive and finite, got {months}")
@@ -790,38 +785,23 @@ def estimate_profile(
     if duration_model not in ("exponential", "empirical"):
         raise ProfileError(f"unknown duration model {duration_model!r}")
 
-    classes = calls.call_class
-    minutes = calls.duration / 60.0
-
-    def _model_for(chosen: np.ndarray) -> DurationModel | None:
-        if not chosen.any():
-            return None
-        if duration_model == "exponential":
-            return fit_exponential(minutes[chosen]).model
-        billed = calls.minute[chosen]
-        return _histogram(billed, truncation=int(billed.max()))
-
-    shared = None if per_class_durations else _model_for(np.full(len(calls), True))
-    counts = np.bincount(classes, minlength=len(ALL_CALL_CLASSES)).tolist()
-    cells = []
-    for k, (dest, day) in enumerate(ALL_CALL_CLASSES):
-        model = _model_for(classes == k) if per_class_durations else shared
-        cells.append(
-            TrafficCell(
-                destination_class=dest,
-                day_class=day,
-                rate=counts[k] / months,
-                durations=model,
-            )
-        )
-    return TrafficProfile(cells=tuple(cells), observation_months=months)
+    if duration_model == "exponential":
+        model = fit_exponential(calls.duration / 60.0).model
+    else:
+        model = build_histogram(calls, int(calls.minute.max()))
+    counts = np.bincount(calls.call_class, minlength=len(ALL_CALL_CLASSES)).tolist()
+    cells = tuple(
+        TrafficCell(destination_class=dest, day_class=day, rate=counts[k] / months, durations=model)
+        for k, (dest, day) in enumerate(ALL_CALL_CLASSES)
+    )
+    return TrafficProfile(cells=cells, observation_months=months)
 
 
 def _add_months(day: date, months: int) -> date:
     month_index = day.month - 1 + months
     year = day.year + month_index // 12
     month = month_index % 12 + 1
-    last = calendar.monthrange(year, month)[1]
+    last = int(_DAYS_IN_MONTH[month]) + (month == 2 and _is_leap(year))
     return date(year, month, min(day.day, last))
 
 

@@ -33,13 +33,13 @@ from tariffopt import (
     fit_report,
     full_costs,
     k_grid,
-    polyfit,
     rank,
     run,
     sweep,
     switch_points,
 )
 from tariffopt.catalog import ALL_CALL_CLASSES, DAY_CLASSES, DESTINATION_CLASSES
+from tariffopt.sensitivity import _fit, _powers, _Series
 
 
 REFERENCE_ONE_CALL = {
@@ -162,7 +162,8 @@ def test_criterion_4_sensitivity_structure(mts_catalog, reference_profile):
 
 def test_criterion_5_regression_quality(mts_catalog, reference_profile):
     """R^2 grows strictly from linear to quadratic to cubic on the engine's
-    own sweep; polyfit recovers noiseless polynomials of degrees 1-3."""
+    own sweep; `fit_report`'s least-squares fit (`_fit`) recovers noiseless
+    polynomials of degrees 1-3."""
     t0 = perf_counter()
     failures = []
     points = sweep(mts_catalog, mts_catalog.context, reference_profile, k_grid(0.5, 10.0, 0.5))
@@ -182,8 +183,8 @@ def test_criterion_5_regression_quality(mts_catalog, reference_profile):
     }
     xs = np.linspace(0.5, 10.0, 15)
     for degree, coefs in polynomials.items():
-        ys = [sum(c * x**p for p, c in enumerate(coefs)) for x in xs]
-        fit = polyfit(list(zip(xs, ys)), degree=degree, intercept=True)
+        ys = np.array([sum(c * x**p for p, c in enumerate(coefs)) for x in xs])
+        fit = _fit(_powers(xs, degree), _Series(ys), degree, intercept=True)
         if any(abs(a - b) > 1e-6 for a, b in zip(fit.coefficients, coefs)):
             failures.append(f"degree-{degree} coefficients {fit.coefficients} != {coefs}")
         if abs(fit.r_squared - 1.0) > 1e-9:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from decimal import Decimal
 
@@ -210,6 +211,18 @@ def test_switch_candidates_exclude_inactive(mts_catalog):
         context=SubscriberContext(current_plan_id=1, owned_sim_providers=frozenset({"MTS"})),
     )
     assert [p.id for p in moved.switch_candidates()] == [1, 2, 3, 4, 5]
+
+
+def test_routes_and_pricing_are_read_only_and_not_fields(mts_catalog):
+    plan = mts_catalog.plan(6)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.routes = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mts_catalog.pricing = None
+    for obj, name in ((plan, "routes"), (mts_catalog, "pricing")):
+        assert name not in {field.name for field in dataclasses.fields(obj)}
+        assert f"{name}=" not in repr(obj)
+        assert name not in dataclasses.asdict(obj)
 
 
 def test_catalog_file_on_disk_loads():

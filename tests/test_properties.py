@@ -33,6 +33,8 @@ from tariffopt import (
     SweepPoint,
     TrafficCell,
     TrafficProfile,
+    WorkdayCalendar,
+    classify_calls,
     expected_call_cost,
     fit_report,
     full_costs,
@@ -47,7 +49,7 @@ from tariffopt import simulate, traffic
 from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
-from conftest import classified, first_match
+from conftest import cdr_text, classified, first_match
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -679,11 +681,15 @@ def prefix_tables_and_numbers(draw):
 def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
     mapping, numbers = table_and_numbers
     table = PrefixTable(mapping)
-    for number in numbers:
-        expected = longest_prefix_scan(mapping, number)
-        unmapped = table.unmapped_count
-        assert table.destination_class(number) == (expected or "other-mobile")
-        assert table.unmapped_count == unmapped + (expected is None)
+    expected = [longest_prefix_scan(mapping, number) for number in numbers]
+    assert [table._lookup(number) for number in numbers] == expected
+    calls = classify_calls(
+        parse_cdr(cdr_text([(number, "20.08.2010", 57) for number in numbers])), table, WorkdayCalendar()
+    )
+    assert [DESTINATION_CLASSES[d] for d in calls.destination.tolist()] == [
+        dest or "other-mobile" for dest in expected
+    ]
+    assert table.unmapped_count == expected.count(None)
 
 
 # --------------------------------------------------------------------------

@@ -16,14 +16,13 @@ from tariffopt import (
     fit_report,
     full_costs,
     k_grid,
-    polyfit,
     rank,
     sweep,
     switch_points,
 )
 
 from tariffopt.catalog import ALL_CALL_CLASSES
-from tariffopt.sensitivity import MAX_GRID_POINTS
+from tariffopt.sensitivity import MAX_GRID_POINTS, _fit, _powers, _Series
 
 from conftest import make_reference_profile
 
@@ -319,9 +318,15 @@ def test_switch_points_leave_no_slivers_where_lines_meet():
 # regression
 
 
+def fit_points(points, degree, intercept):
+    """`fit_report`'s least-squares fit of one degree on (x, y) points."""
+    x, y = np.array(points, dtype=float).T
+    return _fit(_powers(x, degree), _Series(y), degree, intercept)
+
+
 def test_polyfit_exact_line_through_origin_data():
     points = [(x, 2.0 * x) for x in (1.0, 2.0, 3.0, 4.0)]
-    fit = polyfit(points, degree=1, intercept=True)
+    fit = fit_points(points, degree=1, intercept=True)
     assert fit.coefficients == pytest.approx((0.0, 2.0), abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
 
@@ -331,41 +336,32 @@ def test_polyfit_recovers_quadratic():
         return 13.5 + 81.60 * x - 5.28 * x * x
 
     points = [(x, f(x)) for x in np.linspace(0.5, 10.0, 12)]
-    fit = polyfit(points, degree=2, intercept=True)
+    fit = fit_points(points, degree=2, intercept=True)
     assert fit.coefficients == pytest.approx((13.5, 81.60, -5.28), abs=1e-6)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
 def test_polyfit_constant_response_degenerate():
     points = [(x, 4.0) for x in (1.0, 2.0, 3.0)]
-    fit = polyfit(points, degree=1, intercept=True)
+    fit = fit_points(points, degree=1, intercept=True)
     assert fit.coefficients[1] == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == 0.0
 
 
 def test_polyfit_no_intercept_uncentered_r2():
     # hand-checked: x = (1, 2), y = (1, 3); slope = (1+6)/(1+4) = 1.4
-    fit = polyfit([(1.0, 1.0), (2.0, 3.0)], degree=1, intercept=False)
+    fit = fit_points([(1.0, 1.0), (2.0, 3.0)], degree=1, intercept=False)
     assert fit.coefficients == pytest.approx((1.4,), abs=1e-12)
     ss_res = (1 - 1.4) ** 2 + (3 - 2.8) ** 2
     ss_tot = 1.0 + 9.0
     assert fit.r_squared == pytest.approx(1 - ss_res / ss_tot, abs=1e-12)
 
 
-def test_polyfit_error_cases():
-    with pytest.raises(ValueError, match="more than"):
-        polyfit([(1.0, 1.0), (2.0, 2.0)], degree=2, intercept=True)
-    with pytest.raises(ValueError, match="identical"):
-        polyfit([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)], degree=1, intercept=True)
-    with pytest.raises(ValueError):
-        polyfit([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], degree=0, intercept=True)
-
-
 def test_polyfit_predict_roundtrip():
     points = [(x, 1.0 + 2.0 * x + 0.5 * x**2) for x in (0.0, 1.0, 2.0, 3.0)]
-    fit = polyfit(points, degree=2, intercept=True)
+    fit = fit_points(points, degree=2, intercept=True)
     for x, y in points:
-        assert fit.predict(x) == pytest.approx(y, abs=1e-9)
+        assert np.polyval(fit.coefficients[::-1], x) == pytest.approx(y, abs=1e-9)
 
 
 def test_fit_report_model_forms(reference_sweep):
@@ -393,6 +389,12 @@ def test_fit_report_model_forms(reference_sweep):
 def test_fit_report_needs_five_points(reference_sweep):
     with pytest.raises(ValueError, match="at least 5"):
         fit_report(reference_sweep[:4])
+
+
+def test_fit_report_rejects_points_at_one_multiplier(mts_catalog):
+    points = sweep(mts_catalog, mts_catalog.context, make_reference_profile(), [2.0] * 5)
+    with pytest.raises(ValueError, match="x values are all identical"):
+        fit_report(points)
 
 
 def test_fit_report_single_flat_plan_affine():

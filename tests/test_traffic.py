@@ -58,6 +58,8 @@ def call_classes(calls):
 
 #: a call to a same-network number on a Friday, 57 seconds long
 FRIDAY_CALL = ("+79161234567", "20.08.2010", 57)
+#: a call to a number that no test prefix table lists
+UNLISTED_CALL = ("+1555", "20.08.2010", 57)
 
 
 # --------------------------------------------------------------------------
@@ -205,6 +207,37 @@ def test_date_ordinals_match_date_toordinal(year):
     assert got.tolist() == expected
 
 
+@pytest.mark.parametrize("years", [range(1, 40), range(1890, 2110), range(9960, 10000)],
+                         ids=["1-39", "1890-2109", "9960-9999"])
+def test_add_months_matches_calendar_monthrange(years):
+    """Every day from the 28th to the month's end, moved on by 0-13 months,
+    lands on the day `calendar.monthrange` gives; past the year 9999 both
+    raise."""
+    import calendar
+
+    from tariffopt.traffic import _add_months
+
+    def reference(day, months):
+        month_index = day.month - 1 + months
+        year, month = day.year + month_index // 12, month_index % 12 + 1
+        if year > 9999:
+            raise ValueError(f"year {year} is out of range")
+        return date(year, month, min(day.day, calendar.monthrange(year, month)[1]))
+
+    def outcome(add, day, months):
+        try:
+            return add(day, months)
+        except ValueError:
+            return "out of range"
+
+    for year in years:
+        for month in range(1, 13):
+            for day_of_month in range(28, calendar.monthrange(year, month)[1] + 1):
+                day = date(year, month, day_of_month)
+                for months in range(14):
+                    assert outcome(_add_months, day, months) == outcome(reference, day, months), (day, months)
+
+
 # --------------------------------------------------------------------------
 # classification
 
@@ -266,8 +299,8 @@ def test_prefix_table_from_csv():
     table = PrefixTable.from_csv(
         "prefix;destination_class\n+7916;same-network\n+7495;landline\n+7916;same-network\n"
     )
-    assert table.destination_class("+79161") == "same-network"
-    assert table.destination_class("+74951") == "landline"
+    assert table._lookup("+79161") == "same-network"
+    assert table._lookup("+74951") == "landline"
 
 
 @pytest.mark.parametrize(
@@ -307,20 +340,20 @@ def test_prefix_table_keeps_a_read_only_copy():
     source = {"+7916": "same-network"}
     table = PrefixTable(source)
     source["+79165"] = "landline"
-    assert table.destination_class("+791650") == "same-network"
+    assert table._lookup("+791650") == "same-network"
     with pytest.raises(TypeError):
         table.mapping["+79165"] = "landline"
     table.mapping = source  # a new mapping rebuilds the index
-    assert table.destination_class("+791650") == "landline"
+    assert table._lookup("+791650") == "landline"
 
 
 def test_prefix_table_converts_and_prints_as_a_dict():
     table = PrefixTable({"+7916": "same-network"})
-    table.destination_class("+1555")
+    classify_rows([UNLISTED_CALL], table)
     assert dataclasses.asdict(table) == {"mapping": {"+7916": "same-network"}, "unmapped_count": 1}
     assert repr(table) == "PrefixTable(mapping={'+7916': 'same-network'}, unmapped_count=1)"
     table.mapping |= {"+79165": "landline"}  # a new mapping, not an edit
-    assert table.destination_class("+791650") == "landline"
+    assert table._lookup("+791650") == "landline"
 
 
 @pytest.mark.parametrize(
@@ -344,11 +377,11 @@ def test_prefix_table_mapping_refuses_every_edit(edit):
 @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy])
 def test_prefix_table_copies_and_pickles(clone):
     table = PrefixTable({"+7916": "same-network", "+791655": "landline"})
-    table.destination_class("+1555")
+    classify_rows([UNLISTED_CALL], table)
     twin = clone(table)
     assert twin == table and twin.unmapped_count == 1
-    assert twin.destination_class("+79165550000") == "landline"
-    assert twin.destination_class("+1555") == "other-mobile"
+    assert twin._lookup("+79165550000") == "landline"
+    assert call_classes(classify_rows([UNLISTED_CALL], twin))[0][0] == "other-mobile"
     assert (twin.unmapped_count, table.unmapped_count) == (2, 1)
 
 
@@ -466,7 +499,7 @@ def test_estimate_profile_row_totals_agree_across_plans(mts_catalog):
 
 def test_estimate_profile_empty_subgroup_allowed(mts_catalog):
     calls = calls_of_minutes(1)  # only same-network workday traffic
-    profile = estimate_profile(calls, mts_catalog, months=1.0, per_class_durations=True)
+    profile = estimate_profile(calls, mts_catalog, months=1.0)
     lam = profile.lambda_for(mts_catalog.plan(6))
     assert lam == (1.0, 0.0)
 
