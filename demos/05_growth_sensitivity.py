@@ -69,4 +69,5 @@ with out.open("w", newline="") as fh:
     for p in points:
         at_k = p.plan_costs
         writer.writerow([p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost] + [at_k[pid] for pid in plan_ids])
-print(f"\nplottable sweep written to {out}")
+# the path relative to the checkout, so that the output is the same from any copy
+print(f"\nplottable sweep written to {out.relative_to(DATA.parent).as_posix()}")

@@ -4,10 +4,16 @@ A catalog document describes every candidate plan: its fixed fees, the rules
 that route a call into one of the plan's subgroups, and the per-minute price
 schedule each subgroup is billed under. Catalogs are immutable after loading
 and safe to share across threads.
+
+This module is also the base of every input reader: the input-error classes,
+the one source reader (:func:`_read_source`), the `;`-separated field reader
+and the Gregorian calendar arithmetic that the printout reader and profile
+estimation share.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -28,8 +34,18 @@ ALL_CALL_CLASSES = tuple(
 CALL_CLASS_INDEX = {call_class: k for k, call_class in enumerate(ALL_CALL_CLASSES)}
 
 
-class CatalogError(ValueError):
+class InputError(ValueError):
+    """Base of the package's input errors: input it cannot use, as opposed to
+    a fault of the engine. The command line exits 1 on these."""
+
+
+class CatalogError(InputError):
     """Raised when a catalog document is malformed or violates an invariant."""
+
+
+class CdrError(InputError):
+    """Raised for malformed CDR input (fatal only in strict mode), and for a
+    malformed prefix table or holiday list."""
 
 
 def _money(value, what: str) -> Decimal:
@@ -383,6 +399,28 @@ def _read_source(
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{what} is not UTF-8 text: {exc}") from None
+
+
+def _fields(line: str) -> list[str]:
+    """The `;`-separated fields of one line as the csv module reads them.
+
+    A carriage return inside the line, or a field over csv's size limit, is
+    a ValueError.
+    """
+    try:
+        return next(csv.reader((line,), delimiter=";"), [])
+    except csv.Error as exc:
+        # drop csv's advice on opening files, which does not apply to a line
+        raise ValueError(str(exc).split(" - ", 1)[0]) from None
+
+
+#: the days in each month of a common year; index 0 unused
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _is_leap(year):
+    """Whether `year`, an int or an array of ints, is a Gregorian leap year."""
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
 
 
 def _int(value, what: str) -> int:

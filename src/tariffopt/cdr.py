@@ -1,0 +1,313 @@
+"""The printout reader: a provider's chronological service printout, read
+into columns.
+
+:func:`parse_cdr` reads printout text into a :class:`CallLog`, the accepted
+rows as columns of ints, in line order; :mod:`tariffopt.classify` classifies
+those rows. :class:`CallRecord` is the row view of a log and what the per-row
+reader returns.
+"""
+
+from __future__ import annotations
+
+import operator
+import re
+from collections.abc import Sequence
+from dataclasses import dataclass
+from datetime import date, datetime, time
+from decimal import Decimal, InvalidOperation
+from typing import IO, Union
+
+import numpy as np
+
+from .catalog import _DAYS_IN_MONTH, CdrError, _fields, _is_leap, _read_source
+
+CDR_HEADER = ("date", "time", "number", "zone", "service", "duration", "cost")
+KNOWN_SERVICES = ("Tel", "SMS")
+
+#: longest call a printout row may record: 31 days
+MAX_CALL_SECONDS = 31 * 24 * 60 * 60
+
+# A field that csv + strip() reads unchanged: no quote, separator or line
+# break, no whitespace at either end, and far below csv's field size limit.
+_PLAIN_FIELD = r'(?:[^\s;"](?:[^;"\r\n]{0,254}[^\s;"])?)?'
+
+#: one printout line whose seven fields are all in their plain form, with the
+#: checks of the per-row reader built in: ASCII digits, a real day and month
+#: number, a time inside 24 h, M:SS with seconds under 60, a bare count only
+#: for SMS, a plain decimal cost. The date and time come as one 19-character
+#: group. Any other line takes the `.*` branch, all groups empty, and goes
+#: through `_read_row`; so does a line whose date does not exist (31.02) or
+#: whose call is longer than 31 days.
+_PLAIN_ROW = re.compile(
+    r"^(?:"
+    r"((?:0[1-9]|[12][0-9]|3[01])\.(?:0[1-9]|1[0-2])\.[0-9]{4};"
+    r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]);"
+    rf"({_PLAIN_FIELD});({_PLAIN_FIELD});(Tel|SMS);"
+    r"(?:([0-9]{1,5}):([0-5][0-9])|(?<=SMS;)[0-9]{1,9});"
+    r"(-?[0-9]{1,64}(?:[.,][0-9]{1,64})?)\r?"
+    r"|.*)$",
+    re.MULTILINE,
+)
+
+#: characters of printout text matched in one `findall`; a block ends at a line end
+_BLOCK_CHARS = 1 << 16
+
+#: place values of the digits of ``DD.MM.YYYY;HH:MM:SS``: the digits times this
+#: matrix are the day, month, year, hour, minute and second
+_STAMP_PLACES = np.array(
+    [
+        [10 ** (stop - 1 - j) if start <= j < stop else 0
+         for start, stop in ((0, 2), (3, 5), (6, 10), (11, 13), (14, 16), (17, 19))]
+        for j in range(19)
+    ],
+    dtype=np.int64,
+)
+
+
+@dataclass(frozen=True)
+class CallRecord:
+    """One row of the service detail printout."""
+
+    date: date
+    time: time
+    number: str
+    zone: str
+    service: str
+    duration_seconds: int
+    cost: Decimal
+
+
+@dataclass(frozen=True, eq=False)
+class CallLog(Sequence):
+    """The accepted rows of a printout as columns of ints, in line order.
+
+    The text columns hold indices into `strings`, the distinct texts of the
+    printout. Indexing and iteration build :class:`CallRecord` views; a log
+    compares by identity.
+    """
+
+    date: np.ndarray  # proleptic Gregorian ordinal
+    time: np.ndarray  # seconds since midnight
+    number: np.ndarray  # index into strings
+    zone: np.ndarray  # index into strings
+    service: np.ndarray  # index into strings
+    duration: np.ndarray  # seconds; 0 for an SMS row with a bare count
+    cost: np.ndarray  # index into strings: the cost as printed, decimal comma allowed
+    strings: tuple[str, ...]
+
+    def code(self, text: str) -> int:
+        """The index of `text` in `strings`, or -1 when no row holds it."""
+        try:
+            return self.strings.index(text)
+        except ValueError:
+            return -1
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+    def __getitem__(self, i) -> CallRecord:
+        i = range(len(self))[operator.index(i)]
+        at = int(self.time[i])
+        text = self.strings
+        return CallRecord(
+            date=date.fromordinal(int(self.date[i])),
+            time=time(at // 3600, at // 60 % 60, at % 60),
+            number=text[self.number[i]],
+            zone=text[self.zone[i]],
+            service=text[self.service[i]],
+            duration_seconds=int(self.duration[i]),
+            cost=Decimal(text[self.cost[i]].replace(",", ".")),
+        )
+
+
+def _parse_duration(raw: str, service: str) -> int:
+    """Duration column: ``M:SS`` for calls; a bare count for SMS rows."""
+    raw = raw.strip()
+    if ":" in raw:
+        minutes_part, _, seconds_part = raw.partition(":")
+        minutes = int(minutes_part)
+        seconds = int(seconds_part)
+        if minutes < 0 or not 0 <= seconds < 60:
+            raise ValueError(f"bad duration {raw!r}")
+        if minutes * 60 + seconds > MAX_CALL_SECONDS:
+            raise ValueError(f"duration {raw!r} is longer than 31 days")
+        return minutes * 60 + seconds
+    if service == "SMS":
+        int(raw)  # must still be a number
+        return 0
+    raise ValueError(f"bad duration {raw!r} for service {service!r}")
+
+
+def _parse_cost(raw: str) -> Decimal:
+    try:
+        return Decimal(raw.strip().replace(",", "."))
+    except InvalidOperation:
+        raise ValueError(f"bad cost {raw!r}") from None
+
+
+def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRecord | None:
+    """The per-row reader: one printout line checked field by field.
+
+    Returns the line's record, or None for a blank line, a row with an
+    unrecognized service (noted in `issues`) or a malformed row (noted in
+    `issues`, or raised as :class:`CdrError` when `strict`).
+    """
+    try:
+        row = _fields(line)
+        if not row or all(not col.strip() for col in row):
+            return None
+        if len(row) != 7:
+            raise ValueError(f"expected 7 columns, got {len(row)}")
+        day = datetime.strptime(row[0].strip(), "%d.%m.%Y").date()
+        at = datetime.strptime(row[1].strip(), "%H:%M:%S").time()
+        service = row[4].strip()
+        if service not in KNOWN_SERVICES:
+            issues.append(f"line {lineno}: unrecognized service {service!r}, skipped")
+            return None
+        return CallRecord(
+            date=day,
+            time=at,
+            number=row[2].strip(),
+            zone=row[3].strip(),
+            service=service,
+            duration_seconds=_parse_duration(row[5], service),
+            cost=_parse_cost(row[6]),
+        )
+    except ValueError as exc:
+        message = f"line {lineno}: {exc}"
+        if strict:
+            raise CdrError(message) from None
+        issues.append(f"{message}, row skipped")
+        return None
+
+
+#: the days before each month of a common year; index 0 unused
+_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
+
+
+def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """The proleptic Gregorian ordinals of the dates (`date.toordinal`), or
+    -1 where there is no such date (31.02, 29.02 of a common year, year 0)."""
+    leap = _is_leap(year)
+    m = np.where((month >= 1) & (month <= 12), month, 0)
+    length = _DAYS_IN_MONTH[m] + (leap & (m == 2))
+    valid = (year >= 1) & (year <= 9999) & (m > 0) & (day >= 1) & (day <= length)
+    y = year - 1
+    ordinal = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (leap & (m > 2)) + day
+    return np.where(valid, ordinal, -1)
+
+
+class _LogBuilder:
+    """Collects a :class:`CallLog` block by block, numbering its distinct texts."""
+
+    def __init__(self):
+        self.strings: dict[str, int] = {}
+        self.ints: dict[str, int] = {"": 0}  # digit text -> its value; "" when absent
+        self.parts: list[np.ndarray] = []  # each a 7 x rows array
+
+    def codes_of(self, column: tuple[str, ...]) -> np.ndarray:
+        strings = self.strings
+        for text in dict.fromkeys(column):
+            strings.setdefault(text, len(strings))
+        return np.fromiter(map(strings.__getitem__, column), np.int64, len(column))
+
+    def ints_of(self, column: tuple[str, ...]) -> np.ndarray:
+        ints = self.ints
+        for text in set(column).difference(ints):
+            ints[text] = int(text)
+        return np.fromiter(map(ints.__getitem__, column), np.int64, len(column))
+
+    def columns_of(self, record: CallRecord) -> tuple[int, ...]:
+        at, strings = record.time, self.strings
+        return (
+            record.date.toordinal(),
+            at.hour * 3600 + at.minute * 60 + at.second,
+            strings.setdefault(record.number, len(strings)),
+            strings.setdefault(record.zone, len(strings)),
+            strings.setdefault(record.service, len(strings)),
+            record.duration_seconds,
+            strings.setdefault(str(record.cost), len(strings)),
+        )
+
+    def add_lines(self, block: str, lineno: int, strict: bool, issues: list[str]) -> int:
+        """Add the rows of `block`, whole lines of which the first is line
+        `lineno`, in line order; returns the block's line count."""
+        rows = _PLAIN_ROW.findall(block)
+        n = len(rows)
+        stamp, number, zone, service, minutes, seconds, cost = zip(*rows)
+        stamps = np.array(stamp, dtype="U19")
+        plain = stamps != ""
+        # the pattern let only ASCII digits through, so code point - 48 is the digit
+        digits = stamps.view(np.uint32).reshape(n, 19).astype(np.int64) - ord("0")
+        day, month, year, hour, minute, second = (digits @ _STAMP_PLACES).T
+        ordinal = np.where(plain, _date_ordinals(year, month, day), -1)
+        duration = self.ints_of(minutes) * 60 + self.ints_of(seconds)
+        columns = np.stack([
+            ordinal,
+            (hour * 60 + minute) * 60 + second,
+            self.codes_of(number),
+            self.codes_of(zone),
+            self.codes_of(service),
+            duration,
+            self.codes_of(cost),
+        ])
+        keep = plain & (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
+        others = np.flatnonzero(~keep).tolist()
+        if others:
+            lines = block.split("\n")
+            for i in others:
+                record = _read_row(lines[i], lineno + i, strict, issues)
+                if record is not None:
+                    columns[:, i] = self.columns_of(record)
+                    keep[i] = True
+        self.parts.append(columns[:, keep])
+        return n
+
+    def build(self) -> CallLog:
+        columns = np.concatenate(self.parts, axis=1) if self.parts else np.zeros((7, 0), np.int64)
+        return CallLog(*columns, strings=tuple(self.strings))
+
+
+def parse_cdr(
+    source: Union[bytes, str, IO],
+    strict: bool = False,
+    issues: list[str] | None = None,
+) -> CallLog:
+    """Parse a semicolon-separated CDR printout into a :class:`CallLog`.
+
+    Expected header: ``date;time;number;zone;service;duration;cost`` with
+    dates as DD.MM.YYYY and costs using either decimal point or comma. Each
+    line is one row; CRLF line ends are accepted. Malformed rows are skipped
+    (with a note appended to `issues`) unless `strict` is set, in which case
+    they raise :class:`CdrError`. Rows with an unrecognized service tag are
+    always skipped with a warning.
+
+    Lines are read in blocks, each matched by one pass of :data:`_PLAIN_ROW`;
+    the lines it does not take go through the per-row reader in line order,
+    so both give the same rows and the same issues.
+    """
+    text = _read_source(source, CdrError, "CDR")
+    if issues is None:
+        issues = []
+    if not text:
+        raise CdrError("empty CDR document (missing header)")
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    try:
+        header = _fields(text[:end])
+    except ValueError as exc:
+        raise CdrError(f"unreadable CDR header: {exc}") from None
+    if tuple(col.strip().lower() for col in header) != CDR_HEADER:
+        raise CdrError(f"unexpected CDR header {header!r}")
+
+    builder = _LogBuilder()
+    start, lineno = end + 1, 2
+    last = len(text) - text.endswith("\n")  # a final line end opens no line
+    while start < last:
+        stop = text.find("\n", start + _BLOCK_CHARS, last)
+        if stop < 0:
+            stop = last
+        lineno += builder.add_lines(text[start:stop], lineno, strict, issues)
+        start = stop + 1
+    return builder.build()

@@ -1,0 +1,201 @@
+"""Call classification: each outgoing call of a printout, sent to its
+(destination, day) class.
+
+:func:`classify_calls` reads the columns that :func:`tariffopt.cdr.parse_cdr`
+returns, looks each number up in a :class:`PrefixTable` and each date in a
+:class:`WorkdayCalendar`, and returns the calls as columns
+(:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic` read.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from datetime import date
+from typing import IO, TYPE_CHECKING, Mapping, Union
+
+import numpy as np
+
+from .catalog import DAY_CLASSES, DESTINATION_CLASSES, CdrError, _fields, _read_source
+
+if TYPE_CHECKING:
+    from .cdr import CallLog
+
+
+@dataclass(frozen=True, eq=False)
+class CallTable:
+    """Classified calls as columns, in printout order: what
+    :func:`classify_calls` returns and the estimators read."""
+
+    log: CallLog  # the printout the calls come from
+    rows: np.ndarray  # each call's row in `log`
+    destination: np.ndarray  # index into DESTINATION_CLASSES
+    day: np.ndarray  # index into DAY_CLASSES
+    minute: np.ndarray  # billed minute: the duration in minutes rounded up, at least 1
+
+    @property
+    def call_class(self) -> np.ndarray:
+        """Each call's index into ALL_CALL_CLASSES."""
+        return self.destination * len(DAY_CLASSES) + self.day
+
+    @property
+    def date(self) -> np.ndarray:
+        """Each call's date, as an ordinal."""
+        return self.log.date[self.rows]
+
+    @property
+    def duration(self) -> np.ndarray:
+        """Each call's duration in seconds."""
+        return self.log.duration[self.rows]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes. Unlike a mappingproxy it pickles,
+    deep-copies, goes through `dataclasses.asdict` and prints as a dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = _refuse
+    __ior__ = dict.__or__  # `mapping |= more` assigns a new mapping, as for a mappingproxy
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
+@dataclass
+class PrefixTable:
+    """Longest-prefix map from dialed numbers to destination classes.
+
+    :func:`classify_calls` sends a call to a number with no listed prefix to
+    `other-mobile` and counts it in `unmapped_count`. `mapping` is kept as a
+    read-only copy, and assigning a new one rebuilds the lookup index, so the
+    index cannot go stale.
+    """
+
+    mapping: Mapping[str, str]
+    unmapped_count: int = 0
+
+    def __setattr__(self, name, value):
+        if name == "mapping":
+            classes = dict(value)
+            for prefix, dest in classes.items():
+                if dest not in DESTINATION_CLASSES:
+                    raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
+            value = _ReadOnlyDict(classes)
+            # an empty prefix matches no number; it must leave the lookup dict
+            # too, since number[:n] of the empty number is "" for every n
+            classes = {prefix: dest for prefix, dest in classes.items() if prefix}
+            super().__setattr__("_lengths", tuple(sorted({len(p) for p in classes}, reverse=True)))
+            super().__setattr__("_classes", classes)
+        super().__setattr__(name, value)
+
+    @classmethod
+    def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
+        """Load a ``prefix;destination_class`` table, one entry per line.
+
+        An unreadable line, an unknown class, an empty prefix, or a prefix
+        listed again with another class is an error that names its line.
+        """
+        text = _read_source(source, CdrError, "prefix table")
+        mapping: dict[str, str] = {}
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            try:
+                row = _fields(line)
+            except ValueError as exc:
+                raise CdrError(f"prefix table line {lineno}: {exc}") from None
+            if not row or all(not col.strip() for col in row):
+                continue
+            if [c.strip().lower() for c in row] == ["prefix", "destination_class"]:
+                continue
+            if len(row) != 2:
+                raise CdrError(f"prefix table line {lineno}: expected 2 columns")
+            prefix, dest = row[0].strip(), row[1].strip()
+            if not prefix:
+                raise CdrError(f"prefix table line {lineno}: empty prefix")
+            if dest not in DESTINATION_CLASSES:
+                raise CdrError(f"prefix table line {lineno}: unknown destination class {dest!r}")
+            if mapping.setdefault(prefix, dest) != dest:
+                raise CdrError(
+                    f"prefix table line {lineno}: prefix {prefix!r} listed again "
+                    f"as {dest!r}, was {mapping[prefix]!r}"
+                )
+        return cls(mapping)
+
+    def _lookup(self, number: str) -> str | None:
+        """The class of `number`'s longest listed prefix; None when no prefix is listed."""
+        classes = self._classes
+        for length in self._lengths:
+            dest = classes.get(number[:length])
+            if dest is not None:
+                return dest
+        return None
+
+
+@dataclass(frozen=True)
+class WorkdayCalendar:
+    """Workday/weekend lookup; Saturdays, Sundays, and listed holidays are weekends."""
+
+    holidays: frozenset[date] = frozenset()
+
+    @classmethod
+    def from_file(cls, source: Union[bytes, str, IO]) -> "WorkdayCalendar":
+        """Load a holiday list, one ISO date per line."""
+        text = _read_source(source, CdrError, "holiday list")
+        days = set()
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
+                    days.add(date.fromisoformat(line))
+                except ValueError:
+                    raise CdrError(f"holiday list line {lineno}: not an ISO date: {line!r}") from None
+        return cls(frozenset(days))
+
+    def day_class(self, day: date) -> str:
+        if day.weekday() >= 5 or day in self.holidays:
+            return "weekend"
+        return "workday"
+
+
+def classify_calls(
+    log: CallLog,
+    prefix_table: PrefixTable,
+    calendar: WorkdayCalendar,
+    issues: list[str] | None = None,
+) -> CallTable:
+    """Classify all outgoing calls, dropping SMS rows and zero-duration calls.
+
+    Each call goes to the class of its number's longest listed prefix and
+    of its date's day class; each distinct number and date is looked up
+    once. A call to an unlisted number goes to `other-mobile` and adds one
+    to the prefix table's `unmapped_count`. The billing minute is the
+    ceiling of the duration in minutes. `log` is what :func:`parse_cdr`
+    returns.
+    """
+    tel = log.service == log.code("Tel")
+    rows = np.flatnonzero(tel & (log.duration > 0))
+    numbers = log.number[rows]
+    per_number = np.bincount(numbers, minlength=len(log.strings))
+    destination = np.zeros(len(log.strings), dtype=np.int64)
+    lookup = prefix_table._lookup
+    for code in np.flatnonzero(per_number).tolist():
+        dest = lookup(log.strings[code])
+        if dest is None:
+            dest = "other-mobile"
+            prefix_table.unmapped_count += int(per_number[code])
+        destination[code] = DESTINATION_CLASSES.index(dest)
+    days, day_of_call = np.unique(log.date[rows], return_inverse=True)
+    day_of = [DAY_CLASSES.index(calendar.day_class(date.fromordinal(d))) for d in days.tolist()]
+    dropped = int(np.count_nonzero(tel)) - len(rows)
+    if dropped and issues is not None:
+        issues.append(f"{dropped} zero-duration call(s) dropped")
+    return CallTable(
+        log=log,
+        rows=rows,
+        destination=destination[numbers],
+        day=np.array(day_of, dtype=np.int64)[day_of_call.reshape(-1)],
+        minute=np.maximum(1, -(-log.duration[rows] // 60)),
+    )

@@ -16,26 +16,19 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import date
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-from .catalog import Catalog, CatalogError, load_catalog
+from .catalog import Catalog, CatalogError, CdrError, InputError, load_catalog
 from .cost import BILLING_MODES, LOOKUP, full_costs, rank
-from .sensitivity import RegressionFit, fit_report, k_grid, sweep, switch_points
-from .simulate import SimConfig, SimulationError, run
-from .traffic import (
-    CallTable,
-    CdrError,
-    PrefixTable,
-    ProfileError,
-    TrafficProfile,
-    WorkdayCalendar,
-    build_histogram,
-    classify_calls,
-    estimate_profile,
-    fit_exponential,
-    observation_months,
-    parse_cdr,
-)
+
+# Each command imports the other engine modules it runs, so that a process
+# loads only those: `validate` loads neither classification nor profile
+# estimation, and only `sweep`, `fit` and `simulate` load sensitivity or the
+# oracle. The parser needs `cost` for its billing modes.
+if TYPE_CHECKING:
+    from .classify import CallTable
+    from .sensitivity import RegressionFit
+    from .traffic import TrafficProfile
 
 FORMATS = ("table", "json", "csv")
 
@@ -118,6 +111,10 @@ def _load_catalog(path: str) -> Catalog:
 
 
 def _load_inputs(args) -> Inputs:
+    from .cdr import parse_cdr
+    from .classify import PrefixTable, WorkdayCalendar, classify_calls
+    from .traffic import estimate_profile, observation_months
+
     catalog = _load_catalog(args.catalog)
     with open(args.prefixes, "rb") as fh:
         prefixes = PrefixTable.from_csv(fh)
@@ -160,6 +157,8 @@ def cmd_validate(args) -> tuple[str, int]:
         f"owned SIMs: {', '.join(sorted(catalog.context.owned_sim_providers)) or 'none'}"
     )
     if args.cdr:
+        from .cdr import parse_cdr
+
         issues: list[str] = []
         try:
             with open(args.cdr, "rb") as fh:
@@ -176,6 +175,8 @@ def cmd_validate(args) -> tuple[str, int]:
 
 
 def cmd_analyze(args) -> Report:
+    from .traffic import build_histogram, fit_exponential
+
     inputs = _load_inputs(args)
     catalog, calls, profile = inputs.catalog, inputs.calls, inputs.profile
     duration_fit = fit_exponential(calls.duration / 60.0)
@@ -276,12 +277,16 @@ def cmd_rank(args) -> Report:
 
 
 def _sweep_points(args):
+    from .sensitivity import k_grid, sweep
+
     inputs = _load_inputs(args)
     grid = k_grid(args.k_from, args.k_to, args.k_step)
     return sweep(inputs.catalog, inputs.catalog.context, inputs.profile, grid, args.billing_mode)
 
 
 def cmd_sweep(args) -> Report:
+    from .sensitivity import switch_points
+
     points = _sweep_points(args)
     intervals = switch_points(points)
     plan_ids = sorted(points[0].lines)
@@ -337,6 +342,8 @@ def _equation(fit: RegressionFit) -> str:
 
 
 def cmd_fit(args) -> Report:
+    from .sensitivity import fit_report
+
     points = _sweep_points(args)
     fits = fit_report(points)
     # the CSV spells out the coefficients; the table shows the equation
@@ -365,6 +372,8 @@ def cmd_fit(args) -> Report:
 
 
 def cmd_simulate(args) -> Report:
+    from .simulate import SimConfig, run
+
     inputs = _load_inputs(args)
     config = SimConfig.from_profile(
         inputs.profile, seed=args.seed, runs=args.runs, billing_mode=args.billing_mode
@@ -462,7 +471,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CatalogError, CdrError, ProfileError, SimulationError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,7 +11,7 @@ of adopting a plan gives the full cost that ranks the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .catalog import (
     CALL_CLASS_INDEX,
@@ -21,7 +21,9 @@ from .catalog import (
     PricingTable,
     SubscriberContext,
 )
-from .traffic import DurationModel, TrafficProfile
+
+if TYPE_CHECKING:
+    from .traffic import DurationModel, TrafficProfile
 
 LOOKUP = "lookup"
 CUMULATIVE = "cumulative"

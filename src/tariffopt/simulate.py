@@ -32,12 +32,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .catalog import CALL_CLASS_INDEX, BillingPlan, Catalog
+from .catalog import CALL_CLASS_INDEX, BillingPlan, Catalog, InputError
+from .classify import CallTable
 from .cost import BILLING_MODES, LOOKUP, check_billing_mode
-from .traffic import CallTable, Exponential, TrafficCell, TrafficProfile
+from .traffic import Exponential, TrafficCell, TrafficProfile
 
 
-class SimulationError(ValueError):
+class SimulationError(InputError):
     """Raised for invalid simulation configurations."""
 
 

@@ -291,27 +291,37 @@ def test_two_subgroups_with_one_name_are_validation_errors(command, tmp_path, ca
 
 
 def test_engine_value_error_is_internal_error(monkeypatch, capsys):
-    from tariffopt import cli
+    """A bare ValueError raised inside a command is an engine fault (exit 3);
+    each of the package's four input errors is a validation error (exit 1)."""
+    from tariffopt import CatalogError, CdrError, ProfileError, SimulationError, simulate
+
+    message = "operands could not be broadcast together"
+    raised = []
 
     def broken_run(config, catalog):
-        raise ValueError("operands could not be broadcast together")
+        raise raised[-1](message)
 
     # the parser main() has already built and kept must still reach the patched `run`
     assert invoke(capsys, "simulate", *BASE, "--runs", "10")[0] == 0
-    monkeypatch.setattr(cli, "run", broken_run)
-    code, out, err = invoke(capsys, "simulate", *BASE, "--runs", "10")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("internal error:")
+    monkeypatch.setattr(simulate, "run", broken_run)
+    for error, code, prefix in [
+        (ValueError, 3, "internal error"),
+        (CatalogError, 1, "error"),
+        (CdrError, 1, "error"),
+        (ProfileError, 1, "error"),
+        (SimulationError, 1, "error"),
+    ]:
+        raised.append(error)
+        assert invoke(capsys, "simulate", *BASE, "--runs", "10") == (code, "", f"{prefix}: {message}\n"), error
 
 
 def test_absurd_run_count_is_validation_error(monkeypatch, capsys):
-    from tariffopt import cli
+    from tariffopt import simulate
 
     def unreachable_run(config, catalog):
         raise AssertionError("the run count is checked before the oracle allocates anything")
 
-    monkeypatch.setattr(cli, "run", unreachable_run)
+    monkeypatch.setattr(simulate, "run", unreachable_run)
     code, out, err = invoke(capsys, "simulate", *BASE, "--runs", "10000000000000")
     assert code == 1
     assert out == ""

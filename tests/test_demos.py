@@ -2,9 +2,9 @@
 exactly its pinned output, `tests/golden/demo-0N.txt`.
 
 The demos run from a copy of `demos/` and `data/`, so that files they write
-(demo 05 writes `sweep.csv` next to itself) stay out of the checkout. The
-copy's directory, which demo 05 prints, reads as `<root>` in the pinned
-files. After a deliberate output change, regenerate them from the
+(demo 05 writes `sweep.csv` next to itself) stay out of the checkout. No
+demo prints where it runs, so the copy's output is compared byte for byte.
+After a deliberate output change, regenerate the pinned files from the
 repository root with:  PYTHONPATH=src python tests/test_demos.py
 """
 
@@ -38,7 +38,7 @@ def _copy_inputs(root: Path) -> None:
 
 
 def _run_demo(demo: str, root: Path) -> str:
-    """Stdout of `demo` run from the copy at `root`, with `root` as `<root>`."""
+    """Stdout of `demo` run from the copy at `root`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, str(root / "demos" / demo)],
@@ -49,7 +49,7 @@ def _run_demo(demo: str, root: Path) -> str:
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.replace(str(root), "<root>")
+    return result.stdout
 
 
 def _golden(demo: str) -> Path:

@@ -45,7 +45,7 @@ from tariffopt import (
     sweep,
     switch_points,
 )
-from tariffopt import simulate, traffic
+from tariffopt import cdr, simulate
 from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
@@ -770,7 +770,7 @@ def per_row_reader(text, strict, issues):
     """The per-row reader applied to every line after the header."""
     records = []
     for lineno, line in enumerate(text.split("\n")[1:], start=2):
-        record = traffic._read_row(line, lineno, strict, issues)
+        record = cdr._read_row(line, lineno, strict, issues)
         if record is not None:
             records.append(record)
     return records
@@ -819,10 +819,10 @@ def test_block_reader_matches_the_per_row_reader(lines, final_newline, block_cha
     """parse_cdr gives the rows and issues of the per-row reader run on every
     line, and under strict fails on the same line, whatever the block size."""
     text = printout(*lines, final_newline=final_newline)
-    saved = traffic._BLOCK_CHARS
-    traffic._BLOCK_CHARS = block_chars
+    saved = cdr._BLOCK_CHARS
+    cdr._BLOCK_CHARS = block_chars
     try:
         for strict in (False, True):
             assert reading(block_reader, text, strict) == reading(per_row_reader, text, strict)
     finally:
-        traffic._BLOCK_CHARS = saved
+        cdr._BLOCK_CHARS = saved

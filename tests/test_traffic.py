@@ -193,7 +193,7 @@ def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
 
 @pytest.mark.parametrize("year", [0, 1, 1900, 2000, 2011, 2012, 9999])
 def test_date_ordinals_match_date_toordinal(year):
-    from tariffopt.traffic import _date_ordinals
+    from tariffopt.cdr import _date_ordinals
 
     days = [(month, day) for month in range(1, 13) for day in range(1, 32)]
     expected = []
