@@ -31,6 +31,7 @@ class CallTable:
     destination: np.ndarray  # index into DESTINATION_CLASSES
     day: np.ndarray  # index into DAY_CLASSES
     minute: np.ndarray  # billed minute: the duration in minutes rounded up, at least 1
+    unmapped: int = 0  # calls sent to `other-mobile` because no listed prefix matches their number
 
     @property
     def call_class(self) -> np.ndarray:
@@ -170,10 +171,10 @@ def classify_calls(
 
     Each call goes to the class of its number's longest listed prefix and
     of its date's day class; each distinct number and date is looked up
-    once. A call to an unlisted number goes to `other-mobile` and adds one
-    to the prefix table's `unmapped_count`. The billing minute is the
-    ceiling of the duration in minutes. `log` is what :func:`parse_cdr`
-    returns.
+    once. A call to an unlisted number goes to `other-mobile` and counts
+    in the returned `unmapped` and in the prefix table's `unmapped_count`.
+    The billing minute is the ceiling of the duration in minutes. `log` is
+    what :func:`parse_cdr` returns.
     """
     tel = log.service == log.code("Tel")
     rows = np.flatnonzero(tel & (log.duration > 0))
@@ -181,12 +182,14 @@ def classify_calls(
     per_number = np.bincount(numbers, minlength=len(log.strings))
     destination = np.zeros(len(log.strings), dtype=np.int64)
     lookup = prefix_table._lookup
+    unmapped = 0
     for code in np.flatnonzero(per_number).tolist():
         dest = lookup(log.strings[code])
         if dest is None:
             dest = "other-mobile"
-            prefix_table.unmapped_count += int(per_number[code])
+            unmapped += int(per_number[code])
         destination[code] = DESTINATION_CLASSES.index(dest)
+    prefix_table.unmapped_count += unmapped
     days, day_of_call = np.unique(log.date[rows], return_inverse=True)
     day_of = [DAY_CLASSES.index(calendar.day_class(date.fromordinal(d))) for d in days.tolist()]
     dropped = int(np.count_nonzero(tel)) - len(rows)
@@ -198,4 +201,5 @@ def classify_calls(
         destination=destination[numbers],
         day=np.array(day_of, dtype=np.int64)[day_of_call.reshape(-1)],
         minute=np.maximum(1, -(-log.duration[rows] // 60)),
+        unmapped=unmapped,
     )

@@ -11,7 +11,7 @@ of adopting a plan gives the full cost that ranks the candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from .catalog import (
     CALL_CLASS_INDEX,
@@ -99,16 +99,39 @@ def _one_call(segments: tuple[tuple[int, int, float], ...], row: list[float]) ->
     return total
 
 
+#: a candidate as :func:`_priced` prices it: the plan, its subgroups' calls
+#: per month and monthly costs, its fee and its variable cost
+_Priced = tuple[BillingPlan, tuple[float, ...], tuple[float, ...], float, float]
+
+#: the last pricing: ``(catalog, context, profile, mode, product)``, read and
+#: replaced whole, so a concurrent caller finds a whole entry or prices
+#: again. It holds its catalog and profile, so no other object takes their
+#: ids while it stands.
+_last: tuple | None = None
+
+
 def _priced(
     catalog: Catalog, context: SubscriberContext, profile: TrafficProfile, mode: str
-) -> Iterator[tuple[BillingPlan, list[float], list[float]]]:
+) -> tuple[_Priced, ...]:
     """Each switch candidate with its subgroups' calls per month and monthly
-    costs. The candidates depend on whose current plan it is.
+    costs, its fee (:func:`_fee`) and its variable cost (their sum). The
+    candidates depend on whose current plan it is.
 
     Each traffic cell is priced under the subgroup its calls route to, with
     one row per distinct duration model, through the catalog's own table,
     which holds each plan's payoffs under its id.
+
+    The product of the last call is kept: a call on the same `catalog` and
+    `profile` objects with an equal `context` and `mode` returns it without
+    pricing again, so :func:`full_costs` and the sweeps that follow it on
+    one profile price it once. Any other call prices and replaces it.
     """
+    global _last
+    last = _last
+    if last is not None:
+        last_catalog, last_context, last_profile, last_mode, product = last
+        if last_catalog is catalog and last_profile is profile and last_context == context and last_mode == mode:
+            return product
     catalog.check_context(context)
     by_plan, row_of = _rows(catalog.pricing, mode)
     rows, cells = {}, []
@@ -119,6 +142,7 @@ def _priced(
         if key not in rows:
             rows[key] = row_of(cell.durations)
         cells.append((CALL_CLASS_INDEX[cell.destination_class, cell.day_class], cell.rate, rows[key]))
+    priced = []
     for plan in catalog.switch_candidates(context):
         payoffs, routes = by_plan[plan.id], plan.routes
         rates = [0.0] * len(payoffs)
@@ -127,7 +151,10 @@ def _priced(
             j = routes[k]
             rates[j] += rate
             costs[j] += rate * _one_call(payoffs[j], row)
-        yield plan, rates, costs
+        priced.append((plan, tuple(rates), tuple(costs), _fee(plan, context), sum(costs)))
+    product = tuple(priced)
+    _last = (catalog, context, profile, mode, product)
+    return product
 
 
 def expected_call_cost(
@@ -139,7 +166,7 @@ def expected_call_cost(
     return _one_call(by_key[None][0], row_of(durations))
 
 
-def _subgroup_costs(plan: BillingPlan, rates: list[float], costs: list[float]) -> tuple[SubgroupCost, ...]:
+def _subgroup_costs(plan: BillingPlan, rates: tuple[float, ...], costs: tuple[float, ...]) -> tuple[SubgroupCost, ...]:
     """A subgroup aggregating several cells reports the rate-weighted
     average one-call cost."""
     return tuple(
@@ -180,10 +207,10 @@ def full_costs(
             plan_name=plan.name,
             is_current=plan.id == context.current_plan_id,
             subgroups=_subgroup_costs(plan, rates, costs),
-            variable=sum(costs),
-            fixed=_fee(plan, context),
+            variable=variable,
+            fixed=fee,
         )
-        for plan, rates, costs in _priced(catalog, context, profile, mode)
+        for plan, rates, costs, fee, variable in _priced(catalog, context, profile, mode)
     ]
 
 
@@ -194,11 +221,9 @@ def cost_lines(
     mode: str = LOOKUP,
 ) -> list[tuple[int, float, float]]:
     """``(plan id, fixed, variable)`` per switch candidate, in
-    :func:`full_costs`' order and with its floats, building no breakdown."""
-    return [
-        (plan.id, _fee(plan, context), sum(costs))
-        for plan, _, costs in _priced(catalog, context, profile, mode)
-    ]
+    :func:`full_costs`' order and with its floats, read from the kernel's
+    product (:func:`_priced`) without building a breakdown."""
+    return [(plan.id, fee, variable) for plan, _, _, fee, variable in _priced(catalog, context, profile, mode)]
 
 
 def rank(breakdowns: list[CostBreakdown]) -> Ranking:

@@ -106,13 +106,17 @@ def sweep(
     grid: Sequence[float],
     mode: str = LOOKUP,
 ) -> list[SweepPoint]:
-    """Price every candidate once (:func:`~tariffopt.cost.cost_lines`), then
-    evaluate the cost lines ``fixed + k * variable`` as one (plans x grid)
-    array.
+    """Read every candidate's cost line from one pricing
+    (:func:`~tariffopt.cost.cost_lines`), then evaluate the lines
+    ``fixed + k * variable`` as one (plans x grid) array. Right after
+    :func:`~tariffopt.cost.full_costs` or another sweep on the same catalog,
+    profile, context and mode, that pricing is the one they made.
 
     Each point's optimum is the first minimum of its column, with the rows
     taken in :func:`rank`'s tie order (the current plan, then ascending id),
-    so it is the plan ``rank`` picks from the same costs.
+    so it is the plan ``rank`` picks from the same costs. Fees and variable
+    costs are never negative, so the grid's last k holds every plan's
+    largest cost; a cost that overflows there is a :class:`ProfileError`.
     """
     if not grid:
         raise ProfileError("empty multiplier grid")
@@ -129,7 +133,10 @@ def sweep(
     stay = ids.index(context.current_plan_id)
     tie_order = np.array(sorted(range(len(ids)), key=lambda i: (i != stay, ids[i])))
     fixed, variable = np.array(list(lines.values())).T
-    costs = variable[:, None] * ks + fixed[:, None]
+    with np.errstate(over="ignore"):
+        costs = variable[:, None] * ks + fixed[:, None]
+    if not np.isfinite(costs[:, -1]).all():
+        raise ProfileError(f"plan costs overflow at traffic multiplier {grid[-1]}")
     optimal = tie_order[costs[tie_order].argmin(axis=0)]
     best_costs = costs[optimal, np.arange(ks.size)]
     return [
@@ -181,6 +188,12 @@ def _powers(x: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack([x**p for p in range(degree + 1)])
 
 
+def _span(powers: np.ndarray) -> str:
+    """The range of k that `powers` (see :func:`_powers`) was built over."""
+    k = powers[:, 1]
+    return f"grid from k={k.min()} to k={k.max()}"
+
+
 class _Series:
     """A response vector with the sums of squares its fits need, each
     computed once."""
@@ -205,7 +218,10 @@ def _fit(powers: np.ndarray, series: _Series, degree: int, intercept: bool) -> R
     y = series.y
     coef, _, rank_, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank_ < design.shape[1]:
-        raise ValueError("rank-deficient design matrix")
+        raise ProfileError(
+            f"{_span(powers)} cannot be fitted to degree {degree}: its powers of k are "
+            "numerically dependent (rank-deficient design matrix)"
+        )
     residuals = y - design @ coef
     ss_res = float(residuals @ residuals)
     ss_tot = series.ss_centered if intercept else series.ss
@@ -237,13 +253,19 @@ def fit_report(points: Sequence[SweepPoint]) -> dict[str, RegressionFit]:
     The stay curve gets a through-origin line; the optimal curve gets a
     through-origin line, a line with intercept, a quadratic, and a cubic,
     so the gain from each extra term is visible in the R^2 progression.
+    A grid whose powers of k overflow, or are numerically dependent (points
+    too close together, or spread over too many orders of magnitude), is a
+    :class:`ProfileError`.
     """
     if len(points) < 5:
         raise ProfileError(f"need at least 5 sweep points, got {len(points)}")
     k = np.array([p.k for p in points], dtype=float)
     if np.all(k == k[0]):
         raise ValueError("x values are all identical")
-    powers = _powers(k, max(degree for _, _, degree, _ in FIT_FORMS))
+    with np.errstate(over="ignore"):
+        powers = _powers(k, max(degree for _, _, degree, _ in FIT_FORMS))
+    if not np.isfinite(powers).all():
+        raise ProfileError(f"{_span(powers)} is too wide to fit: its powers of k overflow")
     series = {
         "stay": _Series(np.array([p.stay_cost for p in points], dtype=float)),
         "optimal": _Series(np.array([p.optimal_full_cost for p in points], dtype=float)),

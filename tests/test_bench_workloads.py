@@ -1,6 +1,7 @@
 """The benchmark's workloads still run against the package: each one loads
 its inputs and makes one untraced pass with no failed operation, and its
-set-up probe runs in a fresh interpreter.
+set-up probe runs in a fresh interpreter. A second pass runs the pricing
+kernel once per profile it prices, no more and no fewer.
 
 The benchmark under bench/ calls the package's public API as it stands; a
 change that breaks one of those calls fails here, not first in a benchmark
@@ -39,6 +40,45 @@ def test_workload_pass_has_no_failures(bench_modules, name, tmp_path):
     result = workload.run_pass(spans.Tracer(False))
     assert result.attempted > 0
     assert result.failed == result.unexpected == 0
+
+
+#: pricing-kernel runs in a pass after the first: growth-scan prices each of its
+#: 12 profiles once for `full_costs` and its two sweeps; paper-oracle's `sweep`
+#: reuses its `full_costs` pricing, while each `cli.main` loads a fresh catalog;
+#: bulk-ingest prices each of its 40 profiles once
+KERNEL_RUNS = {"paper-oracle": 4, "bulk-ingest": 40, "growth-scan": 12}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_RUNS))
+def test_a_second_pass_prices_each_profile_once(bench_modules, name, monkeypatch, tmp_path):
+    from tariffopt import cost
+
+    spans, workloads = bench_modules
+    workload = workloads.WORKLOADS[name](BENCH.parent, 111, work=tmp_path)
+    workload.load()
+    workload.run_pass(spans.Tracer(False))
+    runs = []
+    rows = cost._rows
+    monkeypatch.setattr(cost, "_rows", lambda table, mode: runs.append(mode) or rows(table, mode))
+    result = workload.run_pass(spans.Tracer(False))
+    assert result.unexpected == 0
+    assert len(runs) == KERNEL_RUNS[name]
+
+
+def test_call_table_counts_the_unmapped_calls_of_every_bulk_printout(bench_modules):
+    from tariffopt import PrefixTable, WorkdayCalendar, classify_calls, parse_cdr
+
+    _, workloads = bench_modules
+    inputs = workloads.gen.bulk_ingest(111)
+    prefixes = PrefixTable.from_csv(inputs.prefixes_csv)
+    calendar = WorkdayCalendar.from_file(inputs.holidays_txt)
+    total = 0
+    for sub in inputs.subscribers:
+        before = prefixes.unmapped_count
+        calls = classify_calls(parse_cdr(sub.cdr), prefixes, calendar)
+        assert calls.unmapped == prefixes.unmapped_count - before == sub.unmapped
+        total += calls.unmapped
+    assert total > 0
 
 
 @pytest.mark.parametrize("name, memory", [("paper-oracle", False), ("paper-oracle", True),

@@ -249,6 +249,28 @@ def test_fit_on_a_short_grid_is_validation_error(capsys):
     assert "at least 5 sweep points" in err
 
 
+def test_fit_on_a_grid_it_cannot_fit_is_validation_error(capsys):
+    # six distinct points 2e-8 apart cannot tell k, k^2 and k^3 apart, nor
+    # can a grid over 50 orders of magnitude tell 1 from k; k^3 overflows
+    # past about 5.6e102
+    for grid, message in (
+        (["--k-from", "1", "--k-to", "1.0000001", "--k-step", "0.00000002"],
+         "grid from k=1.0 to k=1.0000001 cannot be fitted to degree 2: its powers of k are numerically dependent"),
+        (["--k-to", "1e50", "--k-step", "1e49"], "cannot be fitted to degree 1: its powers of k are numerically dependent"),
+        (["--k-to", "1e155", "--k-step", "1e154"], "grid from k=0.5 to k=1e+155 is too wide to fit"),
+    ):
+        code, out, err = invoke(capsys, "fit", *BASE, *grid)
+        assert (code, out) == (1, "")
+        assert message in err
+
+
+def test_sweep_whose_costs_overflow_is_validation_error(capsys):
+    for fmt in ("json", "table"):
+        code, out, err = invoke(capsys, "sweep", *BASE, "--k-to", "1e308", "--k-step", "1e307", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: plan costs overflow at traffic multiplier 1e+308\n"
+
+
 def test_unreadable_inputs_are_validation_errors(tmp_path, capsys):
     holidays = tmp_path / "holidays.txt"
     holidays.write_text("2010-01-01\n2010-13-01\n")

@@ -7,6 +7,7 @@ so the closed-form engine is always checked against a second route.
 
 from __future__ import annotations
 
+import itertools
 import math
 from decimal import Decimal
 
@@ -16,6 +17,7 @@ import pytest
 from tariffopt import (
     BILLING_MODES,
     Catalog,
+    CatalogError,
     Empirical,
     Exponential,
     PayoffFunction,
@@ -25,9 +27,16 @@ from tariffopt import (
     TrafficProfile,
     expected_call_cost,
     full_costs,
+    k_grid,
+    load_catalog,
     rank,
+    sweep,
 )
+from tariffopt import cost
 from tariffopt.catalog import ALL_CALL_CLASSES
+from tariffopt.cost import CUMULATIVE, LOOKUP, cost_lines
+
+from conftest import CATALOG_PATH, make_reference_profile
 
 
 MU = 0.41
@@ -280,3 +289,90 @@ def test_unknown_billing_mode_rejected_when_nothing_is_billed(mts_catalog):
         full_costs(mts_catalog, mts_catalog.context, idle, "bogus")
     with pytest.raises(ValueError, match="unknown billing mode 'bogus'"):
         expected_call_cost(flat(1.0), Exponential(mu=MU), "bogus")
+
+
+# --------------------------------------------------------------------------
+# the kernel's last product
+
+
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The billing mode of each pricing-kernel run: a run builds its rows
+    once (`cost._rows`), and a call served from the last product builds none."""
+    runs = []
+    rows = cost._rows
+
+    def counting(table, mode):
+        runs.append(mode)
+        return rows(table, mode)
+
+    monkeypatch.setattr(cost, "_rows", counting)
+    return runs
+
+
+def test_a_repeated_pricing_does_not_run_the_kernel(mts_catalog, kernel_runs):
+    profile = make_reference_profile()
+    first = full_costs(mts_catalog, mts_catalog.context, profile)
+    assert len(kernel_runs) == 1
+    # an equal context built anew is the same input
+    same = SubscriberContext(mts_catalog.context.current_plan_id, mts_catalog.context.owned_sim_providers)
+    second = full_costs(mts_catalog, same, profile)
+    # the kept product is immutable; each call builds its own list
+    product = cost._priced(mts_catalog, same, profile, LOOKUP)
+    assert len(kernel_runs) == 1
+    assert second == first and second is not first
+    assert type(product) is tuple
+    assert all(type(rates) is type(costs) is tuple for _, rates, costs, _, _ in product)
+
+
+@pytest.mark.parametrize("changed", ["catalog", "context", "profile", "mode"])
+def test_changing_one_input_prices_again(mts_catalog, kernel_runs, changed):
+    inputs = {"catalog": mts_catalog, "context": mts_catalog.context,
+              "profile": make_reference_profile(), "mode": LOOKUP}
+    other = {
+        # an equal catalog or profile that is another object is another input
+        "catalog": load_catalog(CATALOG_PATH.read_bytes()),
+        "context": SubscriberContext(mts_catalog.context.current_plan_id),
+        "profile": make_reference_profile(),
+        "mode": CUMULATIVE,
+    }[changed]
+    first = full_costs(**inputs)
+    changed_inputs = {**inputs, changed: other}
+    again = full_costs(**changed_inputs)
+    assert kernel_runs == [LOOKUP, changed_inputs["mode"]]
+    assert (again == first) == (changed in ("catalog", "profile"))
+    # the entry now holds the changed inputs: the first ones price again
+    assert full_costs(**inputs) == first
+    assert len(kernel_runs) == 3
+
+
+GRID = k_grid()
+
+PRICINGS = {
+    "full_costs": lambda catalog, profile, mode: full_costs(catalog, catalog.context, profile, mode),
+    "cost_lines": lambda catalog, profile, mode: cost_lines(catalog, catalog.context, profile, mode),
+    "sweep": lambda catalog, profile, mode: sweep(catalog, catalog.context, profile, GRID, mode),
+}
+
+
+@pytest.mark.parametrize("mode", BILLING_MODES)
+@pytest.mark.parametrize("first, then", itertools.permutations(PRICINGS, 2))
+def test_results_are_the_same_cold_and_warm(mts_catalog, kernel_runs, first, then, mode):
+    cold = {name: repr(price(mts_catalog, make_reference_profile(), mode)) for name, price in PRICINGS.items()}
+    assert len(kernel_runs) == len(PRICINGS)
+    profile = make_reference_profile()
+    assert repr(PRICINGS[first](mts_catalog, profile, mode)) == cold[first]
+    assert repr(PRICINGS[then](mts_catalog, profile, mode)) == cold[then]
+    assert len(kernel_runs) == len(PRICINGS) + 1
+
+
+def test_a_bad_context_fails_right_after_a_valid_pricing(mts_catalog):
+    profile = make_reference_profile()
+    bad = SubscriberContext(current_plan_id=99, owned_sim_providers=mts_catalog.context.owned_sim_providers)
+    for price in (full_costs, cost_lines):
+        price(mts_catalog, mts_catalog.context, profile)
+        with pytest.raises(CatalogError, match="current_plan_id 99 not in catalog"):
+            price(mts_catalog, bad, profile)
+    sweep(mts_catalog, mts_catalog.context, profile, GRID)
+    with pytest.raises(CatalogError, match="current_plan_id 99 not in catalog"):
+        sweep(mts_catalog, bad, profile, GRID)

@@ -397,6 +397,14 @@ def test_fit_report_rejects_points_at_one_multiplier(mts_catalog):
         fit_report(points)
 
 
+def test_sweep_rejects_costs_that_overflow_at_the_last_multiplier(mts_catalog):
+    profile = make_reference_profile()
+    with pytest.raises(ProfileError, match=r"plan costs overflow at traffic multiplier 1e\+308"):
+        sweep(mts_catalog, mts_catalog.context, profile, [1.0, 1e300, 1e308])
+    points = sweep(mts_catalog, mts_catalog.context, profile, [1.0, 1e300])
+    assert all(math.isfinite(cost) for cost in points[-1].plan_costs.values())
+
+
 def test_fit_report_single_flat_plan_affine():
     import json
 
