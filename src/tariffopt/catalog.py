@@ -3,7 +3,9 @@
 A catalog document describes every candidate plan: its fixed fees, the rules
 that route a call into one of the plan's subgroups, and the per-minute price
 schedule each subgroup is billed under. Catalogs are immutable after loading
-and safe to share across threads.
+and safe to share across threads. A catalog is plain data, fees and rates
+held as decimals, so loading one imports no numpy: only the oracle's billing
+arrays (:attr:`Catalog.billing`) do, on first use.
 
 This module is also the base of every input reader: the input-error classes,
 the one source reader (:func:`_read_source`), the `;`-separated field reader
@@ -15,12 +17,15 @@ from __future__ import annotations
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
-from typing import IO, Union
+from operator import itemgetter
+from typing import IO, TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DESTINATION_CLASSES = ("same-network", "other-mobile", "landline")
 DAY_CLASSES = ("workday", "weekend")
@@ -125,23 +130,6 @@ class PayoffFunction:
         """``(from_minute, to_minute, rate)`` of each segment, rate as a float."""
         return tuple((seg.from_minute, seg.to_minute, float(seg.rate)) for seg in self.segments)
 
-    @cached_property
-    def _starts(self) -> np.ndarray:
-        return np.array([seg.from_minute for seg in self.segments], dtype=np.int64)
-
-    @cached_property
-    def _rates(self) -> np.ndarray:
-        return np.array([rate for _, _, rate in self.float_segments])
-
-    @cached_property
-    def _cum_before(self) -> np.ndarray:
-        # total charge of all whole segments preceding each segment
-        lengths = np.array(
-            [seg.to_minute - seg.from_minute + 1 for seg in self.segments[:-1]],
-            dtype=float,
-        )
-        return np.concatenate([[0.0], np.cumsum(lengths * self._rates[:-1])])
-
     def on_intervals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(from_minute, rate, charge before)`` of the segment that holds
         each interval of `points`, sorted minutes that include every
@@ -150,28 +138,24 @@ class PayoffFunction:
         Interval ``i = points.searchsorted(m)`` holds the minutes m with
         ``points[i-1] < m <= points[i]``, all in one segment; interval 0
         holds no minute >= 1. A call of billed minute m is charged
-        ``rate[i]`` per lookup, ``before[i] + (m - start[i] + 1) * rate[i]``
-        cumulatively, the same floats as :meth:`rates` and :meth:`cumulative`.
+        ``rate[i]`` per lookup (:meth:`rate_at`), and ``before[i] + (m -
+        start[i] + 1) * rate[i]`` cumulatively, ``before`` being the charge of
+        all whole segments ahead of the interval's segment.
         """
-        seg = self._starts.searchsorted(np.concatenate(([0], points)) + 1, side="right") - 1
-        return self._starts[seg], self._rates[seg], self._cum_before[seg]
+        import numpy as np
+
+        starts = np.array([a for a, _, _ in self.float_segments], dtype=np.int64)
+        rates = np.array([rate for _, _, rate in self.float_segments])
+        lengths = np.array([b - a + 1 for a, b, _ in self.float_segments[:-1]], dtype=float)
+        before = np.concatenate([[0.0], np.cumsum(lengths * rates[:-1])])
+        seg = starts.searchsorted(np.concatenate(([0], points)) + 1, side="right") - 1
+        return starts[seg], rates[seg], before[seg]
 
     def rate_at(self, minute: int) -> float:
         """Rate charged for a call whose billed duration is `minute`."""
         if minute < 1:
             raise ValueError(f"minute must be >= 1, got {minute}")
-        return float(self._rates[int(self._starts.searchsorted(minute, side="right")) - 1])
-
-    def rates(self, minutes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rate_at` over an integer minute array."""
-        return self._rates[self._starts.searchsorted(minutes, side="right") - 1]
-
-    def cumulative(self, minutes: np.ndarray) -> np.ndarray:
-        """Sum of per-minute rates over minutes 1..m, vectorized over m."""
-        minutes = np.asarray(minutes, dtype=np.int64)
-        idx = self._starts.searchsorted(minutes, side="right") - 1
-        within = minutes - self._starts[idx] + 1
-        return self._cum_before[idx] + within * self._rates[idx]
+        return self.float_segments[bisect_right(self.float_segments, minute, key=itemgetter(0)) - 1][2]
 
 
 @dataclass(frozen=True)
@@ -356,6 +340,8 @@ class Catalog:
         order: a call's billed minutes are searched against the points once,
         and every plan reads its charge from the interval found. Built on
         first use, once per catalog."""
+        import numpy as np
+
         points = np.array(self.pricing.points, dtype=np.int64)
         return points, {
             plan.id: tuple(payoff.on_intervals(points) for _, payoff in plan.subgroups) for plan in self.plans
@@ -415,7 +401,7 @@ def _fields(line: str) -> list[str]:
 
 
 #: the days in each month of a common year; index 0 unused
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 def _is_leap(year):
@@ -424,13 +410,29 @@ def _is_leap(year):
 
 
 def _int(value, what: str) -> int:
+    """An integer, an integer-valued number or an integer string; true,
+    false and a number with a fraction are not integers."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise CatalogError(f"{what}: not an integer: {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
         raise CatalogError(f"{what}: not an integer: {value!r}") from None
 
 
-def _parse_segment(raw: dict, where: str) -> RateSegment:
+#: what a document value must be, by the Python type `json` reads it as
+_JSON_KINDS = {dict: "an object", list: "an array", bool: "true or false"}
+
+
+def _expect(kind: type, value, what: str):
+    """`value` if it is a `kind` (dict, list or bool), else a CatalogError naming `what`."""
+    if not isinstance(value, kind):
+        raise CatalogError(f"{what}: not {_JSON_KINDS[kind]}: {value!r}")
+    return value
+
+
+def _parse_segment(raw, where: str) -> RateSegment:
+    raw = _expect(dict, raw, where)
     try:
         from_minute = _int(raw["from"], f"{where} from")
         to_raw = raw["to"]
@@ -441,40 +443,46 @@ def _parse_segment(raw: dict, where: str) -> RateSegment:
     return RateSegment(from_minute=from_minute, to_minute=to_minute, rate=rate)
 
 
-def _parse_plan(raw: dict) -> BillingPlan:
+def _parse_subgroup(raw, plan_id: int, entry: int) -> tuple[SubgroupRule, PayoffFunction]:
+    raw = _expect(dict, raw, f"plan {plan_id} subgroup {entry}")
+    where = f"plan {plan_id} subgroup {raw['name']!r}" if "name" in raw else f"plan {plan_id} subgroup {entry}"
+    try:
+        rule = SubgroupRule(
+            subgroup_name=str(raw["name"]),
+            destination_class=str(raw["destination_class"]),
+            day_class=str(raw["day_class"]),
+        )
+        segments = _expect(list, raw["segments"], f"{where} segments")
+    except KeyError as exc:
+        raise CatalogError(f"{where}: missing field {exc}") from None
+    return rule, PayoffFunction(
+        tuple(_parse_segment(seg, f"{where} segment {n}") for n, seg in enumerate(segments, start=1))
+    )
+
+
+def _parse_plan(raw, entry: int) -> BillingPlan:
+    raw = _expect(dict, raw, f"plan entry {entry}")
     try:
         plan_id = _int(raw["id"], "plan id")
         name = str(raw["name"])
         provider = str(raw["provider"])
-        fixed_raw = raw["fixed"]
-        subgroups_raw = raw["subgroups"]
+        fixed_raw = _expect(dict, raw["fixed"], f"plan {plan_id} fixed")
+        subgroups_raw = _expect(list, raw["subgroups"], f"plan {plan_id} subgroups")
     except KeyError as exc:
         raise CatalogError(f"plan entry missing field {exc}") from None
-    active = bool(raw.get("active", True))
+    active = _expect(bool, raw.get("active", True), f"plan {plan_id} active")
     fixed = FixedCostSpec(
         subscription_fee=_money(fixed_raw.get("subscription_fee", 0), f"plan {plan_id} subscription_fee"),
         switch_fee=_money(fixed_raw.get("switch_fee", 0), f"plan {plan_id} switch_fee"),
         purchase_cost=_money(fixed_raw.get("purchase_cost", 0), f"plan {plan_id} purchase_cost"),
     )
-    subgroups = []
-    for sub in subgroups_raw:
-        where = f"plan {plan_id} subgroup {sub.get('name', '?')!r}"
-        rule = SubgroupRule(
-            subgroup_name=str(sub["name"]),
-            destination_class=str(sub["destination_class"]),
-            day_class=str(sub["day_class"]),
-        )
-        payoff = PayoffFunction(
-            tuple(_parse_segment(seg, where) for seg in sub["segments"])
-        )
-        subgroups.append((rule, payoff))
     return BillingPlan(
         id=plan_id,
         name=name,
         provider=provider,
         active=active,
         fixed=fixed,
-        subgroups=tuple(subgroups),
+        subgroups=tuple(_parse_subgroup(sub, plan_id, n) for n, sub in enumerate(subgroups_raw, start=1)),
     )
 
 
@@ -489,21 +497,24 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
                                    "segments": [{"from", "to" | "open", "rate"}]}]}],
          "context": {"current_plan_id", "owned_sim_providers"}}
 
-    Fees and rates may be decimal strings or plain numbers.
+    Fees and rates may be decimal strings or plain numbers. Ids and minutes
+    may be integers, integer-valued numbers or integer strings; `active` is
+    true or false, and `owned_sim_providers` an array. Any other value is a
+    :class:`CatalogError` that names its plan and field.
     """
     try:
         doc = json.loads(_read_source(source))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise CatalogError(f"catalog is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "plans" not in doc or "context" not in doc:
         raise CatalogError("catalog must be an object with 'plans' and 'context'")
-    plans = tuple(_parse_plan(raw) for raw in doc["plans"])
-    ctx_raw = doc["context"]
+    plans = tuple(_parse_plan(raw, n) for n, raw in enumerate(_expect(list, doc["plans"], "plans"), start=1))
+    ctx_raw = _expect(dict, doc["context"], "context")
     try:
         context = SubscriberContext(
             current_plan_id=_int(ctx_raw["current_plan_id"], "current_plan_id"),
             owned_sim_providers=frozenset(
-                str(p) for p in ctx_raw.get("owned_sim_providers", ())
+                str(p) for p in _expect(list, ctx_raw.get("owned_sim_providers", []), "owned_sim_providers")
             ),
         )
     except KeyError as exc:

@@ -181,8 +181,9 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRe
         return None
 
 
-#: the days before each month of a common year; index 0 unused
-_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
+#: the days in, and the days before, each month of a common year; index 0 unused
+_MONTH_LENGTHS = np.array(_DAYS_IN_MONTH)
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_LENGTHS)[:-1]))
 
 
 def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
@@ -190,7 +191,7 @@ def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.n
     -1 where there is no such date (31.02, 29.02 of a common year, year 0)."""
     leap = _is_leap(year)
     m = np.where((month >= 1) & (month <= 12), month, 0)
-    length = _DAYS_IN_MONTH[m] + (leap & (m == 2))
+    length = _MONTH_LENGTHS[m] + (leap & (m == 2))
     valid = (year >= 1) & (year <= 9999) & (m > 0) & (day >= 1) & (day <= length)
     y = year - 1
     ordinal = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (leap & (m > 2)) + day

@@ -5,6 +5,9 @@
 returns, looks each number up in a :class:`PrefixTable` and each date in a
 :class:`WorkdayCalendar`, and returns the calls as columns
 (:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic` read.
+
+Loading a prefix table or a holiday list imports no numpy; only
+:func:`classify_calls`, which builds the columns, does.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from dataclasses import dataclass
 from datetime import date
 from typing import IO, TYPE_CHECKING, Mapping, Union
 
-import numpy as np
-
 from .catalog import DAY_CLASSES, DESTINATION_CLASSES, CdrError, _fields, _read_source
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .cdr import CallLog
 
 
@@ -143,10 +146,14 @@ class WorkdayCalendar:
 
     @classmethod
     def from_file(cls, source: Union[bytes, str, IO]) -> "WorkdayCalendar":
-        """Load a holiday list, one ISO date per line."""
+        """Load a holiday list, one ISO date per line.
+
+        Lines end at ``\\n`` alone, as in the prefix table, so a form feed or
+        a Unicode line separator does not shift the line an error names.
+        """
         text = _read_source(source, CdrError, "holiday list")
         days = set()
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if line and not line.startswith("#"):
                 try:
@@ -176,6 +183,8 @@ def classify_calls(
     The billing minute is the ceiling of the duration in minutes. `log` is
     what :func:`parse_cdr` returns.
     """
+    import numpy as np
+
     tel = log.service == log.code("Tel")
     rows = np.flatnonzero(tel & (log.duration > 0))
     numbers = log.number[rows]

@@ -305,7 +305,7 @@ def _add_months(day: date, months: int) -> date:
     month_index = day.month - 1 + months
     year = day.year + month_index // 12
     month = month_index % 12 + 1
-    last = int(_DAYS_IN_MONTH[month]) + (month == 2 and _is_leap(year))
+    last = _DAYS_IN_MONTH[month] + (month == 2 and _is_leap(year))
     return date(year, month, min(day.day, last))
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tariffopt import (
@@ -51,6 +52,49 @@ CLASS_NUMBERS = {
 CLASS_DATES = {"workday": "20.08.2010", "weekend": "21.08.2010"}
 
 
+def _first_plan(doc):
+    return doc["plans"][0]
+
+
+def _first_subgroup(doc):
+    return doc["plans"][0]["subgroups"][0]
+
+
+#: edits of the bundled catalog document that make it malformed, each with
+#: the message of the CatalogError that `load_catalog` must raise
+MALFORMED_CATALOGS = {
+    "fixed fees not an object": (lambda doc: _first_plan(doc).update(fixed=5), "plan 1 fixed: not an object: 5"),
+    "subgroups not an array": (lambda doc: _first_plan(doc).update(subgroups=5), "plan 1 subgroups: not an array: 5"),
+    "segment not an object": (
+        lambda doc: _first_subgroup(doc)["segments"].__setitem__(1, 5),
+        "plan 1 subgroup 'To MTS Numbers' segment 2: not an object: 5",
+    ),
+    "plan entry not an object": (lambda doc: doc["plans"].__setitem__(1, 3), "plan entry 2: not an object: 3"),
+    "plans not an array": (lambda doc: doc.update(plans={}), "plans: not an array: {}"),
+    "context not an object": (lambda doc: doc.update(context=[]), "context: not an object: []"),
+    "subgroup without a day class": (
+        lambda doc: _first_subgroup(doc).pop("day_class"),
+        "plan 1 subgroup 'To MTS Numbers': missing field 'day_class'",
+    ),
+    "subgroup without a name": (lambda doc: _first_subgroup(doc).pop("name"), "plan 1 subgroup 1: missing field 'name'"),
+    "active a string": (lambda doc: _first_plan(doc).update(active="false"), "plan 1 active: not true or false: 'false'"),
+    "owned providers a string": (
+        lambda doc: doc["context"].update(owned_sim_providers="MTS"),
+        "owned_sim_providers: not an array: 'MTS'",
+    ),
+    "plan id with a fraction": (lambda doc: _first_plan(doc).update(id=1.7), "plan id: not an integer: 1.7"),
+    "plan id infinite": (lambda doc: _first_plan(doc).update(id=float("inf")), "plan id: not an integer: inf"),
+    "segment start a boolean": (
+        lambda doc: _first_subgroup(doc)["segments"][0].update({"from": True}),
+        "plan 1 subgroup 'To MTS Numbers' segment 1 from: not an integer: True",
+    ),
+    "segment end with a fraction": (
+        lambda doc: _first_subgroup(doc)["segments"][0].update(to=1.5),
+        "plan 1 subgroup 'To MTS Numbers' segment 1 to: not an integer: 1.5",
+    ),
+}
+
+
 def cdr_text(rows) -> str:
     """A printout with one Tel row per ``(number, date, seconds)``, the date
     written DD.MM.YYYY."""
@@ -67,6 +111,22 @@ def classified(calls) -> CallTable:
     rows = [(CLASS_NUMBERS[dest], CLASS_DATES[day], seconds) for dest, day, seconds in calls]
     prefixes = PrefixTable({number: dest for dest, number in CLASS_NUMBERS.items()})
     return classify_calls(parse_cdr(cdr_text(rows)), prefixes, WorkdayCalendar())
+
+
+def charges(payoff, minutes, mode: str) -> np.ndarray:
+    """What `payoff` charges a call of each billed minute in `minutes`: the
+    rate of the minute's segment in `lookup` mode, the sum of the rates of
+    minutes 1..m in `cumulative` mode. The reference the engine's billing is
+    checked against, read from the segments alone."""
+    starts = np.array([seg.from_minute for seg in payoff.segments], dtype=np.int64)
+    rates = np.array([float(seg.rate) for seg in payoff.segments])
+    minutes = np.asarray(minutes, dtype=np.int64)
+    idx = starts.searchsorted(minutes, side="right") - 1
+    if mode == "lookup":
+        return rates[idx]
+    lengths = np.array([seg.to_minute - seg.from_minute + 1 for seg in payoff.segments[:-1]], dtype=float)
+    before = np.concatenate([[0.0], np.cumsum(lengths * rates[:-1])])  # charge of the whole segments before each
+    return before[idx] + (minutes - starts[idx] + 1) * rates[idx]
 
 
 def first_match(plan, destination_class: str, day_class: str) -> int:

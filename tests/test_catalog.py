@@ -18,7 +18,7 @@ from tariffopt import (
     serialize_catalog,
 )
 
-from conftest import CATALOG_PATH
+from conftest import CATALOG_PATH, MALFORMED_CATALOGS, charges
 
 
 def seg(a, b, rate):
@@ -120,6 +120,48 @@ def test_malformed_json_rejected():
         load_catalog(b"{nope")
 
 
+def test_integer_past_the_digit_limit_is_not_valid_json():
+    text = CATALOG_PATH.read_text(encoding="utf-8").replace('"id": 1,', '"id": 1' + "0" * 5000 + ",", 1)
+    with pytest.raises(CatalogError, match="^catalog is not valid JSON: Exceeds the limit"):
+        load_catalog(text)
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_CATALOGS.values(), ids=MALFORMED_CATALOGS)
+def test_malformed_catalog_names_the_plan_and_field(edit, message):
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    edit(doc)
+    with pytest.raises(CatalogError) as raised:
+        load_catalog(json.dumps(doc))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value", [1, 1.0, "1", " 1 "])
+def test_integer_valued_numbers_and_integer_strings_are_integers(value):
+    doc = minimal_catalog()
+    doc["plans"][0]["id"] = value
+    doc["plans"][0]["subgroups"][0]["segments"] = [
+        {"from": value, "to": value, "rate": "1"},
+        {"from": 2, "to": "open", "rate": "2"},
+    ]
+    doc["context"]["current_plan_id"] = value
+    catalog = load_catalog(json.dumps(doc))
+    assert catalog.plans[0].id == catalog.context.current_plan_id == 1
+    assert catalog.plans[0].subgroups[0][1].segments[0] == seg(1, 1, 1)
+
+
+def test_active_and_owned_providers_keep_their_meaning():
+    doc = minimal_catalog()
+    doc["plans"][0]["active"] = False
+    doc["context"]["owned_sim_providers"] = ["ACME", "MTS"]
+    catalog = load_catalog(json.dumps(doc))
+    assert catalog.plans[0].active is False
+    assert catalog.context.owned_sim_providers == {"ACME", "MTS"}
+    del doc["plans"][0]["active"], doc["context"]["owned_sim_providers"]
+    catalog = load_catalog(json.dumps(doc))
+    assert catalog.plans[0].active is True
+    assert catalog.context.owned_sim_providers == frozenset()
+
+
 def test_rate_lookup_values(mts_catalog):
     bp1_mts = mts_catalog.plan(1).subgroups[0][1]
     assert bp1_mts.rate_at(1) == 2.5
@@ -173,15 +215,15 @@ def test_round_trip(mts_catalog):
 def test_vectorized_rates_match_scalar(mts_catalog):
     payoff = mts_catalog.plan(3).subgroups[0][1]
     minutes = np.arange(1, 100)
-    vec = payoff.rates(minutes)
+    vec = charges(payoff, minutes, "lookup")
     assert [payoff.rate_at(int(m)) for m in minutes] == list(vec)
 
 
 def test_cumulative_prefix_sums(mts_catalog):
     payoff = mts_catalog.plan(3).subgroups[0][1]
     minutes = np.arange(1, 120)
-    expected = np.cumsum(payoff.rates(minutes))
-    assert np.allclose(payoff.cumulative(minutes), expected, atol=1e-12)
+    expected = np.cumsum(charges(payoff, minutes, "lookup"))
+    assert np.allclose(charges(payoff, minutes, "cumulative"), expected, atol=1e-12)
 
 
 def test_payoff_requires_open_tail():

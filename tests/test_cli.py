@@ -10,7 +10,7 @@ import pytest
 
 from tariffopt.cli import main
 
-from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH
+from conftest import CATALOG_PATH, CDR_PATH, MALFORMED_CATALOGS, PREFIXES_PATH
 
 BASE = [
     "--catalog", str(CATALOG_PATH),
@@ -44,6 +44,15 @@ def test_validate_catalog_gap(tmp_path, capsys):
     code, out, _ = invoke(capsys, "validate", "--catalog", str(bad))
     assert code == 1
     assert "minute 6" in out
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_CATALOGS.values(), ids=MALFORMED_CATALOGS)
+def test_validate_malformed_catalog_is_validation_error(edit, message, tmp_path, capsys):
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert invoke(capsys, "validate", "--catalog", str(bad)) == (1, f"catalog error: {message}\n", "")
 
 
 def test_validate_missing_file(capsys):

@@ -36,7 +36,7 @@ from tariffopt import cost
 from tariffopt.catalog import ALL_CALL_CLASSES
 from tariffopt.cost import CUMULATIVE, LOOKUP, cost_lines
 
-from conftest import CATALOG_PATH, make_reference_profile
+from conftest import CATALOG_PATH, charges, make_reference_profile
 
 
 MU = 0.41
@@ -123,7 +123,7 @@ def test_cumulative_mode_matches_brute_force(mts_catalog):
     brute = 0.0
     for t in range(1, 4000):
         mass = math.exp(-mu * (t - 1)) - math.exp(-mu * t)
-        brute += float(payoff.cumulative(np.array([t]))[0]) * mass
+        brute += float(charges(payoff, np.array([t]), "cumulative")[0]) * mass
     assert expected_call_cost(payoff, Exponential(mu=mu), mode="cumulative") == pytest.approx(
         brute, abs=1e-6
     )

@@ -109,14 +109,16 @@ import tariffopt
 steps = {"import": (loaded(), "numpy" in sys.modules)}
 step = sys.argv[1]
 if step == "inputs":
-    tariffopt.load_catalog(open(sys.argv[2], "rb"))
+    catalog = tariffopt.load_catalog(open(sys.argv[2], "rb"))
+    assert catalog.plans[0].subgroups[0][1].rate_at(2) == 0.0
     tariffopt.PrefixTable.from_csv(open(sys.argv[3], "rb"))
     tariffopt.WorkdayCalendar.from_file(b"2010-03-08\\n")
 else:
     from tariffopt import cli
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.main(sys.argv[2:])
     assert code == 0, code
+    steps["stdout"] = out.getvalue()
 steps[step] = (loaded(), "numpy" in sys.modules)
 print(json.dumps(steps))
 """
@@ -133,14 +135,21 @@ def _loaded_by(*argv: str) -> dict:
 def test_import_then_input_readers_load_catalog_and_classification_only():
     steps = _loaded_by("inputs", str(CATALOG_PATH), str(PREFIXES_PATH))
     assert steps["import"] == [["tariffopt"], False]
-    assert steps["inputs"] == [["tariffopt", "tariffopt.catalog", "tariffopt.classify"], True]
+    # a catalog, its rates, a prefix table and a holiday list are plain data: no numpy
+    assert steps["inputs"] == [["tariffopt", "tariffopt.catalog", "tariffopt.classify"], False]
 
 
 def test_validate_loads_the_reader_but_no_classification_profile_sensitivity_or_oracle():
     steps = _loaded_by("validate", "validate", "--catalog", str(CATALOG_PATH), "--cdr", str(CDR_PATH))
-    assert steps["validate"][0] == [
-        "tariffopt", "tariffopt.catalog", "tariffopt.cdr", "tariffopt.cli", "tariffopt.cost",
+    assert steps["validate"] == [
+        ["tariffopt", "tariffopt.catalog", "tariffopt.cdr", "tariffopt.cli", "tariffopt.cost"], True,
     ]
+
+
+def test_validate_of_a_catalog_alone_loads_no_numpy():
+    steps = _loaded_by("validate", "validate", "--catalog", str(CATALOG_PATH))
+    assert steps["validate"] == [["tariffopt", "tariffopt.catalog", "tariffopt.cli", "tariffopt.cost"], False]
+    assert steps["stdout"] == "catalog: 6 plans, 1 inactive\ncontext: current plan 6, owned SIMs: MTS\nok\n"
 
 
 def test_rank_loads_no_sensitivity_or_oracle():

@@ -49,7 +49,7 @@ from tariffopt import cdr, simulate
 from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
-from conftest import cdr_text, classified, first_match
+from conftest import cdr_text, charges, classified, first_match
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -645,7 +645,7 @@ def test_oracle_billing_matches_each_payoff(catalog_and_context, classes, mode):
     for pi, ci, costs in billed:
         k, minutes = classes[ci]
         payoff = plans[pi].subgroups[plans[pi].routes[k]][1]
-        own = payoff.rates(minutes) if mode == "lookup" else payoff.cumulative(minutes)
+        own = charges(payoff, minutes, mode)
         assert costs.dtype == own.dtype and np.array_equal(costs, own)
 
 

@@ -26,7 +26,7 @@ from tariffopt import (
 from tariffopt import simulate
 from tariffopt.simulate import generate_months, substream
 
-from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH, classified, first_match
+from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH, charges, classified, first_match
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -113,7 +113,7 @@ def bill_call(payoff, duration_minutes, mode="lookup"):
     minute = max(1, math.ceil(duration_minutes))
     if mode == "lookup":
         return payoff.rate_at(minute)
-    return float(payoff.cumulative([minute])[0])
+    return float(charges(payoff, [minute], "cumulative")[0])
 
 
 def test_bill_call_lookup(mts_catalog):
@@ -371,7 +371,7 @@ def test_run_statistics_are_those_of_the_totals(mts_catalog, reference_profile, 
             run_ids = np.repeat(np.arange(n), counts)
             for pi, plan in enumerate(plans):
                 payoff = plan.subgroups[first_match(plan, cell.destination_class, cell.day_class)][1]
-                costs = payoff.rates(minutes) if mode == "lookup" else payoff.cumulative(minutes)
+                costs = charges(payoff, minutes, mode)
                 totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
     result = run(config, mts_catalog)
     assert [p.plan_id for p in result.plans] == [plan.id for plan in plans]

@@ -319,6 +319,18 @@ def test_prefix_table_errors_name_the_line(rows, message):
         PrefixTable.from_csv("prefix;destination_class\n" + rows)
 
 
+@pytest.mark.parametrize("separator", ["\x0c", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_holiday_list_lines_end_at_newlines_only(separator):
+    """Only ``\\n`` ends a line, as in the prefix table: a line holding a form
+    feed or a Unicode line separator is one line, blank or not."""
+    text = f"2010-03-08\n{separator}\n2010-05-01\n"
+    assert WorkdayCalendar.from_file(text.encode()).holidays == {date(2010, 3, 8), date(2010, 5, 1)}
+    with pytest.raises(CdrError, match=r"^holiday list line 3: not an ISO date: '2010-05-01x'$"):
+        WorkdayCalendar.from_file(f"2010-03-08\n{separator}\n2010-05-01x\n".encode())
+    with pytest.raises(CdrError, match=r"^holiday list line 2: not an ISO date: "):
+        WorkdayCalendar.from_file(f"2010-03-08\n2010-05-01{separator}2010-05-02\n".encode())
+
+
 @pytest.mark.parametrize(
     "read, text",
     [
