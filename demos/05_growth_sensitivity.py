@@ -41,33 +41,38 @@ profile = TrafficProfile(
     observation_months=6.0,
 )
 
-points = sweep(catalog, catalog.context, profile, k_grid(0.5, 10.0, 0.5))
+# one row per plan, one column per k: costs[i, j] = fixed[i] + ks[j] * variable[i]
+swept = sweep(catalog, catalog.context, profile, k_grid(0.5, 10.0, 0.5))
+plan_ids = sorted(swept.plan_ids)
+by_id = [swept.plan_ids.index(pid) for pid in plan_ids]
+# per k: k, the optimum, its cost, the stay-put cost, then every plan by id
+rows = [
+    [k, swept.plan_ids[best], at_k[best], at_k[swept.stay], *(at_k[i] for i in by_id)]
+    for k, best, at_k in zip(swept.ks.tolist(), swept.optimal.tolist(), swept.costs.T.tolist())
+]
 
 print(f"{'k':>5}{'best':>6}{'best cost':>11}{'stay cost':>11}")
-for p in points[::2]:
-    print(f"{p.k:>5.1f}{p.optimal_plan_id:>6}{p.optimal_full_cost:>11.2f}{p.stay_cost:>11.2f}")
+for k, best, best_cost, stay_cost, *_ in rows[::2]:
+    print(f"{k:>5.1f}{best:>6}{best_cost:>11.2f}{stay_cost:>11.2f}")
 print()
 
-for iv in switch_points(points):
+for iv in switch_points(swept):
     print(f"plan {iv.plan_id} is optimal for k in [{iv.k_start:.3f}, {iv.k_end:.3f}]")
 print()
 
 # Regression models of cost vs growth: each added term earns its keep in the
 # determination coefficient, because the target is piecewise affine, not a
 # single line.
-fits = fit_report(points)
+fits = fit_report(swept)
 for name, fit in fits.items():
     coefs = ", ".join(f"{c:.3f}" for c in fit.coefficients)
     print(f"{name:<24} coefficients ({coefs})  R^2 = {fit.r_squared:.4f}")
 
-# plottable table: k, the optimum, the stay-put cost, then every plan
-plan_ids = sorted(points[0].lines)
+# plottable table: the rows above, every k
 out = Path(__file__).resolve().parent / "sweep.csv"
 with out.open("w", newline="") as fh:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["k", "optimal_plan", "optimal_cost", "stay_cost"] + [f"plan_{pid}" for pid in plan_ids])
-    for p in points:
-        at_k = p.plan_costs
-        writer.writerow([p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost] + [at_k[pid] for pid in plan_ids])
+    writer.writerows(rows)
 # the path relative to the checkout, so that the output is the same from any copy
 print(f"\nplottable sweep written to {out.relative_to(DATA.parent).as_posix()}")

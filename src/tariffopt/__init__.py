@@ -42,7 +42,7 @@ _EXPORTS = {
     ),
     "sensitivity": (
         "RegressionFit",
-        "SweepPoint",
+        "Sweep",
         "SwitchInterval",
         "fit_report",
         "k_grid",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -65,6 +66,8 @@ def _money(value, what: str) -> Decimal:
         raise CatalogError(f"{what}: not a decimal amount: {value!r}") from None
     if not amount.is_finite():
         raise CatalogError(f"{what}: non-finite amount: {value!r}")
+    if math.isinf(float(amount)):
+        raise CatalogError(f"{what}: amount too large for a float: {value!r}")
     return amount
 
 
@@ -420,6 +423,9 @@ def _int(value, what: str) -> int:
         raise CatalogError(f"{what}: not an integer: {value!r}") from None
 
 
+#: the largest segment bound: the oracle's billing (:attr:`Catalog.billing`) holds minutes as int64
+MAX_MINUTE = 2**63 - 1
+
 #: what a document value must be, by the Python type `json` reads it as
 _JSON_KINDS = {dict: "an object", list: "an array", bool: "true or false"}
 
@@ -440,6 +446,9 @@ def _parse_segment(raw, where: str) -> RateSegment:
     except KeyError as exc:
         raise CatalogError(f"{where}: missing segment field {exc}") from None
     to_minute = None if to_raw == "open" else _int(to_raw, f"{where} to")
+    for name, minute in (("from", from_minute), ("to", to_minute)):
+        if minute is not None and minute > MAX_MINUTE:
+            raise CatalogError(f"{where} {name}: past the largest minute {MAX_MINUTE}: {raw[name]!r}")
     return RateSegment(from_minute=from_minute, to_minute=to_minute, rate=rate)
 
 

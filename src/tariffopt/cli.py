@@ -276,7 +276,7 @@ def cmd_rank(args) -> Report:
     )
 
 
-def _sweep_points(args):
+def _sweep(args):
     from .sensitivity import k_grid, sweep
 
     inputs = _load_inputs(args)
@@ -287,20 +287,24 @@ def _sweep_points(args):
 def cmd_sweep(args) -> Report:
     from .sensitivity import switch_points
 
-    points = _sweep_points(args)
-    intervals = switch_points(points)
-    plan_ids = sorted(points[0].lines)
-    costs = [p.plan_costs for p in points]
+    swept = _sweep(args)
+    intervals = switch_points(swept)
+    plan_ids = sorted(swept.plan_ids)
+    by_id = [swept.plan_ids.index(pid) for pid in plan_ids]
+    rows = [
+        [k, swept.plan_ids[best], at_k[best], at_k[swept.stay], *(at_k[i] for i in by_id)]
+        for k, best, at_k in zip(swept.ks.tolist(), swept.optimal.tolist(), swept.costs.T.tolist())
+    ]
     doc = {
         "points": [
             {
-                "k": p.k,
-                "optimal_plan": p.optimal_plan_id,
-                "optimal_cost": p.optimal_full_cost,
-                "stay_cost": p.stay_cost,
-                "plan_costs": {str(pid): at_k[pid] for pid in plan_ids},
+                "k": k,
+                "optimal_plan": best,
+                "optimal_cost": best_cost,
+                "stay_cost": stay_cost,
+                "plan_costs": dict(zip(map(str, plan_ids), at_k)),
             }
-            for p, at_k in zip(points, costs)
+            for k, best, best_cost, stay_cost, *at_k in rows
         ],
         "intervals": [asdict(iv) for iv in intervals],
     }
@@ -313,11 +317,7 @@ def cmd_sweep(args) -> Report:
             Column("stay_cost", "stay_cost"),
             *(Column(f"plan_{pid}", f"plan_{pid}") for pid in plan_ids),
         ],
-        rows=[
-            [p.k, p.optimal_plan_id, p.optimal_full_cost, p.stay_cost]
-            + [at_k[pid] for pid in plan_ids]
-            for p, at_k in zip(points, costs)
-        ],
+        rows=rows,
         after=[
             "switch points:",
             *(
@@ -344,8 +344,7 @@ def _equation(fit: RegressionFit) -> str:
 def cmd_fit(args) -> Report:
     from .sensitivity import fit_report
 
-    points = _sweep_points(args)
-    fits = fit_report(points)
+    fits = fit_report(_sweep(args))
     # the CSV spells out the coefficients; the table shows the equation
     return Report(
         doc={name: asdict(fit) for name, fit in fits.items()},

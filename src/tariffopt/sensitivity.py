@@ -20,33 +20,32 @@ from .cost import LOOKUP, cost_lines
 from .traffic import ProfileError, TrafficProfile
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """The optimum and the stay-put cost at one traffic multiplier.
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Every candidate's cost over a grid of traffic multipliers.
 
-    `lines` maps each candidate's id to its cost line ``(fixed, variable)``,
-    in :func:`~tariffopt.cost.full_costs`' order; every point of one sweep
-    shares the one mapping.
+    Row i of `costs` is candidate ``plan_ids[i]`` (in
+    :func:`~tariffopt.cost.full_costs`' order), column j is multiplier
+    ``ks[j]``, and ``costs[i, j] = variable[i] * ks[j] + fixed[i]``.
+    `optimal` holds the optimum's row at each multiplier and `stay` the
+    current plan's row. ``len()`` is the number of multipliers.
     """
 
-    k: float
-    optimal_plan_id: int
-    optimal_full_cost: float
-    stay_cost: float  # full cost of keeping the current plan
-    current_plan_id: int
-    lines: dict[int, tuple[float, float]]
+    ks: np.ndarray
+    plan_ids: tuple[int, ...]
+    fixed: np.ndarray
+    variable: np.ndarray
+    costs: np.ndarray
+    optimal: np.ndarray
+    stay: int
 
-    def __post_init__(self):
-        if self.optimal_full_cost > self.stay_cost + 1e-9:
-            raise ValueError(
-                f"optimal cost {self.optimal_full_cost} above stay cost "
-                f"{self.stay_cost} at k={self.k}"
-            )
+    def __len__(self) -> int:
+        return self.ks.size
 
     @property
-    def plan_costs(self) -> dict[int, float]:
-        """Every candidate's full cost ``variable * k + fixed`` at this point."""
-        return {pid: variable * self.k + fixed for pid, (fixed, variable) in self.lines.items()}
+    def optimal_costs(self) -> np.ndarray:
+        """The optimum's cost at each multiplier."""
+        return self.costs[self.optimal, np.arange(self.ks.size)]
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def sweep(
     profile: TrafficProfile,
     grid: Sequence[float],
     mode: str = LOOKUP,
-) -> list[SweepPoint]:
+) -> Sweep:
     """Read every candidate's cost line from one pricing
     (:func:`~tariffopt.cost.cost_lines`), then evaluate the lines
     ``fixed + k * variable`` as one (plans x grid) array. Right after
@@ -128,23 +127,20 @@ def sweep(
         raise ProfileError("multiplier grid must be sorted")
     if grid[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
-    lines = {pid: (fixed, variable) for pid, fixed, variable in cost_lines(catalog, context, profile, mode)}
-    ids = list(lines)
+    ids, fixed, variable = zip(*cost_lines(catalog, context, profile, mode))
+    fixed, variable = np.array(fixed), np.array(variable)
     stay = ids.index(context.current_plan_id)
     tie_order = np.array(sorted(range(len(ids)), key=lambda i: (i != stay, ids[i])))
-    fixed, variable = np.array(list(lines.values())).T
     with np.errstate(over="ignore"):
         costs = variable[:, None] * ks + fixed[:, None]
     if not np.isfinite(costs[:, -1]).all():
         raise ProfileError(f"plan costs overflow at traffic multiplier {grid[-1]}")
-    optimal = tie_order[costs[tie_order].argmin(axis=0)]
-    best_costs = costs[optimal, np.arange(ks.size)]
-    return [
-        SweepPoint(k, ids[best], best_cost, stay_cost, ids[stay], lines)
-        for k, best, best_cost, stay_cost in zip(
-            ks.tolist(), optimal.tolist(), best_costs.tolist(), costs[stay].tolist()
-        )
-    ]
+    swept = Sweep(ks, ids, fixed, variable, costs, tie_order[costs[tie_order].argmin(axis=0)], stay)
+    above = swept.optimal_costs > costs[stay] + 1e-9
+    if above.any():
+        j = int(above.argmax())
+        raise ValueError(f"optimal cost {swept.optimal_costs[j]} above stay cost {costs[stay, j]} at k={ks[j]}")
+    return swept
 
 
 #: crossings closer than this to each other or to the grid's ends, relative
@@ -154,28 +150,27 @@ def sweep(
 _TOUCH = 1e-9
 
 
-def switch_points(points: Sequence[SweepPoint]) -> list[SwitchInterval]:
+def switch_points(swept: Sweep) -> list[SwitchInterval]:
     """Exact breakpoints of the lower envelope of the plans' cost lines.
 
-    The walk reads the sweep's exact lines (``SweepPoint.lines``). From the
+    The walk reads the sweep's exact lines, not its cost matrix. From the
     optimum at the first point, it moves to the line that first undercuts
     the one it is on, and lines that only touch the envelope there get no
     interval. Of the lines that undercut it at one crossing, the one first
     in :func:`rank`'s order past that crossing wins: the flattest, then the
     cheapest, then the current plan, then the lowest id.
     """
-    if not points:
-        return []
-    first, last = points[0], points[-1]
-    lines, current = first.lines, first.current_plan_id
-    touch = _TOUCH * max(1.0, abs(first.k), abs(last.k))
-    plan_id, start, intervals = first.optimal_plan_id, first.k, []
+    ids = swept.plan_ids
+    lines = dict(zip(ids, zip(swept.fixed.tolist(), swept.variable.tolist())))
+    first, last = float(swept.ks[0]), float(swept.ks[-1])
+    current, touch = ids[swept.stay], _TOUCH * max(1.0, abs(first), abs(last))
+    plan_id, start, intervals = ids[swept.optimal[0]], first, []
     while True:
         fixed, slope = lines[plan_id]
         below = [((f - fixed) / (slope - v), v, f, pid) for pid, (f, v) in lines.items() if v < slope]
         crossing = min((c for c, *_ in below), default=math.inf)
-        if crossing >= last.k - touch:
-            intervals.append(SwitchInterval(start, last.k, plan_id))
+        if crossing >= last - touch:
+            intervals.append(SwitchInterval(start, last, plan_id))
             return intervals
         if crossing > start + touch:
             intervals.append(SwitchInterval(start, crossing, plan_id))
@@ -247,7 +242,7 @@ FIT_FORMS = (
 )
 
 
-def fit_report(points: Sequence[SweepPoint]) -> dict[str, RegressionFit]:
+def fit_report(swept: Sweep) -> dict[str, RegressionFit]:
     """Regress the stay-put and optimally-switched cost curves against k.
 
     The stay curve gets a through-origin line; the optimal curve gets a
@@ -257,19 +252,15 @@ def fit_report(points: Sequence[SweepPoint]) -> dict[str, RegressionFit]:
     too close together, or spread over too many orders of magnitude), is a
     :class:`ProfileError`.
     """
-    if len(points) < 5:
-        raise ProfileError(f"need at least 5 sweep points, got {len(points)}")
-    k = np.array([p.k for p in points], dtype=float)
-    if np.all(k == k[0]):
-        raise ValueError("x values are all identical")
+    if len(swept) < 5:
+        raise ProfileError(f"need at least 5 sweep points, got {len(swept)}")
+    if np.all(swept.ks == swept.ks[0]):
+        raise ProfileError("x values are all identical")
     with np.errstate(over="ignore"):
-        powers = _powers(k, max(degree for _, _, degree, _ in FIT_FORMS))
+        powers = _powers(swept.ks, max(degree for _, _, degree, _ in FIT_FORMS))
     if not np.isfinite(powers).all():
         raise ProfileError(f"{_span(powers)} is too wide to fit: its powers of k overflow")
-    series = {
-        "stay": _Series(np.array([p.stay_cost for p in points], dtype=float)),
-        "optimal": _Series(np.array([p.optimal_full_cost for p in points], dtype=float)),
-    }
+    series = {"stay": _Series(swept.costs[swept.stay]), "optimal": _Series(swept.optimal_costs)}
     return {
         name: _fit(powers, series[which], degree, intercept)
         for name, which, degree, intercept in FIT_FORMS

@@ -60,6 +60,13 @@ def _first_subgroup(doc):
     return doc["plans"][0]["subgroups"][0]
 
 
+def cut_second_segment(doc, minute: int) -> None:
+    """End the second segment of plan 1's first subgroup at `minute`, and
+    start the open segment after it at ``minute + 1``."""
+    second, tail = _first_subgroup(doc)["segments"][1:]
+    second["to"], tail["from"] = minute, minute + 1
+
+
 #: edits of the bundled catalog document that make it malformed, each with
 #: the message of the CatalogError that `load_catalog` must raise
 MALFORMED_CATALOGS = {
@@ -91,6 +98,19 @@ MALFORMED_CATALOGS = {
     "segment end with a fraction": (
         lambda doc: _first_subgroup(doc)["segments"][0].update(to=1.5),
         "plan 1 subgroup 'To MTS Numbers' segment 1 to: not an integer: 1.5",
+    ),
+    "rate past a float": (
+        lambda doc: _first_subgroup(doc)["segments"][0].update(rate="1e400"),
+        "plan 1 subgroup 'To MTS Numbers' segment 1 rate: amount too large for a float: '1e400'",
+    ),
+    "fee past a float": (
+        lambda doc: _first_plan(doc)["fixed"].update(switch_fee="2e308"),
+        "plan 1 switch_fee: amount too large for a float: '2e308'",
+    ),
+    "segment end past int64": (
+        lambda doc: cut_second_segment(doc, 10**20),
+        "plan 1 subgroup 'To MTS Numbers' segment 2 to: past the largest minute 9223372036854775807: "
+        "100000000000000000000",
     ),
 }
 
@@ -135,6 +155,17 @@ def first_match(plan, destination_class: str, day_class: str) -> int:
     return next(
         j for j, (rule, _) in enumerate(plan.subgroups) if rule.matches(destination_class, day_class)
     )
+
+
+def optimal_ids(swept) -> list[int]:
+    """The optimum's plan id at each multiplier of a `Sweep`."""
+    return [swept.plan_ids[row] for row in swept.optimal.tolist()]
+
+
+def costs_at(swept, j: int) -> dict[int, float]:
+    """Every candidate's cost at the `Sweep`'s j-th multiplier, by plan id in
+    the sweep's order."""
+    return dict(zip(swept.plan_ids, swept.costs[:, j].tolist()))
 
 
 def make_reference_profile(mu: float = REFERENCE_MU, months: float = 6.0) -> TrafficProfile:

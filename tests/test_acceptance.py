@@ -41,6 +41,8 @@ from tariffopt import (
 from tariffopt.catalog import ALL_CALL_CLASSES, DAY_CLASSES, DESTINATION_CLASSES
 from tariffopt.sensitivity import _fit, _powers, _Series
 
+from conftest import costs_at
+
 
 REFERENCE_ONE_CALL = {
     (1, "To MTS Numbers"): 1.16,
@@ -120,8 +122,8 @@ def test_criterion_4_sensitivity_structure(mts_catalog, reference_profile):
     above the stay-put curve."""
     t0 = perf_counter()
     failures = []
-    points = sweep(mts_catalog, mts_catalog.context, reference_profile, k_grid(0.5, 10.0, 0.5))
-    intervals = switch_points(points)
+    swept = sweep(mts_catalog, mts_catalog.context, reference_profile, k_grid(0.5, 10.0, 0.5))
+    intervals = switch_points(swept)
 
     sequence = [iv.plan_id for iv in intervals]
     if sequence != [6, 1, 2]:
@@ -147,16 +149,17 @@ def test_criterion_4_sensitivity_structure(mts_catalog, reference_profile):
         if len(changes) != 2 or abs(changes[0] - first) > 0.002 or abs(changes[1] - second) > 0.002:
             failures.append(f"fine-grid oracle crossings {changes} disagree")
 
-    optimal = np.array([p.optimal_full_cost for p in points])
+    optimal = swept.optimal_costs
     if not (np.diff(optimal, n=2) <= 1e-9).all():
         failures.append("optimal cost curve is not concave")
-    for p in points:
-        if p.optimal_full_cost > p.stay_cost + 1e-9:
-            failures.append(f"optimal above stay cost at k={p.k}")
-        for plan_id, cost in p.plan_costs.items():
+    stay = swept.costs[swept.stay].tolist()
+    for j, (k, best_cost, stay_cost) in enumerate(zip(swept.ks.tolist(), optimal.tolist(), stay)):
+        if best_cost > stay_cost + 1e-9:
+            failures.append(f"optimal above stay cost at k={k}")
+        for plan_id, cost in costs_at(swept, j).items():
             fixed, var = at_one[plan_id]
-            if abs(cost - (fixed + p.k * var)) > 1e-9 * max(1.0, cost):
-                failures.append(f"plan {plan_id} not affine in k at k={p.k}")
+            if abs(cost - (fixed + k * var)) > 1e-9 * max(1.0, cost):
+                failures.append(f"plan {plan_id} not affine in k at k={k}")
     _finish("4 sensitivity structure", t0, 5.0, failures)
 
 

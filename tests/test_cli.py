@@ -10,7 +10,9 @@ import pytest
 
 from tariffopt.cli import main
 
-from conftest import CATALOG_PATH, CDR_PATH, MALFORMED_CATALOGS, PREFIXES_PATH
+from tariffopt.catalog import MAX_MINUTE
+
+from conftest import CATALOG_PATH, CDR_PATH, MALFORMED_CATALOGS, PREFIXES_PATH, cut_second_segment
 
 BASE = [
     "--catalog", str(CATALOG_PATH),
@@ -53,6 +55,22 @@ def test_validate_malformed_catalog_is_validation_error(edit, message, tmp_path,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert invoke(capsys, "validate", "--catalog", str(bad)) == (1, f"catalog error: {message}\n", "")
+
+
+def test_simulate_bills_a_catalog_cut_at_the_largest_minute(tmp_path, capsys):
+    """The largest segment bound a catalog accepts fits the oracle's int64
+    billing; one minute more is a catalog error."""
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    cut = tmp_path / "cut.json"
+    cut_second_segment(doc, MAX_MINUTE - 1)
+    cut.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, err = invoke(capsys, "simulate", "--catalog", str(cut), *BASE[2:], "--runs", "100")
+    assert (code, err) == (0, "")
+    cut_second_segment(doc, MAX_MINUTE)
+    cut.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = invoke(capsys, "validate", "--catalog", str(cut))
+    assert (code, out) == (1, f"catalog error: plan 1 subgroup 'To MTS Numbers' segment 3 from: "
+                              f"past the largest minute {MAX_MINUTE}: {MAX_MINUTE + 1}\n")
 
 
 def test_validate_missing_file(capsys):
@@ -190,6 +208,20 @@ def test_sweep_csv_is_plottable(capsys):
     assert rows[0][:4] == ["k", "optimal_plan", "optimal_cost", "stay_cost"]
     assert len(rows) == 21  # header + 20 grid points
     assert float(rows[1][0]) == 0.5
+
+
+def test_sweep_lists_plans_by_id_whatever_the_catalog_order(tmp_path, capsys):
+    """The plans' columns and costs come in ascending id, not in the
+    catalog's order: the same catalog listed backwards sweeps to the same
+    bytes in every format."""
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    doc["plans"].reverse()
+    reversed_catalog = tmp_path / "reversed.json"
+    reversed_catalog.write_text(json.dumps(doc), encoding="utf-8")
+    for fmt in ("table", "json", "csv"):
+        expected = invoke(capsys, "sweep", *BASE, "--format", fmt)
+        assert expected[0] == 0
+        assert invoke(capsys, "sweep", "--catalog", str(reversed_catalog), *BASE[2:], "--format", fmt) == expected
 
 
 def test_fit_prints_r2_progression(capsys):

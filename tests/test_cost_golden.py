@@ -111,19 +111,32 @@ def priced() -> dict:
             context = context or catalog.context
             doc[f"{mode}/{name}"] = {
                 "full_costs": [dataclasses.asdict(b) for b in full_costs(catalog, context, profile, mode)],
-                "sweep": [
-                    {
-                        "k": p.k,
-                        "optimal_plan_id": p.optimal_plan_id,
-                        "optimal_full_cost": p.optimal_full_cost,
-                        "stay_cost": p.stay_cost,
-                        "plan_costs": sorted(p.plan_costs.items()),
-                        "current_plan_id": p.current_plan_id,
-                    }
-                    for p in sweep(catalog, context, profile, grid, mode)
-                ],
+                "sweep": sweep_doc(sweep(catalog, context, profile, grid, mode)),
             }
     return doc
+
+
+def sweep_doc(swept) -> list[dict]:
+    """One entry per multiplier: the optimum, the stay cost and every plan's
+    cost, by plan id."""
+    ids = swept.plan_ids
+    return [
+        {
+            "k": k,
+            "optimal_plan_id": ids[best],
+            "optimal_full_cost": best_cost,
+            "stay_cost": stay_cost,
+            "plan_costs": sorted(zip(ids, at_k)),
+            "current_plan_id": ids[swept.stay],
+        }
+        for k, best, best_cost, stay_cost, at_k in zip(
+            swept.ks.tolist(),
+            swept.optimal.tolist(),
+            swept.optimal_costs.tolist(),
+            swept.costs[swept.stay].tolist(),
+            swept.costs.T.tolist(),
+        )
+    ]
 
 
 def render() -> str:

@@ -1,5 +1,6 @@
 """Each demo script runs to completion on the bundled data and prints
-exactly its pinned output, `tests/golden/demo-0N.txt`.
+exactly its pinned output, `tests/golden/demo-0N.txt`; the `sweep.csv` that
+demo 05 writes is pinned in `tests/golden/demo-05-sweep.csv`.
 
 The demos run from a copy of `demos/` and `data/`, so that files they write
 (demo 05 writes `sweep.csv` next to itself) stay out of the checkout. No
@@ -26,6 +27,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(tariffopt.__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0*.py"))
+SWEEP_CSV = GOLDEN / "demo-05-sweep.csv"
 
 
 def test_all_five_demos_are_found():
@@ -77,7 +79,7 @@ def test_demo_runs(demo, demo_root):
         )
         pytest.fail("output differs from the golden file:\n" + "".join(diff), pytrace=False)
     if demo.startswith("05"):
-        assert (demo_root / "demos" / "sweep.csv").read_text().startswith("k,optimal_plan,")
+        assert (demo_root / "demos" / "sweep.csv").read_bytes() == SWEEP_CSV.read_bytes()
 
 
 if __name__ == "__main__":
@@ -86,3 +88,4 @@ if __name__ == "__main__":
         _copy_inputs(Path(tmp))
         for demo in DEMOS:
             _golden(demo).write_text(_run_demo(demo, Path(tmp)), encoding="utf-8", newline="")
+        shutil.copyfile(Path(tmp) / "demos" / "sweep.csv", SWEEP_CSV)

@@ -33,7 +33,7 @@ DEFINED_IN = {
         "full_costs", "rank",
     ],
     "sensitivity": [
-        "RegressionFit", "SweepPoint", "SwitchInterval", "fit_report", "k_grid", "sweep",
+        "RegressionFit", "Sweep", "SwitchInterval", "fit_report", "k_grid", "sweep",
         "switch_points",
     ],
     "simulate": ["PlanSample", "SimConfig", "SimResult", "SimulationError", "replay_trace", "run"],
@@ -51,7 +51,7 @@ EXPORTED = [
     "Empirical", "Exponential", "ExponentialFit", "FixedCostSpec", "PayoffFunction",
     "PlanSample", "PrefixTable", "ProfileError", "Ranking", "RateSegment", "RegressionFit",
     "SimConfig", "SimResult", "SimulationError", "SubgroupCost", "SubgroupRule",
-    "SubscriberContext", "SweepPoint", "SwitchInterval", "TrafficCell", "TrafficProfile",
+    "SubscriberContext", "Sweep", "SwitchInterval", "TrafficCell", "TrafficProfile",
     "WorkdayCalendar", "build_histogram", "classify_calls", "estimate_profile",
     "expected_call_cost", "fit_exponential", "fit_report", "full_costs", "k_grid",
     "load_catalog", "observation_months", "parse_cdr", "rank", "replay_trace", "run",

@@ -30,7 +30,6 @@ from tariffopt import (
     SubgroupCost,
     SubgroupRule,
     SubscriberContext,
-    SweepPoint,
     TrafficCell,
     TrafficProfile,
     WorkdayCalendar,
@@ -49,7 +48,7 @@ from tariffopt import cdr, simulate
 from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
-from conftest import cdr_text, charges, classified, first_match
+from conftest import cdr_text, charges, classified, costs_at, first_match, optimal_ids
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -402,20 +401,26 @@ def catalogs_with_twins(draw):
     st.sampled_from(BILLING_MODES),
 )
 def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
-    """Each sweep point equals what `rank` makes of the scaled breakdowns at
-    its multiplier, bit for bit, with plan costs in breakdown order."""
+    """At each multiplier, the sweep's optimum, its cost, the stay cost and
+    every plan's cost equal what `rank` makes of the scaled breakdowns, bit
+    for bit, with plan costs in breakdown order."""
     breakdowns = full_costs(catalog, catalog.context, profile, mode)
     current = next(b.plan_id for b in breakdowns if b.is_current)
     lines = {b.plan_id: (b.fixed, b.variable) for b in breakdowns}
-    points = sweep(catalog, catalog.context, profile, grid, mode)
-    assert len(points) == len(grid)
-    for k, point in zip(grid, points):
+    swept = sweep(catalog, catalog.context, profile, grid, mode)
+    assert len(swept) == len(grid)
+    assert swept.ks.tolist() == grid
+    assert swept.plan_ids[swept.stay] == current
+    assert dict(zip(swept.plan_ids, zip(swept.fixed.tolist(), swept.variable.tolist()))) == lines
+    optimal, best_costs = optimal_ids(swept), swept.optimal_costs.tolist()
+    stay_costs = swept.costs[swept.stay].tolist()
+    for j, k in enumerate(grid):
         at_k = [replace(b, variable=k * b.variable) for b in breakdowns]
         costs = {b.plan_id: b.full for b in at_k}
         best = rank(at_k).optimal_id
-        assert point == SweepPoint(k, best, costs[best], costs[current], current, lines)
-        assert point.plan_costs == costs
-        assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
+        assert (optimal[j], best_costs[j], stay_costs[j]) == (best, costs[best], costs[current])
+        assert costs_at(swept, j) == costs
+        assert list(costs_at(swept, j)) == [b.plan_id for b in breakdowns]
 
 
 @st.composite
@@ -546,19 +551,21 @@ def test_full_costs_equal_plan_by_plan_pricing(catalog_and_context, profile, mod
 @settings(max_examples=100, deadline=None)
 @given(shared_breakpoint_catalogs(), mixed_profiles(), st.sampled_from(BILLING_MODES), st.booleans())
 def test_sweep_points_lie_on_the_full_cost_lines(catalog_and_context, profile, mode, own_context):
-    """`sweep` prices the candidates without `full_costs`; all points share
-    one mapping of `full_costs`' lines, and every point's cost of each plan
-    is still ``variable * k + fixed`` of `full_costs`, bit for bit."""
+    """`sweep` prices the candidates without `full_costs`; its lines are
+    `full_costs`' lines in its order, and its cost of each plan at every
+    multiplier is still ``variable * k + fixed`` of `full_costs`, bit for
+    bit."""
     catalog, other = catalog_and_context
     context = catalog.context if own_context else other
     grid = k_grid(0.25, 12.0, 0.25)
     breakdowns = full_costs(catalog, context, profile, mode)
-    points = sweep(catalog, context, profile, grid, mode)
-    for k, point in zip(grid, points):
-        assert point.lines is points[0].lines
-        assert all(point.lines[b.plan_id] == (b.fixed, b.variable) for b in breakdowns)
-        assert point.plan_costs == {b.plan_id: b.variable * k + b.fixed for b in breakdowns}
-        assert list(point.plan_costs) == [b.plan_id for b in breakdowns]
+    swept = sweep(catalog, context, profile, grid, mode)
+    assert swept.plan_ids == tuple(b.plan_id for b in breakdowns)
+    assert swept.fixed.tolist() == [b.fixed for b in breakdowns]
+    assert swept.variable.tolist() == [b.variable for b in breakdowns]
+    for j, k in enumerate(grid):
+        assert costs_at(swept, j) == {b.plan_id: b.variable * k + b.fixed for b in breakdowns}
+        assert list(costs_at(swept, j)) == [b.plan_id for b in breakdowns]
 
 
 def reference_polyfit(points, degree, intercept):
@@ -590,10 +597,11 @@ def reference_polyfit(points, degree, intercept):
     return RegressionFit(degree, intercept, tuple(float(c) for c in coef), r_squared)
 
 
-def reference_fit_report(points):
+def reference_fit_report(swept):
+    ks = swept.ks.tolist()
     series = {
-        "stay": [(p.k, p.stay_cost) for p in points],
-        "optimal": [(p.k, p.optimal_full_cost) for p in points],
+        "stay": list(zip(ks, swept.costs[swept.stay].tolist())),
+        "optimal": list(zip(ks, swept.optimal_costs.tolist())),
     }
     return {name: reference_polyfit(series[which], degree, intercept) for name, which, degree, intercept in FIT_FORMS}
 
@@ -615,14 +623,14 @@ def test_fit_report_matches_the_reference_fit(catalog_and_context, profile, grid
     """Every fit of `fit_report` equals the reference fit of its series by
     repr, bit for bit, or both raise the same error."""
     catalog, _ = catalog_and_context
-    points = sweep(catalog, catalog.context, profile, grid, mode)
+    swept = sweep(catalog, catalog.context, profile, grid, mode)
     try:
-        expected = repr(reference_fit_report(points))
+        expected = repr(reference_fit_report(swept))
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            fit_report(points)
+            fit_report(swept)
     else:
-        assert repr(fit_report(points)) == expected
+        assert repr(fit_report(swept)) == expected
 
 
 @settings(max_examples=200, deadline=None)

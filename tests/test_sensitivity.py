@@ -24,7 +24,7 @@ from tariffopt import (
 from tariffopt.catalog import ALL_CALL_CLASSES
 from tariffopt.sensitivity import MAX_GRID_POINTS, _fit, _powers, _Series
 
-from conftest import make_reference_profile
+from conftest import costs_at, make_reference_profile, optimal_ids
 
 GRID = k_grid(0.5, 10.0, 0.5)
 
@@ -72,26 +72,26 @@ def test_scale_traffic_identity_and_linearity(mts_catalog):
 
 def test_sweep_at_unit_multiplier_reproduces_rank(mts_catalog, reference_sweep):
     profile = make_reference_profile()
-    point = next(p for p in reference_sweep if p.k == 1.0)
-    assert point.optimal_plan_id == 6
-    assert point.optimal_full_cost == pytest.approx(105.0, abs=1e-9)
+    j = reference_sweep.ks.tolist().index(1.0)
+    assert optimal_ids(reference_sweep)[j] == 6
+    assert reference_sweep.optimal_costs[j] == pytest.approx(105.0, abs=1e-9)
     single = sweep(mts_catalog, mts_catalog.context, profile, [1.0])
     ranking = rank(full_costs(mts_catalog, mts_catalog.context, profile))
-    assert single[0].optimal_plan_id == ranking.optimal_id
-    assert single[0].plan_costs == {
+    assert optimal_ids(single) == [ranking.optimal_id]
+    assert costs_at(single, 0) == {
         b.plan_id: b.full for b in full_costs(mts_catalog, mts_catalog.context, profile)
     }
 
 
 def test_sweep_at_k10_plan2_wins_by_brute_force(mts_catalog, reference_sweep):
-    point = next(p for p in reference_sweep if p.k == 10.0)
+    j = reference_sweep.ks.tolist().index(10.0)
     # brute force: recompute every plan's cost at k=10 independently
     scaled = make_reference_profile().scaled(10.0)
     costs = {b.plan_id: b.full for b in full_costs(mts_catalog, mts_catalog.context, scaled)}
     best = min(costs, key=costs.get)
     assert best == 2
-    assert point.optimal_plan_id == 2
-    assert point.plan_costs == pytest.approx(costs)
+    assert optimal_ids(reference_sweep)[j] == 2
+    assert costs_at(reference_sweep, j) == pytest.approx(costs)
 
 
 def test_sweep_requires_sorted_nonempty_grid(mts_catalog):
@@ -113,21 +113,22 @@ def test_full_cost_affine_in_k(mts_catalog, reference_sweep):
         b.plan_id: (b.fixed, b.full)
         for b in full_costs(mts_catalog, mts_catalog.context, make_reference_profile())
     }
-    for point in reference_sweep:
-        for plan_id, cost in point.plan_costs.items():
+    for j, k in enumerate(reference_sweep.ks.tolist()):
+        for plan_id, cost in costs_at(reference_sweep, j).items():
             fixed, full_at_one = at_one[plan_id]
-            expected = fixed + point.k * (full_at_one - fixed)
+            expected = fixed + k * (full_at_one - fixed)
             assert cost == pytest.approx(expected, abs=1e-9)
 
 
 def test_optimal_never_above_stay(reference_sweep):
-    for point in reference_sweep:
-        assert point.optimal_full_cost <= point.stay_cost + 1e-9
+    stay = reference_sweep.costs[reference_sweep.stay].tolist()
+    for best_cost, stay_cost in zip(reference_sweep.optimal_costs.tolist(), stay):
+        assert best_cost <= stay_cost + 1e-9
 
 
 def test_optimal_curve_concave(reference_sweep):
     """Pointwise minimum of affine functions: second differences <= 0."""
-    values = [p.optimal_full_cost for p in reference_sweep]
+    values = reference_sweep.optimal_costs.tolist()
     second = np.diff(values, n=2)
     assert (second <= 1e-9).all()
 
@@ -270,7 +271,7 @@ def test_switch_points_enter_tied_plans_at_the_current_one():
     """Identical plans 1 and 2 take over from plan 3 at k = 1.25; the current
     plan 2 wins the tie there, as rank picks it at every later grid point."""
     points = flat_plans_sweep([(1, "10", "2"), (2, "10", "2"), (3, "0", "10")], 2)
-    assert {p.optimal_plan_id for p in points if p.k > 1.25} == {2}
+    assert {pid for k, pid in zip(points.ks.tolist(), optimal_ids(points)) if k > 1.25} == {2}
     intervals = switch_points(points)
     assert [iv.plan_id for iv in intervals] == [3, 2]
     assert intervals[0].k_end == pytest.approx(1.25, abs=1e-9)
@@ -292,7 +293,7 @@ def test_switch_points_take_the_cheaper_of_near_parallel_lines():
     points = flat_plans_sweep([(1, "0", "8.90"), (2, "31.98", "3.65"), (3, "31.98000001", "3.65")], 3)
     intervals = switch_points(points)
     assert [iv.plan_id for iv in intervals] == [1, 2]
-    assert {p.optimal_plan_id for p in points if p.k > intervals[0].k_end} == {2}
+    assert {pid for k, pid in zip(points.ks.tolist(), optimal_ids(points)) if k > intervals[0].k_end} == {2}
 
 
 def test_switch_points_leave_no_slivers_where_lines_meet():
@@ -386,14 +387,15 @@ def test_fit_report_model_forms(reference_sweep):
     assert fits["optimal_quadratic"].coefficients[2] <= 0.0
 
 
-def test_fit_report_needs_five_points(reference_sweep):
+def test_fit_report_needs_five_points(mts_catalog):
+    points = sweep(mts_catalog, mts_catalog.context, make_reference_profile(), GRID[:4])
     with pytest.raises(ValueError, match="at least 5"):
-        fit_report(reference_sweep[:4])
+        fit_report(points)
 
 
 def test_fit_report_rejects_points_at_one_multiplier(mts_catalog):
     points = sweep(mts_catalog, mts_catalog.context, make_reference_profile(), [2.0] * 5)
-    with pytest.raises(ValueError, match="x values are all identical"):
+    with pytest.raises(ProfileError, match="x values are all identical"):
         fit_report(points)
 
 
@@ -402,7 +404,7 @@ def test_sweep_rejects_costs_that_overflow_at_the_last_multiplier(mts_catalog):
     with pytest.raises(ProfileError, match=r"plan costs overflow at traffic multiplier 1e\+308"):
         sweep(mts_catalog, mts_catalog.context, profile, [1.0, 1e300, 1e308])
     points = sweep(mts_catalog, mts_catalog.context, profile, [1.0, 1e300])
-    assert all(math.isfinite(cost) for cost in points[-1].plan_costs.values())
+    assert all(math.isfinite(cost) for cost in costs_at(points, -1).values())
 
 
 def test_fit_report_single_flat_plan_affine():
@@ -442,7 +444,7 @@ def test_fit_report_single_flat_plan_affine():
 
 
 def test_distinct_optimal_plans_bounded_by_candidates(mts_catalog, reference_sweep):
-    distinct = {p.optimal_plan_id for p in reference_sweep}
+    distinct = set(optimal_ids(reference_sweep))
     assert len(distinct) <= len(mts_catalog.switch_candidates())
 
 
