@@ -480,8 +480,12 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -99,12 +99,8 @@ def _one_call(segments: tuple[tuple[int, int, float], ...], row: list[float]) ->
     return total
 
 
-#: a candidate as :func:`_priced` prices it: the plan, its subgroups' calls
-#: per month and monthly costs, its fee and its variable cost
-_Priced = tuple[BillingPlan, tuple[float, ...], tuple[float, ...], float, float]
-
-#: the last pricing: ``(catalog, context, profile, mode, product)``, read and
-#: replaced whole, so a concurrent caller finds a whole entry or prices
+#: the last pricing: ``(catalog, context, profile, mode, breakdowns)``, read
+#: and replaced whole, so a concurrent caller finds a whole entry or prices
 #: again. It holds its catalog and profile, so no other object takes their
 #: ids while it stands.
 _last: tuple | None = None
@@ -112,26 +108,27 @@ _last: tuple | None = None
 
 def _priced(
     catalog: Catalog, context: SubscriberContext, profile: TrafficProfile, mode: str
-) -> tuple[_Priced, ...]:
-    """Each switch candidate with its subgroups' calls per month and monthly
-    costs, its fee (:func:`_fee`) and its variable cost (their sum). The
-    candidates depend on whose current plan it is.
+) -> tuple[CostBreakdown, ...]:
+    """Each switch candidate's :class:`CostBreakdown`. The candidates depend
+    on whose current plan it is.
 
     Each traffic cell is priced under the subgroup its calls route to, with
     one row per distinct duration model, through the catalog's own table,
-    which holds each plan's payoffs under its id.
+    which holds each plan's payoffs under its id. A subgroup aggregating
+    several cells reports the rate-weighted average one-call cost.
 
-    The product of the last call is kept: a call on the same `catalog` and
-    `profile` objects with an equal `context` and `mode` returns it without
-    pricing again, so :func:`full_costs` and the sweeps that follow it on
-    one profile price it once. Any other call prices and replaces it.
+    The breakdowns of the last call are kept: a call on the same `catalog`
+    and `profile` objects with an equal `context` and `mode` returns them
+    without pricing again, so :func:`full_costs` and the sweeps that follow
+    it on one profile price it once and share its breakdowns. Any other
+    call prices and replaces them.
     """
     global _last
     last = _last
     if last is not None:
-        last_catalog, last_context, last_profile, last_mode, product = last
+        last_catalog, last_context, last_profile, last_mode, breakdowns = last
         if last_catalog is catalog and last_profile is profile and last_context == context and last_mode == mode:
-            return product
+            return breakdowns
     catalog.check_context(context)
     by_plan, row_of = _rows(catalog.pricing, mode)
     rows, cells = {}, []
@@ -151,10 +148,28 @@ def _priced(
             j = routes[k]
             rates[j] += rate
             costs[j] += rate * _one_call(payoffs[j], row)
-        priced.append((plan, tuple(rates), tuple(costs), _fee(plan, context), sum(costs)))
-    product = tuple(priced)
-    _last = (catalog, context, profile, mode, product)
-    return product
+        subgroups = tuple(
+            SubgroupCost(
+                name=rule.subgroup_name,
+                calls_per_month=rates[j],
+                one_call_cost=costs[j] / rates[j] if rates[j] > 0 else None,
+                monthly_cost=costs[j],
+            )
+            for j, (rule, _) in enumerate(plan.subgroups)
+        )
+        priced.append(
+            CostBreakdown(
+                plan_id=plan.id,
+                plan_name=plan.name,
+                is_current=plan.id == context.current_plan_id,
+                subgroups=subgroups,
+                variable=sum(costs),
+                fixed=_fee(plan, context),
+            )
+        )
+    breakdowns = tuple(priced)
+    _last = (catalog, context, profile, mode, breakdowns)
+    return breakdowns
 
 
 def expected_call_cost(
@@ -164,20 +179,6 @@ def expected_call_cost(
     table = PricingTable.of({None: [payoff]})
     by_key, row_of = _rows(table, mode)
     return _one_call(by_key[None][0], row_of(durations))
-
-
-def _subgroup_costs(plan: BillingPlan, rates: tuple[float, ...], costs: tuple[float, ...]) -> tuple[SubgroupCost, ...]:
-    """A subgroup aggregating several cells reports the rate-weighted
-    average one-call cost."""
-    return tuple(
-        SubgroupCost(
-            name=rule.subgroup_name,
-            calls_per_month=rates[j],
-            one_call_cost=costs[j] / rates[j] if rates[j] > 0 else None,
-            monthly_cost=costs[j],
-        )
-        for j, (rule, _) in enumerate(plan.subgroups)
-    )
 
 
 def _fee(target: BillingPlan, context: SubscriberContext) -> float:
@@ -200,30 +201,12 @@ def full_costs(
     profile: TrafficProfile,
     mode: str = LOOKUP,
 ) -> list[CostBreakdown]:
-    """Cost breakdown per switch candidate (active plans plus the current one)."""
-    return [
-        CostBreakdown(
-            plan_id=plan.id,
-            plan_name=plan.name,
-            is_current=plan.id == context.current_plan_id,
-            subgroups=_subgroup_costs(plan, rates, costs),
-            variable=variable,
-            fixed=fee,
-        )
-        for plan, rates, costs, fee, variable in _priced(catalog, context, profile, mode)
-    ]
+    """Cost breakdown per switch candidate (active plans plus the current one).
 
-
-def cost_lines(
-    catalog: Catalog,
-    context: SubscriberContext,
-    profile: TrafficProfile,
-    mode: str = LOOKUP,
-) -> list[tuple[int, float, float]]:
-    """``(plan id, fixed, variable)`` per switch candidate, in
-    :func:`full_costs`' order and with its floats, read from the kernel's
-    product (:func:`_priced`) without building a breakdown."""
-    return [(plan.id, fee, variable) for plan, _, _, fee, variable in _priced(catalog, context, profile, mode)]
+    The list is new on each call; the breakdowns in it are the kernel's
+    (:func:`_priced`), shared with the calls that reuse its pricing.
+    """
+    return list(_priced(catalog, context, profile, mode))
 
 
 def rank(breakdowns: list[CostBreakdown]) -> Ranking:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog, SubscriberContext
-from .cost import LOOKUP, cost_lines
+from .cost import LOOKUP, full_costs
 from .traffic import ProfileError, TrafficProfile
 
 
@@ -105,11 +105,11 @@ def sweep(
     grid: Sequence[float],
     mode: str = LOOKUP,
 ) -> Sweep:
-    """Read every candidate's cost line from one pricing
-    (:func:`~tariffopt.cost.cost_lines`), then evaluate the lines
-    ``fixed + k * variable`` as one (plans x grid) array. Right after
-    :func:`~tariffopt.cost.full_costs` or another sweep on the same catalog,
-    profile, context and mode, that pricing is the one they made.
+    """Read every candidate's cost line ``fixed + k * variable`` from the
+    breakdowns of :func:`~tariffopt.cost.full_costs`, then evaluate the
+    lines as one (plans x grid) array. Right after ``full_costs`` or another
+    sweep on the same catalog, profile, context and mode, those breakdowns
+    are the ones they got. The sweep's arrays are read-only.
 
     Each point's optimum is the first minimum of its column, with the rows
     taken in :func:`rank`'s tie order (the current plan, then ascending id),
@@ -127,15 +127,20 @@ def sweep(
         raise ProfileError("multiplier grid must be sorted")
     if grid[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
-    ids, fixed, variable = zip(*cost_lines(catalog, context, profile, mode))
-    fixed, variable = np.array(fixed), np.array(variable)
-    stay = ids.index(context.current_plan_id)
-    tie_order = np.array(sorted(range(len(ids)), key=lambda i: (i != stay, ids[i])))
+    lines = full_costs(catalog, context, profile, mode)
+    fixed = np.array([b.fixed for b in lines])
+    variable = np.array([b.variable for b in lines])
+    # rank's keys past the cost; the current plan, the stay row, comes first
+    tie_order = np.array(sorted(range(len(lines)), key=lambda i: (not lines[i].is_current, lines[i].plan_id)))
+    stay = int(tie_order[0])
     with np.errstate(over="ignore"):
         costs = variable[:, None] * ks + fixed[:, None]
     if not np.isfinite(costs[:, -1]).all():
         raise ProfileError(f"plan costs overflow at traffic multiplier {grid[-1]}")
-    swept = Sweep(ks, ids, fixed, variable, costs, tie_order[costs[tie_order].argmin(axis=0)], stay)
+    optimal = tie_order[costs[tie_order].argmin(axis=0)]
+    for array in (ks, fixed, variable, costs, optimal):
+        array.flags.writeable = False
+    swept = Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal, stay)
     above = swept.optimal_costs > costs[stay] + 1e-9
     if above.any():
         j = int(above.argmax())
@@ -160,22 +165,22 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
     in :func:`rank`'s order past that crossing wins: the flattest, then the
     cheapest, then the current plan, then the lowest id.
     """
-    ids = swept.plan_ids
-    lines = dict(zip(ids, zip(swept.fixed.tolist(), swept.variable.tolist())))
+    ids, stay = swept.plan_ids, swept.stay
+    fixed, variable = swept.fixed.tolist(), swept.variable.tolist()
     first, last = float(swept.ks[0]), float(swept.ks[-1])
-    current, touch = ids[swept.stay], _TOUCH * max(1.0, abs(first), abs(last))
-    plan_id, start, intervals = ids[swept.optimal[0]], first, []
+    touch = _TOUCH * max(1.0, abs(first), abs(last))
+    row, start, intervals = int(swept.optimal[0]), first, []
     while True:
-        fixed, slope = lines[plan_id]
-        below = [((f - fixed) / (slope - v), v, f, pid) for pid, (f, v) in lines.items() if v < slope]
-        crossing = min((c for c, *_ in below), default=math.inf)
+        on_fixed, slope = fixed[row], variable[row]
+        below = [((fixed[i] - on_fixed) / (slope - variable[i]), i) for i in range(len(ids)) if variable[i] < slope]
+        crossing = min((c for c, _ in below), default=math.inf)
         if crossing >= last - touch:
-            intervals.append(SwitchInterval(start, last, plan_id))
+            intervals.append(SwitchInterval(start, last, ids[row]))
             return intervals
         if crossing > start + touch:
-            intervals.append(SwitchInterval(start, crossing, plan_id))
+            intervals.append(SwitchInterval(start, crossing, ids[row]))
             start = crossing
-        *_, plan_id = min((v, f, pid != current, pid) for c, v, f, pid in below if c <= crossing + touch)
+        *_, row = min((variable[i], fixed[i], i != stay, ids[i], i) for c, i in below if c <= crossing + touch)
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:

@@ -257,6 +257,15 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["ranking"]["optimal_id"] == 6
 
 
+@pytest.mark.parametrize("command", [["validate", "--catalog", str(CATALOG_PATH)], ["rank", *BASE]])
+def test_an_unwritable_out_is_an_io_error(command, tmp_path, capsys):
+    for out in (tmp_path / "missing" / "report.txt", tmp_path):
+        code, stdout, err = invoke(capsys, *command, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+
+
 def test_bad_grid_is_validation_error(capsys):
     for grid in (["--k-from", "0", "--k-to", "1"], ["--k-step", "0"], ["--k-step", "nan"]):
         code, _, err = invoke(capsys, "sweep", *BASE, *grid)

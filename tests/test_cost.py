@@ -18,6 +18,7 @@ from tariffopt import (
     BILLING_MODES,
     Catalog,
     CatalogError,
+    CostBreakdown,
     Empirical,
     Exponential,
     PayoffFunction,
@@ -34,7 +35,7 @@ from tariffopt import (
 )
 from tariffopt import cost
 from tariffopt.catalog import ALL_CALL_CLASSES
-from tariffopt.cost import CUMULATIVE, LOOKUP, cost_lines
+from tariffopt.cost import CUMULATIVE, LOOKUP
 
 from conftest import CATALOG_PATH, charges, make_reference_profile
 
@@ -317,12 +318,13 @@ def test_a_repeated_pricing_does_not_run_the_kernel(mts_catalog, kernel_runs):
     # an equal context built anew is the same input
     same = SubscriberContext(mts_catalog.context.current_plan_id, mts_catalog.context.owned_sim_providers)
     second = full_costs(mts_catalog, same, profile)
-    # the kept product is immutable; each call builds its own list
+    # the kept product is immutable; each call builds its own list of it
     product = cost._priced(mts_catalog, same, profile, LOOKUP)
     assert len(kernel_runs) == 1
     assert second == first and second is not first
     assert type(product) is tuple
-    assert all(type(rates) is type(costs) is tuple for _, rates, costs, _, _ in product)
+    assert all(type(breakdown) is CostBreakdown for breakdown in product)
+    assert all(kept is a is b for kept, a, b in zip(product, first, second, strict=True))
 
 
 @pytest.mark.parametrize("changed", ["catalog", "context", "profile", "mode"])
@@ -350,7 +352,6 @@ GRID = k_grid()
 
 PRICINGS = {
     "full_costs": lambda catalog, profile, mode: full_costs(catalog, catalog.context, profile, mode),
-    "cost_lines": lambda catalog, profile, mode: cost_lines(catalog, catalog.context, profile, mode),
     "sweep": lambda catalog, profile, mode: sweep(catalog, catalog.context, profile, GRID, mode),
 }
 
@@ -369,10 +370,9 @@ def test_results_are_the_same_cold_and_warm(mts_catalog, kernel_runs, first, the
 def test_a_bad_context_fails_right_after_a_valid_pricing(mts_catalog):
     profile = make_reference_profile()
     bad = SubscriberContext(current_plan_id=99, owned_sim_providers=mts_catalog.context.owned_sim_providers)
-    for price in (full_costs, cost_lines):
-        price(mts_catalog, mts_catalog.context, profile)
-        with pytest.raises(CatalogError, match="current_plan_id 99 not in catalog"):
-            price(mts_catalog, bad, profile)
+    full_costs(mts_catalog, mts_catalog.context, profile)
+    with pytest.raises(CatalogError, match="current_plan_id 99 not in catalog"):
+        full_costs(mts_catalog, bad, profile)
     sweep(mts_catalog, mts_catalog.context, profile, GRID)
     with pytest.raises(CatalogError, match="current_plan_id 99 not in catalog"):
         sweep(mts_catalog, bad, profile, GRID)

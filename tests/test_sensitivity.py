@@ -126,6 +126,18 @@ def test_optimal_never_above_stay(reference_sweep):
         assert best_cost <= stay_cost + 1e-9
 
 
+def test_a_sweep_cannot_be_changed_after_it_is_checked(mts_catalog):
+    swept = sweep(mts_catalog, mts_catalog.context, make_reference_profile(), GRID)
+    before = switch_points(swept), fit_report(swept)
+    with pytest.raises(ValueError, match="read-only"):
+        swept.costs[:, 0] = 1e9
+    for name in ("ks", "fixed", "variable", "costs", "optimal"):
+        array = getattr(swept, name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+    assert (switch_points(swept), fit_report(swept)) == before
+
+
 def test_optimal_curve_concave(reference_sweep):
     """Pointwise minimum of affine functions: second differences <= 0."""
     values = reference_sweep.optimal_costs.tolist()
