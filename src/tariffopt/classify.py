@@ -2,12 +2,12 @@
 (destination, day) class.
 
 :func:`classify_calls` reads the columns that :func:`tariffopt.cdr.parse_cdr`
-returns, looks each number up in a :class:`PrefixTable` and each date in a
-:class:`WorkdayCalendar`, and returns the calls as columns
+returns, looks each number up in a :class:`PrefixTable`, takes each date's
+day class from a :class:`WorkdayCalendar`, and returns the calls as columns
 (:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic` read.
 
-Loading a prefix table or a holiday list imports no numpy; only
-:func:`classify_calls`, which builds the columns, does.
+Loading a prefix table or a holiday list imports no numpy; only the
+functions that build columns do.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class PrefixTable:
 
 @dataclass(frozen=True)
 class WorkdayCalendar:
-    """Workday/weekend lookup; Saturdays, Sundays, and listed holidays are weekends."""
+    """Workday/weekend rule; Saturdays, Sundays, and listed holidays are weekends."""
 
     holidays: frozenset[date] = frozenset()
 
@@ -162,10 +162,13 @@ class WorkdayCalendar:
                     raise CdrError(f"holiday list line {lineno}: not an ISO date: {line!r}") from None
         return cls(frozenset(days))
 
-    def day_class(self, day: date) -> str:
-        if day.weekday() >= 5 or day in self.holidays:
-            return "weekend"
-        return "workday"
+    def weekend(self, ordinals: np.ndarray) -> np.ndarray:
+        """Whether each date, a proleptic Gregorian ordinal, is a weekend day
+        or a holiday; ordinal 1, 0001-01-01, is a Monday."""
+        import numpy as np
+
+        holidays = np.array([day.toordinal() for day in self.holidays], dtype=np.int64)
+        return ((ordinals - 1) % 7 >= 5) | np.isin(ordinals, holidays)
 
 
 def classify_calls(
@@ -176,12 +179,13 @@ def classify_calls(
 ) -> CallTable:
     """Classify all outgoing calls, dropping SMS rows and zero-duration calls.
 
-    Each call goes to the class of its number's longest listed prefix and
-    of its date's day class; each distinct number and date is looked up
-    once. A call to an unlisted number goes to `other-mobile` and counts
-    in the returned `unmapped` and in the prefix table's `unmapped_count`.
-    The billing minute is the ceiling of the duration in minutes. `log` is
-    what :func:`parse_cdr` returns.
+    Each call goes to the class of its number's longest listed prefix (each
+    distinct number is looked up once) and to its date's day class, which
+    :meth:`WorkdayCalendar.weekend` tells for all dates at once. A call to an
+    unlisted number goes to `other-mobile` and counts in the returned
+    `unmapped` and in the prefix table's `unmapped_count`. The billing
+    minute is the ceiling of the duration in minutes. `log` is what
+    :func:`parse_cdr` returns.
     """
     import numpy as np
 
@@ -189,18 +193,13 @@ def classify_calls(
     rows = np.flatnonzero(tel & (log.duration > 0))
     numbers = log.number[rows]
     per_number = np.bincount(numbers, minlength=len(log.strings))
+    codes = np.flatnonzero(per_number)
+    found = [prefix_table._lookup(log.strings[code]) for code in codes.tolist()]
     destination = np.zeros(len(log.strings), dtype=np.int64)
-    lookup = prefix_table._lookup
-    unmapped = 0
-    for code in np.flatnonzero(per_number).tolist():
-        dest = lookup(log.strings[code])
-        if dest is None:
-            dest = "other-mobile"
-            unmapped += int(per_number[code])
-        destination[code] = DESTINATION_CLASSES.index(dest)
+    destination[codes] = [DESTINATION_CLASSES.index(dest or "other-mobile") for dest in found]
+    unmapped = int(per_number[codes[[dest is None for dest in found]]].sum())
     prefix_table.unmapped_count += unmapped
-    days, day_of_call = np.unique(log.date[rows], return_inverse=True)
-    day_of = [DAY_CLASSES.index(calendar.day_class(date.fromordinal(d))) for d in days.tolist()]
+    weekend = calendar.weekend(log.date[rows])
     dropped = int(np.count_nonzero(tel)) - len(rows)
     if dropped and issues is not None:
         issues.append(f"{dropped} zero-duration call(s) dropped")
@@ -208,7 +207,7 @@ def classify_calls(
         log=log,
         rows=rows,
         destination=destination[numbers],
-        day=np.array(day_of, dtype=np.int64)[day_of_call.reshape(-1)],
+        day=np.where(weekend, DAY_CLASSES.index("weekend"), DAY_CLASSES.index("workday")),
         minute=np.maximum(1, -(-log.duration[rows] // 60)),
         unmapped=unmapped,
     )

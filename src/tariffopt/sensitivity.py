@@ -116,16 +116,19 @@ def sweep(
     so it is the plan ``rank`` picks from the same costs. Fees and variable
     costs are never negative, so the grid's last k holds every plan's
     largest cost; a cost that overflows there is a :class:`ProfileError`.
+    ``grid`` is a sequence or a one-dimensional array of multipliers.
     """
-    if not grid:
-        raise ProfileError("empty multiplier grid")
     ks = np.array(grid, dtype=float)
-    if not np.isfinite(ks).all():
-        bad = next(k for k in grid if not math.isfinite(k))
-        raise ProfileError(f"traffic multiplier must be finite, got {bad}")
-    if list(grid) != sorted(grid):
+    if ks.ndim != 1:
+        raise ProfileError(f"multiplier grid must be one-dimensional, got shape {ks.shape}")
+    if not len(ks):
+        raise ProfileError("empty multiplier grid")
+    finite = np.isfinite(ks)
+    if not finite.all():
+        raise ProfileError(f"traffic multiplier must be finite, got {grid[int(finite.argmin())]}")
+    if (ks[1:] < ks[:-1]).any():
         raise ProfileError("multiplier grid must be sorted")
-    if grid[0] <= 0:
+    if ks[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
     lines = full_costs(catalog, context, profile, mode)
     fixed = np.array([b.fixed for b in lines])

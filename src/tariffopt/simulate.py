@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -76,6 +77,11 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
+        for name in ("seed", "runs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise SimulationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if not 0 <= self.seed < 2**64:
             raise SimulationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 1 <= self.runs <= MAX_RUNS:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import replace
+from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 
@@ -698,6 +699,30 @@ def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
         dest or "other-mobile" for dest in expected
     ]
     assert table.unmapped_count == expected.count(None)
+
+
+#: one leap day near each end of the calendar and one in a century leap year
+LEAP_DAYS = (date(4, 2, 29), date(2000, 2, 29), date(9996, 2, 29))
+
+
+@st.composite
+def call_dates_and_holidays(draw):
+    days = draw(st.lists(st.dates() | st.sampled_from(LEAP_DAYS), min_size=1, max_size=30))
+    holidays = draw(st.frozensets(st.sampled_from(days) | st.dates(), max_size=8))
+    return days, holidays
+
+
+@settings(max_examples=300, deadline=None)
+@given(call_dates_and_holidays())
+@example(([date(1, 1, 1), date(1, 1, 5), date(1, 1, 7), date(9999, 12, 31)], frozenset({date(1, 1, 1)})))
+def test_day_column_is_the_weekday_and_holiday_rule(days_and_holidays):
+    days, holidays = days_and_holidays
+    text = cdr_text([("+79161234567", f"{d.day:02d}.{d.month:02d}.{d.year:04d}", 57) for d in days])
+    calls = classify_calls(parse_cdr(text), PrefixTable({}), WorkdayCalendar(holidays))
+    assert calls.day.dtype == np.int64
+    assert [DAY_CLASSES[k] for k in calls.day.tolist()] == [
+        "weekend" if d.weekday() >= 5 or d in holidays else "workday" for d in days
+    ]
 
 
 # --------------------------------------------------------------------------

@@ -107,6 +107,25 @@ def test_sweep_requires_sorted_nonempty_grid(mts_catalog):
             sweep(mts_catalog, mts_catalog.context, profile, grid)
 
 
+def test_sweep_takes_an_array_grid(mts_catalog):
+    profile = make_reference_profile()
+    listed = sweep(mts_catalog, mts_catalog.context, profile, GRID)
+    swept = sweep(mts_catalog, mts_catalog.context, profile, np.array(GRID))
+    assert swept.plan_ids == listed.plan_ids and swept.stay == listed.stay
+    for name in ("ks", "fixed", "variable", "costs", "optimal"):
+        got, want = getattr(swept, name), getattr(listed, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for grid, message in (
+        (np.array([]), "empty multiplier grid"),
+        (np.ones((2, 2)), "multiplier grid must be one-dimensional"),
+        (np.array([1.0, math.nan]), "traffic multiplier must be finite, got nan"),
+        (np.array([2.0, 1.0]), "multiplier grid must be sorted"),
+        (np.array([0.0, 1.0]), "traffic multiplier must be positive, got 0.0"),
+    ):
+        with pytest.raises(ProfileError, match=message):
+            sweep(mts_catalog, mts_catalog.context, profile, grid)
+
+
 def test_full_cost_affine_in_k(mts_catalog, reference_sweep):
     """full(k) = fixed + k * (full(1) - fixed), checked across the grid."""
     at_one = {

@@ -253,6 +253,12 @@ def test_config_validation():
     assert SimConfig(seed=1, runs=simulate.MAX_RUNS, cells=()).runs == simulate.MAX_RUNS
     with pytest.raises(SimulationError, match=f"between 1 and {simulate.MAX_RUNS}, got 10000000000000"):
         SimConfig(seed=1, runs=10**13, cells=())
+    for field, value in (("runs", 10.5), ("runs", True), ("runs", "10"), ("seed", 1.5), ("seed", False)):
+        with pytest.raises(SimulationError, match=f"{field} must be an integer, got {value!r}"):
+            SimConfig(**{"seed": 1, "runs": 1, field: value}, cells=())
+    # NumPy integers are integers, and the config keeps them as Python ints
+    config = SimConfig(seed=np.uint64(2**64 - 1), runs=np.int32(3), cells=())
+    assert (config.seed, config.runs) == (2**64 - 1, 3) and type(config.seed) is type(config.runs) is int
 
 
 def test_replay_trace_matches_direct_billing(mts_catalog):
