@@ -4,8 +4,8 @@ A catalog document describes every candidate plan: its fixed fees, the rules
 that route a call into one of the plan's subgroups, and the per-minute price
 schedule each subgroup is billed under. Catalogs are immutable after loading
 and safe to share across threads. A catalog is plain data, fees and rates
-held as decimals, so loading one imports no numpy: only the oracle's billing
-arrays (:attr:`Catalog.billing`) do, on first use.
+held as decimals, so loading one imports no numpy: only the per-call billing
+arrays (:attr:`PricingTable.by_interval`) do, on first use.
 
 This module is also the base of every input reader: the input-error classes,
 the one source reader (:func:`_read_source`), the `;`-separated field reader
@@ -133,27 +133,6 @@ class PayoffFunction:
         """``(from_minute, to_minute, rate)`` of each segment, rate as a float."""
         return tuple((seg.from_minute, seg.to_minute, float(seg.rate)) for seg in self.segments)
 
-    def on_intervals(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(from_minute, rate, charge before)`` of the segment that holds
-        each interval of `points`, sorted minutes that include every
-        segment's ``from_minute - 1``.
-
-        Interval ``i = points.searchsorted(m)`` holds the minutes m with
-        ``points[i-1] < m <= points[i]``, all in one segment; interval 0
-        holds no minute >= 1. A call of billed minute m is charged
-        ``rate[i]`` per lookup (:meth:`rate_at`), and ``before[i] + (m -
-        start[i] + 1) * rate[i]`` cumulatively, ``before`` being the charge of
-        all whole segments ahead of the interval's segment.
-        """
-        import numpy as np
-
-        starts = np.array([a for a, _, _ in self.float_segments], dtype=np.int64)
-        rates = np.array([rate for _, _, rate in self.float_segments])
-        lengths = np.array([b - a + 1 for a, b, _ in self.float_segments[:-1]], dtype=float)
-        before = np.concatenate([[0.0], np.cumsum(lengths * rates[:-1])])
-        seg = starts.searchsorted(np.concatenate(([0], points)) + 1, side="right") - 1
-        return starts[seg], rates[seg], before[seg]
-
     def rate_at(self, minute: int) -> float:
         """Rate charged for a call whose billed duration is `minute`."""
         if minute < 1:
@@ -210,6 +189,33 @@ class PricingTable:
                 for key, payoffs in segments.items()
             },
         )
+
+    @cached_property
+    def by_interval(self) -> tuple[np.ndarray, dict]:
+        """`points` as an int64 array, and for each key the ``(from_minute,
+        rate, charge before)`` arrays of each payoff over the intervals of
+        `points`; built on first use.
+
+        Interval ``i = points.searchsorted(m)`` holds the minutes m with
+        ``points[i-1] < m <= points[i]``. Segment ``(first, second, rate)``
+        of `by_point` holds intervals ``first + 1`` to ``second``, and
+        interval 0, which holds no minute, goes with the first segment. A
+        call of billed minute m is charged ``rate[i]`` per lookup, and
+        ``before[i] + (m - from_minute[i] + 1) * rate[i]`` cumulatively,
+        ``before`` being the charge of the whole segments ahead.
+        """
+        import numpy as np
+
+        points = np.array(self.points, dtype=np.int64)
+
+        def arrays(payoff):
+            first, second, rate = (np.array(column) for column in zip(*payoff))
+            before = np.concatenate(([0.0], np.cumsum((points[second[:-1]] - points[first[:-1]]) * rate[:-1])))
+            counts = second - first
+            counts[0] += 1
+            return np.repeat(points[first] + 1, counts), np.repeat(rate, counts), np.repeat(before, counts)
+
+        return points, {key: tuple(map(arrays, payoffs)) for key, payoffs in self.by_point.items()}
 
 
 @dataclass(frozen=True)
@@ -336,20 +342,6 @@ class Catalog:
         pricing = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans})
         object.__setattr__(self, "pricing", pricing)
 
-    @cached_property
-    def billing(self) -> tuple[np.ndarray, dict[int, tuple]]:
-        """The pricing table's points as an array, and for each plan id its
-        subgroups' :meth:`PayoffFunction.on_intervals` over them, in subgroup
-        order: a call's billed minutes are searched against the points once,
-        and every plan reads its charge from the interval found. Built on
-        first use, once per catalog."""
-        import numpy as np
-
-        points = np.array(self.pricing.points, dtype=np.int64)
-        return points, {
-            plan.id: tuple(payoff.on_intervals(points) for _, payoff in plan.subgroups) for plan in self.plans
-        }
-
     def check_context(self, context: SubscriberContext) -> None:
         """Raise unless `context`'s current plan is in the catalog."""
         if context.current_plan_id not in self._by_id:
@@ -423,15 +415,15 @@ def _int(value, what: str) -> int:
         raise CatalogError(f"{what}: not an integer: {value!r}") from None
 
 
-#: the largest segment bound: the oracle's billing (:attr:`Catalog.billing`) holds minutes as int64
+#: the largest segment bound: per-call billing (:attr:`PricingTable.by_interval`) holds minutes as int64
 MAX_MINUTE = 2**63 - 1
 
 #: what a document value must be, by the Python type `json` reads it as
-_JSON_KINDS = {dict: "an object", list: "an array", bool: "true or false"}
+_JSON_KINDS = {dict: "an object", list: "an array", bool: "true or false", str: "a string"}
 
 
 def _expect(kind: type, value, what: str):
-    """`value` if it is a `kind` (dict, list or bool), else a CatalogError naming `what`."""
+    """`value` if it is a `kind` (dict, list, bool or str), else a CatalogError naming `what`."""
     if not isinstance(value, kind):
         raise CatalogError(f"{what}: not {_JSON_KINDS[kind]}: {value!r}")
     return value
@@ -453,13 +445,15 @@ def _parse_segment(raw, where: str) -> RateSegment:
 
 
 def _parse_subgroup(raw, plan_id: int, entry: int) -> tuple[SubgroupRule, PayoffFunction]:
-    raw = _expect(dict, raw, f"plan {plan_id} subgroup {entry}")
-    where = f"plan {plan_id} subgroup {raw['name']!r}" if "name" in raw else f"plan {plan_id} subgroup {entry}"
+    where = f"plan {plan_id} subgroup {entry}"
+    raw = _expect(dict, raw, where)
     try:
+        name = _expect(str, raw["name"], f"{where} name")
+        where = f"plan {plan_id} subgroup {name!r}"
         rule = SubgroupRule(
-            subgroup_name=str(raw["name"]),
-            destination_class=str(raw["destination_class"]),
-            day_class=str(raw["day_class"]),
+            subgroup_name=name,
+            destination_class=_expect(str, raw["destination_class"], f"{where} destination_class"),
+            day_class=_expect(str, raw["day_class"], f"{where} day_class"),
         )
         segments = _expect(list, raw["segments"], f"{where} segments")
     except KeyError as exc:
@@ -473,8 +467,8 @@ def _parse_plan(raw, entry: int) -> BillingPlan:
     raw = _expect(dict, raw, f"plan entry {entry}")
     try:
         plan_id = _int(raw["id"], "plan id")
-        name = str(raw["name"])
-        provider = str(raw["provider"])
+        name = _expect(str, raw["name"], f"plan {plan_id} name")
+        provider = _expect(str, raw["provider"], f"plan {plan_id} provider")
         fixed_raw = _expect(dict, raw["fixed"], f"plan {plan_id} fixed")
         subgroups_raw = _expect(list, raw["subgroups"], f"plan {plan_id} subgroups")
     except KeyError as exc:
@@ -508,8 +502,9 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
 
     Fees and rates may be decimal strings or plain numbers. Ids and minutes
     may be integers, integer-valued numbers or integer strings; `active` is
-    true or false, and `owned_sim_providers` an array. Any other value is a
-    :class:`CatalogError` that names its plan and field.
+    true or false, and `owned_sim_providers` an array. Names, providers and
+    classes are strings. Any other value is a :class:`CatalogError` that
+    names its plan and field.
     """
     try:
         doc = json.loads(_read_source(source))
@@ -523,7 +518,8 @@ def load_catalog(source: Union[bytes, str, IO]) -> Catalog:
         context = SubscriberContext(
             current_plan_id=_int(ctx_raw["current_plan_id"], "current_plan_id"),
             owned_sim_providers=frozenset(
-                str(p) for p in _expect(list, ctx_raw.get("owned_sim_providers", []), "owned_sim_providers")
+                _expect(str, p, "owned_sim_providers")
+                for p in _expect(list, ctx_raw.get("owned_sim_providers", []), "owned_sim_providers")
             ),
         )
     except KeyError as exc:

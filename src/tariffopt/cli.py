@@ -467,9 +467,6 @@ def main(argv=None) -> int:
             text, code = cmd_validate(args)
         else:
             text, code = render(args.handler(args), args.format), 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -184,28 +184,21 @@ def generate_months(
     return counts, rng.exponential(1.0 / cell.durations.mu, int(counts.sum()))
 
 
-def _bill_classes(
-    catalog: Catalog,
-    plans: Sequence[BillingPlan],
-    classes: Sequence[tuple[int, np.ndarray]],
-    mode: str,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Price each call class's billed minutes under each plan's subgroup.
-
-    `classes` holds (index into ALL_CALL_CLASSES, billed minutes) pairs;
-    yields (plan index, position in `classes`, per-call costs), class by
-    class, plans in order. Each class's minutes are searched once against
-    the catalog's shared breakpoints (:attr:`Catalog.billing`).
-    """
-    points, tables = catalog.billing
-    for ci, (k, minutes) in enumerate(classes):
-        interval = points.searchsorted(minutes)
-        for pi, plan in enumerate(plans):
-            start, rate, before = tables[plan.id][plan.routes[k]]
-            if mode == LOOKUP:
-                yield pi, ci, rate[interval]
-            else:
-                yield pi, ci, before[interval] + (minutes - start[interval] + 1) * rate[interval]
+def _bill(
+    catalog: Catalog, plans: Sequence[BillingPlan], k: int, minutes: np.ndarray, mode: str
+) -> Iterator[np.ndarray]:
+    """Per-call charges of call class `k`'s billed `minutes` (`k` indexes
+    ALL_CALL_CLASSES) under each plan's subgroup for the class, plans in
+    order. The minutes are searched once against the catalog's shared
+    breakpoints (:attr:`~tariffopt.catalog.PricingTable.by_interval`)."""
+    points, tables = catalog.pricing.by_interval
+    interval = points.searchsorted(minutes)
+    for plan in plans:
+        start, rate, before = tables[plan.id][plan.routes[k]]
+        if mode == LOOKUP:
+            yield rate[interval]
+        else:
+            yield before[interval] + (minutes - start[interval] + 1) * rate[interval]
 
 
 def run(config: SimConfig, catalog: Catalog) -> SimResult:
@@ -228,7 +221,7 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
             np.maximum(minutes, 1, out=minutes)
             minutes = minutes.astype(np.int64)
             run_ids = np.repeat(np.arange(n), counts)
-            for pi, _, costs in _bill_classes(catalog, plans, [(class_of[ci], minutes)], config.billing_mode):
+            for pi, costs in enumerate(_bill(catalog, plans, class_of[ci], minutes, config.billing_mode)):
                 totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
                 del costs  # free before the next plan's costs are drawn
             del minutes, run_ids  # free before the next cell is drawn
@@ -274,9 +267,9 @@ def replay_trace(
     if not (math.isfinite(months) and months > 0):
         raise SimulationError(f"months must be positive and finite, got {months}")
     call_class = calls.call_class
-    classes = [(k, calls.minute[call_class == k]) for k in dict.fromkeys(call_class.tolist())]
     plans = catalog.switch_candidates()
     totals = [0.0] * len(plans)
-    for pi, _, costs in _bill_classes(catalog, plans, classes, mode):
-        totals[pi] += float(costs.sum())
+    for k in dict.fromkeys(call_class.tolist()):
+        for pi, costs in enumerate(_bill(catalog, plans, k, calls.minute[call_class == k], mode)):
+            totals[pi] += float(costs.sum())
     return {plan.id: total / months for plan, total in zip(plans, totals)}

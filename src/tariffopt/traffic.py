@@ -301,12 +301,16 @@ def estimate_profile(
     return TrafficProfile(cells=cells, observation_months=months)
 
 
-def _add_months(day: date, months: int) -> date:
-    month_index = day.month - 1 + months
-    year = day.year + month_index // 12
-    month = month_index % 12 + 1
-    last = _DAYS_IN_MONTH[month] + (month == 2 and _is_leap(year))
-    return date(year, month, min(day.day, last))
+def _months_on(day: date, months: int) -> int:
+    """The ordinal (:meth:`date.toordinal`) of `day` moved on by `months`
+    calendar months, its day cut to the month's length. The Gregorian
+    formula of :func:`~tariffopt.cdr._date_ordinals` holds past the year
+    9999, where a `date` does not."""
+    year, month = divmod(day.year * 12 + day.month - 1 + months, 12)
+    month += 1
+    y, leap = year - 1, _is_leap(year)
+    cut = min(day.day, _DAYS_IN_MONTH[month] + (month == 2 and leap))
+    return y * 365 + y // 4 - y // 100 + y // 400 + sum(_DAYS_IN_MONTH[:month]) + (month > 2 and leap) + cut
 
 
 def observation_months(first: date, last: date) -> float:
@@ -317,11 +321,11 @@ def observation_months(first: date, last: date) -> float:
     """
     if last < first:
         raise ProfileError("observation window ends before it starts")
-    end = last + (date.resolution)  # exclusive end of the window
-    whole = 0
-    while _add_months(first, whole + 1) <= end:
-        whole += 1
-    period_start = _add_months(first, whole)
-    period_end = _add_months(first, whole + 1)
-    fraction = (end - period_start) / (period_end - period_start)
-    return whole + fraction
+    end = last.toordinal() + 1  # exclusive end of the window
+    # the whole months run to end's month (last's, or the next when last ends
+    # its month), less one when first's day of that month comes after end
+    whole = (last.year - first.year) * 12 + last.month - first.month
+    whole += _months_on(last.replace(day=1), 1) == end
+    whole -= _months_on(first, whole) > end
+    period_start = _months_on(first, whole)
+    return whole + (end - period_start) / (_months_on(first, whole + 1) - period_start)

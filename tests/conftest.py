@@ -107,6 +107,24 @@ MALFORMED_CATALOGS = {
         lambda doc: _first_plan(doc)["fixed"].update(switch_fee="2e308"),
         "plan 1 switch_fee: amount too large for a float: '2e308'",
     ),
+    "provider null": (lambda doc: _first_plan(doc).update(provider=None), "plan 1 provider: not a string: None"),
+    "plan name an array": (lambda doc: _first_plan(doc).update(name=["x"]), "plan 1 name: not a string: ['x']"),
+    "subgroup name a number": (
+        lambda doc: _first_subgroup(doc).update(name=5),
+        "plan 1 subgroup 1 name: not a string: 5",
+    ),
+    "destination class null": (
+        lambda doc: _first_subgroup(doc).update(destination_class=None),
+        "plan 1 subgroup 'To MTS Numbers' destination_class: not a string: None",
+    ),
+    "day class an array": (
+        lambda doc: _first_subgroup(doc).update(day_class=["weekend"]),
+        "plan 1 subgroup 'To MTS Numbers' day_class: not a string: ['weekend']",
+    ),
+    "owned provider null": (
+        lambda doc: doc["context"].update(owned_sim_providers=[None, 5]),
+        "owned_sim_providers: not a string: None",
+    ),
     "segment end past int64": (
         lambda doc: cut_second_segment(doc, 10**20),
         "plan 1 subgroup 'To MTS Numbers' segment 2 to: past the largest minute 9223372036854775807: "

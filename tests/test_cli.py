@@ -130,6 +130,20 @@ def test_rank_recommends_staying(capsys):
     assert "optimal: plan 6 (stay)" in out
 
 
+@pytest.mark.parametrize("day", ["31.12.9999", "15.12.9999", "30.11.9999"])
+def test_rank_measures_a_window_that_ends_in_the_year_9999(day, tmp_path, capsys):
+    """Without --months the window runs from the first Tel call to the last;
+    its month boundaries may lie past 31.12.9999."""
+    lines = CDR_PATH.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[-1] = day + lines[-1][len(day):]
+    cdr = tmp_path / "cdr.csv"
+    cdr.write_text("".join(lines), encoding="utf-8")
+    code, out, err = invoke(capsys, "rank", "--catalog", str(CATALOG_PATH), "--cdr", str(cdr),
+                            "--prefixes", str(PREFIXES_PATH))
+    assert (code, err) == (0, "")
+    assert "optimal: plan" in out
+
+
 def test_rank_with_other_current_plan_excludes_inactive(tmp_path, capsys):
     doc = json.loads(CATALOG_PATH.read_text())
     doc["context"]["current_plan_id"] = 1

@@ -1,0 +1,166 @@
+"""Mutation fuzz of the command line.
+
+Each example mutates one input of the bundled worked example (a node of the
+catalog's JSON tree, or one to three lines of the printout, the prefix table
+or a holiday list) and runs one command in process. Whatever the input, the
+run exits 0, 1 (input it cannot use) or 2 (a file it cannot read), never 3
+(an engine fault); a failed run writes nothing to stdout and one `error:`
+line to stderr. A mutated catalog that loads survives `serialize_catalog`,
+and its names, providers and classes are JSON strings.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from tariffopt import load_catalog, serialize_catalog
+from tariffopt.catalog import CatalogError
+from tariffopt.cli import main
+from tariffopt.cost import BILLING_MODES
+
+from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH
+
+CATALOG_TEXT = CATALOG_PATH.read_text(encoding="utf-8")
+CATALOG = json.loads(CATALOG_TEXT)
+LINES = {
+    "cdr": CDR_PATH.read_text(encoding="utf-8").splitlines(),
+    "prefixes": PREFIXES_PATH.read_text(encoding="utf-8").splitlines(),
+    "holidays": ["# public holidays", "2010-03-08", "2010-05-03", "2010-05-10", "2010-06-14"],
+}
+COMMANDS = {
+    "rank": [],
+    "sweep": [],
+    "fit": [],
+    "analyze": [],
+    "simulate": ["--runs", "50"],
+}
+#: the value a catalog edit sets to delete its node
+DELETE = "<delete>"
+
+#: field texts near the edges of what each reader accepts
+TOKENS = [
+    "", " ", "01.01.0001", "31.12.9999", "29.02.2011", "29.02.2000", "31.04.2010", "00.00.0000",
+    "24:00:00", "23:59:60", "00:00:00", "1000000:00", "0:00", "0:01", "-1:00", "1:60", "99999999999999999999:00",
+    "Tel", "SMS", "+7916", "+79161234567", "+7", "same-network", "landline", "other-mobile", "workday",
+    "9999-12-31", "0001-01-01", "2010-02-29", "2010-03-08", '"', "nan", "inf", "1e400", "-0", "\ufeff",
+]
+texts = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+fields = st.sampled_from(TOKENS) | texts
+
+
+def _nodes(node, path=()):
+    """The path of every node of a JSON tree, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _get(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+PATHS = list(_nodes(CATALOG))[1:]
+#: a node's new value: an edge value, any number or text, a subtree of the
+#: catalog itself, or DELETE
+json_values = (
+    st.sampled_from([None, True, False, 0, -1, 1, 2, 6, 10**20, 2**63, 1.5, float("inf"), float("nan"),
+                     "open", "any", "1e400", "-0", "0.05", [], {}, ["MTS"], [None, 5], DELETE])
+    | st.integers()
+    | st.floats()
+    | fields
+    | st.sampled_from([_get(CATALOG, path) for path in PATHS])
+)
+catalog_edits = st.tuples(st.just("catalog"), st.tuples(st.sampled_from(PATHS), json_values))
+
+
+@st.composite
+def line_edits(draw, name):
+    """One to three lines of input `name` rewritten, or added after its end:
+    one field set to a drawn text, or the whole line."""
+    lines, edits = LINES[name], []
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines)))
+        parts = (lines[i] if i < len(lines) else lines[-1]).split(";")
+        if draw(st.booleans()):
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(fields)
+            edits.append((i, ";".join(parts)))
+        else:
+            edits.append((i, draw(fields)))
+    return name, tuple(edits)
+
+
+mutations = catalog_edits | line_edits("cdr") | line_edits("prefixes") | line_edits("holidays")
+
+
+def _mutated(mutation) -> tuple[str, str]:
+    """The name of the one input `mutation` edits, and its text."""
+    name, edit = mutation
+    if name == "catalog":
+        path, value = edit
+        tree = json.loads(CATALOG_TEXT)
+        parent = _get(tree, path[:-1])
+        if value == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return name, json.dumps(tree)
+    lines = list(LINES[name])
+    for i, line in edit:
+        lines[i:i + 1] = [line]
+    return name, "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The path of each unmutated input, by option name."""
+    root = tmp_path_factory.mktemp("fuzz")
+    paths = {"catalog": CATALOG_PATH, "cdr": CDR_PATH, "prefixes": PREFIXES_PATH, "holidays": root / "holidays"}
+    paths["holidays"].write_text("\n".join(LINES["holidays"]) + "\n", encoding="utf-8")
+    return root, paths
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutations, st.sampled_from(sorted(COMMANDS)), st.sampled_from(BILLING_MODES))
+@example(("cdr", ((2, "01.01.0001;10:44:13;+791655583;Moscow;Tel;1:22;3.000"),)), "rank", "lookup")
+@example(("cdr", ((246, "31.12.9999;19:37:23;+798522193;Moscow;Tel;0:16;3.000"),)), "sweep", "cumulative")
+@example(("cdr", ((2, "02.03.2010;24:00:00;+791655583;Moscow;Tel;1:22;3.000"),)), "analyze", "lookup")
+@example(("cdr", ((2, "02.03.2010;10:44:13;+791655583;Moscow;Tel;1000000:00;3.000"),)), "simulate", "cumulative")
+@example(("catalog", (("plans", 0, "provider"), None)), "rank", "lookup")
+@example(("catalog", (("context", "owned_sim_providers"), [None, 5])), "rank", "cumulative")
+def test_one_mutated_input_is_a_result_or_an_input_error(inputs, mutation, command, mode):
+    root, paths = inputs
+    name, text = _mutated(mutation)
+    mutated = root / f"mutated-{name}"
+    mutated.write_text(text, encoding="utf-8")
+    argv = [command, "--billing-mode", mode, *COMMANDS[command]]
+    for option, path in paths.items():
+        argv += [f"--{option}", str(mutated if option == name else path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    if name == "catalog":
+        try:
+            catalog = load_catalog(text)
+        except CatalogError:
+            return
+        assert load_catalog(serialize_catalog(catalog)) == catalog
+        doc = json.loads(text)  # it loaded, so every field the loader reads is there
+        words = [plan[key] for plan in doc["plans"] for key in ("name", "provider")]
+        words += [sub[key] for plan in doc["plans"] for sub in plan["subgroups"]
+                  for key in ("name", "destination_class", "day_class")]
+        words += doc["context"].get("owned_sim_providers", [])
+        assert all(isinstance(word, str) for word in words), words

@@ -645,17 +645,19 @@ def test_fit_report_matches_the_reference_fit(catalog_and_context, profile, grid
 )
 def test_oracle_billing_matches_each_payoff(catalog_and_context, classes, mode):
     """Billing through the catalog's shared breakpoints charges every call
-    exactly (array_equal) what its subgroup's own payoff charges."""
+    exactly (array_equal) what its subgroup's own payoff charges: the drawn
+    minutes, and in every class each breakpoint and the minute after it."""
     catalog, _ = catalog_and_context
     plans = catalog.switch_candidates()
+    edges = sorted({max(1, p + d) for p in catalog.pricing.points for d in (0, 1)})
     classes = [(k, np.array(minutes, dtype=np.int64)) for k, minutes in classes]
-    billed = list(simulate._bill_classes(catalog, plans, classes, mode))
-    assert [(pi, ci) for pi, ci, _ in billed] == [(pi, ci) for ci in range(len(classes)) for pi in range(len(plans))]
-    for pi, ci, costs in billed:
-        k, minutes = classes[ci]
-        payoff = plans[pi].subgroups[plans[pi].routes[k]][1]
-        own = charges(payoff, minutes, mode)
-        assert costs.dtype == own.dtype and np.array_equal(costs, own)
+    classes += [(k, np.array(edges, dtype=np.int64)) for k in range(len(ALL_CALL_CLASSES))]
+    for k, minutes in classes:
+        billed = list(simulate._bill(catalog, plans, k, minutes, mode))
+        assert len(billed) == len(plans)
+        for plan, costs in zip(plans, billed):
+            own = charges(plan.subgroups[plan.routes[k]][1], minutes, mode)
+            assert costs.dtype == own.dtype and np.array_equal(costs, own)
 
 
 def longest_prefix_scan(mapping, number):

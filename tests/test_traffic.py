@@ -12,6 +12,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tariffopt import (
     CdrError,
@@ -211,31 +213,26 @@ def test_date_ordinals_match_date_toordinal(year):
                          ids=["1-39", "1890-2109", "9960-9999"])
 def test_add_months_matches_calendar_monthrange(years):
     """Every day from the 28th to the month's end, moved on by 0-13 months,
-    lands on the day `calendar.monthrange` gives; past the year 9999 both
-    raise."""
+    lands on the day `calendar.monthrange` gives; past the year 9999, on
+    the day one Gregorian cycle (400 years, 146,097 days) after the one the
+    same move gives 400 years earlier."""
     import calendar
 
-    from tariffopt.traffic import _add_months
+    from tariffopt.traffic import _months_on
 
     def reference(day, months):
         month_index = day.month - 1 + months
         year, month = day.year + month_index // 12, month_index % 12 + 1
         if year > 9999:
-            raise ValueError(f"year {year} is out of range")
-        return date(year, month, min(day.day, calendar.monthrange(year, month)[1]))
-
-    def outcome(add, day, months):
-        try:
-            return add(day, months)
-        except ValueError:
-            return "out of range"
+            return reference(day.replace(year=day.year - 400), months) + 146097
+        return date(year, month, min(day.day, calendar.monthrange(year, month)[1])).toordinal()
 
     for year in years:
         for month in range(1, 13):
             for day_of_month in range(28, calendar.monthrange(year, month)[1] + 1):
                 day = date(year, month, day_of_month)
                 for months in range(14):
-                    assert outcome(_add_months, day, months) == outcome(reference, day, months), (day, months)
+                    assert _months_on(day, months) == reference(day, months), (day, months)
 
 
 # --------------------------------------------------------------------------
@@ -597,3 +594,45 @@ def test_observation_months_single_day():
 def test_observation_months_rejects_reversed_window():
     with pytest.raises(ProfileError):
         observation_months(date(2010, 2, 1), date(2010, 1, 1))
+
+
+def loop_observation_months(first, last):
+    """Reference: whole months found one `date` at a time, then the trailing
+    month pro-rata, as `timedelta`s."""
+    import calendar
+    from datetime import timedelta
+
+    def add_months(day, months):
+        year, month = divmod(day.year * 12 + day.month - 1 + months, 12)
+        return date(year, month + 1, min(day.day, calendar.monthrange(year, month + 1)[1]))
+
+    end = last + timedelta(days=1)
+    whole = 0
+    while add_months(first, whole + 1) <= end:
+        whole += 1
+    period_start, period_end = add_months(first, whole), add_months(first, whole + 1)
+    return whole + (end - period_start) / (period_end - period_start)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.dates(date(1, 1, 1), date(9999, 12, 31)),
+    st.integers(0, 62) | st.integers(0, 2000) | st.integers(0, 40000),
+)
+@example(date(9998, 12, 31), 0)
+@example(date(9999, 2, 28), 306)  # the window ends 31.12.9999
+def test_observation_months_matches_a_month_by_month_loop(first, days):
+    """Bit for bit, on windows of up to about a century. A window in the
+    year 9999, whose months the loop cannot step past, is measured as the
+    same window 400 years (one Gregorian cycle) earlier."""
+    last = date.fromordinal(min(first.toordinal() + days, date.max.toordinal()))
+    expected = (first, last) if last.year < 9999 else (first.replace(year=first.year - 400), last.replace(year=9599))
+    assert repr(observation_months(first, last)) == repr(loop_observation_months(*expected))
+
+
+def test_observation_months_runs_to_the_last_representable_day():
+    """A window ending on 31.12.9999 needs the boundary 01.01.10000, past
+    what a `date` holds; it is measured as the same window 400 years (one
+    Gregorian cycle) earlier."""
+    assert observation_months(date(9999, 1, 5), date(9999, 12, 31)) == 11 + 27 / 31
+    assert observation_months(date(9599, 1, 5), date(9599, 12, 31)) == 11 + 27 / 31
