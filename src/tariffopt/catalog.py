@@ -8,9 +8,9 @@ held as decimals, so loading one imports no numpy: only the per-call billing
 arrays (:attr:`PricingTable.by_interval`) do, on first use.
 
 This module is also the base of every input reader: the input-error classes,
-the one source reader (:func:`_read_source`), the `;`-separated field reader
-and the Gregorian calendar arithmetic that the printout reader and profile
-estimation share.
+the base of the immutable input records (`_Record`), the one source reader
+(:func:`_read_source`), the `;`-separated field reader and the Gregorian
+calendar arithmetic that the printout reader and profile estimation share.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import csv
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from functools import cached_property
 from operator import itemgetter
@@ -71,18 +70,52 @@ def _money(value, what: str) -> Decimal:
     return amount
 
 
-@dataclass(frozen=True)
-class RateSegment:
+class _Record:
+    """Base of the input records: an immutable value over the fields that its
+    class names in `__match_args__`, which its `__init__` stores in one step.
+
+    Equality, hash and repr see only those fields, so an attribute derived
+    from them and stored beside them (`BillingPlan.routes`) is not one.
+    Assigning or deleting any attribute raises AttributeError; a
+    :func:`functools.cached_property` still caches, as it writes the
+    instance's ``__dict__`` directly.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # `self is other` answers as comparing the fields would: a tuple compares identical items as equal
+        return self is other or self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RateSegment(_Record):
     """One row of a price schedule: minutes [from_minute, to_minute] cost `rate`.
 
     ``to_minute is None`` marks the open tail covering all remaining minutes.
     """
 
-    from_minute: int
-    to_minute: int | None
-    rate: Decimal
+    __match_args__ = ("from_minute", "to_minute", "rate")
 
-    def __post_init__(self):
+    def __init__(self, from_minute: int, to_minute: int | None, rate: Decimal):
+        vars(self).update(from_minute=from_minute, to_minute=to_minute, rate=rate)
         if self.from_minute < 1:
             raise CatalogError(f"segment starts before minute 1: {self.from_minute}")
         if self.to_minute is not None and self.to_minute < self.from_minute:
@@ -98,8 +131,7 @@ class RateSegment:
         return self.to_minute is None
 
 
-@dataclass(frozen=True)
-class PayoffFunction:
+class PayoffFunction(_Record):
     """Piecewise-constant price schedule over call minutes.
 
     Segments must tile [1, infinity): the first starts at minute 1, each
@@ -107,10 +139,10 @@ class PayoffFunction:
     segment is open-ended.
     """
 
-    segments: tuple[RateSegment, ...]
+    __match_args__ = ("segments",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __init__(self, segments: tuple[RateSegment, ...]):
+        vars(self).update(segments=tuple(segments))
         if not self.segments:
             raise CatalogError("payoff function has no segments")
         if self.segments[0].from_minute != 1:
@@ -140,8 +172,7 @@ class PayoffFunction:
         return self.float_segments[bisect_right(self.float_segments, minute, key=itemgetter(0)) - 1][2]
 
 
-@dataclass(frozen=True)
-class PricingTable:
+class PricingTable(_Record):
     """A set of payoffs over their shared survival arguments.
 
     Segment [a, b] weighs its rate by a duration model at ``a - 1`` and
@@ -156,10 +187,12 @@ class PricingTable:
     the groups the table was built from to its payoffs.
     """
 
-    spans: tuple[tuple[int, int | None], ...]
-    points: tuple[int, ...]
-    by_point: dict
-    by_span: dict
+    __match_args__ = ("spans", "points", "by_point", "by_span")
+
+    def __init__(
+        self, spans: tuple[tuple[int, int | None], ...], points: tuple[int, ...], by_point: dict, by_span: dict
+    ):
+        vars(self).update(spans=spans, points=points, by_point=by_point, by_span=by_span)
 
     @classmethod
     def of(cls, groups: dict) -> "PricingTable":
@@ -218,15 +251,13 @@ class PricingTable:
         return points, {key: tuple(map(arrays, payoffs)) for key, payoffs in self.by_point.items()}
 
 
-@dataclass(frozen=True)
-class SubgroupRule:
+class SubgroupRule(_Record):
     """Routing rule for one plan subgroup; `any` wildcards either dimension."""
 
-    subgroup_name: str
-    destination_class: str
-    day_class: str
+    __match_args__ = ("subgroup_name", "destination_class", "day_class")
 
-    def __post_init__(self):
+    def __init__(self, subgroup_name: str, destination_class: str, day_class: str):
+        vars(self).update(subgroup_name=subgroup_name, destination_class=destination_class, day_class=day_class)
         if self.destination_class not in DESTINATION_CLASSES + (ANY,):
             raise CatalogError(
                 f"unknown destination class {self.destination_class!r} "
@@ -249,22 +280,19 @@ class SubgroupRule:
         return self.destination_class == ANY and self.day_class == ANY
 
 
-@dataclass(frozen=True)
-class FixedCostSpec:
+class FixedCostSpec(_Record):
     """Fee components that do not scale with traffic."""
 
-    subscription_fee: Decimal
-    switch_fee: Decimal
-    purchase_cost: Decimal
+    __match_args__ = ("subscription_fee", "switch_fee", "purchase_cost")
 
-    def __post_init__(self):
-        for name in ("subscription_fee", "switch_fee", "purchase_cost"):
+    def __init__(self, subscription_fee: Decimal, switch_fee: Decimal, purchase_cost: Decimal):
+        vars(self).update(subscription_fee=subscription_fee, switch_fee=switch_fee, purchase_cost=purchase_cost)
+        for name in self.__match_args__:
             if getattr(self, name) < 0:
                 raise CatalogError(f"negative {name}: {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class BillingPlan:
+class BillingPlan(_Record):
     """One tariff offer: fixed fees plus an ordered list of rated subgroups.
 
     Subgroup rules are applied first-match-wins; together they must cover
@@ -274,15 +302,20 @@ class BillingPlan:
     see only the rules.
     """
 
-    id: int
-    name: str
-    provider: str
-    active: bool
-    fixed: FixedCostSpec
-    subgroups: tuple[tuple[SubgroupRule, PayoffFunction], ...]
+    __match_args__ = ("id", "name", "provider", "active", "fixed", "subgroups")
 
-    def __post_init__(self):
-        object.__setattr__(self, "subgroups", tuple(self.subgroups))
+    def __init__(
+        self,
+        id: int,
+        name: str,
+        provider: str,
+        active: bool,
+        fixed: FixedCostSpec,
+        subgroups: tuple[tuple[SubgroupRule, PayoffFunction], ...],
+    ):
+        vars(self).update(
+            id=id, name=name, provider=provider, active=active, fixed=fixed, subgroups=tuple(subgroups)
+        )
         if self.id < 1:
             raise CatalogError(f"plan id must be >= 1, got {self.id}")
         if not self.subgroups:
@@ -303,22 +336,22 @@ class BillingPlan:
                     f"calls with no subgroup"
                 )
             routes.append(matching[0])
-        object.__setattr__(self, "routes", tuple(routes))
+        vars(self)["routes"] = tuple(routes)
 
     def subgroup_names(self) -> tuple[str, ...]:
         return tuple(rule.subgroup_name for rule, _ in self.subgroups)
 
 
-@dataclass(frozen=True)
-class SubscriberContext:
+class SubscriberContext(_Record):
     """What the subscriber already has: current plan and owned SIM providers."""
 
-    current_plan_id: int
-    owned_sim_providers: frozenset[str] = frozenset()
+    __match_args__ = ("current_plan_id", "owned_sim_providers")
+
+    def __init__(self, current_plan_id: int, owned_sim_providers: frozenset[str] = frozenset()):
+        vars(self).update(current_plan_id=current_plan_id, owned_sim_providers=owned_sim_providers)
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(_Record):
     """The candidate plans and the subscriber's context.
 
     `pricing` holds every plan's payoffs over the catalog's shared
@@ -326,21 +359,21 @@ class Catalog:
     equality, repr and serialization see only the plans.
     """
 
-    plans: tuple[BillingPlan, ...]
-    context: SubscriberContext
+    __match_args__ = ("plans", "context")
 
-    def __post_init__(self):
-        object.__setattr__(self, "plans", tuple(self.plans))
+    def __init__(self, plans: tuple[BillingPlan, ...], context: SubscriberContext):
+        vars(self).update(plans=tuple(plans), context=context)
         by_id = {}
         for plan in self.plans:
             if plan.id in by_id:
                 raise CatalogError(f"duplicate plan id {plan.id}")
             by_id[plan.id] = plan
         # not fields: equality, repr and serialization see only the plans
-        object.__setattr__(self, "_by_id", by_id)
+        vars(self)["_by_id"] = by_id
         self.check_context(self.context)
-        pricing = PricingTable.of({plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans})
-        object.__setattr__(self, "pricing", pricing)
+        vars(self)["pricing"] = PricingTable.of(
+            {plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans}
+        )
 
     def check_context(self, context: SubscriberContext) -> None:
         """Raise unless `context`'s current plan is in the catalog."""

@@ -12,11 +12,10 @@ functions that build columns do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import date
 from typing import IO, TYPE_CHECKING, Mapping, Union
 
-from .catalog import DAY_CLASSES, DESTINATION_CLASSES, CdrError, _fields, _read_source
+from .catalog import DAY_CLASSES, DESTINATION_CLASSES, CdrError, _fields, _read_source, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -24,17 +23,25 @@ if TYPE_CHECKING:
     from .cdr import CallLog
 
 
-@dataclass(frozen=True, eq=False)
-class CallTable:
+class CallTable(_Record):
     """Classified calls as columns, in printout order: what
-    :func:`classify_calls` returns and the estimators read."""
+    :func:`classify_calls` returns and the estimators read. Two tables are
+    equal only if they are the same object."""
 
-    log: CallLog  # the printout the calls come from
-    rows: np.ndarray  # each call's row in `log`
-    destination: np.ndarray  # index into DESTINATION_CLASSES
-    day: np.ndarray  # index into DAY_CLASSES
-    minute: np.ndarray  # billed minute: the duration in minutes rounded up, at least 1
-    unmapped: int = 0  # calls sent to `other-mobile` because no listed prefix matches their number
+    __match_args__ = ("log", "rows", "destination", "day", "minute", "unmapped")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        log: CallLog,  # the printout the calls come from
+        rows: np.ndarray,  # each call's row in `log`
+        destination: np.ndarray,  # index into DESTINATION_CLASSES
+        day: np.ndarray,  # index into DAY_CLASSES
+        minute: np.ndarray,  # billed minute: the duration in minutes rounded up, at least 1
+        unmapped: int = 0,  # calls sent to `other-mobile` because no listed prefix matches their number
+    ):
+        vars(self).update(log=log, rows=rows, destination=destination, day=day, minute=minute, unmapped=unmapped)
 
     @property
     def call_class(self) -> np.ndarray:
@@ -57,7 +64,7 @@ class CallTable:
 
 class _ReadOnlyDict(dict):
     """A dict that refuses changes. Unlike a mappingproxy it pickles,
-    deep-copies, goes through `dataclasses.asdict` and prints as a dict."""
+    deep-copies, converts with `dict()` and prints as a dict."""
 
     def _refuse(self, *args, **kwargs):
         raise TypeError(f"{type(self).__name__} is read-only")
@@ -69,18 +76,22 @@ class _ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
-@dataclass
-class PrefixTable:
+class PrefixTable(_Record):
     """Longest-prefix map from dialed numbers to destination classes.
 
     :func:`classify_calls` sends a call to a number with no listed prefix to
-    `other-mobile` and counts it in `unmapped_count`. `mapping` is kept as a
+    `other-mobile` and counts it in `unmapped_count`. Unlike the other
+    records a table is mutable, and so not hashable. `mapping` is kept as a
     read-only copy, and assigning a new one rebuilds the lookup index, so the
     index cannot go stale.
     """
 
-    mapping: Mapping[str, str]
-    unmapped_count: int = 0
+    __match_args__ = ("mapping", "unmapped_count")
+    __hash__ = None
+
+    def __init__(self, mapping: Mapping[str, str], unmapped_count: int = 0):
+        self.mapping = mapping
+        self.unmapped_count = unmapped_count
 
     def __setattr__(self, name, value):
         if name == "mapping":
@@ -92,9 +103,8 @@ class PrefixTable:
             # an empty prefix matches no number; it must leave the lookup dict
             # too, since number[:n] of the empty number is "" for every n
             classes = {prefix: dest for prefix, dest in classes.items() if prefix}
-            super().__setattr__("_lengths", tuple(sorted({len(p) for p in classes}, reverse=True)))
-            super().__setattr__("_classes", classes)
-        super().__setattr__(name, value)
+            vars(self).update(_lengths=tuple(sorted({len(p) for p in classes}, reverse=True)), _classes=classes)
+        vars(self)[name] = value
 
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
@@ -138,11 +148,13 @@ class PrefixTable:
         return None
 
 
-@dataclass(frozen=True)
-class WorkdayCalendar:
+class WorkdayCalendar(_Record):
     """Workday/weekend rule; Saturdays, Sundays, and listed holidays are weekends."""
 
-    holidays: frozenset[date] = frozenset()
+    __match_args__ = ("holidays",)
+
+    def __init__(self, holidays: frozenset[date] = frozenset()):
+        vars(self).update(holidays=holidays)
 
     @classmethod
     def from_file(cls, source: Union[bytes, str, IO]) -> "WorkdayCalendar":

@@ -146,8 +146,6 @@ def cmd_validate(args) -> tuple[str, int]:
     lines = []
     try:
         catalog = _load_catalog(args.catalog)
-    except FileNotFoundError as exc:
-        return f"error: {exc}\n", 2
     except CatalogError as exc:
         return f"catalog error: {exc}\n", 1
     inactive = sum(not p.active for p in catalog.plans)
@@ -163,8 +161,6 @@ def cmd_validate(args) -> tuple[str, int]:
         try:
             with open(args.cdr, "rb") as fh:
                 records = parse_cdr(fh, strict=args.strict, issues=issues)
-        except FileNotFoundError as exc:
-            return "\n".join(lines) + f"\nerror: {exc}\n", 2
         except CdrError as exc:
             return "\n".join(lines) + f"\ncdr error: {exc}\n", 1
         lines.append(f"cdr: {len(records)} records parsed, {len(issues)} warnings")

@@ -167,6 +167,12 @@ def charges(payoff, minutes, mode: str) -> np.ndarray:
     return before[idx] + (minutes - starts[idx] + 1) * rates[idx]
 
 
+def rebuilt(record, **changes):
+    """A new record of `record`'s class, built by name from its fields (the
+    names in `__match_args__`) with `changes` over them."""
+    return type(record)(**{name: getattr(record, name) for name in record.__match_args__} | changes)
+
+
 def first_match(plan, destination_class: str, day_class: str) -> int:
     """Index of the plan's first subgroup rule matching the call class, found
     by scanning the rules rather than through `plan.routes`."""

@@ -2,23 +2,36 @@
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import inspect
 import json
+import pickle
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from tariffopt import (
+    BillingPlan,
+    CallTable,
+    Catalog,
     CatalogError,
     Exponential,
+    FixedCostSpec,
     PayoffFunction,
+    PrefixTable,
     RateSegment,
+    SubgroupRule,
+    SubscriberContext,
+    WorkdayCalendar,
+    classify_calls,
     load_catalog,
+    parse_cdr,
     serialize_catalog,
 )
+from tariffopt.catalog import PricingTable
 
-from conftest import CATALOG_PATH, MALFORMED_CATALOGS, charges
+from conftest import CATALOG_PATH, CDR_PATH, MALFORMED_CATALOGS, PREFIXES_PATH, charges
 
 
 def seg(a, b, rate):
@@ -257,14 +270,73 @@ def test_switch_candidates_exclude_inactive(mts_catalog):
 
 def test_routes_and_pricing_are_read_only_and_not_fields(mts_catalog):
     plan = mts_catalog.plan(6)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         plan.routes = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         mts_catalog.pricing = None
     for obj, name in ((plan, "routes"), (mts_catalog, "pricing")):
-        assert name not in {field.name for field in dataclasses.fields(obj)}
+        assert name not in obj.__match_args__
         assert f"{name}=" not in repr(obj)
-        assert name not in dataclasses.asdict(obj)
+        other = copy.copy(obj)
+        vars(other)[name] = None
+        assert other == obj  # equality does not see it
+
+
+def _bundled_records() -> dict:
+    """One record of each input class, built from the bundled inputs."""
+    catalog = load_catalog(CATALOG_PATH.read_bytes())
+    plan = catalog.plans[0]
+    rule, payoff = plan.subgroups[0]
+    prefixes = PrefixTable.from_csv(PREFIXES_PATH.read_bytes())
+    calendar = WorkdayCalendar.from_file(b"2010-03-08\n")
+    calls = classify_calls(parse_cdr(CDR_PATH.read_bytes()), prefixes, calendar)
+    records = [payoff.segments[0], payoff, catalog.pricing, rule, plan.fixed, plan, catalog.context, catalog,
+               calls, prefixes, calendar]
+    return {type(record).__name__: record for record in records}
+
+
+RECORD_CLASSES = (RateSegment, PayoffFunction, PricingTable, SubgroupRule, FixedCostSpec, BillingPlan,
+                  SubscriberContext, Catalog, CallTable, PrefixTable, WorkdayCalendar)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_input_records_are_values_over_their_fields(cls):
+    """Each record's fields are its constructor's parameters, in order. It
+    compares, hashes and prints by those fields, refuses changes to them,
+    and survives pickle and deepcopy. A call table compares by identity,
+    and a prefix table stays assignable and so has no hash."""
+    record = _bundled_records()[cls.__name__]
+    names = cls.__match_args__
+    values = [getattr(record, name) for name in names]
+    assert list(inspect.signature(cls).parameters) == list(names)
+    by_position, by_name = cls(*values), cls(**dict(zip(names, values)))
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+    assert repr(by_position) == repr(by_name) == repr(record)
+    for name in names:
+        if cls is not PrefixTable:
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(record, name)
+    copies = [pickle.loads(pickle.dumps(record)), copy.deepcopy(record)]
+    assert all(repr(other) == repr(record) for other in copies)
+    if cls is CallTable:
+        assert by_position != record and hash(record) == object.__hash__(record)
+        return
+    assert by_position == by_name == record
+    assert all(other == record for other in copies)
+    if cls is PrefixTable:
+        assert cls.__hash__ is None
+        record.mapping = record.mapping  # assignable; the index is rebuilt
+        assert record == by_position and record._lookup("+79161234567") == "same-network"
+        return
+    try:
+        hash(tuple(values))
+    except TypeError:  # a pricing table's payoffs are dicts
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(by_position) == hash(by_name) == hash(record) == hash(copies[0]) == hash(copies[1])
 
 
 def test_catalog_file_on_disk_loads():

@@ -73,10 +73,20 @@ def test_simulate_bills_a_catalog_cut_at_the_largest_minute(tmp_path, capsys):
                               f"past the largest minute {MAX_MINUTE}: {MAX_MINUTE + 1}\n")
 
 
-def test_validate_missing_file(capsys):
-    code, out, err = invoke(capsys, "validate", "--catalog", "/nonexistent/catalog.json")
-    assert code == 2
-    assert "/nonexistent/catalog.json" in out + err
+def test_validate_missing_file(tmp_path, capsys):
+    """A missing catalog or printout is one error line on stderr, exit 2; no
+    catalog summary reaches stdout and no `--out` file is written."""
+    report = tmp_path / "report.txt"
+    for argv, missing in (
+        (["--catalog", "/nonexistent/catalog.json"], "/nonexistent/catalog.json"),
+        (["--catalog", "/nonexistent/catalog.json", "--out", str(report)], "/nonexistent/catalog.json"),
+        (["--catalog", str(CATALOG_PATH), "--cdr", "/nonexistent/printout.csv"], "/nonexistent/printout.csv"),
+    ):
+        code, out, err = invoke(capsys, "validate", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and missing in err
+        assert not report.exists()
 
 
 def test_analyze_table(capsys):

@@ -120,6 +120,7 @@ else:
     assert code == 0, code
     steps["stdout"] = out.getvalue()
 steps[step] = (loaded(), "numpy" in sys.modules)
+steps["modules"] = {name: name in sys.modules for name in ("dataclasses", "inspect")}
 print(json.dumps(steps))
 """
 
@@ -135,8 +136,10 @@ def _loaded_by(*argv: str) -> dict:
 def test_import_then_input_readers_load_catalog_and_classification_only():
     steps = _loaded_by("inputs", str(CATALOG_PATH), str(PREFIXES_PATH))
     assert steps["import"] == [["tariffopt"], False]
-    # a catalog, its rates, a prefix table and a holiday list are plain data: no numpy
+    # a catalog, its rates, a prefix table and a holiday list are plain data: no
+    # numpy, and plain records, so neither dataclasses nor the inspect it imports
     assert steps["inputs"] == [["tariffopt", "tariffopt.catalog", "tariffopt.classify"], False]
+    assert steps["modules"] == {"dataclasses": False, "inspect": False}
 
 
 def test_validate_loads_the_reader_but_no_classification_profile_sensitivity_or_oracle():

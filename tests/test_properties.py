@@ -49,7 +49,7 @@ from tariffopt import cdr, simulate
 from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
-from conftest import cdr_text, charges, classified, costs_at, first_match, optimal_ids
+from conftest import cdr_text, charges, classified, costs_at, first_match, optimal_ids, rebuilt
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -134,7 +134,7 @@ def test_classification_is_a_partition(plan, rnd):
     with its rules in another order, and has no entry for other pairs."""
     rules = list(plan.subgroups)
     rnd.shuffle(rules)
-    for routed in (plan, replace(plan, subgroups=tuple(rules))):
+    for routed in (plan, rebuilt(plan, subgroups=tuple(rules))):
         assert len(routed.routes) == len(ALL_CALL_CLASSES)
         for (dest, day), j in zip(ALL_CALL_CLASSES, routed.routes):
             assert 0 <= j < len(routed.subgroups)
@@ -357,8 +357,8 @@ def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, 
     puts identical lines on the envelope, where only the tie-break decides."""
     if twin:
         last = catalog.plans[-1]
-        copy = replace(last, id=last.id + 1, name=f"plan-{last.id + 1}")
-        catalog = replace(catalog, plans=catalog.plans + (copy,))
+        copy = rebuilt(last, id=last.id + 1, name=f"plan-{last.id + 1}")
+        catalog = rebuilt(catalog, plans=catalog.plans + (copy,))
     intervals = switch_points(sweep(catalog, catalog.context, profile, grid))
     assert intervals[0].k_start == grid[0] and intervals[-1].k_end == grid[-1]
     for left, right in zip(intervals, intervals[1:]):
@@ -383,15 +383,15 @@ def catalogs_with_twins(draw):
     current = catalog.current_plan
     twins = []
     if draw(st.booleans()):
-        twins.append(replace(current, fixed=replace(current.fixed, switch_fee=Decimal(0))))
+        twins.append(rebuilt(current, fixed=rebuilt(current.fixed, switch_fee=Decimal(0))))
     others = [p for p in plans if p.id != current.id]
     if others and draw(st.booleans()):
         twins.append(draw(st.sampled_from(others)))
     for plan in twins:
         twin_id = max(p.id for p in plans) + 1
-        twin = replace(plan, id=twin_id, name=f"plan-{twin_id}")
+        twin = rebuilt(plan, id=twin_id, name=f"plan-{twin_id}")
         plans.insert(draw(st.integers(0, len(plans))), twin)
-    return replace(catalog, plans=tuple(plans))
+    return rebuilt(catalog, plans=tuple(plans))
 
 
 @settings(max_examples=200, deadline=None)
@@ -445,7 +445,7 @@ def shared_breakpoint_catalogs(draw):
             subgroups.append((rule, payoff))
         provider = draw(st.sampled_from(["ACME", "Other"]))
         active = pid == 1 or draw(st.booleans())
-        plans.append(replace(plan, provider=provider, active=active, subgroups=tuple(subgroups)))
+        plans.append(rebuilt(plan, provider=provider, active=active, subgroups=tuple(subgroups)))
     catalog = Catalog(plans=tuple(plans), context=SubscriberContext(1, frozenset({"ACME"})))
     other = SubscriberContext(draw(st.integers(1, len(plans))), frozenset({"Other"}))
     return catalog, other

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import pickle
 import re
@@ -359,7 +358,10 @@ def test_prefix_table_keeps_a_read_only_copy():
 def test_prefix_table_converts_and_prints_as_a_dict():
     table = PrefixTable({"+7916": "same-network"})
     classify_rows([UNLISTED_CALL], table)
-    assert dataclasses.asdict(table) == {"mapping": {"+7916": "same-network"}, "unmapped_count": 1}
+    assert {name: getattr(table, name) for name in table.__match_args__} == {
+        "mapping": {"+7916": "same-network"},
+        "unmapped_count": 1,
+    }
     assert repr(table) == "PrefixTable(mapping={'+7916': 'same-network'}, unmapped_count=1)"
     table.mapping |= {"+79165": "landline"}  # a new mapping, not an edit
     assert table._lookup("+791650") == "landline"
