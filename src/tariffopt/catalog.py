@@ -9,8 +9,8 @@ arrays (:attr:`PricingTable.by_interval`) do, on first use.
 
 This module is also the base of every input reader: the input-error classes,
 the base of the immutable input records (`_Record`), the one source reader
-(:func:`_read_source`), the `;`-separated field reader and the Gregorian
-calendar arithmetic that the printout reader and profile estimation share.
+(:func:`_read_source`), the `;`-separated field reader and the one calendar
+formula, :func:`_ordinal`, that the printout reader and profile estimation share.
 """
 
 from __future__ import annotations
@@ -428,13 +428,13 @@ def _fields(line: str) -> list[str]:
         raise ValueError(str(exc).split(" - ", 1)[0]) from None
 
 
-#: the days in each month of a common year; index 0 unused
-_DAYS_IN_MONTH = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _is_leap(year):
-    """Whether `year`, an int or an array of ints, is a Gregorian leap year."""
-    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+def _ordinal(year, month, day):
+    """The proleptic Gregorian ordinal (:meth:`date.toordinal`) of a date, for
+    ints or int arrays alike. Years run from March, so a leap day ends its year
+    and `(153 * m + 2) // 5` is the days before month m counted from March.
+    Months 13 and 14 are the next year's January and February; years past 9999 hold."""
+    y = year - (month <= 2)
+    return 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 306
 
 
 def _int(value, what: str) -> int:

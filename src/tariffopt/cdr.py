@@ -3,8 +3,8 @@ into columns.
 
 :func:`parse_cdr` reads printout text into a :class:`CallLog`, the accepted
 rows as columns of ints, in line order; :mod:`tariffopt.classify` classifies
-those rows. :class:`CallRecord` is the row view of a log and what the per-row
-reader returns.
+those rows. :class:`CallRecord` is the row view that indexing and iterating a
+log build.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .catalog import _DAYS_IN_MONTH, CdrError, _fields, _is_leap, _read_source
+from .catalog import CdrError, _fields, _ordinal, _read_source
 
 CDR_HEADER = ("date", "time", "number", "zone", "service", "duration", "cost")
 KNOWN_SERVICES = ("Tel", "SMS")
@@ -145,10 +145,12 @@ def _parse_cost(raw: str) -> Decimal:
         raise ValueError(f"bad cost {raw!r}") from None
 
 
-def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRecord | None:
+def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple | None:
     """The per-row reader: one printout line checked field by field.
 
-    Returns the line's record, or None for a blank line, a row with an
+    Returns the line's seven column values (the date's ordinal, the seconds
+    since midnight, the number, zone and service, the duration in seconds and
+    the parsed cost as text), or None for a blank line, a row with an
     unrecognized service (noted in `issues`) or a malformed row (noted in
     `issues`, or raised as :class:`CdrError` when `strict`).
     """
@@ -158,20 +160,20 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRe
             return None
         if len(row) != 7:
             raise ValueError(f"expected 7 columns, got {len(row)}")
-        day = datetime.strptime(row[0].strip(), "%d.%m.%Y").date()
-        at = datetime.strptime(row[1].strip(), "%H:%M:%S").time()
+        day = datetime.strptime(row[0].strip(), "%d.%m.%Y").toordinal()
+        at = datetime.strptime(row[1].strip(), "%H:%M:%S")
         service = row[4].strip()
         if service not in KNOWN_SERVICES:
             issues.append(f"line {lineno}: unrecognized service {service!r}, skipped")
             return None
-        return CallRecord(
-            date=day,
-            time=at,
-            number=row[2].strip(),
-            zone=row[3].strip(),
-            service=service,
-            duration_seconds=_parse_duration(row[5], service),
-            cost=_parse_cost(row[6]),
+        return (
+            day,
+            at.hour * 3600 + at.minute * 60 + at.second,
+            row[2].strip(),
+            row[3].strip(),
+            service,
+            _parse_duration(row[5], service),
+            str(_parse_cost(row[6])),
         )
     except ValueError as exc:
         message = f"line {lineno}: {exc}"
@@ -181,21 +183,12 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> CallRe
         return None
 
 
-#: the days in, and the days before, each month of a common year; index 0 unused
-_MONTH_LENGTHS = np.array(_DAYS_IN_MONTH)
-_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_LENGTHS)[:-1]))
-
-
 def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
     """The proleptic Gregorian ordinals of the dates (`date.toordinal`), or
-    -1 where there is no such date (31.02, 29.02 of a common year, year 0)."""
-    leap = _is_leap(year)
-    m = np.where((month >= 1) & (month <= 12), month, 0)
-    length = _MONTH_LENGTHS[m] + (leap & (m == 2))
-    valid = (year >= 1) & (year <= 9999) & (m > 0) & (day >= 1) & (day <= length)
-    y = year - 1
-    ordinal = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (leap & (m > 2)) + day
-    return np.where(valid, ordinal, -1)
+    -1 where there is no such date (31.02, 29.02 of a common year, year 0).
+    Months run 1-12 and days 1-31, as :data:`_PLAIN_ROW` admits."""
+    ordinal = _ordinal(year, month, day)
+    return np.where((year >= 1) & (ordinal < _ordinal(year, month + 1, 1)), ordinal, -1)
 
 
 class _LogBuilder:
@@ -217,18 +210,6 @@ class _LogBuilder:
         for text in set(column).difference(ints):
             ints[text] = int(text)
         return np.fromiter(map(ints.__getitem__, column), np.int64, len(column))
-
-    def columns_of(self, record: CallRecord) -> tuple[int, ...]:
-        at, strings = record.time, self.strings
-        return (
-            record.date.toordinal(),
-            at.hour * 3600 + at.minute * 60 + at.second,
-            strings.setdefault(record.number, len(strings)),
-            strings.setdefault(record.zone, len(strings)),
-            strings.setdefault(record.service, len(strings)),
-            record.duration_seconds,
-            strings.setdefault(str(record.cost), len(strings)),
-        )
 
     def add_lines(self, block: str, lineno: int, strict: bool, issues: list[str]) -> int:
         """Add the rows of `block`, whole lines of which the first is line
@@ -257,9 +238,11 @@ class _LogBuilder:
         if others:
             lines = block.split("\n")
             for i in others:
-                record = _read_row(lines[i], lineno + i, strict, issues)
-                if record is not None:
-                    columns[:, i] = self.columns_of(record)
+                row = _read_row(lines[i], lineno + i, strict, issues)
+                if row is not None:
+                    day, at, *texts, duration, cost = row
+                    number, zone, service, cost = self.codes_of((*texts, cost))
+                    columns[:, i] = day, at, number, zone, service, duration, cost
                     keep[i] = True
         self.parts.append(columns[:, keep])
         return n

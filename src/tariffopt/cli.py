@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 from datetime import date
 from typing import TYPE_CHECKING, Any, Callable
 
-from .catalog import Catalog, CatalogError, CdrError, InputError, load_catalog
+from .catalog import Catalog, CdrError, InputError, load_catalog
 from .cost import BILLING_MODES, LOOKUP, full_costs, rank
 
 # Each command imports the other engine modules it runs, so that a process
@@ -142,12 +142,9 @@ def _load_inputs(args) -> Inputs:
 # subcommands
 
 
-def cmd_validate(args) -> tuple[str, int]:
+def cmd_validate(args) -> str:
     lines = []
-    try:
-        catalog = _load_catalog(args.catalog)
-    except CatalogError as exc:
-        return f"catalog error: {exc}\n", 1
+    catalog = _load_catalog(args.catalog)
     inactive = sum(not p.active for p in catalog.plans)
     lines.append(f"catalog: {len(catalog.plans)} plans, {inactive} inactive")
     lines.append(
@@ -158,16 +155,13 @@ def cmd_validate(args) -> tuple[str, int]:
         from .cdr import parse_cdr
 
         issues: list[str] = []
-        try:
-            with open(args.cdr, "rb") as fh:
-                records = parse_cdr(fh, strict=args.strict, issues=issues)
-        except CdrError as exc:
-            return "\n".join(lines) + f"\ncdr error: {exc}\n", 1
+        with open(args.cdr, "rb") as fh:
+            records = parse_cdr(fh, strict=args.strict, issues=issues)
         lines.append(f"cdr: {len(records)} records parsed, {len(issues)} warnings")
         for issue in issues:
             lines.append(f"  warning: {issue}")
     lines.append("ok")
-    return "\n".join(lines) + "\n", 0
+    return "\n".join(lines) + "\n"
 
 
 def cmd_analyze(args) -> Report:
@@ -459,10 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            text, code = cmd_validate(args)
-        else:
-            text, code = render(args.handler(args), args.format), 0
+        text = cmd_validate(args) if args.command == "validate" else render(args.handler(args), args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -481,7 +472,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Union
 import numpy as np
 
 from .catalog import (
-    _DAYS_IN_MONTH,
     ALL_CALL_CLASSES,
     CALL_CLASS_INDEX,
     DAY_CLASSES,
@@ -27,7 +26,7 @@ from .catalog import (
     BillingPlan,
     Catalog,
     InputError,
-    _is_leap,
+    _ordinal,
 )
 
 if TYPE_CHECKING:
@@ -303,14 +302,10 @@ def estimate_profile(
 
 def _months_on(day: date, months: int) -> int:
     """The ordinal (:meth:`date.toordinal`) of `day` moved on by `months`
-    calendar months, its day cut to the month's length. The Gregorian
-    formula of :func:`~tariffopt.cdr._date_ordinals` holds past the year
-    9999, where a `date` does not."""
+    calendar months, its day cut to the month's length. :func:`_ordinal`
+    holds past the year 9999, where a `date` does not."""
     year, month = divmod(day.year * 12 + day.month - 1 + months, 12)
-    month += 1
-    y, leap = year - 1, _is_leap(year)
-    cut = min(day.day, _DAYS_IN_MONTH[month] + (month == 2 and leap))
-    return y * 365 + y // 4 - y // 100 + y // 400 + sum(_DAYS_IN_MONTH[:month]) + (month > 2 and leap) + cut
+    return min(_ordinal(year, month + 1, day.day), _ordinal(year, month + 2, 1) - 1)
 
 
 def observation_months(first: date, last: date) -> float:

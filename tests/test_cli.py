@@ -43,9 +43,8 @@ def test_validate_catalog_gap(tmp_path, capsys):
     ]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, _ = invoke(capsys, "validate", "--catalog", str(bad))
-    assert code == 1
-    assert "minute 6" in out
+    assert invoke(capsys, "validate", "--catalog", str(bad)) == (
+        1, "", "error: segments are not contiguous: minute 6 uncovered before segment starting at 7\n")
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_CATALOGS.values(), ids=MALFORMED_CATALOGS)
@@ -54,7 +53,37 @@ def test_validate_malformed_catalog_is_validation_error(edit, message, tmp_path,
     edit(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
-    assert invoke(capsys, "validate", "--catalog", str(bad)) == (1, f"catalog error: {message}\n", "")
+    assert invoke(capsys, "validate", "--catalog", str(bad)) == (1, "", f"error: {message}\n")
+
+
+def test_validate_malformed_catalog_writes_no_out_file(tmp_path, capsys):
+    """A malformed catalog is one `error:` line on stderr, exit 1, and the
+    `--out` file is not written."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    code, out, err = invoke(capsys, "validate", "--catalog", str(bad), "--out", str(report))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not report.exists()
+
+
+def test_validate_malformed_printout_row_is_an_error_under_strict(tmp_path, capsys):
+    """Under `--strict` a malformed printout row is one `error:` line on
+    stderr, exit 1, with no catalog summary on stdout or in `--out`; without
+    it the row is a warning in the summary."""
+    cdr = tmp_path / "bad.csv"
+    cdr.write_text(CDR_PATH.read_text(encoding="utf-8").split("\n")[0] + "\n"
+                   "31.02.2010;12:01:27;+7916;Moscow;Tel;0:57;2.542\n", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    argv = ["validate", "--catalog", str(CATALOG_PATH), "--cdr", str(cdr)]
+    error = (1, "", "error: line 2: day is out of range for month\n")
+    assert invoke(capsys, *argv, "--strict") == error
+    assert invoke(capsys, *argv, "--strict", "--out", str(report)) == error
+    assert not report.exists()
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("  warning: line 2: day is out of range for month, row skipped\nok\n")
 
 
 def test_simulate_bills_a_catalog_cut_at_the_largest_minute(tmp_path, capsys):
@@ -68,9 +97,9 @@ def test_simulate_bills_a_catalog_cut_at_the_largest_minute(tmp_path, capsys):
     assert (code, err) == (0, "")
     cut_second_segment(doc, MAX_MINUTE)
     cut.write_text(json.dumps(doc), encoding="utf-8")
-    code, out, _ = invoke(capsys, "validate", "--catalog", str(cut))
-    assert (code, out) == (1, f"catalog error: plan 1 subgroup 'To MTS Numbers' segment 3 from: "
-                              f"past the largest minute {MAX_MINUTE}: {MAX_MINUTE + 1}\n")
+    assert invoke(capsys, "validate", "--catalog", str(cut)) == (
+        1, "", f"error: plan 1 subgroup 'To MTS Numbers' segment 3 from: "
+               f"past the largest minute {MAX_MINUTE}: {MAX_MINUTE + 1}\n")
 
 
 def test_validate_missing_file(tmp_path, capsys):

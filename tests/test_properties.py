@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import replace
-from datetime import date
+from datetime import date, time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -802,12 +802,17 @@ def printout_lines(draw):
 
 
 def per_row_reader(text, strict, issues):
-    """The per-row reader applied to every line after the header."""
+    """The per-row reader applied to every line after the header, each row's
+    seven column values read into a record as a log's view reads its own."""
     records = []
     for lineno, line in enumerate(text.split("\n")[1:], start=2):
-        record = cdr._read_row(line, lineno, strict, issues)
-        if record is not None:
-            records.append(record)
+        row = cdr._read_row(line, lineno, strict, issues)
+        if row is not None:
+            day, at, number, zone, service, duration, cost = row
+            records.append(cdr.CallRecord(
+                date.fromordinal(day), time(at // 3600, at // 60 % 60, at % 60),
+                number, zone, service, duration, Decimal(cost),
+            ))
     return records
 
 

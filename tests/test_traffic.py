@@ -192,6 +192,38 @@ def test_dates_and_times_parse_as_strptime_does(raw_day, raw_time):
     assert got == strptime_outcome(raw_day, raw_time)
 
 
+def test_ordinal_matches_numpy_day_numbers():
+    """`_ordinal` gives every date of the years 1-9999 numpy's day number
+    (counted from 0001-01-01 as day 1) over int64 arrays, and months 13 and
+    14 the January and February of the next year, up to 10000-01-01; over
+    Python ints it gives a sample of those dates `date.toordinal`'s int."""
+    from tariffopt.catalog import _ordinal
+
+    day_one = np.datetime64("0001-01-01")
+    for first in range(1, 10000, 2000):
+        stop = min(first + 2000, 10000)
+        days = np.arange(np.datetime64(f"{first:04}-01-01"), np.datetime64(f"{stop}-01-01"))
+        month_starts = days.astype("datetime64[M]")
+        months = month_starts.astype(np.int64) + 1970 * 12  # months since year 0
+        year, month = months // 12, months % 12 + 1
+        day = (days - month_starts.astype("datetime64[D]")).astype(np.int64) + 1
+        expected = (days - day_one).astype(np.int64) + 1
+        assert np.array_equal(_ordinal(year, month, day), expected), first
+
+        early = month <= 2  # again as months 13 and 14 of the year before
+        assert np.array_equal(_ordinal(year[early] - 1, month[early] + 12, day[early]), expected[early])
+
+        sample = list(zip(year[::97].tolist(), month[::97].tolist(), day[::97].tolist()))
+        got = [_ordinal(y, m, d) for y, m, d in sample]
+        assert all(type(o) is int for o in got)
+        assert got == expected[::97].tolist() == [date(y, m, d).toordinal() for y, m, d in sample]
+
+    next_year = (np.datetime64("10000-01-01") - day_one).astype(np.int64) + 1
+    assert _ordinal(9999, 13, 1) == next_year == date.max.toordinal() + 1
+    assert _ordinal(np.array([9999]), np.array([13]), np.array([1])).tolist() == [next_year]
+    assert _ordinal(9999, 14, 29) == next_year + 31 + 28  # 10000 is a leap year
+
+
 @pytest.mark.parametrize("year", [0, 1, 1900, 2000, 2011, 2012, 9999])
 def test_date_ordinals_match_date_toordinal(year):
     from tariffopt.cdr import _date_ordinals
