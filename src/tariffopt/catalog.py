@@ -146,19 +146,17 @@ class PayoffFunction(_Record):
         if not self.segments:
             raise CatalogError("payoff function has no segments")
         if self.segments[0].from_minute != 1:
-            raise CatalogError(
-                f"first segment starts at minute {self.segments[0].from_minute}, not 1"
-            )
-        for prev, nxt in zip(self.segments, self.segments[1:]):
+            raise CatalogError(f"segment 1 starts at minute {self.segments[0].from_minute}, not 1")
+        for n, (prev, nxt) in enumerate(zip(self.segments, self.segments[1:]), start=1):
             if prev.is_open:
-                raise CatalogError("open segment is not the last one")
+                raise CatalogError(f"segment {n} is open-ended but not the last one")
             if nxt.from_minute != prev.to_minute + 1:
                 raise CatalogError(
                     f"segments are not contiguous: minute {prev.to_minute + 1} "
-                    f"uncovered before segment starting at {nxt.from_minute}"
+                    f"uncovered before segment {n + 1}, which starts at {nxt.from_minute}"
                 )
         if not self.segments[-1].is_open:
-            raise CatalogError("last segment must be open-ended")
+            raise CatalogError(f"segment {len(self.segments)}, the last one, must be open-ended")
 
     @cached_property
     def float_segments(self) -> tuple[tuple[int, int | None, float], ...]:
@@ -259,15 +257,9 @@ class SubgroupRule(_Record):
     def __init__(self, subgroup_name: str, destination_class: str, day_class: str):
         vars(self).update(subgroup_name=subgroup_name, destination_class=destination_class, day_class=day_class)
         if self.destination_class not in DESTINATION_CLASSES + (ANY,):
-            raise CatalogError(
-                f"unknown destination class {self.destination_class!r} "
-                f"in subgroup {self.subgroup_name!r}"
-            )
+            raise CatalogError(f"unknown destination class {self.destination_class!r}")
         if self.day_class not in DAY_CLASSES + (ANY,):
-            raise CatalogError(
-                f"unknown day class {self.day_class!r} "
-                f"in subgroup {self.subgroup_name!r}"
-            )
+            raise CatalogError(f"unknown day class {self.day_class!r}")
 
     def matches(self, destination_class: str, day_class: str) -> bool:
         return self.destination_class in (ANY, destination_class) and self.day_class in (
@@ -462,6 +454,14 @@ def _expect(kind: type, value, what: str):
     return value
 
 
+def _built(where: str, record: type, *fields):
+    """`record` over `fields`; a CatalogError it raises names `where`."""
+    try:
+        return record(*fields)
+    except CatalogError as exc:
+        raise CatalogError(f"{where}: {exc}") from None
+
+
 def _parse_segment(raw, where: str) -> RateSegment:
     raw = _expect(dict, raw, where)
     try:
@@ -474,7 +474,7 @@ def _parse_segment(raw, where: str) -> RateSegment:
     for name, minute in (("from", from_minute), ("to", to_minute)):
         if minute is not None and minute > MAX_MINUTE:
             raise CatalogError(f"{where} {name}: past the largest minute {MAX_MINUTE}: {raw[name]!r}")
-    return RateSegment(from_minute=from_minute, to_minute=to_minute, rate=rate)
+    return _built(where, RateSegment, from_minute, to_minute, rate)
 
 
 def _parse_subgroup(raw, plan_id: int, entry: int) -> tuple[SubgroupRule, PayoffFunction]:
@@ -483,17 +483,14 @@ def _parse_subgroup(raw, plan_id: int, entry: int) -> tuple[SubgroupRule, Payoff
     try:
         name = _expect(str, raw["name"], f"{where} name")
         where = f"plan {plan_id} subgroup {name!r}"
-        rule = SubgroupRule(
-            subgroup_name=name,
-            destination_class=_expect(str, raw["destination_class"], f"{where} destination_class"),
-            day_class=_expect(str, raw["day_class"], f"{where} day_class"),
-        )
+        destination_class = _expect(str, raw["destination_class"], f"{where} destination_class")
+        day_class = _expect(str, raw["day_class"], f"{where} day_class")
         segments = _expect(list, raw["segments"], f"{where} segments")
     except KeyError as exc:
         raise CatalogError(f"{where}: missing field {exc}") from None
-    return rule, PayoffFunction(
-        tuple(_parse_segment(seg, f"{where} segment {n}") for n, seg in enumerate(segments, start=1))
-    )
+    rule = _built(where, SubgroupRule, name, destination_class, day_class)
+    segments = tuple(_parse_segment(seg, f"{where} segment {n}") for n, seg in enumerate(segments, start=1))
+    return rule, _built(where, PayoffFunction, segments)
 
 
 def _parse_plan(raw, entry: int) -> BillingPlan:
@@ -507,10 +504,12 @@ def _parse_plan(raw, entry: int) -> BillingPlan:
     except KeyError as exc:
         raise CatalogError(f"plan entry missing field {exc}") from None
     active = _expect(bool, raw.get("active", True), f"plan {plan_id} active")
-    fixed = FixedCostSpec(
-        subscription_fee=_money(fixed_raw.get("subscription_fee", 0), f"plan {plan_id} subscription_fee"),
-        switch_fee=_money(fixed_raw.get("switch_fee", 0), f"plan {plan_id} switch_fee"),
-        purchase_cost=_money(fixed_raw.get("purchase_cost", 0), f"plan {plan_id} purchase_cost"),
+    fixed = _built(
+        f"plan {plan_id}",
+        FixedCostSpec,
+        _money(fixed_raw.get("subscription_fee", 0), f"plan {plan_id} subscription_fee"),
+        _money(fixed_raw.get("switch_fee", 0), f"plan {plan_id} switch_fee"),
+        _money(fixed_raw.get("purchase_cost", 0), f"plan {plan_id} purchase_cost"),
     )
     return BillingPlan(
         id=plan_id,

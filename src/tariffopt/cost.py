@@ -148,23 +148,13 @@ def _priced(
             j = routes[k]
             rates[j] += rate
             costs[j] += rate * _one_call(payoffs[j], row)
-        subgroups = tuple(
-            SubgroupCost(
-                name=rule.subgroup_name,
-                calls_per_month=rates[j],
-                one_call_cost=costs[j] / rates[j] if rates[j] > 0 else None,
-                monthly_cost=costs[j],
-            )
-            for j, (rule, _) in enumerate(plan.subgroups)
-        )
+        subgroups = tuple([
+            SubgroupCost(rule.subgroup_name, rate, cost / rate if rate > 0 else None, cost)
+            for (rule, _), rate, cost in zip(plan.subgroups, rates, costs)
+        ])
         priced.append(
             CostBreakdown(
-                plan_id=plan.id,
-                plan_name=plan.name,
-                is_current=plan.id == context.current_plan_id,
-                subgroups=subgroups,
-                variable=sum(costs),
-                fixed=_fee(plan, context),
+                plan.id, plan.name, plan.id == context.current_plan_id, subgroups, sum(costs), _fee(plan, context)
             )
         )
     breakdowns = tuple(priced)

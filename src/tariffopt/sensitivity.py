@@ -191,9 +191,8 @@ def _powers(x: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack([x**p for p in range(degree + 1)])
 
 
-def _span(powers: np.ndarray) -> str:
-    """The range of k that `powers` (see :func:`_powers`) was built over."""
-    k = powers[:, 1]
+def _span(k: np.ndarray) -> str:
+    """The range of the multipliers `k`."""
     return f"grid from k={k.min()} to k={k.max()}"
 
 
@@ -207,22 +206,19 @@ class _Series:
 
     @cached_property
     def ss_centered(self) -> float:
-        centered = self.y - self.y.mean()
+        centered = self.y - self.y.sum() / self.y.size  # the mean, as np.mean takes it
         return float(centered @ centered)
 
 
-def _fit(powers: np.ndarray, series: _Series, degree: int, intercept: bool) -> RegressionFit:
-    """Least-squares fit of `series` on the columns of `powers` (see
-    :func:`_powers`) up to `degree`, from column 0 with an intercept and
-    from column 1 without."""
-    # C-contiguous, as np.column_stack builds it: `design @ coef` must sum
-    # in the same order whichever caller built the columns
-    design = np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1])
+def _fit(design: np.ndarray, series: _Series, degree: int, intercept: bool) -> RegressionFit:
+    """Least-squares fit of `series` on the columns of `design`: ``k**0 ...
+    k**degree`` with an intercept, ``k**1 ... k**degree`` without (see
+    :func:`_powers`)."""
     y = series.y
     coef, _, rank_, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank_ < design.shape[1]:
         raise ProfileError(
-            f"{_span(powers)} cannot be fitted to degree {degree}: its powers of k are "
+            f"{_span(design[:, int(intercept)])} cannot be fitted to degree {degree}: its powers of k are "
             "numerically dependent (rank-deficient design matrix)"
         )
     residuals = y - design @ coef
@@ -232,12 +228,7 @@ def _fit(powers: np.ndarray, series: _Series, degree: int, intercept: bool) -> R
         r_squared = 0.0  # constant response: no variance to explain
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    return RegressionFit(
-        degree=degree,
-        intercept=intercept,
-        coefficients=tuple(float(c) for c in coef),
-        r_squared=r_squared,
-    )
+    return RegressionFit(degree, intercept, tuple(coef.tolist()), r_squared)
 
 
 #: model forms fitted by :func:`fit_report`
@@ -260,16 +251,25 @@ def fit_report(swept: Sweep) -> dict[str, RegressionFit]:
     too close together, or spread over too many orders of magnitude), is a
     :class:`ProfileError`.
     """
-    if len(swept) < 5:
-        raise ProfileError(f"need at least 5 sweep points, got {len(swept)}")
-    if np.all(swept.ks == swept.ks[0]):
+    ks = swept.ks
+    if ks.size < 5:
+        raise ProfileError(f"need at least 5 sweep points, got {ks.size}")
+    if np.all(ks == ks[0]):  # a hand-built sweep need not be sorted
         raise ProfileError("x values are all identical")
+    forms = {(degree, intercept) for _, _, degree, intercept in FIT_FORMS}
     with np.errstate(over="ignore"):
-        powers = _powers(swept.ks, max(degree for _, _, degree, _ in FIT_FORMS))
-    if not np.isfinite(powers).all():
-        raise ProfileError(f"{_span(powers)} is too wide to fit: its powers of k overflow")
+        powers = _powers(ks, max(degree for degree, _ in forms))
+    # a power overflows only where |k| > 1, and there the highest is the largest
+    if not np.isfinite(powers[:, -1]).all():
+        raise ProfileError(f"{_span(ks)} is too wide to fit: its powers of k overflow")
+    # each distinct design once, C-contiguous as np.column_stack builds it:
+    # `design @ coef` must sum in the same order whichever caller built the columns
+    designs = {
+        (degree, intercept): np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1])
+        for degree, intercept in forms
+    }
     series = {"stay": _Series(swept.costs[swept.stay]), "optimal": _Series(swept.optimal_costs)}
     return {
-        name: _fit(powers, series[which], degree, intercept)
+        name: _fit(designs[degree, intercept], series[which], degree, intercept)
         for name, which, degree, intercept in FIT_FORMS
     }

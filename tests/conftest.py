@@ -130,6 +130,52 @@ MALFORMED_CATALOGS = {
         "plan 1 subgroup 'To MTS Numbers' segment 2 to: past the largest minute 9223372036854775807: "
         "100000000000000000000",
     ),
+    # a record's own check, named by where the record sits in the document
+    "negative rate": (
+        lambda doc: _first_subgroup(doc)["segments"][0].update(rate="-1"),
+        "plan 1 subgroup 'To MTS Numbers' segment 1: negative rate: -1",
+    ),
+    "segment from minute 0": (
+        lambda doc: _first_subgroup(doc)["segments"][0].update({"from": 0}),
+        "plan 1 subgroup 'To MTS Numbers' segment 1: segment starts before minute 1: 0",
+    ),
+    "segment ending before it starts": (
+        lambda doc: _first_subgroup(doc)["segments"][0].update({"from": 2}),
+        "plan 1 subgroup 'To MTS Numbers' segment 1: segment ends at minute 1 before it starts at 2",
+    ),
+    "negative switch fee": (
+        lambda doc: _first_plan(doc)["fixed"].update(switch_fee="-5"),
+        "plan 1: negative switch_fee: -5",
+    ),
+    "no segments": (
+        lambda doc: _first_subgroup(doc).update(segments=[]),
+        "plan 1 subgroup 'To MTS Numbers': payoff function has no segments",
+    ),
+    "first segment from minute 2": (
+        lambda doc: _first_subgroup(doc)["segments"].pop(0),
+        "plan 1 subgroup 'To MTS Numbers': segment 1 starts at minute 2, not 1",
+    ),
+    "last segment closed": (
+        lambda doc: _first_subgroup(doc)["segments"][2].update(to=1000),
+        "plan 1 subgroup 'To MTS Numbers': segment 3, the last one, must be open-ended",
+    ),
+    "open segment before the last": (
+        lambda doc: _first_subgroup(doc)["segments"][1].update(to="open"),
+        "plan 1 subgroup 'To MTS Numbers': segment 2 is open-ended but not the last one",
+    ),
+    "segments with a gap": (
+        lambda doc: _first_subgroup(doc)["segments"][2].update({"from": 7}),
+        "plan 1 subgroup 'To MTS Numbers': segments are not contiguous: minute 6 uncovered before segment 3, "
+        "which starts at 7",
+    ),
+    "unknown destination class": (
+        lambda doc: _first_subgroup(doc).update(destination_class="moon"),
+        "plan 1 subgroup 'To MTS Numbers': unknown destination class 'moon'",
+    ),
+    "unknown day class": (
+        lambda doc: _first_subgroup(doc).update(day_class="holiday"),
+        "plan 1 subgroup 'To MTS Numbers': unknown day class 'holiday'",
+    ),
 }
 
 

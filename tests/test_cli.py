@@ -44,7 +44,8 @@ def test_validate_catalog_gap(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert invoke(capsys, "validate", "--catalog", str(bad)) == (
-        1, "", "error: segments are not contiguous: minute 6 uncovered before segment starting at 7\n")
+        1, "", "error: plan 1 subgroup 'To MTS Numbers': segments are not contiguous: minute 6 uncovered before "
+        "segment 2, which starts at 7\n")
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_CATALOGS.values(), ids=MALFORMED_CATALOGS)

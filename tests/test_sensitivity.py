@@ -22,7 +22,7 @@ from tariffopt import (
 )
 
 from tariffopt.catalog import ALL_CALL_CLASSES
-from tariffopt.sensitivity import MAX_GRID_POINTS, _fit, _powers, _Series
+from tariffopt.sensitivity import MAX_GRID_POINTS, Sweep, _fit, _powers, _Series
 
 from conftest import costs_at, make_reference_profile, optimal_ids
 
@@ -353,7 +353,8 @@ def test_switch_points_leave_no_slivers_where_lines_meet():
 def fit_points(points, degree, intercept):
     """`fit_report`'s least-squares fit of one degree on (x, y) points."""
     x, y = np.array(points, dtype=float).T
-    return _fit(_powers(x, degree), _Series(y), degree, intercept)
+    design = np.ascontiguousarray(_powers(x, degree)[:, (0 if intercept else 1) :])
+    return _fit(design, _Series(y), degree, intercept)
 
 
 def test_polyfit_exact_line_through_origin_data():
@@ -428,6 +429,28 @@ def test_fit_report_rejects_points_at_one_multiplier(mts_catalog):
     points = sweep(mts_catalog, mts_catalog.context, make_reference_profile(), [2.0] * 5)
     with pytest.raises(ProfileError, match="x values are all identical"):
         fit_report(points)
+
+
+def hand_built_sweep(ks, fixed=1.0, variable=2.0):
+    """One plan's `Sweep` over `ks` as given, which `sweep` would not check:
+    they need not be sorted."""
+    ks = np.array(ks, dtype=float)
+    costs = (variable * ks + fixed)[None, :]
+    return Sweep(ks, (1,), np.array([fixed]), np.array([variable]), costs, np.zeros(ks.size, dtype=np.intp), 0)
+
+
+def test_fit_report_rejects_a_grid_whose_cube_alone_overflows():
+    swept = hand_built_sweep([1.0, 2.0, 3.0, 4.0, 1e103])
+    assert math.isfinite(1e103**2) and np.isfinite(swept.costs).all()
+    with pytest.raises(ProfileError, match=r"grid from k=1\.0 to k=1e\+103 is too wide to fit"):
+        fit_report(swept)
+
+
+def test_fit_report_fits_an_unsorted_grid_with_equal_ends():
+    """Equal first and last multipliers do not make every multiplier equal."""
+    fits = fit_report(hand_built_sweep([1.0, 2.0, 5.0, 3.0, 1.0]))
+    assert fits["optimal_linear"].coefficients == pytest.approx((1.0, 2.0))
+    assert fits["optimal_linear"].r_squared == pytest.approx(1.0)
 
 
 def test_sweep_rejects_costs_that_overflow_at_the_last_multiplier(mts_catalog):
