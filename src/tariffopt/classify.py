@@ -13,6 +13,7 @@ functions that build columns do.
 from __future__ import annotations
 
 from datetime import date
+from types import MappingProxyType
 from typing import IO, TYPE_CHECKING, Mapping, Union
 
 from .catalog import DAY_CLASSES, DESTINATION_CLASSES, CdrError, _fields, _read_source, _Record
@@ -62,49 +63,32 @@ class CallTable(_Record):
         return len(self.rows)
 
 
-class _ReadOnlyDict(dict):
-    """A dict that refuses changes. Unlike a mappingproxy it pickles,
-    deep-copies, converts with `dict()` and prints as a dict."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    __setitem__ = __delitem__ = clear = pop = popitem = setdefault = update = _refuse
-    __ior__ = dict.__or__  # `mapping |= more` assigns a new mapping, as for a mappingproxy
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
-
-
 class PrefixTable(_Record):
     """Longest-prefix map from dialed numbers to destination classes.
 
     :func:`classify_calls` sends a call to a number with no listed prefix to
-    `other-mobile` and counts it in `unmapped_count`. Unlike the other
-    records a table is mutable, and so not hashable. `mapping` is kept as a
-    read-only copy, and assigning a new one rebuilds the lookup index, so the
-    index cannot go stale.
+    `other-mobile` and counts it in `unmapped_count`, the one attribute that
+    changes, so a table is not hashable. `mapping` is a read-only view of the
+    table's own copy, fixed when the table is built, as is the lookup index.
     """
 
     __match_args__ = ("mapping", "unmapped_count")
     __hash__ = None
 
     def __init__(self, mapping: Mapping[str, str], unmapped_count: int = 0):
-        self.mapping = mapping
-        self.unmapped_count = unmapped_count
+        classes = dict(mapping)
+        for prefix, dest in classes.items():
+            if dest not in DESTINATION_CLASSES:
+                raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
+        # an empty prefix matches no number; it must leave the lookup dict
+        # too, since number[:n] of the empty number is "" for every n
+        lookup = {prefix: dest for prefix, dest in classes.items() if prefix}
+        vars(self).update(mapping=MappingProxyType(classes), unmapped_count=unmapped_count,
+                          _classes=lookup, _lengths=tuple(sorted({len(p) for p in lookup}, reverse=True)))
 
-    def __setattr__(self, name, value):
-        if name == "mapping":
-            classes = dict(value)
-            for prefix, dest in classes.items():
-                if dest not in DESTINATION_CLASSES:
-                    raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
-            value = _ReadOnlyDict(classes)
-            # an empty prefix matches no number; it must leave the lookup dict
-            # too, since number[:n] of the empty number is "" for every n
-            classes = {prefix: dest for prefix, dest in classes.items() if prefix}
-            vars(self).update(_lengths=tuple(sorted({len(p) for p in classes}, reverse=True)), _classes=classes)
-        vars(self)[name] = value
+    def __reduce__(self):
+        """Pickle and copy through the constructor, as a mappingproxy does not pickle."""
+        return type(self), (dict(self.mapping), self.unmapped_count)
 
     @classmethod
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
@@ -158,7 +142,7 @@ class WorkdayCalendar(_Record):
 
     @classmethod
     def from_file(cls, source: Union[bytes, str, IO]) -> "WorkdayCalendar":
-        """Load a holiday list, one ISO date per line.
+        """Load a holiday list, one ``YYYY-MM-DD`` date per line.
 
         Lines end at ``\\n`` alone, as in the prefix table, so a form feed or
         a Unicode line separator does not shift the line an error names.
@@ -169,7 +153,10 @@ class WorkdayCalendar(_Record):
             line = line.strip()
             if line and not line.startswith("#"):
                 try:
-                    days.add(date.fromisoformat(line))
+                    day = date.fromisoformat(line)
+                    if day.isoformat() != line:  # from Python 3.11 on, 20100308 and week dates parse too
+                        raise ValueError(line)
+                    days.add(day)
                 except ValueError:
                     raise CdrError(f"holiday list line {lineno}: not an ISO date: {line!r}") from None
         return cls(frozenset(days))
@@ -210,7 +197,7 @@ def classify_calls(
     destination = np.zeros(len(log.strings), dtype=np.int64)
     destination[codes] = [DESTINATION_CLASSES.index(dest or "other-mobile") for dest in found]
     unmapped = int(per_number[codes[[dest is None for dest in found]]].sum())
-    prefix_table.unmapped_count += unmapped
+    vars(prefix_table)["unmapped_count"] += unmapped  # the one field that changes; assignment is refused
     weekend = calendar.weekend(log.date[rows])
     dropped = int(np.count_nonzero(tel)) - len(rows)
     if dropped and issues is not None:

@@ -10,6 +10,7 @@ of adopting a plan gives the full cost that ranks the candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -17,6 +18,7 @@ from .catalog import (
     CALL_CLASS_INDEX,
     BillingPlan,
     Catalog,
+    CatalogError,
     PayoffFunction,
     PricingTable,
     SubscriberContext,
@@ -115,7 +117,9 @@ def _priced(
     Each traffic cell is priced under the subgroup its calls route to, with
     one row per distinct duration model, through the catalog's own table,
     which holds each plan's payoffs under its id. A subgroup aggregating
-    several cells reports the rate-weighted average one-call cost.
+    several cells reports the rate-weighted average one-call cost. A
+    candidate whose full cost overflows is a :class:`CatalogError` that
+    names it.
 
     The breakdowns of the last call are kept: a call on the same `catalog`
     and `profile` objects with an equal `context` and `mode` returns them
@@ -148,15 +152,14 @@ def _priced(
             j = routes[k]
             rates[j] += rate
             costs[j] += rate * _one_call(payoffs[j], row)
+        variable, fee = sum(costs), _fee(plan, context)
+        if not math.isfinite(variable + fee):
+            raise CatalogError(f"plan {plan.id} ({plan.name!r}): its expected monthly cost overflows")
         subgroups = tuple([
             SubgroupCost(rule.subgroup_name, rate, cost / rate if rate > 0 else None, cost)
             for (rule, _), rate, cost in zip(plan.subgroups, rates, costs)
         ])
-        priced.append(
-            CostBreakdown(
-                plan.id, plan.name, plan.id == context.current_plan_id, subgroups, sum(costs), _fee(plan, context)
-            )
-        )
+        priced.append(CostBreakdown(plan.id, plan.name, plan.id == context.current_plan_id, subgroups, variable, fee))
     breakdowns = tuple(priced)
     _last = (catalog, context, profile, mode, breakdowns)
     return breakdowns

@@ -81,11 +81,12 @@ MAX_GRID_POINTS = 10**6
 def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> list[float]:
     """Inclusive multiplier grid, built without floating-point drift.
 
-    Each point is rounded to 12 decimals, so a step below that resolution
-    would repeat points; such a grid, and one of more than
-    :data:`MAX_GRID_POINTS` points, is a :class:`ProfileError`.
+    Each point is rounded to 12 decimals, so a start that rounds to 0 or a
+    step below that resolution would give a zero multiplier or repeat
+    points; such a grid, and one of more than :data:`MAX_GRID_POINTS`
+    points, is a :class:`ProfileError`.
     """
-    if not (0 < start <= stop < math.inf and 0 < step < math.inf):
+    if not (0 < round(start, 12) and start <= stop < math.inf and 0 < step < math.inf):
         raise ProfileError(f"bad grid spec start={start} stop={stop} step={step}")
     steps = (stop - start) / step + 1e-9  # inf when step is tiny
     if steps >= MAX_GRID_POINTS:

@@ -207,31 +207,36 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
     Runs are generated in chunks of :func:`chunk_runs` months. Within a
     chunk each cell's calls are drawn, billed under every plan and dropped
     before the next cell is drawn, cells in order, so each plan's totals add
-    up class by class as the cells come.
+    up class by class as the cells come. A plan whose mean, standard
+    deviation or percentiles overflow is a :class:`SimulationError`.
     """
     runs, size = config.runs, chunk_runs(config)
     plans = catalog.switch_candidates()
     totals = np.zeros((len(plans), runs))
     class_of = [CALL_CLASS_INDEX[cell.destination_class, cell.day_class] for cell in config.cells]
-    for chunk, lo in enumerate(range(0, runs, size)):
-        n = min(size, runs - lo)
-        for ci, cell in enumerate(config.cells):
-            counts, minutes = generate_months(cell, n, substream(config.seed, chunk, ci))
-            np.ceil(minutes, out=minutes)
-            np.maximum(minutes, 1, out=minutes)
-            minutes = minutes.astype(np.int64)
-            run_ids = np.repeat(np.arange(n), counts)
-            for pi, costs in enumerate(_bill(catalog, plans, class_of[ci], minutes, config.billing_mode)):
-                totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
-                del costs  # free before the next plan's costs are drawn
-            del minutes, run_ids  # free before the next cell is drawn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk, lo in enumerate(range(0, runs, size)):
+            n = min(size, runs - lo)
+            for ci, cell in enumerate(config.cells):
+                counts, minutes = generate_months(cell, n, substream(config.seed, chunk, ci))
+                np.ceil(minutes, out=minutes)
+                np.maximum(minutes, 1, out=minutes)
+                minutes = minutes.astype(np.int64)
+                run_ids = np.repeat(np.arange(n), counts)
+                for pi, costs in enumerate(_bill(catalog, plans, class_of[ci], minutes, config.billing_mode)):
+                    totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
+                    del costs  # free before the next plan's costs are drawn
+                del minutes, run_ids  # free before the next cell is drawn
 
-    means = totals.mean(axis=1).tolist()
-    # row by row: each contiguous row sums pairwise as along axis 1, without
-    # a (plans x runs) array of deviations
-    stddevs = [float(row.std(ddof=1)) for row in totals] if runs > 1 else [0.0] * len(plans)
-    # last: partitioning in place reorders each row
-    percentiles = np.percentile(totals, [5, 50, 95], axis=1, overwrite_input=True).T.tolist()
+        means = totals.mean(axis=1).tolist()
+        # row by row: each contiguous row sums pairwise as along axis 1, without
+        # a (plans x runs) array of deviations
+        stddevs = [float(row.std(ddof=1)) for row in totals] if runs > 1 else [0.0] * len(plans)
+        # last: partitioning in place reorders each row
+        percentiles = np.percentile(totals, [5, 50, 95], axis=1, overwrite_input=True).T.tolist()
+    for plan, mean, stddev, p in zip(plans, means, stddevs, percentiles):
+        if not all(map(math.isfinite, (mean, stddev, *p))):
+            raise SimulationError(f"plan {plan.id} ({plan.name!r}): its simulated monthly cost statistics overflow")
     return SimResult(
         seed=config.seed,
         runs=config.runs,

@@ -277,14 +277,17 @@ def estimate_profile(
     (:func:`fit_exponential`) or the histogram of all billed minutes
     (:func:`build_histogram`). The one model serves every class, since
     single classes rarely have enough calls to stand alone. Rates are calls
-    per month over the `months`-long observation window. `catalog` is
-    unused: the profile is keyed by call class, and every plan routes each
-    class to exactly one subgroup, so any plan sees the same monthly total.
+    per month over the `months`-long observation window, which must be long
+    enough that no rate overflows. `catalog` is unused: the profile is keyed
+    by call class, and every plan routes each class to exactly one subgroup,
+    so any plan sees the same monthly total.
     """
     if not (math.isfinite(months) and months > 0):
         raise ProfileError(f"months must be positive and finite, got {months}")
     if not len(calls):
         raise ProfileError("no calls to estimate a profile from")
+    if not math.isfinite(len(calls) / months):
+        raise ProfileError(f"months {months} is too short: {len(calls)} calls over it overflow the call rate")
     if duration_model not in ("exponential", "empirical"):
         raise ProfileError(f"unknown duration model {duration_model!r}")
 

@@ -304,7 +304,7 @@ def test_input_records_are_values_over_their_fields(cls):
     """Each record's fields are its constructor's parameters, in order. It
     compares, hashes and prints by those fields, refuses changes to them,
     and survives pickle and deepcopy. A call table compares by identity,
-    and a prefix table stays assignable and so has no hash."""
+    and a prefix table, whose unmapped count grows, has no hash."""
     record = _bundled_records()[cls.__name__]
     names = cls.__match_args__
     values = [getattr(record, name) for name in names]
@@ -313,9 +313,8 @@ def test_input_records_are_values_over_their_fields(cls):
     assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
     assert repr(by_position) == repr(by_name) == repr(record)
     for name in names:
-        if cls is not PrefixTable:
-            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
-                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(record, name)
     copies = [pickle.loads(pickle.dumps(record)), copy.deepcopy(record)]
@@ -327,8 +326,7 @@ def test_input_records_are_values_over_their_fields(cls):
     assert all(other == record for other in copies)
     if cls is PrefixTable:
         assert cls.__hash__ is None
-        record.mapping = record.mapping  # assignable; the index is rebuilt
-        assert record == by_position and record._lookup("+79161234567") == "same-network"
+        assert all(other._lookup("+79161234567") == "same-network" for other in copies)
         return
     try:
         hash(tuple(values))

@@ -375,6 +375,58 @@ def test_sweep_whose_costs_overflow_is_validation_error(capsys):
         assert err == "error: plan costs overflow at traffic multiplier 1e+308\n"
 
 
+def _catalog_with(tmp_path, edit):
+    """The bundled catalog with `edit` applied to its JSON tree, written out."""
+    doc = json.loads(CATALOG_PATH.read_text(encoding="utf-8"))
+    edit(doc)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _huge_first_rate(doc):
+    doc["plans"][0]["subgroups"][0]["segments"][0]["rate"] = "1e307"
+
+
+def _huge_fees(doc):
+    doc["plans"][0]["fixed"] = {"subscription_fee": "1e308", "switch_fee": "1e308", "purchase_cost": "1e308"}
+
+
+@pytest.mark.parametrize(
+    "edit, command, message",
+    [
+        # plan 1's cumulative cost is not finite at k = 1
+        (_huge_first_rate, ["rank", "--billing-mode", "cumulative", "--format", "json"],
+         "its expected monthly cost overflows"),
+        (_huge_first_rate, ["sweep", "--billing-mode", "cumulative"], "its expected monthly cost overflows"),
+        (_huge_first_rate, ["fit", "--billing-mode", "cumulative"], "its expected monthly cost overflows"),
+        # each fee is finite, their sum is not
+        (_huge_fees, ["rank", "--format", "json"], "its expected monthly cost overflows"),
+        # every month's lookup total is finite; the sum behind their mean is not
+        (_huge_first_rate, ["simulate", "--runs", "200"], "its simulated monthly cost statistics overflow"),
+        (_huge_first_rate, ["simulate", "--runs", "200", "--billing-mode", "cumulative"],
+         "its simulated monthly cost statistics overflow"),
+    ],
+    ids=["rank", "sweep", "fit", "rank-fees", "simulate", "simulate-cumulative"],
+)
+def test_an_overflowing_cost_is_a_validation_error_naming_its_plan(edit, command, message, tmp_path, capsys):
+    catalog = _catalog_with(tmp_path, edit)
+    argv = [command[0], "--catalog", str(catalog), *BASE[2:], *command[1:]]
+    assert invoke(capsys, *argv) == (1, "", f"error: plan 1 ('Super Zero'): {message}\n")
+
+
+def test_a_grid_start_that_rounds_to_zero_is_named(capsys):
+    # every point is rounded to 12 decimals, so k = 1e-13 would be k = 0
+    code, out, err = invoke(capsys, "sweep", *BASE, "--k-from", "1e-13")
+    assert (code, out, err) == (1, "", "error: bad grid spec start=1e-13 stop=10.0 step=0.5\n")
+
+
+def test_a_window_too_short_for_its_call_rates_is_named(capsys):
+    code, out, err = invoke(capsys, "rank", *BASE[:6], "--months", "1e-320")
+    assert (code, out) == (1, "")
+    assert err == "error: months 1e-320 is too short: 234 calls over it overflow the call rate\n"
+
+
 def test_unreadable_inputs_are_validation_errors(tmp_path, capsys):
     holidays = tmp_path / "holidays.txt"
     holidays.write_text("2010-01-01\n2010-13-01\n")

@@ -5,8 +5,9 @@ catalog's JSON tree, or one to three lines of the printout, the prefix table
 or a holiday list) and runs one command in process. Whatever the input, the
 run exits 0, 1 (input it cannot use) or 2 (a file it cannot read), never 3
 (an engine fault); a failed run writes nothing to stdout and one `error:`
-line to stderr. A mutated catalog that loads survives `serialize_catalog`,
-and its names, providers and classes are JSON strings.
+line to stderr, and a JSON report is strict JSON, with no `Infinity` or
+`NaN`. A mutated catalog that loads survives `serialize_catalog`, and its
+names, providers and classes are JSON strings.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from tariffopt import load_catalog, serialize_catalog
 from tariffopt.catalog import CatalogError
-from tariffopt.cli import main
+from tariffopt.cli import FORMATS, main
 from tariffopt.cost import BILLING_MODES
 
 from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH
@@ -73,7 +74,7 @@ PATHS = list(_nodes(CATALOG))[1:]
 #: catalog itself, or DELETE
 json_values = (
     st.sampled_from([None, True, False, 0, -1, 1, 2, 6, 10**20, 2**63, 1.5, float("inf"), float("nan"),
-                     "open", "any", "1e400", "-0", "0.05", [], {}, ["MTS"], [None, 5], DELETE])
+                     "open", "any", "1e400", "1e307", "-0", "0.05", [], {}, ["MTS"], [None, 5], DELETE])
     | st.integers()
     | st.floats()
     | fields
@@ -119,6 +120,10 @@ def _mutated(mutation) -> tuple[str, str]:
     return name, "\n".join(lines) + "\n"
 
 
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The path of each unmutated input, by option name."""
@@ -130,19 +135,22 @@ def inputs(tmp_path_factory):
 
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(mutations, st.sampled_from(sorted(COMMANDS)), st.sampled_from(BILLING_MODES))
-@example(("cdr", ((2, "01.01.0001;10:44:13;+791655583;Moscow;Tel;1:22;3.000"),)), "rank", "lookup")
-@example(("cdr", ((246, "31.12.9999;19:37:23;+798522193;Moscow;Tel;0:16;3.000"),)), "sweep", "cumulative")
-@example(("cdr", ((2, "02.03.2010;24:00:00;+791655583;Moscow;Tel;1:22;3.000"),)), "analyze", "lookup")
-@example(("cdr", ((2, "02.03.2010;10:44:13;+791655583;Moscow;Tel;1000000:00;3.000"),)), "simulate", "cumulative")
-@example(("catalog", (("plans", 0, "provider"), None)), "rank", "lookup")
-@example(("catalog", (("context", "owned_sim_providers"), [None, 5])), "rank", "cumulative")
-def test_one_mutated_input_is_a_result_or_an_input_error(inputs, mutation, command, mode):
+@given(mutations, st.sampled_from(sorted(COMMANDS)), st.sampled_from(BILLING_MODES), st.sampled_from(FORMATS))
+@example(("cdr", ((2, "01.01.0001;10:44:13;+791655583;Moscow;Tel;1:22;3.000"),)), "rank", "lookup", "table")
+@example(("cdr", ((246, "31.12.9999;19:37:23;+798522193;Moscow;Tel;0:16;3.000"),)), "sweep", "cumulative", "table")
+@example(("cdr", ((2, "02.03.2010;24:00:00;+791655583;Moscow;Tel;1:22;3.000"),)), "analyze", "lookup", "table")
+@example(("cdr", ((2, "02.03.2010;10:44:13;+791655583;Moscow;Tel;1000000:00;3.000"),)), "simulate", "cumulative",
+         "table")
+@example(("catalog", (("plans", 0, "provider"), None)), "rank", "lookup", "table")
+@example(("catalog", (("context", "owned_sim_providers"), [None, 5])), "rank", "cumulative", "table")
+@example(("catalog", (("plans", 0, "subgroups", 0, "segments", 0, "rate"), "1e307")), "rank", "cumulative", "json")
+@example(("catalog", (("plans", 0, "subgroups", 0, "segments", 0, "rate"), "1e307")), "simulate", "lookup", "json")
+def test_one_mutated_input_is_a_result_or_an_input_error(inputs, mutation, command, mode, fmt):
     root, paths = inputs
     name, text = _mutated(mutation)
     mutated = root / f"mutated-{name}"
     mutated.write_text(text, encoding="utf-8")
-    argv = [command, "--billing-mode", mode, *COMMANDS[command]]
+    argv = [command, "--billing-mode", mode, "--format", fmt, *COMMANDS[command]]
     for option, path in paths.items():
         argv += [f"--{option}", str(mutated if option == name else path)]
     out, err = io.StringIO(), io.StringIO()
@@ -152,6 +160,8 @@ def test_one_mutated_input_is_a_result_or_an_input_error(inputs, mutation, comma
     if code:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    elif fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_refuse)
     if name == "catalog":
         try:
             catalog = load_catalog(text)

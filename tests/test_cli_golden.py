@@ -10,6 +10,7 @@ root with:  PYTHONPATH=src python tests/test_cli_golden.py
 from __future__ import annotations
 
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -67,6 +68,16 @@ def test_stdout_matches_golden(command, fmt, capsys):
             tofile="stdout",
         )
         pytest.fail("output differs from the golden file:\n" + "".join(diff), pytrace=False)
+
+
+def _refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
+def test_json_goldens_are_strict_json(path):
+    """No golden JSON holds `Infinity` or `NaN`, which JSON does not define."""
+    json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse)
 
 
 def test_rank_reads_inputs_that_start_with_a_byte_order_mark(tmp_path, capsys):
