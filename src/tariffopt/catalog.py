@@ -7,10 +7,11 @@ and safe to share across threads. A catalog is plain data, fees and rates
 held as decimals, so loading one imports no numpy: only the per-call billing
 arrays (:attr:`PricingTable.by_interval`) do, on first use.
 
-This module is also the base of every input reader: the input-error classes,
-the base of the immutable input records (`_Record`), the one source reader
-(:func:`_read_source`), the `;`-separated field reader and the one calendar
-formula, :func:`_ordinal`, that the printout reader and profile estimation share.
+This module is also the base of every input reader and every record: the
+input-error classes, `_Record`, the base of every record, the one source reader
+(:func:`_read_source`), the `;`-separated field reader, the one calendar formula,
+:func:`_ordinal`, that the printout reader and profile estimation share, and
+:func:`_shown`, the one short form of a number in a message or a table.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ def _money(value, what: str) -> Decimal:
 
 
 class _Record:
-    """Base of the input records: an immutable value over the fields that its
-    class names in `__match_args__`, which its `__init__` stores in one step.
+    """Base of every record of the package: an immutable value over the fields
+    that its class names in `__match_args__`, which its `__init__` checks and
+    stores in one step.
 
     Equality, hash and repr see only those fields, so an attribute derived
     from them and stored beside them (`BillingPlan.routes`) is not one.
@@ -427,6 +429,12 @@ def _ordinal(year, month, day):
     Months 13 and 14 are the next year's January and February; years past 9999 hold."""
     y = year - (month <= 2)
     return 365 * y + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5 + day - 306
+
+
+def _shown(value: float, spec: str = "") -> str:
+    """`value` in the format `spec`, or as ``%.3e`` past 10**15, where a
+    fixed format would print every digit."""
+    return f"{value:.3e}" if abs(value) > 1e15 else format(value, spec)
 
 
 def _int(value, what: str) -> int:

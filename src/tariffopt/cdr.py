@@ -12,14 +12,13 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import date, datetime, time
 from decimal import Decimal, InvalidOperation
 from typing import IO, Union
 
 import numpy as np
 
-from .catalog import CdrError, _fields, _ordinal, _read_source
+from .catalog import CdrError, _fields, _ordinal, _read_source, _Record
 
 CDR_HEADER = ("date", "time", "number", "zone", "service", "duration", "cost")
 KNOWN_SERVICES = ("Tel", "SMS")
@@ -64,36 +63,36 @@ _STAMP_PLACES = np.array(
 )
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(_Record):
     """One row of the service detail printout."""
 
-    date: date
-    time: time
-    number: str
-    zone: str
-    service: str
-    duration_seconds: int
-    cost: Decimal
+    __match_args__ = ("date", "time", "number", "zone", "service", "duration_seconds", "cost")
+
+    def __init__(self, date: date, time: time, number: str, zone: str, service: str, duration_seconds: int,
+                 cost: Decimal):
+        vars(self).update(date=date, time=time, number=number, zone=zone, service=service,
+                          duration_seconds=duration_seconds, cost=cost)
 
 
-@dataclass(frozen=True, eq=False)
-class CallLog(Sequence):
-    """The accepted rows of a printout as columns of ints, in line order.
+class CallLog(_Record, Sequence):
+    """The accepted rows of a printout as columns of ints, in line order:
+    `date` the proleptic Gregorian ordinal, `time` the seconds since
+    midnight, `duration` the seconds (0 for an SMS row with a bare count).
 
-    The text columns hold indices into `strings`, the distinct texts of the
-    printout. Indexing and iteration build :class:`CallRecord` views; a log
-    compares by identity.
+    The text columns, `number`, `zone`, `service` and `cost` (the cost as
+    printed, decimal comma allowed), hold indices into `strings`, the
+    distinct texts of the printout. Indexing and iteration build
+    :class:`CallRecord` views; a log compares by identity.
     """
 
-    date: np.ndarray  # proleptic Gregorian ordinal
-    time: np.ndarray  # seconds since midnight
-    number: np.ndarray  # index into strings
-    zone: np.ndarray  # index into strings
-    service: np.ndarray  # index into strings
-    duration: np.ndarray  # seconds; 0 for an SMS row with a bare count
-    cost: np.ndarray  # index into strings: the cost as printed, decimal comma allowed
-    strings: tuple[str, ...]
+    __match_args__ = ("date", "time", "number", "zone", "service", "duration", "cost", "strings")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, date: np.ndarray, time: np.ndarray, number: np.ndarray, zone: np.ndarray, service: np.ndarray,
+                 duration: np.ndarray, cost: np.ndarray, strings: tuple[str, ...]):
+        vars(self).update(date=date, time=time, number=number, zone=zone, service=service, duration=duration,
+                          cost=cost, strings=strings)
 
     def code(self, text: str) -> int:
         """The index of `text` in `strings`, or -1 when no row holds it."""
@@ -138,11 +137,14 @@ def _parse_duration(raw: str, service: str) -> int:
     raise ValueError(f"bad duration {raw!r} for service {service!r}")
 
 
-def _parse_cost(raw: str) -> Decimal:
+def _parse_cost(raw: str) -> str:
+    """The cost column as printed, stripped, once it reads as a decimal."""
+    cost = raw.strip()
     try:
-        return Decimal(raw.strip().replace(",", "."))
+        Decimal(cost.replace(",", "."))
     except InvalidOperation:
         raise ValueError(f"bad cost {raw!r}") from None
+    return cost
 
 
 def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple | None:
@@ -150,7 +152,7 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple 
 
     Returns the line's seven column values (the date's ordinal, the seconds
     since midnight, the number, zone and service, the duration in seconds and
-    the parsed cost as text), or None for a blank line, a row with an
+    the cost as printed, stripped), or None for a blank line, a row with an
     unrecognized service (noted in `issues`) or a malformed row (noted in
     `issues`, or raised as :class:`CdrError` when `strict`).
     """
@@ -173,7 +175,7 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple 
             row[3].strip(),
             service,
             _parse_duration(row[5], service),
-            str(_parse_cost(row[6])),
+            _parse_cost(row[6]),
         )
     except ValueError as exc:
         message = f"line {lineno}: {exc}"

@@ -14,11 +14,10 @@ import functools
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import date
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .catalog import Catalog, CdrError, InputError, load_catalog
+from .catalog import Catalog, CdrError, InputError, _Record, _shown, load_catalog
 from .cost import BILLING_MODES, LOOKUP, full_costs, rank
 
 # Each command imports the other engine modules it runs, so that a process
@@ -34,32 +33,36 @@ FORMATS = ("table", "json", "csv")
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.2f}"
+    return _shown(value, ".2f")
 
 
 def _fmt4(value: float) -> str:
-    return f"{value:.4f}"
+    return _shown(value, ".4f")
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(_Record):
     """One report column. A column with no CSV header, or no table header,
-    appears only in the other format."""
+    appears only in the other format. `fmt` formats its table cells."""
 
-    csv: str | None
-    table: str | None
-    fmt: Callable[[Any], str] = _fmt  # table cell format
+    __match_args__ = ("csv", "table", "fmt")
+
+    def __init__(self, csv: str | None, table: str | None, fmt: Callable[[Any], str] = _fmt):
+        vars(self).update(csv=csv, table=table, fmt=fmt)
 
 
-@dataclass(frozen=True)
-class Report:
-    """What a report command builds: one document, rendered by :func:`render`."""
+class Report(_Record):
+    """What a report command builds: one document, rendered by :func:`render`.
 
-    doc: Any  # the JSON document
-    columns: list[Column]
-    rows: list[list]  # raw values, one per column; None is a blank cell
-    before: list[str] = field(default_factory=list)  # table lines above the grid
-    after: list[str] = field(default_factory=list)  # table lines below it, after a blank line
+    `doc` is the JSON document and `rows` the raw values, one per column,
+    None a blank cell. The table shows the lines `before` above its grid and
+    the lines `after` below it, after a blank line.
+    """
+
+    __match_args__ = ("doc", "columns", "rows", "before", "after")
+
+    def __init__(self, doc: Any, columns: list[Column], rows: list[list], before: Sequence[str] = (),
+                 after: Sequence[str] = ()):
+        vars(self).update(doc=doc, columns=columns, rows=rows, before=before, after=after)
 
 
 def _render_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -90,19 +93,17 @@ def render(report: Report, fmt: str) -> str:
         ["" if row[i] is None else report.columns[i].fmt(row[i]) for i in keep]
         for row in report.rows
     ]
-    lines = report.before + _render_table([report.columns[i].table for i in keep], cells)
+    lines = [*report.before, *_render_table([report.columns[i].table for i in keep], cells)]
     if report.after:
         lines += ["", *report.after]
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class Inputs:
-    catalog: Catalog
-    calls: CallTable
-    profile: TrafficProfile
-    months: float
-    issues: list[str]
+class Inputs(_Record):
+    __match_args__ = ("catalog", "calls", "profile", "months", "issues")
+
+    def __init__(self, catalog: Catalog, calls: CallTable, profile: TrafficProfile, months: float, issues: list[str]):
+        vars(self).update(catalog=catalog, calls=calls, profile=profile, months=months, issues=issues)
 
 
 def _load_catalog(path: str) -> Catalog:
@@ -202,15 +203,15 @@ def cmd_analyze(args) -> Report:
             for pid, row in lambda_rows.items()
         ],
         before=[
-            f"traffic: {len(calls)} calls over {inputs.months:.2f} months "
-            f"({profile.total_rate:.2f} calls/month)",
+            f"traffic: {len(calls)} calls over {_fmt(inputs.months)} months "
+            f"({_fmt(profile.total_rate)} calls/month)",
             "",
             "calls per month by plan subgroup:",
         ],
         after=[
-            f"durations: mean {duration_fit.sample_mean:.2f} min, "
-            f"rmsd {duration_fit.sample_rmsd:.2f} min, n={duration_fit.sample_size}",
-            f"fitted exponential: mu = {duration_fit.model.mu:.2f} (1/minutes)",
+            f"durations: mean {_fmt(duration_fit.sample_mean)} min, "
+            f"rmsd {_fmt(duration_fit.sample_rmsd)} min, n={duration_fit.sample_size}",
+            f"fitted exponential: mu = {_fmt(duration_fit.model.mu)} (1/minutes)",
             "",
             "billed-minute histogram:",
             *bins,
@@ -239,7 +240,6 @@ def cmd_rank(args) -> Report:
         verdict = f"optimal: plan {ranking.optimal_id} (switch from plan {current})"
     return Report(
         doc={
-            # shallow copies: asdict would deep-copy every field
             "plans": [
                 {
                     **vars(b),
@@ -249,7 +249,7 @@ def cmd_rank(args) -> Report:
                 }
                 for b in breakdowns
             ],
-            "ranking": asdict(ranking),
+            "ranking": dict(vars(ranking)),
         },
         columns=[
             Column("plan_id", "plan", str),
@@ -296,7 +296,7 @@ def cmd_sweep(args) -> Report:
             }
             for k, best, best_cost, stay_cost, *at_k in rows
         ],
-        "intervals": [asdict(iv) for iv in intervals],
+        "intervals": [dict(vars(iv)) for iv in intervals],
     }
     return Report(
         doc=doc,
@@ -311,7 +311,7 @@ def cmd_sweep(args) -> Report:
         after=[
             "switch points:",
             *(
-                f"  plan {iv.plan_id} optimal for k in [{iv.k_start:.2f}, {iv.k_end:.2f}]"
+                f"  plan {iv.plan_id} optimal for k in [{_fmt(iv.k_start)}, {_fmt(iv.k_end)}]"
                 for iv in intervals
             ),
         ],
@@ -322,12 +322,13 @@ def _equation(fit: RegressionFit) -> str:
     terms = []
     powers = range(0 if fit.intercept else 1, fit.degree + 1)
     for coef, power in zip(fit.coefficients, powers):
+        term = _shown(coef, ".3f")
         if power == 0:
-            terms.append(f"{coef:.3f}")
+            terms.append(term)
         elif power == 1:
-            terms.append(f"{coef:.3f}k")
+            terms.append(f"{term}k")
         else:
-            terms.append(f"{coef:.3f}k^{power}")
+            terms.append(f"{term}k^{power}")
     return " + ".join(terms)
 
 
@@ -337,7 +338,7 @@ def cmd_fit(args) -> Report:
     fits = fit_report(_sweep(args))
     # the CSV spells out the coefficients; the table shows the equation
     return Report(
-        doc={name: asdict(fit) for name, fit in fits.items()},
+        doc={name: dict(vars(fit)) for name, fit in fits.items()},
         columns=[
             Column("model", "model", str),
             Column("degree", None),

@@ -11,7 +11,6 @@ of adopting a plan gives the full cost that ranks the candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from .catalog import (
@@ -22,6 +21,7 @@ from .catalog import (
     PayoffFunction,
     PricingTable,
     SubscriberContext,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -38,36 +38,37 @@ def check_billing_mode(mode: str) -> None:
         raise ValueError(f"unknown billing mode {mode!r}")
 
 
-@dataclass(frozen=True)
-class SubgroupCost:
-    """One subgroup's share of a plan's variable expenses."""
+class SubgroupCost(_Record):
+    """One subgroup's share of a plan's variable expenses; `one_call_cost` is
+    None when the subgroup sees no traffic."""
 
-    name: str
-    calls_per_month: float
-    one_call_cost: float | None  # None when the subgroup sees no traffic
-    monthly_cost: float
+    __match_args__ = ("name", "calls_per_month", "one_call_cost", "monthly_cost")
+
+    def __init__(self, name: str, calls_per_month: float, one_call_cost: float | None, monthly_cost: float):
+        vars(self).update(name=name, calls_per_month=calls_per_month, one_call_cost=one_call_cost,
+                          monthly_cost=monthly_cost)
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(_Record):
     """Everything that prices one candidate plan for the coming month."""
 
-    plan_id: int
-    plan_name: str
-    is_current: bool
-    subgroups: tuple[SubgroupCost, ...]
-    variable: float
-    fixed: float
+    __match_args__ = ("plan_id", "plan_name", "is_current", "subgroups", "variable", "fixed")
+
+    def __init__(self, plan_id: int, plan_name: str, is_current: bool, subgroups: tuple[SubgroupCost, ...],
+                 variable: float, fixed: float):
+        vars(self).update(plan_id=plan_id, plan_name=plan_name, is_current=is_current, subgroups=subgroups,
+                          variable=variable, fixed=fixed)
 
     @property
     def full(self) -> float:
         return self.variable + self.fixed
 
 
-@dataclass(frozen=True)
-class Ranking:
-    order: tuple[int, ...]
-    optimal_id: int
+class Ranking(_Record):
+    __match_args__ = ("order", "optimal_id")
+
+    def __init__(self, order: tuple[int, ...], optimal_id: int):
+        vars(self).update(order=order, optimal_id=optimal_id)
 
 
 # --------------------------------------------------------------------------

@@ -9,35 +9,35 @@ cost lines, and its breakpoints are exactly where the best plan changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, SubscriberContext
+from .catalog import Catalog, SubscriberContext, _Record
 from .cost import LOOKUP, full_costs
 from .traffic import ProfileError, TrafficProfile
 
 
-@dataclass(frozen=True, eq=False)
-class Sweep:
+class Sweep(_Record):
     """Every candidate's cost over a grid of traffic multipliers.
 
     Row i of `costs` is candidate ``plan_ids[i]`` (in
     :func:`~tariffopt.cost.full_costs`' order), column j is multiplier
     ``ks[j]``, and ``costs[i, j] = variable[i] * ks[j] + fixed[i]``.
     `optimal` holds the optimum's row at each multiplier and `stay` the
-    current plan's row. ``len()`` is the number of multipliers.
+    current plan's row. ``len()`` is the number of multipliers. A sweep
+    compares by identity.
     """
 
-    ks: np.ndarray
-    plan_ids: tuple[int, ...]
-    fixed: np.ndarray
-    variable: np.ndarray
-    costs: np.ndarray
-    optimal: np.ndarray
-    stay: int
+    __match_args__ = ("ks", "plan_ids", "fixed", "variable", "costs", "optimal", "stay")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, ks: np.ndarray, plan_ids: tuple[int, ...], fixed: np.ndarray, variable: np.ndarray,
+                 costs: np.ndarray, optimal: np.ndarray, stay: int):
+        vars(self).update(ks=ks, plan_ids=plan_ids, fixed=fixed, variable=variable, costs=costs, optimal=optimal,
+                          stay=stay)
 
     def __len__(self) -> int:
         return self.ks.size
@@ -48,23 +48,23 @@ class Sweep:
         return self.costs[self.optimal, np.arange(self.ks.size)]
 
 
-@dataclass(frozen=True)
-class SwitchInterval:
+class SwitchInterval(_Record):
     """Maximal k-range over which one plan stays optimal."""
 
-    k_start: float
-    k_end: float
-    plan_id: int
+    __match_args__ = ("k_start", "k_end", "plan_id")
+
+    def __init__(self, k_start: float, k_end: float, plan_id: int):
+        vars(self).update(k_start=k_start, k_end=k_end, plan_id=plan_id)
 
 
-@dataclass(frozen=True)
-class RegressionFit:
-    degree: int
-    intercept: bool
-    coefficients: tuple[float, ...]  # constant term first when intercept is set
-    r_squared: float
+class RegressionFit(_Record):
+    """A polynomial fit of a cost curve; `coefficients` start with the
+    constant term when `intercept` is set."""
 
-    def __post_init__(self):
+    __match_args__ = ("degree", "intercept", "coefficients", "r_squared")
+
+    def __init__(self, degree: int, intercept: bool, coefficients: tuple[float, ...], r_squared: float):
+        vars(self).update(degree=degree, intercept=intercept, coefficients=coefficients, r_squared=r_squared)
         expected = self.degree + (1 if self.intercept else 0)
         if len(self.coefficients) != expected:
             raise ValueError(
@@ -144,12 +144,7 @@ def sweep(
     optimal = tie_order[costs[tie_order].argmin(axis=0)]
     for array in (ks, fixed, variable, costs, optimal):
         array.flags.writeable = False
-    swept = Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal, stay)
-    above = swept.optimal_costs > costs[stay] + 1e-9
-    if above.any():
-        j = int(above.argmax())
-        raise ValueError(f"optimal cost {swept.optimal_costs[j]} above stay cost {costs[stay, j]} at k={ks[j]}")
-    return swept
+    return Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal, stay)
 
 
 #: crossings closer than this to each other or to the grid's ends, relative
@@ -199,11 +194,15 @@ def _span(k: np.ndarray) -> str:
 
 class _Series:
     """A response vector with the sums of squares its fits need, each
-    computed once."""
+    computed once. It is held scaled by ``2**-shift`` to below 1 in magnitude,
+    so no square overflows; the scaling is exact, so a fit of it is the fit
+    of the vector with coefficients and residuals scaled alike, and one R^2."""
 
     def __init__(self, y: np.ndarray):
-        self.y = y
-        self.ss = float(y @ y)
+        self.shift = max(0, math.frexp(float(np.abs(y).max()))[1])
+        self.y = np.ldexp(y, -self.shift)
+        self.ss = float(self.y @ self.y)
+        self.one = math.ldexp(1.0, -2 * self.shift)  # a sum of squares of 1 in the original units
 
     @cached_property
     def ss_centered(self) -> float:
@@ -225,11 +224,11 @@ def _fit(design: np.ndarray, series: _Series, degree: int, intercept: bool) -> R
     residuals = y - design @ coef
     ss_res = float(residuals @ residuals)
     ss_tot = series.ss_centered if intercept else series.ss
-    if ss_tot <= 1e-12 * max(1.0, series.ss):
+    if ss_tot <= 1e-12 * max(series.one, series.ss):
         r_squared = 0.0  # constant response: no variance to explain
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    return RegressionFit(degree, intercept, tuple(coef.tolist()), r_squared)
+    return RegressionFit(degree, intercept, tuple(np.ldexp(coef, series.shift).tolist()), r_squared)
 
 
 #: model forms fitted by :func:`fit_report`

@@ -28,12 +28,11 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .catalog import CALL_CLASS_INDEX, BillingPlan, Catalog, InputError
+from .catalog import CALL_CLASS_INDEX, BillingPlan, Catalog, InputError, _Record, _shown
 from .classify import CallTable
 from .cost import BILLING_MODES, LOOKUP, check_billing_mode
 from .traffic import Exponential, TrafficCell, TrafficProfile
@@ -64,24 +63,20 @@ def _month_calls(cells: Sequence[TrafficCell]) -> int:
     return sum(_cell_calls(cell.rate) for cell in cells if cell.rate)
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """A seeded oracle run. `cells` are the profile's traffic cells; each
     one with traffic needs an :class:`Exponential` duration model, and cell
     `i`'s calls come from stream `i` of each chunk."""
 
-    seed: int
-    runs: int
-    cells: tuple[TrafficCell, ...]
-    billing_mode: str = LOOKUP
+    __match_args__ = ("seed", "runs", "cells", "billing_mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
-        for name in ("seed", "runs"):
-            value = getattr(self, name)
+    def __init__(self, seed: int, runs: int, cells: tuple[TrafficCell, ...], billing_mode: str = LOOKUP):
+        cells = tuple(cells)
+        for name, value in (("seed", seed), ("runs", runs)):
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise SimulationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+        vars(self).update(seed=operator.index(seed), runs=operator.index(runs), cells=cells,
+                          billing_mode=billing_mode)
         if not 0 <= self.seed < 2**64:
             raise SimulationError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 1 <= self.runs <= MAX_RUNS:
@@ -97,7 +92,7 @@ class SimConfig:
         calls = _month_calls(self.cells)
         if calls > CHUNK_CALLS:
             raise SimulationError(
-                f"traffic too busy to simulate: a month is bounded at {calls} "
+                f"traffic too busy to simulate: a month is bounded at {_shown(calls)} "
                 f"calls, over the chunk budget of {CHUNK_CALLS} calls"
             )
 
@@ -114,23 +109,22 @@ class SimConfig:
         return cls(seed=seed, runs=runs, cells=cells, billing_mode=billing_mode)
 
 
-@dataclass(frozen=True)
-class PlanSample:
-    """Monthly variable-cost sample statistics for one plan."""
+class PlanSample(_Record):
+    """Monthly variable-cost sample statistics for one plan; `percentiles`
+    are the 5th, 50th and 95th."""
 
-    plan_id: int
-    mean: float
-    stddev: float
-    stderr: float
-    percentiles: tuple[float, float, float]  # 5th, 50th, 95th
+    __match_args__ = ("plan_id", "mean", "stddev", "stderr", "percentiles")
+
+    def __init__(self, plan_id: int, mean: float, stddev: float, stderr: float,
+                 percentiles: tuple[float, float, float]):
+        vars(self).update(plan_id=plan_id, mean=mean, stddev=stddev, stderr=stderr, percentiles=percentiles)
 
 
-@dataclass(frozen=True)
-class SimResult:
-    seed: int
-    runs: int
-    billing_mode: str
-    plans: tuple[PlanSample, ...]
+class SimResult(_Record):
+    __match_args__ = ("seed", "runs", "billing_mode", "plans")
+
+    def __init__(self, seed: int, runs: int, billing_mode: str, plans: tuple[PlanSample, ...]):
+        vars(self).update(seed=seed, runs=runs, billing_mode=billing_mode, plans=plans)
 
     def document(self) -> dict:
         """This result as plain dicts, lists and numbers, ready for JSON."""

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from itertools import accumulate
@@ -27,6 +26,7 @@ from .catalog import (
     Catalog,
     InputError,
     _ordinal,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -41,8 +41,7 @@ class ProfileError(InputError):
 # duration models
 
 
-@dataclass(frozen=True)
-class Empirical:
+class Empirical(_Record):
     """Per-minute duration distribution given directly as probability masses.
 
     `masses[t]` is the probability the call is billed in minute t+1. Masses
@@ -50,10 +49,10 @@ class Empirical:
     are never renormalized here, and the tail is never billed.
     """
 
-    masses: tuple[float, ...]
+    __match_args__ = ("masses",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+    def __init__(self, masses: tuple[float, ...]):
+        vars(self).update(masses=tuple(float(m) for m in masses))
         if not self.masses:
             raise ProfileError("empirical model has no mass entries")
         if not all(math.isfinite(m) for m in self.masses):
@@ -92,8 +91,7 @@ class Empirical:
         ]
 
 
-@dataclass(frozen=True)
-class Exponential:
+class Exponential(_Record):
     """Exponential call-duration model with rate `mu` (1/minutes).
 
     Discretized to whole billing minutes, the mass of minute t is
@@ -101,9 +99,10 @@ class Exponential:
     ``exp(-mu*t)`` at any minute, so no mass is cut off.
     """
 
-    mu: float
+    __match_args__ = ("mu",)
 
-    def __post_init__(self):
+    def __init__(self, mu: float):
+        vars(self).update(mu=mu)
         if not (math.isfinite(self.mu) and self.mu > 0):
             raise ProfileError(f"mu must be positive and finite, got {self.mu}")
         if self._decay == 1.0:
@@ -135,18 +134,17 @@ class Exponential:
 DurationModel = Union[Empirical, Exponential]
 
 
-@dataclass(frozen=True)
-class ExponentialFit:
+class ExponentialFit(_Record):
     """Fitted exponential plus the sample statistics behind it.
 
     When the exponential assumption is good, `sample_mean` and `sample_rmsd`
     are close (an exponential's mean equals its standard deviation).
     """
 
-    model: Exponential
-    sample_mean: float
-    sample_rmsd: float
-    sample_size: int
+    __match_args__ = ("model", "sample_mean", "sample_rmsd", "sample_size")
+
+    def __init__(self, model: Exponential, sample_mean: float, sample_rmsd: float, sample_size: int):
+        vars(self).update(model=model, sample_mean=sample_mean, sample_rmsd=sample_rmsd, sample_size=sample_size)
 
 
 def fit_exponential(durations_minutes: Sequence[float]) -> ExponentialFit:
@@ -186,16 +184,14 @@ def build_histogram(calls: CallTable, truncation: int) -> Empirical:
 # traffic profile
 
 
-@dataclass(frozen=True)
-class TrafficCell:
-    """Arrival rate and duration model for one (destination, day) class."""
+class TrafficCell(_Record):
+    """Arrival rate (calls per month) and duration model for one
+    (destination, day) class."""
 
-    destination_class: str
-    day_class: str
-    rate: float  # calls per month
-    durations: DurationModel | None
+    __match_args__ = ("destination_class", "day_class", "rate", "durations")
 
-    def __post_init__(self):
+    def __init__(self, destination_class: str, day_class: str, rate: float, durations: DurationModel | None):
+        vars(self).update(destination_class=destination_class, day_class=day_class, rate=rate, durations=durations)
         if self.destination_class not in DESTINATION_CLASSES:
             raise ProfileError(f"unknown destination class {self.destination_class!r}")
         if self.day_class not in DAY_CLASSES:
@@ -209,8 +205,7 @@ class TrafficCell:
             )
 
 
-@dataclass(frozen=True)
-class TrafficProfile:
+class TrafficProfile(_Record):
     """Estimated traffic, keyed by call class rather than by plan.
 
     Any plan's per-subgroup call rates derive from the same cells via that
@@ -218,11 +213,10 @@ class TrafficProfile:
     matter how it partitions the traffic.
     """
 
-    cells: tuple[TrafficCell, ...]
-    observation_months: float
+    __match_args__ = ("cells", "observation_months")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
+    def __init__(self, cells: tuple[TrafficCell, ...], observation_months: float):
+        vars(self).update(cells=tuple(cells), observation_months=observation_months)
         if not (math.isfinite(self.observation_months) and self.observation_months > 0):
             raise ProfileError(
                 f"observation_months must be positive and finite, got {self.observation_months}"

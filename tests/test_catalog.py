@@ -13,21 +13,46 @@ import pytest
 
 from tariffopt import (
     BillingPlan,
+    CallLog,
+    CallRecord,
     CallTable,
     Catalog,
     CatalogError,
+    CostBreakdown,
+    Empirical,
     Exponential,
+    ExponentialFit,
     FixedCostSpec,
     PayoffFunction,
+    PlanSample,
     PrefixTable,
+    Ranking,
     RateSegment,
+    RegressionFit,
+    SimConfig,
+    SimResult,
+    SubgroupCost,
     SubgroupRule,
     SubscriberContext,
+    Sweep,
+    SwitchInterval,
+    TrafficCell,
+    TrafficProfile,
     WorkdayCalendar,
+    build_histogram,
     classify_calls,
+    estimate_profile,
+    fit_exponential,
+    fit_report,
+    full_costs,
+    k_grid,
     load_catalog,
     parse_cdr,
+    rank,
+    run,
     serialize_catalog,
+    sweep,
+    switch_points,
 )
 from tariffopt.catalog import PricingTable
 
@@ -283,28 +308,40 @@ def test_routes_and_pricing_are_read_only_and_not_fields(mts_catalog):
 
 
 def _bundled_records() -> dict:
-    """One record of each input class, built from the bundled inputs."""
+    """One record of each class, built from the bundled inputs."""
     catalog = load_catalog(CATALOG_PATH.read_bytes())
     plan = catalog.plans[0]
     rule, payoff = plan.subgroups[0]
     prefixes = PrefixTable.from_csv(PREFIXES_PATH.read_bytes())
     calendar = WorkdayCalendar.from_file(b"2010-03-08\n")
-    calls = classify_calls(parse_cdr(CDR_PATH.read_bytes()), prefixes, calendar)
+    log = parse_cdr(CDR_PATH.read_bytes())
+    calls = classify_calls(log, prefixes, calendar)
+    profile = estimate_profile(calls, catalog, 6.0)
+    breakdowns = full_costs(catalog, catalog.context, profile)
+    swept = sweep(catalog, catalog.context, profile, k_grid())
+    config = SimConfig.from_profile(profile, seed=7, runs=20)
+    result = run(config, catalog)
     records = [payoff.segments[0], payoff, catalog.pricing, rule, plan.fixed, plan, catalog.context, catalog,
-               calls, prefixes, calendar]
+               calls, prefixes, calendar, log[0], log, build_histogram(calls, int(calls.minute.max())),
+               profile.cells[0].durations, fit_exponential(calls.duration / 60.0), profile.cells[0], profile,
+               breakdowns[0].subgroups[0], breakdowns[0], rank(breakdowns), swept, switch_points(swept)[0],
+               fit_report(swept)["optimal_cubic"], config, result.plans[0], result]
     return {type(record).__name__: record for record in records}
 
 
 RECORD_CLASSES = (RateSegment, PayoffFunction, PricingTable, SubgroupRule, FixedCostSpec, BillingPlan,
-                  SubscriberContext, Catalog, CallTable, PrefixTable, WorkdayCalendar)
+                  SubscriberContext, Catalog, CallTable, PrefixTable, WorkdayCalendar, CallRecord, CallLog,
+                  Empirical, Exponential, ExponentialFit, TrafficCell, TrafficProfile, SubgroupCost, CostBreakdown,
+                  Ranking, Sweep, SwitchInterval, RegressionFit, SimConfig, PlanSample, SimResult)
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
 def test_input_records_are_values_over_their_fields(cls):
     """Each record's fields are its constructor's parameters, in order. It
     compares, hashes and prints by those fields, refuses changes to them,
-    and survives pickle and deepcopy. A call table compares by identity,
-    and a prefix table, whose unmapped count grows, has no hash."""
+    and survives pickle and deepcopy. A printout log, a call table and a
+    sweep compare by identity, and a prefix table, whose unmapped count
+    grows, has no hash."""
     record = _bundled_records()[cls.__name__]
     names = cls.__match_args__
     values = [getattr(record, name) for name in names]
@@ -319,7 +356,7 @@ def test_input_records_are_values_over_their_fields(cls):
             delattr(record, name)
     copies = [pickle.loads(pickle.dumps(record)), copy.deepcopy(record)]
     assert all(repr(other) == repr(record) for other in copies)
-    if cls is CallTable:
+    if cls in (CallLog, CallTable, Sweep):
         assert by_position != record and hash(record) == object.__hash__(record)
         return
     assert by_position == by_name == record

@@ -516,6 +516,30 @@ def test_traffic_too_busy_for_one_chunk_is_validation_error(capsys):
     assert err.endswith(" calls, over the chunk budget of 856064 calls\n")
 
 
+def test_fit_of_costs_whose_squares_overflow(capsys):
+    """Costs past about 1e154 square past the float range; the stay curve,
+    the exact line 6.3e302 k, still fits with R^2 1 and nothing is warned."""
+    code, out, err = invoke(capsys, "fit", *BASE[:6], "--months", "1e-300", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stay_linear_origin"] == {
+        "degree": 1, "intercept": False, "coefficients": [6.300000000000001e302], "r_squared": 1.0,
+    }
+
+
+def test_a_number_past_1e15_prints_in_exponent_form(capsys):
+    """At call rates near the float limit, every table line and the simulate
+    error stay short: a cost prints as 6.300e+302, not its 303 digits."""
+    tiny = [*BASE[:6], "--months", "1e-300"]
+    for command, shown in (("rank", " 6.300e+302 "), ("fit", " 6.300e+302k ")):
+        code, out, err = invoke(capsys, command, *tiny)
+        assert (code, err) == (0, "")
+        assert shown in out
+        assert max(map(len, out.splitlines())) <= 200
+    code, out, err = invoke(capsys, "simulate", *tiny, "--runs", "10")
+    assert (code, out) == (1, "")
+    assert "a month is bounded at 2.340e+302 calls" in err and len(err) <= 200
+
+
 def test_strict_parse_failure(tmp_path, capsys):
     cdr = tmp_path / "broken.csv"
     cdr.write_text(

@@ -13,7 +13,6 @@ repository root with:  PYTHONPATH=src python tests/test_cost_golden.py
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import json
 from pathlib import Path
@@ -110,7 +109,10 @@ def priced() -> dict:
         for name, context in CONTEXTS.items():
             context = context or catalog.context
             doc[f"{mode}/{name}"] = {
-                "full_costs": [dataclasses.asdict(b) for b in full_costs(catalog, context, profile, mode)],
+                "full_costs": [
+                    {**vars(b), "subgroups": [dict(vars(s)) for s in b.subgroups]}
+                    for b in full_costs(catalog, context, profile, mode)
+                ],
                 "sweep": sweep_doc(sweep(catalog, context, profile, grid, mode)),
             }
     return doc

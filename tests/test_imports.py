@@ -152,6 +152,7 @@ def test_validate_loads_the_reader_but_no_classification_profile_sensitivity_or_
 def test_validate_of_a_catalog_alone_loads_no_numpy():
     steps = _loaded_by("validate", "validate", "--catalog", str(CATALOG_PATH))
     assert steps["validate"] == [["tariffopt", "tariffopt.catalog", "tariffopt.cli", "tariffopt.cost"], False]
+    assert steps["modules"] == {"dataclasses": False, "inspect": False}
     assert steps["stdout"] == "catalog: 6 plans, 1 inactive\ncontext: current plan 6, owned SIMs: MTS\nok\n"
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
 from datetime import date, time
 from decimal import Decimal
 from fractions import Fraction
@@ -368,7 +367,7 @@ def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, 
     for iv in intervals:
         if iv.k_end > iv.k_start:
             mid = 0.5 * (iv.k_start + iv.k_end)
-            at_mid = [replace(b, variable=mid * b.variable) for b in breakdowns]
+            at_mid = [rebuilt(b, variable=mid * b.variable) for b in breakdowns]
             assert iv.plan_id == rank(at_mid).optimal_id
 
 
@@ -416,7 +415,7 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
     optimal, best_costs = optimal_ids(swept), swept.optimal_costs.tolist()
     stay_costs = swept.costs[swept.stay].tolist()
     for j, k in enumerate(grid):
-        at_k = [replace(b, variable=k * b.variable) for b in breakdowns]
+        at_k = [rebuilt(b, variable=k * b.variable) for b in breakdowns]
         costs = {b.plan_id: b.full for b in at_k}
         best = rank(at_k).optimal_id
         assert (optimal[j], best_costs[j], stay_costs[j]) == (best, costs[best], costs[current])
@@ -803,32 +802,35 @@ def printout_lines(draw):
 
 def per_row_reader(text, strict, issues):
     """The per-row reader applied to every line after the header, each row's
-    seven column values read into a record as a log's view reads its own."""
+    seven column values read into a record as a log's view reads its own,
+    with the cost text it keeps."""
     records = []
     for lineno, line in enumerate(text.split("\n")[1:], start=2):
         row = cdr._read_row(line, lineno, strict, issues)
         if row is not None:
             day, at, number, zone, service, duration, cost = row
-            records.append(cdr.CallRecord(
+            records.append((cdr.CallRecord(
                 date.fromordinal(day), time(at // 3600, at // 60 % 60, at % 60),
-                number, zone, service, duration, Decimal(cost),
-            ))
+                number, zone, service, duration, Decimal(cost.replace(",", ".")),
+            ), cost))
     return records
 
 
 def block_reader(text, strict, issues):
-    return list(parse_cdr(text, strict=strict, issues=issues))
+    log = parse_cdr(text, strict=strict, issues=issues)
+    return [(record, log.strings[cost]) for record, cost in zip(log, log.cost.tolist())]
 
 
 def reading(reader, text, strict):
-    """Every field of every row, the cost as a Decimal and as printed by it,
-    and the issues; or the message of the first fatal line."""
+    """Every field of every row, the cost as a Decimal, as printed by it and
+    as the log keeps it, and the issues; or the message of the first fatal
+    line."""
     issues = []
     try:
         records = reader(text, strict, issues)
     except CdrError as exc:
         return str(exc)
-    return [(*vars(r).values(), str(r.cost)) for r in records], issues
+    return [(*vars(r).values(), str(r.cost), cost) for r, cost in records], issues
 
 
 def printout(*lines, final_newline=True):
