@@ -3,8 +3,9 @@ into columns.
 
 :func:`parse_cdr` reads printout text into a :class:`CallLog`, the accepted
 rows as columns of ints, in line order; :mod:`tariffopt.classify` classifies
-those rows. :class:`CallRecord` is the row view that indexing and iterating a
-log build.
+those rows. Of a row's seven fields the reader keeps the five that the
+pipeline reads; it checks the time and keeps neither it nor the zone.
+:class:`CallRecord` is the row view that indexing and iterating a log build.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import operator
 import re
 from collections.abc import Sequence
-from datetime import date, datetime, time
+from datetime import date, datetime
 from decimal import Decimal, InvalidOperation
 from typing import IO, Union
 
@@ -33,15 +34,16 @@ _PLAIN_FIELD = r'(?:[^\s;"](?:[^;"\r\n]{0,254}[^\s;"])?)?'
 #: one printout line whose seven fields are all in their plain form, with the
 #: checks of the per-row reader built in: ASCII digits, a real day and month
 #: number, a time inside 24 h, M:SS with seconds under 60, a bare count only
-#: for SMS, a plain decimal cost. The date and time come as one 19-character
-#: group. Any other line takes the `.*` branch, all groups empty, and goes
-#: through `_read_row`; so does a line whose date does not exist (31.02) or
-#: whose call is longer than 31 days.
+#: for SMS, a plain decimal cost. The groups are the 10-character date, the
+#: number, the service, the duration's minutes and seconds and the cost; the
+#: time is checked and the zone matched, neither kept. Any other line takes
+#: the `.*` branch, all groups empty, and goes through `_read_row`; so does a
+#: line whose date does not exist (31.02) or whose call is longer than 31 days.
 _PLAIN_ROW = re.compile(
     r"^(?:"
-    r"((?:0[1-9]|[12][0-9]|3[01])\.(?:0[1-9]|1[0-2])\.[0-9]{4};"
-    r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9]);"
-    rf"({_PLAIN_FIELD});({_PLAIN_FIELD});(Tel|SMS);"
+    r"((?:0[1-9]|[12][0-9]|3[01])\.(?:0[1-9]|1[0-2])\.[0-9]{4});"
+    r"(?:[01][0-9]|2[0-3]):[0-5][0-9]:[0-5][0-9];"
+    rf"({_PLAIN_FIELD});{_PLAIN_FIELD};(Tel|SMS);"
     r"(?:([0-9]{1,5}):([0-5][0-9])|(?<=SMS;)[0-9]{1,9});"
     r"(-?[0-9]{1,64}(?:[.,][0-9]{1,64})?)\r?"
     r"|.*)$",
@@ -51,14 +53,11 @@ _PLAIN_ROW = re.compile(
 #: characters of printout text matched in one `findall`; a block ends at a line end
 _BLOCK_CHARS = 1 << 16
 
-#: place values of the digits of ``DD.MM.YYYY;HH:MM:SS``: the digits times this
-#: matrix are the day, month, year, hour, minute and second
-_STAMP_PLACES = np.array(
-    [
-        [10 ** (stop - 1 - j) if start <= j < stop else 0
-         for start, stop in ((0, 2), (3, 5), (6, 10), (11, 13), (14, 16), (17, 19))]
-        for j in range(19)
-    ],
+#: place values of the digits of ``DD.MM.YYYY``: the digits times this
+#: matrix are the day, month and year
+_DATE_PLACES = np.array(
+    [[10 ** (stop - 1 - j) if start <= j < stop else 0 for start, stop in ((0, 2), (3, 5), (6, 10))]
+     for j in range(10)],
     dtype=np.int64,
 )
 
@@ -66,33 +65,31 @@ _STAMP_PLACES = np.array(
 class CallRecord(_Record):
     """One row of the service detail printout."""
 
-    __match_args__ = ("date", "time", "number", "zone", "service", "duration_seconds", "cost")
+    __match_args__ = ("date", "number", "service", "duration_seconds", "cost")
 
-    def __init__(self, date: date, time: time, number: str, zone: str, service: str, duration_seconds: int,
-                 cost: Decimal):
-        vars(self).update(date=date, time=time, number=number, zone=zone, service=service,
-                          duration_seconds=duration_seconds, cost=cost)
+    def __init__(self, date: date, number: str, service: str, duration_seconds: int, cost: Decimal):
+        vars(self).update(date=date, number=number, service=service, duration_seconds=duration_seconds, cost=cost)
 
 
 class CallLog(_Record, Sequence):
     """The accepted rows of a printout as columns of ints, in line order:
-    `date` the proleptic Gregorian ordinal, `time` the seconds since
-    midnight, `duration` the seconds (0 for an SMS row with a bare count).
+    `date` the proleptic Gregorian ordinal, `duration` the seconds (0 for an
+    SMS row with a bare count).
 
-    The text columns, `number`, `zone`, `service` and `cost` (the cost as
-    printed, decimal comma allowed), hold indices into `strings`, the
-    distinct texts of the printout. Indexing and iteration build
-    :class:`CallRecord` views; a log compares by identity.
+    The text columns, `number`, `service` and `cost` (the cost as printed,
+    decimal comma allowed), hold indices into `strings`, the distinct texts
+    of the printout. Indexing and iteration build :class:`CallRecord` views;
+    a log compares by identity.
     """
 
-    __match_args__ = ("date", "time", "number", "zone", "service", "duration", "cost", "strings")
+    __match_args__ = ("date", "number", "service", "duration", "cost", "strings")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, date: np.ndarray, time: np.ndarray, number: np.ndarray, zone: np.ndarray, service: np.ndarray,
-                 duration: np.ndarray, cost: np.ndarray, strings: tuple[str, ...]):
-        vars(self).update(date=date, time=time, number=number, zone=zone, service=service, duration=duration,
-                          cost=cost, strings=strings)
+    def __init__(self, date: np.ndarray, number: np.ndarray, service: np.ndarray, duration: np.ndarray,
+                 cost: np.ndarray, strings: tuple[str, ...]):
+        vars(self).update(date=date, number=number, service=service, duration=duration, cost=cost,
+                          strings=strings)
 
     def code(self, text: str) -> int:
         """The index of `text` in `strings`, or -1 when no row holds it."""
@@ -106,13 +103,10 @@ class CallLog(_Record, Sequence):
 
     def __getitem__(self, i) -> CallRecord:
         i = range(len(self))[operator.index(i)]
-        at = int(self.time[i])
         text = self.strings
         return CallRecord(
             date=date.fromordinal(int(self.date[i])),
-            time=time(at // 3600, at // 60 % 60, at % 60),
             number=text[self.number[i]],
-            zone=text[self.zone[i]],
             service=text[self.service[i]],
             duration_seconds=int(self.duration[i]),
             cost=Decimal(text[self.cost[i]].replace(",", ".")),
@@ -150,11 +144,12 @@ def _parse_cost(raw: str) -> str:
 def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple | None:
     """The per-row reader: one printout line checked field by field.
 
-    Returns the line's seven column values (the date's ordinal, the seconds
-    since midnight, the number, zone and service, the duration in seconds and
-    the cost as printed, stripped), or None for a blank line, a row with an
-    unrecognized service (noted in `issues`) or a malformed row (noted in
-    `issues`, or raised as :class:`CdrError` when `strict`).
+    Returns the line's five column values (the date's ordinal, the number
+    and service, the duration in seconds and the cost as printed, stripped),
+    or None for a blank line, a row with an unrecognized service (noted in
+    `issues`) or a malformed row (noted in `issues`, or raised as
+    :class:`CdrError` when `strict`). The time is checked and the zone
+    read; neither is kept.
     """
     try:
         row = _fields(line)
@@ -163,20 +158,12 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple 
         if len(row) != 7:
             raise ValueError(f"expected 7 columns, got {len(row)}")
         day = datetime.strptime(row[0].strip(), "%d.%m.%Y").toordinal()
-        at = datetime.strptime(row[1].strip(), "%H:%M:%S")
+        datetime.strptime(row[1].strip(), "%H:%M:%S")
         service = row[4].strip()
         if service not in KNOWN_SERVICES:
             issues.append(f"line {lineno}: unrecognized service {service!r}, skipped")
             return None
-        return (
-            day,
-            at.hour * 3600 + at.minute * 60 + at.second,
-            row[2].strip(),
-            row[3].strip(),
-            service,
-            _parse_duration(row[5], service),
-            _parse_cost(row[6]),
-        )
+        return day, row[2].strip(), service, _parse_duration(row[5], service), _parse_cost(row[6])
     except ValueError as exc:
         message = f"line {lineno}: {exc}"
         if strict:
@@ -199,7 +186,7 @@ class _LogBuilder:
     def __init__(self):
         self.strings: dict[str, int] = {}
         self.ints: dict[str, int] = {"": 0}  # digit text -> its value; "" when absent
-        self.parts: list[np.ndarray] = []  # each a 7 x rows array
+        self.parts: list[np.ndarray] = []  # each a 5 x rows array
 
     def codes_of(self, column: tuple[str, ...]) -> np.ndarray:
         strings = self.strings
@@ -218,23 +205,15 @@ class _LogBuilder:
         `lineno`, in line order; returns the block's line count."""
         rows = _PLAIN_ROW.findall(block)
         n = len(rows)
-        stamp, number, zone, service, minutes, seconds, cost = zip(*rows)
-        stamps = np.array(stamp, dtype="U19")
-        plain = stamps != ""
+        date_text, number, service, minutes, seconds, cost = zip(*rows)
+        dates = np.array(date_text, dtype="U10")
+        plain = dates != ""
         # the pattern let only ASCII digits through, so code point - 48 is the digit
-        digits = stamps.view(np.uint32).reshape(n, 19).astype(np.int64) - ord("0")
-        day, month, year, hour, minute, second = (digits @ _STAMP_PLACES).T
+        digits = dates.view(np.uint32).reshape(n, 10).astype(np.int64) - ord("0")
+        day, month, year = (digits @ _DATE_PLACES).T
         ordinal = np.where(plain, _date_ordinals(year, month, day), -1)
         duration = self.ints_of(minutes) * 60 + self.ints_of(seconds)
-        columns = np.stack([
-            ordinal,
-            (hour * 60 + minute) * 60 + second,
-            self.codes_of(number),
-            self.codes_of(zone),
-            self.codes_of(service),
-            duration,
-            self.codes_of(cost),
-        ])
+        columns = np.stack([ordinal, self.codes_of(number), self.codes_of(service), duration, self.codes_of(cost)])
         keep = plain & (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
         others = np.flatnonzero(~keep).tolist()
         if others:
@@ -242,15 +221,15 @@ class _LogBuilder:
             for i in others:
                 row = _read_row(lines[i], lineno + i, strict, issues)
                 if row is not None:
-                    day, at, *texts, duration, cost = row
-                    number, zone, service, cost = self.codes_of((*texts, cost))
-                    columns[:, i] = day, at, number, zone, service, duration, cost
+                    day, *texts, duration, cost = row
+                    number, service, cost = self.codes_of((*texts, cost))
+                    columns[:, i] = day, number, service, duration, cost
                     keep[i] = True
         self.parts.append(columns[:, keep])
         return n
 
     def build(self) -> CallLog:
-        columns = np.concatenate(self.parts, axis=1) if self.parts else np.zeros((7, 0), np.int64)
+        columns = np.concatenate(self.parts, axis=1) if self.parts else np.zeros((5, 0), np.int64)
         return CallLog(*columns, strings=tuple(self.strings))
 
 

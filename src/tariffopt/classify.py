@@ -1,5 +1,5 @@
 """Call classification: each outgoing call of a printout, sent to its
-(destination, day) class.
+(destination, day) class, one index into ``ALL_CALL_CLASSES``.
 
 :func:`classify_calls` reads the columns that :func:`tariffopt.cdr.parse_cdr`
 returns, looks each number up in a :class:`PrefixTable`, takes each date's
@@ -29,7 +29,7 @@ class CallTable(_Record):
     :func:`classify_calls` returns and the estimators read. Two tables are
     equal only if they are the same object."""
 
-    __match_args__ = ("log", "rows", "destination", "day", "minute", "unmapped")
+    __match_args__ = ("log", "rows", "call_class", "minute", "unmapped")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -37,17 +37,11 @@ class CallTable(_Record):
         self,
         log: CallLog,  # the printout the calls come from
         rows: np.ndarray,  # each call's row in `log`
-        destination: np.ndarray,  # index into DESTINATION_CLASSES
-        day: np.ndarray,  # index into DAY_CLASSES
+        call_class: np.ndarray,  # index into ALL_CALL_CLASSES
         minute: np.ndarray,  # billed minute: the duration in minutes rounded up, at least 1
         unmapped: int = 0,  # calls sent to `other-mobile` because no listed prefix matches their number
     ):
-        vars(self).update(log=log, rows=rows, destination=destination, day=day, minute=minute, unmapped=unmapped)
-
-    @property
-    def call_class(self) -> np.ndarray:
-        """Each call's index into ALL_CALL_CLASSES."""
-        return self.destination * len(DAY_CLASSES) + self.day
+        vars(self).update(log=log, rows=rows, call_class=call_class, minute=minute, unmapped=unmapped)
 
     @property
     def date(self) -> np.ndarray:
@@ -202,11 +196,11 @@ def classify_calls(
     dropped = int(np.count_nonzero(tel)) - len(rows)
     if dropped and issues is not None:
         issues.append(f"{dropped} zero-duration call(s) dropped")
+    day = np.where(weekend, DAY_CLASSES.index("weekend"), DAY_CLASSES.index("workday"))
     return CallTable(
         log=log,
         rows=rows,
-        destination=destination[numbers],
-        day=np.where(weekend, DAY_CLASSES.index("weekend"), DAY_CLASSES.index("workday")),
+        call_class=destination[numbers] * len(DAY_CLASSES) + day,
         minute=np.maximum(1, -(-log.duration[rows] // 60)),
         unmapped=unmapped,
     )

@@ -210,10 +210,12 @@ class _Series:
         return float(centered @ centered)
 
 
-def _fit(design: np.ndarray, series: _Series, degree: int, intercept: bool) -> RegressionFit:
-    """Least-squares fit of `series` on the columns of `design`: ``k**0 ...
-    k**degree`` with an intercept, ``k**1 ... k**degree`` without (see
-    :func:`_powers`)."""
+def _fit(name: str, design: np.ndarray, series: _Series, degree: int, intercept: bool) -> RegressionFit:
+    """Least-squares fit `name` of `series` on the columns of `design`:
+    ``k**0 ... k**degree`` with an intercept, ``k**1 ... k**degree`` without
+    (see :func:`_powers`). A coefficient past the float range, as a curve
+    that is almost flat gives a through-origin line on a grid of small k, is
+    a :class:`ProfileError`."""
     y = series.y
     coef, _, rank_, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank_ < design.shape[1]:
@@ -228,7 +230,11 @@ def _fit(design: np.ndarray, series: _Series, degree: int, intercept: bool) -> R
         r_squared = 0.0  # constant response: no variance to explain
     else:
         r_squared = 1.0 - ss_res / ss_tot
-    return RegressionFit(degree, intercept, tuple(np.ldexp(coef, series.shift).tolist()), r_squared)
+    try:
+        coefficients = tuple(math.ldexp(c, series.shift) for c in coef.tolist())
+    except OverflowError:
+        raise ProfileError(f"{name} over the {_span(design[:, int(intercept)])}: a coefficient overflows") from None
+    return RegressionFit(degree, intercept, coefficients, r_squared)
 
 
 #: model forms fitted by :func:`fit_report`
@@ -249,7 +255,8 @@ def fit_report(swept: Sweep) -> dict[str, RegressionFit]:
     so the gain from each extra term is visible in the R^2 progression.
     A grid whose powers of k overflow, or are numerically dependent (points
     too close together, or spread over too many orders of magnitude), is a
-    :class:`ProfileError`.
+    :class:`ProfileError`, as is a fit with a coefficient past the float
+    range.
     """
     ks = swept.ks
     if ks.size < 5:
@@ -270,6 +277,6 @@ def fit_report(swept: Sweep) -> dict[str, RegressionFit]:
     }
     series = {"stay": _Series(swept.costs[swept.stay]), "optimal": _Series(swept.optimal_costs)}
     return {
-        name: _fit(designs[degree, intercept], series[which], degree, intercept)
+        name: _fit(name, designs[degree, intercept], series[which], degree, intercept)
         for name, which, degree, intercept in FIT_FORMS
     }

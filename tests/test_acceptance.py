@@ -187,7 +187,7 @@ def test_criterion_5_regression_quality(mts_catalog, reference_profile):
     xs = np.linspace(0.5, 10.0, 15)
     for degree, coefs in polynomials.items():
         ys = np.array([sum(c * x**p for p, c in enumerate(coefs)) for x in xs])
-        fit = _fit(_powers(xs, degree), _Series(ys), degree, intercept=True)
+        fit = _fit(f"degree-{degree}", _powers(xs, degree), _Series(ys), degree, intercept=True)
         if any(abs(a - b) > 1e-6 for a, b in zip(fit.coefficients, coefs)):
             failures.append(f"degree-{degree} coefficients {fit.coefficients} != {coefs}")
         if abs(fit.r_squared - 1.0) > 1e-9:

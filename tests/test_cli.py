@@ -415,6 +415,18 @@ def test_an_overflowing_cost_is_a_validation_error_naming_its_plan(edit, command
     assert invoke(capsys, *argv) == (1, "", f"error: plan 1 ('Super Zero'): {message}\n")
 
 
+def test_a_fit_coefficient_past_the_float_range_is_a_validation_error(tmp_path, capsys):
+    """With plan 6, the current plan, at a fee of 1e307, the stay curve is
+    almost flat, and its through-origin slope over a grid of small k, about
+    fee / k, is past the float range: `fit` names the form and the grid and
+    writes nothing, where it wrote `Infinity`."""
+    catalog = _catalog_with(tmp_path, lambda doc: doc["plans"][5]["fixed"].update(subscription_fee="1e307"))
+    argv = ["fit", "--catalog", str(catalog), *BASE[2:], "--k-from", "0.01", "--k-to", "0.05", "--k-step", "0.01",
+            "--format", "json"]
+    assert invoke(capsys, *argv) == (
+        1, "", "error: stay_linear_origin over the grid from k=0.01 to k=0.05: a coefficient overflows\n")
+
+
 def test_a_grid_start_that_rounds_to_zero_is_named(capsys):
     # every point is rounded to 12 decimals, so k = 1e-13 would be k = 0
     code, out, err = invoke(capsys, "sweep", *BASE, "--k-from", "1e-13")

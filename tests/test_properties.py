@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from datetime import date, time
+from datetime import date
 from decimal import Decimal
 from fractions import Fraction
 
@@ -343,6 +343,37 @@ def test_monotonicity_under_pointwise_raise(payoff, mu):
     assert expected_call_cost(bumped, model) >= expected_call_cost(payoff, model)
 
 
+def _flat_plan(plan_id, fixed, payoff):
+    return BillingPlan(id=plan_id, name=f"plan-{plan_id}", provider="ACME", active=True, fixed=fixed,
+                       subgroups=((SubgroupRule("rest", "any", "any"), payoff),))
+
+
+#: two cost lines 1.7e-17 k apart: plan 1, the current plan, charges 0.01 a
+#: minute only past minute 34 of a call drawn from Exponential(mu=1), so its
+#: variable cost is too small to move 1.0 + k * variable off 1.0 in floats,
+#: where plan 2's line, with no variable cost, is exactly 1
+FLOAT_TIE = (
+    Catalog(
+        plans=(
+            _flat_plan(1, FixedCostSpec(Decimal(1), Decimal(0), Decimal(0)), PayoffFunction(
+                (RateSegment(1, 34, Decimal(0)), RateSegment(35, None, Decimal("0.01"))))),
+            _flat_plan(2, FixedCostSpec(Decimal(0), Decimal(1), Decimal(0)), PayoffFunction(
+                (RateSegment(1, None, Decimal(0)),))),
+        ),
+        context=SubscriberContext(current_plan_id=1, owned_sim_providers=frozenset({"ACME"})),
+    ),
+    TrafficProfile(
+        cells=tuple(
+            TrafficCell(dest, day, float((dest, day) == ("landline", "weekend")), Exponential(mu=1.0))
+            for dest, day in ALL_CALL_CLASSES
+        ),
+        observation_months=1.0,
+    ),
+    k_grid(),
+    False,
+)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     catalogs(),
@@ -350,10 +381,14 @@ def test_monotonicity_under_pointwise_raise(payoff, mu):
     st.sampled_from([k_grid(), k_grid(0.25, 3.0, 0.25), k_grid(1.0, 40.0, 3.0), [2.0]]),
     st.booleans(),
 )
+@example(*FLOAT_TIE)
 def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, twin):
-    """Switch intervals tile the grid's range, and each names the rank optimum
-    of the lines fixed + k * variable at its midpoint. A twin of the last plan
-    puts identical lines on the envelope, where only the tie-break decides."""
+    """Switch intervals tile the grid's range, and each names the optimum of
+    the exact lines fixed + k * variable at its midpoint, ties broken by
+    rank's keys. The lines are judged in exact arithmetic, as switch_points
+    walks them: in floats, two lines closer than an ulp tie. A twin of the
+    last plan puts identical lines on the envelope, where only the tie-break
+    decides."""
     if twin:
         last = catalog.plans[-1]
         copy = rebuilt(last, id=last.id + 1, name=f"plan-{last.id + 1}")
@@ -366,9 +401,10 @@ def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, 
     breakdowns = full_costs(catalog, catalog.context, profile)
     for iv in intervals:
         if iv.k_end > iv.k_start:
-            mid = 0.5 * (iv.k_start + iv.k_end)
-            at_mid = [rebuilt(b, variable=mid * b.variable) for b in breakdowns]
-            assert iv.plan_id == rank(at_mid).optimal_id
+            mid = Fraction(0.5 * (iv.k_start + iv.k_end))
+            best = min(breakdowns, key=lambda b: (
+                Fraction(b.fixed) + mid * Fraction(b.variable), not b.is_current, b.plan_id))
+            assert iv.plan_id == best.plan_id
 
 
 @st.composite
@@ -696,7 +732,7 @@ def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
     calls = classify_calls(
         parse_cdr(cdr_text([(number, "20.08.2010", 57) for number in numbers])), table, WorkdayCalendar()
     )
-    assert [DESTINATION_CLASSES[d] for d in calls.destination.tolist()] == [
+    assert [ALL_CALL_CLASSES[k][0] for k in calls.call_class.tolist()] == [
         dest or "other-mobile" for dest in expected
     ]
     assert table.unmapped_count == expected.count(None)
@@ -720,8 +756,8 @@ def test_day_column_is_the_weekday_and_holiday_rule(days_and_holidays):
     days, holidays = days_and_holidays
     text = cdr_text([("+79161234567", f"{d.day:02d}.{d.month:02d}.{d.year:04d}", 57) for d in days])
     calls = classify_calls(parse_cdr(text), PrefixTable({}), WorkdayCalendar(holidays))
-    assert calls.day.dtype == np.int64
-    assert [DAY_CLASSES[k] for k in calls.day.tolist()] == [
+    assert calls.call_class.dtype == np.int64
+    assert [ALL_CALL_CLASSES[k][1] for k in calls.call_class.tolist()] == [
         "weekend" if d.weekday() >= 5 or d in holidays else "workday" for d in days
     ]
 
@@ -802,16 +838,15 @@ def printout_lines(draw):
 
 def per_row_reader(text, strict, issues):
     """The per-row reader applied to every line after the header, each row's
-    seven column values read into a record as a log's view reads its own,
+    five column values read into a record as a log's view reads its own,
     with the cost text it keeps."""
     records = []
     for lineno, line in enumerate(text.split("\n")[1:], start=2):
         row = cdr._read_row(line, lineno, strict, issues)
         if row is not None:
-            day, at, number, zone, service, duration, cost = row
+            day, number, service, duration, cost = row
             records.append((cdr.CallRecord(
-                date.fromordinal(day), time(at // 3600, at // 60 % 60, at % 60),
-                number, zone, service, duration, Decimal(cost.replace(",", ".")),
+                date.fromordinal(day), number, service, duration, Decimal(cost.replace(",", ".")),
             ), cost))
     return records
 

@@ -354,7 +354,7 @@ def fit_points(points, degree, intercept):
     """`fit_report`'s least-squares fit of one degree on (x, y) points."""
     x, y = np.array(points, dtype=float).T
     design = np.ascontiguousarray(_powers(x, degree)[:, (0 if intercept else 1) :])
-    return _fit(design, _Series(y), degree, intercept)
+    return _fit(f"degree-{degree}", design, _Series(y), degree, intercept)
 
 
 def test_polyfit_exact_line_through_origin_data():
