@@ -43,13 +43,8 @@ profile = TrafficProfile(
 
 # one row per plan, one column per k: costs[i, j] = fixed[i] + ks[j] * variable[i]
 swept = sweep(catalog, catalog.context, profile, k_grid(0.5, 10.0, 0.5))
-plan_ids = sorted(swept.plan_ids)
-by_id = [swept.plan_ids.index(pid) for pid in plan_ids]
 # per k: k, the optimum, its cost, the stay-put cost, then every plan by id
-rows = [
-    [k, swept.plan_ids[best], at_k[best], at_k[swept.stay], *(at_k[i] for i in by_id)]
-    for k, best, at_k in zip(swept.ks.tolist(), swept.optimal.tolist(), swept.costs.T.tolist())
-]
+plan_ids, rows = swept.table()
 
 print(f"{'k':>5}{'best':>6}{'best cost':>11}{'stay cost':>11}")
 for k, best, best_cost, stay_cost, *_ in rows[::2]:

@@ -279,12 +279,7 @@ def cmd_sweep(args) -> Report:
 
     swept = _sweep(args)
     intervals = switch_points(swept)
-    plan_ids = sorted(swept.plan_ids)
-    by_id = [swept.plan_ids.index(pid) for pid in plan_ids]
-    rows = [
-        [k, swept.plan_ids[best], at_k[best], at_k[swept.stay], *(at_k[i] for i in by_id)]
-        for k, best, at_k in zip(swept.ks.tolist(), swept.optimal.tolist(), swept.costs.T.tolist())
-    ]
+    plan_ids, rows = swept.table()
     doc = {
         "points": [
             {

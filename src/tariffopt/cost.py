@@ -14,7 +14,6 @@ import math
 from typing import TYPE_CHECKING, Callable
 
 from .catalog import (
-    CALL_CLASS_INDEX,
     BillingPlan,
     Catalog,
     CatalogError,
@@ -143,7 +142,7 @@ def _priced(
         key = id(cell.durations)
         if key not in rows:
             rows[key] = row_of(cell.durations)
-        cells.append((CALL_CLASS_INDEX[cell.destination_class, cell.day_class], cell.rate, rows[key]))
+        cells.append((cell.call_class, cell.rate, rows[key]))
     priced = []
     for plan in catalog.switch_candidates(context):
         payoffs, routes = by_plan[plan.id], plan.routes

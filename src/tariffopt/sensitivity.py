@@ -9,6 +9,7 @@ cost lines, and its breakpoints are exactly where the best plan changes.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -26,8 +27,8 @@ class Sweep(_Record):
     :func:`~tariffopt.cost.full_costs`' order), column j is multiplier
     ``ks[j]``, and ``costs[i, j] = variable[i] * ks[j] + fixed[i]``.
     `optimal` holds the optimum's row at each multiplier and `stay` the
-    current plan's row. ``len()`` is the number of multipliers. A sweep
-    compares by identity.
+    current plan's row. ``len()`` is the number of multipliers, and
+    :meth:`table` the rows that reports print. A sweep compares by identity.
     """
 
     __match_args__ = ("ks", "plan_ids", "fixed", "variable", "costs", "optimal", "stay")
@@ -46,6 +47,16 @@ class Sweep(_Record):
     def optimal_costs(self) -> np.ndarray:
         """The optimum's cost at each multiplier."""
         return self.costs[self.optimal, np.arange(self.ks.size)]
+
+    def table(self) -> tuple[list[int], list[list]]:
+        """The plan ids in ascending order, and per multiplier a row: k, the
+        optimum's id, its cost, the stay cost, then each plan's cost by id."""
+        plan_ids = sorted(self.plan_ids)
+        by_id = [self.plan_ids.index(pid) for pid in plan_ids]
+        return plan_ids, [
+            [k, self.plan_ids[best], at_k[best], at_k[self.stay], *(at_k[i] for i in by_id)]
+            for k, best, at_k in zip(self.ks.tolist(), self.optimal.tolist(), self.costs.T.tolist())
+        ]
 
 
 class SwitchInterval(_Record):
@@ -114,9 +125,11 @@ def sweep(
 
     Each point's optimum is the first minimum of its column, with the rows
     taken in :func:`rank`'s tie order (the current plan, then ascending id),
-    so it is the plan ``rank`` picks from the same costs. Fees and variable
-    costs are never negative, so the grid's last k holds every plan's
-    largest cost; a cost that overflows there is a :class:`ProfileError`.
+    so it is the plan ``rank`` picks from the same float costs; where two
+    lines are within an ulp at a point, it can name another plan than the
+    exact :func:`switch_points`. Fees and variable costs are never
+    negative, so the grid's last k holds every plan's largest cost; a cost
+    that overflows there is a :class:`ProfileError`.
     ``grid`` is a sequence or a one-dimensional array of multipliers.
     """
     ks = np.array(grid, dtype=float)
@@ -158,17 +171,26 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
     """Exact breakpoints of the lower envelope of the plans' cost lines.
 
     The walk reads the sweep's exact lines, not its cost matrix. From the
-    optimum at the first point, it moves to the line that first undercuts
-    the one it is on, and lines that only touch the envelope there get no
-    interval. Of the lines that undercut it at one crossing, the one first
-    in :func:`rank`'s order past that crossing wins: the flattest, then the
-    cheapest, then the current plan, then the lowest id.
+    line exactly lowest at the first point (if several tie there, the first
+    in :func:`rank`'s order just past it), it moves to the line that first
+    undercuts the one it is on, and lines that only touch the envelope get
+    no interval. Of the lines that undercut it at one crossing, the one
+    first in :func:`rank`'s order past that crossing wins: the flattest,
+    then the cheapest, then the current plan, then the lowest id.
     """
     ids, stay = swept.plan_ids, swept.stay
     fixed, variable = swept.fixed.tolist(), swept.variable.tolist()
     first, last = float(swept.ks[0]), float(swept.ks[-1])
     touch = _TOUCH * max(1.0, abs(first), abs(last))
-    row, start, intervals = int(swept.optimal[0]), first, []
+    at_first = [f + first * v for f, v in zip(fixed, variable)]  # none negative: each within an ulp of exact
+    near = min(at_first) * (1 + 2**-50)
+    row, *tied = [i for i, cost in enumerate(at_first) if cost <= near]
+    if tied:  # the exact costs there, then rank's keys just past it
+        *_, row = min(
+            (Fraction(fixed[i]) + Fraction(first) * Fraction(variable[i]), variable[i], i != stay, ids[i], i)
+            for i in (row, *tied)
+        )
+    start, intervals = first, []
     while True:
         on_fixed, slope = fixed[row], variable[row]
         below = [((fixed[i] - on_fixed) / (slope - variable[i]), i) for i in range(len(ids)) if variable[i] < slope]

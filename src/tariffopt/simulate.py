@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .catalog import CALL_CLASS_INDEX, BillingPlan, Catalog, InputError, _Record, _shown
+from .catalog import BillingPlan, Catalog, InputError, _Record, _shown
 from .classify import CallTable
 from .cost import BILLING_MODES, LOOKUP, check_billing_mode
 from .traffic import Exponential, TrafficCell, TrafficProfile
@@ -129,23 +129,8 @@ class SimResult(_Record):
     def document(self) -> dict:
         """This result as plain dicts, lists and numbers, ready for JSON."""
         return {
-            "seed": self.seed,
-            "runs": self.runs,
-            "billing_mode": self.billing_mode,
-            "plans": [
-                {
-                    "plan_id": p.plan_id,
-                    "mean": p.mean,
-                    "stddev": p.stddev,
-                    "stderr": p.stderr,
-                    "percentiles": {
-                        "5": p.percentiles[0],
-                        "50": p.percentiles[1],
-                        "95": p.percentiles[2],
-                    },
-                }
-                for p in self.plans
-            ],
+            **vars(self),
+            "plans": [{**vars(p), "percentiles": dict(zip(("5", "50", "95"), p.percentiles))} for p in self.plans],
         }
 
     def to_json(self) -> str:
@@ -207,7 +192,6 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
     runs, size = config.runs, chunk_runs(config)
     plans = catalog.switch_candidates()
     totals = np.zeros((len(plans), runs))
-    class_of = [CALL_CLASS_INDEX[cell.destination_class, cell.day_class] for cell in config.cells]
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk, lo in enumerate(range(0, runs, size)):
             n = min(size, runs - lo)
@@ -217,7 +201,7 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
                 np.maximum(minutes, 1, out=minutes)
                 minutes = minutes.astype(np.int64)
                 run_ids = np.repeat(np.arange(n), counts)
-                for pi, costs in enumerate(_bill(catalog, plans, class_of[ci], minutes, config.billing_mode)):
+                for pi, costs in enumerate(_bill(catalog, plans, cell.call_class, minutes, config.billing_mode)):
                     totals[pi, lo : lo + n] += np.bincount(run_ids, weights=costs, minlength=n)
                     del costs  # free before the next plan's costs are drawn
                 del minutes, run_ids  # free before the next cell is drawn

@@ -185,8 +185,8 @@ def build_histogram(calls: CallTable, truncation: int) -> Empirical:
 
 
 class TrafficCell(_Record):
-    """Arrival rate (calls per month) and duration model for one
-    (destination, day) class."""
+    """Arrival rate (calls per month) and duration model for one (destination,
+    day) class; `call_class`, its index in ``ALL_CALL_CLASSES``, is not a field."""
 
     __match_args__ = ("destination_class", "day_class", "rate", "durations")
 
@@ -203,6 +203,7 @@ class TrafficCell(_Record):
                 f"cell ({self.destination_class}, {self.day_class}) has traffic "
                 f"but no duration model"
             )
+        vars(self)["call_class"] = CALL_CLASS_INDEX[self.destination_class, self.day_class]
 
 
 class TrafficProfile(_Record):
@@ -223,10 +224,9 @@ class TrafficProfile(_Record):
             )
         seen = set()
         for cell in self.cells:
-            key = (cell.destination_class, cell.day_class)
-            if key in seen:
-                raise ProfileError(f"duplicate traffic cell {key}")
-            seen.add(key)
+            if cell.call_class in seen:
+                raise ProfileError(f"duplicate traffic cell {ALL_CALL_CLASSES[cell.call_class]}")
+            seen.add(cell.call_class)
 
     @property
     def total_rate(self) -> float:
@@ -237,8 +237,7 @@ class TrafficProfile(_Record):
         """Calls/month landing in each of the plan's subgroups, in rule order."""
         rates = [0.0] * len(plan.subgroups)
         for cell in self.cells:
-            k = CALL_CLASS_INDEX[cell.destination_class, cell.day_class]
-            rates[plan.routes[k]] += cell.rate
+            rates[plan.routes[cell.call_class]] += cell.rate
         return tuple(rates)
 
     def scaled(self, k: float) -> "TrafficProfile":

@@ -7,23 +7,26 @@ run exits 0, 1 (input it cannot use) or 2 (a file it cannot read), never 3
 (an engine fault); a failed run writes nothing to stdout and one `error:`
 line to stderr, and a JSON report is strict JSON, with no `Infinity` or
 `NaN`. A mutated catalog that loads survives `serialize_catalog`, and its
-names, providers and classes are JSON strings.
+names, providers and classes are JSON strings. The grid fuzz runs `sweep`
+and `fit` over drawn multiplier grids, and each run exits 0 or 1.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from tariffopt import load_catalog, serialize_catalog
 from tariffopt.catalog import CatalogError
 from tariffopt.cli import FORMATS, main
 from tariffopt.cost import BILLING_MODES
+from tariffopt.sensitivity import MAX_GRID_POINTS
 
 from conftest import CATALOG_PATH, CDR_PATH, PREFIXES_PATH
 
@@ -124,6 +127,22 @@ def _refuse(constant):
     raise ValueError(f"not strict JSON: {constant}")
 
 
+def _checked_main(argv, fmt: str) -> int:
+    """The exit code of one in-process run, which is not 3. A failed run
+    writes nothing to stdout and one `error:` line to stderr, and a JSON
+    report is strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code != 3, err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+    elif fmt == "json":
+        json.loads(out.getvalue(), parse_constant=_refuse)
+    return code
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """The path of each unmutated input, by option name."""
@@ -153,15 +172,7 @@ def test_one_mutated_input_is_a_result_or_an_input_error(inputs, mutation, comma
     argv = [command, "--billing-mode", mode, "--format", fmt, *COMMANDS[command]]
     for option, path in paths.items():
         argv += [f"--{option}", str(mutated if option == name else path)]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 1, 2), err.getvalue()
-    if code:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
-    elif fmt == "json":
-        json.loads(out.getvalue(), parse_constant=_refuse)
+    assert _checked_main(argv, fmt) in (0, 1, 2)
     if name == "catalog":
         try:
             catalog = load_catalog(text)
@@ -174,3 +185,65 @@ def test_one_mutated_input_is_a_result_or_an_input_error(inputs, mutation, comma
                   for key in ("name", "destination_class", "day_class")]
         words += doc["context"].get("owned_sim_providers", [])
         assert all(isinstance(word, str) for word in words), words
+
+
+#: grid option texts at the edges of what `k_grid` takes: starts that round
+#: to 0 at 12 decimals, steps near that resolution, stops near the float
+#: range, texts that read as inf or nan, and negative values
+GRID_EDGES = ["0", "-0", "1e-13", "4e-13", "5e-13", "1e-12", "1.5e-12", "1e-11", "0.01", "0.5", "1", "10", "-1",
+              "-0.5", "-1e-12", "1e300", "1e307", "1.7e308", "1e400", "inf", "-inf", "nan", "NaN", "Infinity"]
+grid_values = st.sampled_from(GRID_EDGES) | st.floats().map(repr)
+#: positive starts and steps, so that many drawn grids are built
+positive_values = (st.floats(1e-14, 1e-10) | st.floats(1e-3, 1e3)).map(repr)
+
+
+def _small_or_refused(start: str, stop: str, step: str) -> bool:
+    """Whether `k_grid` refuses the grid before it builds a list, or builds
+    at most about 2,000 points."""
+    first, last, by = float(start), float(stop), float(step)
+    if not (0 < round(first, 12) and first <= last < math.inf and 0 < by < math.inf):
+        return True
+    steps = (last - first) / by
+    return steps <= 2000 or steps >= MAX_GRID_POINTS
+
+
+@st.composite
+def grids(draw):
+    """`--k-from`, `--k-to` and `--k-step` texts. One stop in three is an
+    edge value or any float, the others the start plus up to 2,000 steps; a
+    grid of more points that `k_grid` would still build is not drawn."""
+    start, step = draw(positive_values | grid_values), draw(positive_values | grid_values)
+    if not draw(st.integers(0, 2)):
+        stop = draw(grid_values)
+    else:
+        stop = repr(float(start) + draw(st.integers(0, 2000)) * float(step))
+    assume(_small_or_refused(start, stop, step))
+    return start, stop, step
+
+
+@pytest.fixture(scope="module")
+def heavy_fee_catalog(inputs):
+    """The bundled catalog with plan 6, the current plan, at a fee of 1e307."""
+    doc = json.loads(CATALOG_TEXT)
+    doc["plans"][5]["fixed"]["subscription_fee"] = "1e307"
+    path = inputs[0] / "heavy-fee-catalog"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), st.sampled_from(["sweep", "fit"]), st.sampled_from(BILLING_MODES), st.sampled_from(FORMATS),
+       grids())
+@example(True, "fit", "lookup", "json", ("0.01", "0.05", "0.01"))
+def test_a_drawn_grid_is_a_result_or_an_input_error(inputs, heavy_fee_catalog, heavy_fee, command, mode, fmt, grid):
+    """`sweep` and `fit` over a drawn grid exit 0 or 1, on the bundled
+    catalog or on one whose current plan has a fee of 1e307 (on a grid of
+    small k, its stay curve's slope overflows)."""
+    _, paths = inputs
+    catalog = heavy_fee_catalog if heavy_fee else paths["catalog"]
+    argv = [command, "--billing-mode", mode, "--format", fmt, "--catalog", str(catalog), "--cdr", str(paths["cdr"]),
+            "--prefixes", str(paths["prefixes"])]
+    # `--option=value`, as argparse reads a value such as -inf as an option
+    argv += [f"--{option}={value}" for option, value in zip(("k-from", "k-to", "k-step"), grid)]
+    assert _checked_main(argv, fmt) in (0, 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -325,6 +326,35 @@ def test_switch_points_take_the_cheaper_of_near_parallel_lines():
     intervals = switch_points(points)
     assert [iv.plan_id for iv in intervals] == [1, 2]
     assert {pid for k, pid in zip(points.ks.tolist(), optimal_ids(points)) if k > intervals[0].k_end} == {2}
+
+
+@pytest.mark.parametrize("steep, flat", [(1, 2), (2, 1)])
+def test_switch_points_start_on_the_exactly_lowest_line(steep, flat):
+    """The steep plan's line 1 + 1.5 ulp(1) k crosses the current flat plan's
+    line 1 + ulp(1) at k = 2/3. At k = 0.5 both costs round to 1 + ulp(1), so
+    the sweep names the current plan there; exactly, the steep plan is
+    cheaper. The walk starts on the exactly lowest line at the first point,
+    whichever order the plans come in, not on the sweep's float optimum."""
+    points = flat_plans_sweep(
+        sorted([(steep, "1", str(Decimal(1.5 * 2**-52))), (flat, str(Decimal(1 + 2**-52)), "0")]), flat
+    )
+    assert optimal_ids(points)[0] == flat
+    intervals = switch_points(points)
+    assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in intervals] == [
+        (0.5, 0.6666666666666666, steep), (0.6666666666666666, 10.0, flat)
+    ]
+
+
+def test_switch_points_do_not_walk_the_crossings_below_the_grid():
+    """Plans 2 and 3 cross plan 1 about 1e-10 and 2e-10 past k = 0, far
+    closer together than the walk's touch tolerance, yet plan 2 stays
+    lowest until it meets plan 3 near k = 3.3: a walk from k = 0 that took
+    those crossings as one point would jump straight to plan 3."""
+    points = flat_plans_sweep([(1, "1", "1"), (2, "1.0000000001", "3e-11"), (3, "1.0000000002", "0")], 1)
+    crossing = (points.fixed[2] - points.fixed[1]) / points.variable[1]
+    intervals = switch_points(points)
+    assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in intervals] == [(0.5, crossing, 2), (crossing, 10.0, 3)]
+    assert 3.3 < crossing < 3.4
 
 
 def test_switch_points_leave_no_slivers_where_lines_meet():

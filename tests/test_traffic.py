@@ -28,10 +28,10 @@ from tariffopt import (
     observation_months,
     parse_cdr,
 )
-from tariffopt.catalog import ALL_CALL_CLASSES
+from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX
 from tariffopt.traffic import TrafficCell, TrafficProfile
 
-from conftest import CDR_HEADER as HEADER, REFERENCE_CELL_RATES, cdr_text, classified, make_reference_profile
+from conftest import CDR_HEADER as HEADER, REFERENCE_CELL_RATES, cdr_text, classified, make_reference_profile, rebuilt
 
 PREFIXES = PrefixTable(
     {
@@ -592,6 +592,26 @@ def test_traffic_cell_rejects_unknown_classes():
         TrafficCell("landline", "holiday", 5.0, Exponential(0.4))
 
 
+@pytest.mark.parametrize("dest, day", ALL_CALL_CLASSES)
+def test_traffic_cell_carries_its_call_class_beside_its_fields(dest, day):
+    """A cell's `call_class` is its class's index in ALL_CALL_CLASSES. Like
+    `BillingPlan.routes` it is not a field: match, repr, equality and hash
+    see the four fields alone, and a pickled or rebuilt cell carries it."""
+    model = Exponential(0.5)
+    cell = TrafficCell(dest, day, 2.0, model)
+    assert cell.call_class == CALL_CLASS_INDEX[dest, day]
+    assert TrafficCell.__match_args__ == ("destination_class", "day_class", "rate", "durations")
+    assert repr(cell) == f"TrafficCell(destination_class={dest!r}, day_class={day!r}, rate=2.0, durations={model!r})"
+    assert hash(cell) == hash((dest, day, 2.0, model))
+    for other in (pickle.loads(pickle.dumps(cell)), copy.deepcopy(cell), rebuilt(cell)):
+        assert other == cell and hash(other) == hash(cell)
+        assert other.call_class == cell.call_class
+    moved = rebuilt(cell, day_class="weekend" if day == "workday" else "workday")
+    assert moved.call_class == CALL_CLASS_INDEX[dest, moved.day_class] != cell.call_class
+    with pytest.raises(AttributeError):
+        cell.call_class = 0
+
+
 @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf])
 def test_exponential_rejects_bad_mu(mu):
     with pytest.raises(ProfileError, match="mu must be positive and finite"):
@@ -610,7 +630,7 @@ def test_profile_rejects_duplicate_cells():
         TrafficCell("landline", "workday", 1.0, model),
         TrafficCell("landline", "workday", 1.0, model),
     )
-    with pytest.raises(ProfileError, match="duplicate"):
+    with pytest.raises(ProfileError, match=r"^duplicate traffic cell \('landline', 'workday'\)$"):
         TrafficProfile(cells=cells, observation_months=1.0)
 
 
