@@ -72,9 +72,9 @@ def _money(value, what: str) -> Decimal:
 
 
 class _Record:
-    """Base of every record of the package: an immutable value over the fields
-    that its class names in `__match_args__`, which its `__init__` checks and
-    stores in one step.
+    """Base of every record of the package: an immutable value over its fields,
+    which are its constructor's parameters, in order. Its `__init__` checks
+    and stores them in one step; the class's `__match_args__` lists them.
 
     Equality, hash and repr see only those fields, so an attribute derived
     from them and stored beside them (`BillingPlan.routes`) is not one.
@@ -84,6 +84,11 @@ class _Record:
     """
 
     __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1:code.co_argcount]
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -114,8 +119,6 @@ class RateSegment(_Record):
     ``to_minute is None`` marks the open tail covering all remaining minutes.
     """
 
-    __match_args__ = ("from_minute", "to_minute", "rate")
-
     def __init__(self, from_minute: int, to_minute: int | None, rate: Decimal):
         vars(self).update(from_minute=from_minute, to_minute=to_minute, rate=rate)
         if self.from_minute < 1:
@@ -140,8 +143,6 @@ class PayoffFunction(_Record):
     next one starts right after its predecessor ends, and exactly the last
     segment is open-ended.
     """
-
-    __match_args__ = ("segments",)
 
     def __init__(self, segments: tuple[RateSegment, ...]):
         vars(self).update(segments=tuple(segments))
@@ -186,8 +187,6 @@ class PricingTable(_Record):
     segment as ``rate * (row[first] - row[second])``. Both map each key of
     the groups the table was built from to its payoffs.
     """
-
-    __match_args__ = ("spans", "points", "by_point", "by_span")
 
     def __init__(
         self, spans: tuple[tuple[int, int | None], ...], points: tuple[int, ...], by_point: dict, by_span: dict
@@ -254,8 +253,6 @@ class PricingTable(_Record):
 class SubgroupRule(_Record):
     """Routing rule for one plan subgroup; `any` wildcards either dimension."""
 
-    __match_args__ = ("subgroup_name", "destination_class", "day_class")
-
     def __init__(self, subgroup_name: str, destination_class: str, day_class: str):
         vars(self).update(subgroup_name=subgroup_name, destination_class=destination_class, day_class=day_class)
         if self.destination_class not in DESTINATION_CLASSES + (ANY,):
@@ -277,8 +274,6 @@ class SubgroupRule(_Record):
 class FixedCostSpec(_Record):
     """Fee components that do not scale with traffic."""
 
-    __match_args__ = ("subscription_fee", "switch_fee", "purchase_cost")
-
     def __init__(self, subscription_fee: Decimal, switch_fee: Decimal, purchase_cost: Decimal):
         vars(self).update(subscription_fee=subscription_fee, switch_fee=switch_fee, purchase_cost=purchase_cost)
         for name in self.__match_args__:
@@ -295,8 +290,6 @@ class BillingPlan(_Record):
     It is built once and is not a field: equality, repr and serialization
     see only the rules.
     """
-
-    __match_args__ = ("id", "name", "provider", "active", "fixed", "subgroups")
 
     def __init__(
         self,
@@ -339,8 +332,6 @@ class BillingPlan(_Record):
 class SubscriberContext(_Record):
     """What the subscriber already has: current plan and owned SIM providers."""
 
-    __match_args__ = ("current_plan_id", "owned_sim_providers")
-
     def __init__(self, current_plan_id: int, owned_sim_providers: frozenset[str] = frozenset()):
         vars(self).update(current_plan_id=current_plan_id, owned_sim_providers=owned_sim_providers)
 
@@ -352,8 +343,6 @@ class Catalog(_Record):
     breakpoints, keyed by plan id. It is built once and is not a field:
     equality, repr and serialization see only the plans.
     """
-
-    __match_args__ = ("plans", "context")
 
     def __init__(self, plans: tuple[BillingPlan, ...], context: SubscriberContext):
         vars(self).update(plans=tuple(plans), context=context)
@@ -512,13 +501,8 @@ def _parse_plan(raw, entry: int) -> BillingPlan:
     except KeyError as exc:
         raise CatalogError(f"plan entry missing field {exc}") from None
     active = _expect(bool, raw.get("active", True), f"plan {plan_id} active")
-    fixed = _built(
-        f"plan {plan_id}",
-        FixedCostSpec,
-        _money(fixed_raw.get("subscription_fee", 0), f"plan {plan_id} subscription_fee"),
-        _money(fixed_raw.get("switch_fee", 0), f"plan {plan_id} switch_fee"),
-        _money(fixed_raw.get("purchase_cost", 0), f"plan {plan_id} purchase_cost"),
-    )
+    fees = [_money(fixed_raw.get(name, 0), f"plan {plan_id} {name}") for name in FixedCostSpec.__match_args__]
+    fixed = _built(f"plan {plan_id}", FixedCostSpec, *fees)
     return BillingPlan(
         id=plan_id,
         name=name,
@@ -579,11 +563,7 @@ def serialize_catalog(catalog: Catalog) -> str:
                 "name": plan.name,
                 "provider": plan.provider,
                 "active": plan.active,
-                "fixed": {
-                    "subscription_fee": str(plan.fixed.subscription_fee),
-                    "switch_fee": str(plan.fixed.switch_fee),
-                    "purchase_cost": str(plan.fixed.purchase_cost),
-                },
+                "fixed": {name: str(getattr(plan.fixed, name)) for name in FixedCostSpec.__match_args__},
                 "subgroups": [
                     {
                         "name": rule.subgroup_name,

@@ -65,8 +65,6 @@ _DATE_PLACES = np.array(
 class CallRecord(_Record):
     """One row of the service detail printout."""
 
-    __match_args__ = ("date", "number", "service", "duration_seconds", "cost")
-
     def __init__(self, date: date, number: str, service: str, duration_seconds: int, cost: Decimal):
         vars(self).update(date=date, number=number, service=service, duration_seconds=duration_seconds, cost=cost)
 
@@ -82,7 +80,6 @@ class CallLog(_Record, Sequence):
     a log compares by identity.
     """
 
-    __match_args__ = ("date", "number", "service", "duration", "cost", "strings")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 

@@ -29,7 +29,6 @@ class CallTable(_Record):
     :func:`classify_calls` returns and the estimators read. Two tables are
     equal only if they are the same object."""
 
-    __match_args__ = ("log", "rows", "call_class", "minute", "unmapped")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -66,7 +65,6 @@ class PrefixTable(_Record):
     table's own copy, fixed when the table is built, as is the lookup index.
     """
 
-    __match_args__ = ("mapping", "unmapped_count")
     __hash__ = None
 
     def __init__(self, mapping: Mapping[str, str], unmapped_count: int = 0):
@@ -128,8 +126,6 @@ class PrefixTable(_Record):
 
 class WorkdayCalendar(_Record):
     """Workday/weekend rule; Saturdays, Sundays, and listed holidays are weekends."""
-
-    __match_args__ = ("holidays",)
 
     def __init__(self, holidays: frozenset[date] = frozenset()):
         vars(self).update(holidays=holidays)

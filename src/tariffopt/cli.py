@@ -44,8 +44,6 @@ class Column(_Record):
     """One report column. A column with no CSV header, or no table header,
     appears only in the other format. `fmt` formats its table cells."""
 
-    __match_args__ = ("csv", "table", "fmt")
-
     def __init__(self, csv: str | None, table: str | None, fmt: Callable[[Any], str] = _fmt):
         vars(self).update(csv=csv, table=table, fmt=fmt)
 
@@ -57,8 +55,6 @@ class Report(_Record):
     None a blank cell. The table shows the lines `before` above its grid and
     the lines `after` below it, after a blank line.
     """
-
-    __match_args__ = ("doc", "columns", "rows", "before", "after")
 
     def __init__(self, doc: Any, columns: list[Column], rows: list[list], before: Sequence[str] = (),
                  after: Sequence[str] = ()):
@@ -100,8 +96,6 @@ def render(report: Report, fmt: str) -> str:
 
 
 class Inputs(_Record):
-    __match_args__ = ("catalog", "calls", "profile", "months", "issues")
-
     def __init__(self, catalog: Catalog, calls: CallTable, profile: TrafficProfile, months: float, issues: list[str]):
         vars(self).update(catalog=catalog, calls=calls, profile=profile, months=months, issues=issues)
 

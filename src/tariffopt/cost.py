@@ -41,8 +41,6 @@ class SubgroupCost(_Record):
     """One subgroup's share of a plan's variable expenses; `one_call_cost` is
     None when the subgroup sees no traffic."""
 
-    __match_args__ = ("name", "calls_per_month", "one_call_cost", "monthly_cost")
-
     def __init__(self, name: str, calls_per_month: float, one_call_cost: float | None, monthly_cost: float):
         vars(self).update(name=name, calls_per_month=calls_per_month, one_call_cost=one_call_cost,
                           monthly_cost=monthly_cost)
@@ -50,8 +48,6 @@ class SubgroupCost(_Record):
 
 class CostBreakdown(_Record):
     """Everything that prices one candidate plan for the coming month."""
-
-    __match_args__ = ("plan_id", "plan_name", "is_current", "subgroups", "variable", "fixed")
 
     def __init__(self, plan_id: int, plan_name: str, is_current: bool, subgroups: tuple[SubgroupCost, ...],
                  variable: float, fixed: float):
@@ -64,8 +60,6 @@ class CostBreakdown(_Record):
 
 
 class Ranking(_Record):
-    __match_args__ = ("order", "optimal_id")
-
     def __init__(self, order: tuple[int, ...], optimal_id: int):
         vars(self).update(order=order, optimal_id=optimal_id)
 
@@ -108,63 +102,6 @@ def _one_call(segments: tuple[tuple[int, int, float], ...], row: list[float]) ->
 _last: tuple | None = None
 
 
-def _priced(
-    catalog: Catalog, context: SubscriberContext, profile: TrafficProfile, mode: str
-) -> tuple[CostBreakdown, ...]:
-    """Each switch candidate's :class:`CostBreakdown`. The candidates depend
-    on whose current plan it is.
-
-    Each traffic cell is priced under the subgroup its calls route to, with
-    one row per distinct duration model, through the catalog's own table,
-    which holds each plan's payoffs under its id. A subgroup aggregating
-    several cells reports the rate-weighted average one-call cost. A
-    candidate whose full cost overflows is a :class:`CatalogError` that
-    names it.
-
-    The breakdowns of the last call are kept: a call on the same `catalog`
-    and `profile` objects with an equal `context` and `mode` returns them
-    without pricing again, so :func:`full_costs` and the sweeps that follow
-    it on one profile price it once and share its breakdowns. Any other
-    call prices and replaces them.
-    """
-    global _last
-    last = _last
-    if last is not None:
-        last_catalog, last_context, last_profile, last_mode, breakdowns = last
-        if last_catalog is catalog and last_profile is profile and last_context == context and last_mode == mode:
-            return breakdowns
-    catalog.check_context(context)
-    by_plan, row_of = _rows(catalog.pricing, mode)
-    rows, cells = {}, []
-    for cell in profile.cells:
-        if cell.rate == 0:
-            continue
-        key = id(cell.durations)
-        if key not in rows:
-            rows[key] = row_of(cell.durations)
-        cells.append((cell.call_class, cell.rate, rows[key]))
-    priced = []
-    for plan in catalog.switch_candidates(context):
-        payoffs, routes = by_plan[plan.id], plan.routes
-        rates = [0.0] * len(payoffs)
-        costs = [0.0] * len(payoffs)
-        for k, rate, row in cells:
-            j = routes[k]
-            rates[j] += rate
-            costs[j] += rate * _one_call(payoffs[j], row)
-        variable, fee = sum(costs), _fee(plan, context)
-        if not math.isfinite(variable + fee):
-            raise CatalogError(f"plan {plan.id} ({plan.name!r}): its expected monthly cost overflows")
-        subgroups = tuple([
-            SubgroupCost(rule.subgroup_name, rate, cost / rate if rate > 0 else None, cost)
-            for (rule, _), rate, cost in zip(plan.subgroups, rates, costs)
-        ])
-        priced.append(CostBreakdown(plan.id, plan.name, plan.id == context.current_plan_id, subgroups, variable, fee))
-    breakdowns = tuple(priced)
-    _last = (catalog, context, profile, mode, breakdowns)
-    return breakdowns
-
-
 def expected_call_cost(
     payoff: PayoffFunction, durations: DurationModel, mode: str = LOOKUP
 ) -> float:
@@ -194,12 +131,57 @@ def full_costs(
     profile: TrafficProfile,
     mode: str = LOOKUP,
 ) -> list[CostBreakdown]:
-    """Cost breakdown per switch candidate (active plans plus the current one).
+    """Cost breakdown per switch candidate (active plans plus the current
+    one). The candidates depend on whose current plan it is.
 
-    The list is new on each call; the breakdowns in it are the kernel's
-    (:func:`_priced`), shared with the calls that reuse its pricing.
+    Each traffic cell is priced under the subgroup its calls route to, with
+    one row per distinct duration model, through the catalog's own table,
+    which holds each plan's payoffs under its id. A subgroup aggregating
+    several cells reports the rate-weighted average one-call cost. A
+    candidate whose full cost overflows is a :class:`CatalogError` that
+    names it.
+
+    The breakdowns of the last call are kept (:data:`_last`): a call on the
+    same `catalog` and `profile` objects with an equal `context` and `mode`
+    returns them without pricing again, so the sweeps that follow a pricing
+    on one profile share its breakdowns. Any other call prices and replaces
+    them. The list is new on each call.
     """
-    return list(_priced(catalog, context, profile, mode))
+    global _last
+    last = _last
+    if last is not None:
+        last_catalog, last_context, last_profile, last_mode, kept = last
+        if last_catalog is catalog and last_profile is profile and last_context == context and last_mode == mode:
+            return list(kept)
+    catalog.check_context(context)
+    by_plan, row_of = _rows(catalog.pricing, mode)
+    rows, cells = {}, []
+    for cell in profile.cells:
+        if cell.rate == 0:
+            continue
+        key = id(cell.durations)
+        if key not in rows:
+            rows[key] = row_of(cell.durations)
+        cells.append((cell.call_class, cell.rate, rows[key]))
+    priced = []
+    for plan in catalog.switch_candidates(context):
+        payoffs, routes = by_plan[plan.id], plan.routes
+        rates = [0.0] * len(payoffs)
+        costs = [0.0] * len(payoffs)
+        for k, rate, row in cells:
+            j = routes[k]
+            rates[j] += rate
+            costs[j] += rate * _one_call(payoffs[j], row)
+        variable, fee = sum(costs), _fee(plan, context)
+        if not math.isfinite(variable + fee):
+            raise CatalogError(f"plan {plan.id} ({plan.name!r}): its expected monthly cost overflows")
+        subgroups = tuple([
+            SubgroupCost(rule.subgroup_name, rate, cost / rate if rate > 0 else None, cost)
+            for (rule, _), rate, cost in zip(plan.subgroups, rates, costs)
+        ])
+        priced.append(CostBreakdown(plan.id, plan.name, plan.id == context.current_plan_id, subgroups, variable, fee))
+    _last = (catalog, context, profile, mode, tuple(priced))
+    return priced
 
 
 def rank(breakdowns: list[CostBreakdown]) -> Ranking:

@@ -31,7 +31,6 @@ class Sweep(_Record):
     :meth:`table` the rows that reports print. A sweep compares by identity.
     """
 
-    __match_args__ = ("ks", "plan_ids", "fixed", "variable", "costs", "optimal", "stay")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -62,8 +61,6 @@ class Sweep(_Record):
 class SwitchInterval(_Record):
     """Maximal k-range over which one plan stays optimal."""
 
-    __match_args__ = ("k_start", "k_end", "plan_id")
-
     def __init__(self, k_start: float, k_end: float, plan_id: int):
         vars(self).update(k_start=k_start, k_end=k_end, plan_id=plan_id)
 
@@ -71,8 +68,6 @@ class SwitchInterval(_Record):
 class RegressionFit(_Record):
     """A polynomial fit of a cost curve; `coefficients` start with the
     constant term when `intercept` is set."""
-
-    __match_args__ = ("degree", "intercept", "coefficients", "r_squared")
 
     def __init__(self, degree: int, intercept: bool, coefficients: tuple[float, ...], r_squared: float):
         vars(self).update(degree=degree, intercept=intercept, coefficients=coefficients, r_squared=r_squared)

@@ -14,8 +14,7 @@ mean call count; so its run count (:func:`chunk_runs`, at most
 function of the config. A config whose month alone exceeds the budget is
 rejected. Every (chunk, cell) pair has its own stream keyed by (seed,
 chunk, cell), so seeded output is byte-identical across reruns and
-independent of scheduling. These keys replaced per-(run, cell) streams,
-which changed every seeded number once.
+independent of scheduling.
 
 Each cell of a chunk is drawn, billed under every plan and dropped before
 the next cell is drawn, and the statistics are taken in place. So an oracle
@@ -68,8 +67,6 @@ class SimConfig(_Record):
     one with traffic needs an :class:`Exponential` duration model, and cell
     `i`'s calls come from stream `i` of each chunk."""
 
-    __match_args__ = ("seed", "runs", "cells", "billing_mode")
-
     def __init__(self, seed: int, runs: int, cells: tuple[TrafficCell, ...], billing_mode: str = LOOKUP):
         cells = tuple(cells)
         for name, value in (("seed", seed), ("runs", runs)):
@@ -113,16 +110,12 @@ class PlanSample(_Record):
     """Monthly variable-cost sample statistics for one plan; `percentiles`
     are the 5th, 50th and 95th."""
 
-    __match_args__ = ("plan_id", "mean", "stddev", "stderr", "percentiles")
-
     def __init__(self, plan_id: int, mean: float, stddev: float, stderr: float,
                  percentiles: tuple[float, float, float]):
         vars(self).update(plan_id=plan_id, mean=mean, stddev=stddev, stderr=stderr, percentiles=percentiles)
 
 
 class SimResult(_Record):
-    __match_args__ = ("seed", "runs", "billing_mode", "plans")
-
     def __init__(self, seed: int, runs: int, billing_mode: str, plans: tuple[PlanSample, ...]):
         vars(self).update(seed=seed, runs=runs, billing_mode=billing_mode, plans=plans)
 

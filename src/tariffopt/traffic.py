@@ -49,8 +49,6 @@ class Empirical(_Record):
     are never renormalized here, and the tail is never billed.
     """
 
-    __match_args__ = ("masses",)
-
     def __init__(self, masses: tuple[float, ...]):
         vars(self).update(masses=tuple(float(m) for m in masses))
         if not self.masses:
@@ -99,8 +97,6 @@ class Exponential(_Record):
     ``exp(-mu*t)`` at any minute, so no mass is cut off.
     """
 
-    __match_args__ = ("mu",)
-
     def __init__(self, mu: float):
         vars(self).update(mu=mu)
         if not (math.isfinite(self.mu) and self.mu > 0):
@@ -140,8 +136,6 @@ class ExponentialFit(_Record):
     When the exponential assumption is good, `sample_mean` and `sample_rmsd`
     are close (an exponential's mean equals its standard deviation).
     """
-
-    __match_args__ = ("model", "sample_mean", "sample_rmsd", "sample_size")
 
     def __init__(self, model: Exponential, sample_mean: float, sample_rmsd: float, sample_size: int):
         vars(self).update(model=model, sample_mean=sample_mean, sample_rmsd=sample_rmsd, sample_size=sample_size)
@@ -188,8 +182,6 @@ class TrafficCell(_Record):
     """Arrival rate (calls per month) and duration model for one (destination,
     day) class; `call_class`, its index in ``ALL_CALL_CLASSES``, is not a field."""
 
-    __match_args__ = ("destination_class", "day_class", "rate", "durations")
-
     def __init__(self, destination_class: str, day_class: str, rate: float, durations: DurationModel | None):
         vars(self).update(destination_class=destination_class, day_class=day_class, rate=rate, durations=durations)
         if self.destination_class not in DESTINATION_CLASSES:
@@ -213,8 +205,6 @@ class TrafficProfile(_Record):
     plan's routing rules, so every plan sees the same monthly total no
     matter how it partitions the traffic.
     """
-
-    __match_args__ = ("cells", "observation_months")
 
     def __init__(self, cells: tuple[TrafficCell, ...], observation_months: float):
         vars(self).update(cells=tuple(cells), observation_months=observation_months)

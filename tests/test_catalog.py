@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import json
 import pickle
@@ -54,7 +55,7 @@ from tariffopt import (
     sweep,
     switch_points,
 )
-from tariffopt.catalog import PricingTable
+from tariffopt.catalog import PricingTable, _Record
 
 from conftest import CATALOG_PATH, CDR_PATH, MALFORMED_CATALOGS, PREFIXES_PATH, charges
 
@@ -372,6 +373,27 @@ def test_input_records_are_values_over_their_fields(cls):
             hash(record)
     else:
         assert hash(by_position) == hash(by_name) == hash(record) == hash(copies[0]) == hash(copies[1])
+
+
+def _subclasses(cls: type) -> list[type]:
+    return [sub for direct in cls.__subclasses__() for sub in (direct, *_subclasses(direct))]
+
+
+def test_every_record_lists_its_constructor_parameters_as_its_fields():
+    """Every record class of the package, the report columns and the CLI's
+    inputs too, lists its constructor's parameters, in order, as its fields,
+    and takes no `*args`, `**kwargs` or keyword-only parameter, which
+    equality, hash and repr would not see."""
+    for module in ("catalog", "cdr", "classify", "cli", "cost", "sensitivity", "simulate", "traffic"):
+        importlib.import_module(f"tariffopt.{module}")
+    records = [cls for cls in _subclasses(_Record) if cls.__module__.startswith("tariffopt.")]
+    assert {"Column", "Report", "Inputs"} | {cls.__name__ for cls in RECORD_CLASSES} <= {
+        cls.__name__ for cls in records
+    }
+    for cls in records:
+        parameters = inspect.signature(cls).parameters.values()
+        assert [p.kind for p in parameters] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * len(parameters), cls
+        assert tuple(p.name for p in parameters) == cls.__match_args__, cls
 
 
 def test_catalog_file_on_disk_loads():

@@ -319,7 +319,7 @@ def test_a_repeated_pricing_does_not_run_the_kernel(mts_catalog, kernel_runs):
     same = SubscriberContext(mts_catalog.context.current_plan_id, mts_catalog.context.owned_sim_providers)
     second = full_costs(mts_catalog, same, profile)
     # the kept product is immutable; each call builds its own list of it
-    product = cost._priced(mts_catalog, same, profile, LOOKUP)
+    product = cost._last[-1]
     assert len(kernel_runs) == 1
     assert second == first and second is not first
     assert type(product) is tuple
