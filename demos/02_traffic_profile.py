@@ -31,7 +31,7 @@ issues = []
 records = parse_cdr((DATA / "sample_cdr.csv").read_bytes(), issues=issues)
 print(f"parsed {len(records)} rows ({len(issues)} warnings)")
 
-calls = classify_calls(records, prefixes, WorkdayCalendar(), issues)
+calls = classify_calls(records, prefixes, WorkdayCalendar())
 months = observation_months(date.fromordinal(int(calls.date.min())),
                             date.fromordinal(int(calls.date.max())))
 print(f"{len(calls)} outgoing calls over {months:.2f} months")

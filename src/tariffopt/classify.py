@@ -39,8 +39,10 @@ class CallTable(_Record):
         call_class: np.ndarray,  # index into ALL_CALL_CLASSES
         minute: np.ndarray,  # billed minute: the duration in minutes rounded up, at least 1
         unmapped: int = 0,  # calls sent to `other-mobile` because no listed prefix matches their number
+        zero_length: int = 0,  # Tel rows dropped because their duration is 0
     ):
-        vars(self).update(log=log, rows=rows, call_class=call_class, minute=minute, unmapped=unmapped)
+        vars(self).update(log=log, rows=rows, call_class=call_class, minute=minute, unmapped=unmapped,
+                          zero_length=zero_length)
 
     @property
     def date(self) -> np.ndarray:
@@ -160,21 +162,17 @@ class WorkdayCalendar(_Record):
         return ((ordinals - 1) % 7 >= 5) | np.isin(ordinals, holidays)
 
 
-def classify_calls(
-    log: CallLog,
-    prefix_table: PrefixTable,
-    calendar: WorkdayCalendar,
-    issues: list[str] | None = None,
-) -> CallTable:
+def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCalendar) -> CallTable:
     """Classify all outgoing calls, dropping SMS rows and zero-duration calls.
 
     Each call goes to the class of its number's longest listed prefix (each
     distinct number is looked up once) and to its date's day class, which
     :meth:`WorkdayCalendar.weekend` tells for all dates at once. A call to an
     unlisted number goes to `other-mobile` and counts in the returned
-    `unmapped` and in the prefix table's `unmapped_count`. The billing
-    minute is the ceiling of the duration in minutes. `log` is what
-    :func:`parse_cdr` returns.
+    `unmapped` and in the prefix table's `unmapped_count`; the returned
+    `zero_length` counts the Tel rows dropped. The billing minute is the
+    ceiling of the duration in minutes. `log` is what :func:`parse_cdr`
+    returns.
     """
     import numpy as np
 
@@ -189,9 +187,6 @@ def classify_calls(
     unmapped = int(per_number[codes[[dest is None for dest in found]]].sum())
     vars(prefix_table)["unmapped_count"] += unmapped  # the one field that changes; assignment is refused
     weekend = calendar.weekend(log.date[rows])
-    dropped = int(np.count_nonzero(tel)) - len(rows)
-    if dropped and issues is not None:
-        issues.append(f"{dropped} zero-duration call(s) dropped")
     day = np.where(weekend, DAY_CLASSES.index("weekend"), DAY_CLASSES.index("workday"))
     return CallTable(
         log=log,
@@ -199,4 +194,5 @@ def classify_calls(
         call_class=destination[numbers] * len(DAY_CLASSES) + day,
         minute=np.maximum(1, -(-log.duration[rows] // 60)),
         unmapped=unmapped,
+        zero_length=int(np.count_nonzero(tel)) - len(rows),
     )

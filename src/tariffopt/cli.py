@@ -15,7 +15,7 @@ import io
 import json
 import sys
 from datetime import date
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import IO, TYPE_CHECKING, Any, Callable, Sequence
 
 from .catalog import Catalog, CdrError, InputError, _Record, _shown, load_catalog
 from .cost import BILLING_MODES, LOOKUP, full_costs, rank
@@ -100,9 +100,10 @@ class Inputs(_Record):
         vars(self).update(catalog=catalog, calls=calls, profile=profile, months=months, issues=issues)
 
 
-def _load_catalog(path: str) -> Catalog:
+def _read(path: str, reader: Callable[[IO[bytes]], Any]) -> Any:
+    """What `reader` makes of the file at `path`, opened in binary."""
     with open(path, "rb") as fh:
-        return load_catalog(fh)
+        return reader(fh)
 
 
 def _load_inputs(args) -> Inputs:
@@ -110,18 +111,12 @@ def _load_inputs(args) -> Inputs:
     from .classify import PrefixTable, WorkdayCalendar, classify_calls
     from .traffic import estimate_profile, observation_months
 
-    catalog = _load_catalog(args.catalog)
-    with open(args.prefixes, "rb") as fh:
-        prefixes = PrefixTable.from_csv(fh)
-    if args.holidays:
-        with open(args.holidays, "rb") as fh:
-            calendar = WorkdayCalendar.from_file(fh)
-    else:
-        calendar = WorkdayCalendar()
+    catalog = _read(args.catalog, load_catalog)
+    prefixes = _read(args.prefixes, PrefixTable.from_csv)
+    calendar = _read(args.holidays, WorkdayCalendar.from_file) if args.holidays else WorkdayCalendar()
     issues: list[str] = []
-    with open(args.cdr, "rb") as fh:
-        records = parse_cdr(fh, strict=args.strict, issues=issues)
-    calls = classify_calls(records, prefixes, calendar, issues)
+    records = _read(args.cdr, lambda fh: parse_cdr(fh, strict=args.strict, issues=issues))
+    calls = classify_calls(records, prefixes, calendar)
     if not calls:
         raise CdrError("no Tel traffic in the CDR")
     if args.months is not None:
@@ -139,7 +134,7 @@ def _load_inputs(args) -> Inputs:
 
 def cmd_validate(args) -> str:
     lines = []
-    catalog = _load_catalog(args.catalog)
+    catalog = _read(args.catalog, load_catalog)
     inactive = sum(not p.active for p in catalog.plans)
     lines.append(f"catalog: {len(catalog.plans)} plans, {inactive} inactive")
     lines.append(
@@ -150,8 +145,7 @@ def cmd_validate(args) -> str:
         from .cdr import parse_cdr
 
         issues: list[str] = []
-        with open(args.cdr, "rb") as fh:
-            records = parse_cdr(fh, strict=args.strict, issues=issues)
+        records = _read(args.cdr, lambda fh: parse_cdr(fh, strict=args.strict, issues=issues))
         lines.append(f"cdr: {len(records)} records parsed, {len(issues)} warnings")
         for issue in issues:
             lines.append(f"  warning: {issue}")

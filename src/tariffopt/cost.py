@@ -184,17 +184,17 @@ def full_costs(
     return priced
 
 
-def rank(breakdowns: list[CostBreakdown]) -> Ranking:
-    """Order candidates by ascending full cost.
+def tie_order(b: CostBreakdown) -> tuple[bool, int]:
+    """Rank's order among equal costs: the current plan first (no point
+    paying a switch fee for nothing), then the lowest plan id."""
+    return not b.is_current, b.plan_id
 
-    Ties prefer the current plan (no point paying a switch fee for nothing),
-    then the lowest plan id.
-    """
+
+def rank(breakdowns: list[CostBreakdown]) -> Ranking:
+    """Order candidates by ascending full cost, ties in :func:`tie_order`."""
     if not breakdowns:
         raise ValueError("nothing to rank")
-    ordered = sorted(
-        breakdowns, key=lambda b: (b.full, not b.is_current, b.plan_id)
-    )
+    ordered = sorted(breakdowns, key=lambda b: (b.full, *tie_order(b)))
     return Ranking(
         order=tuple(b.plan_id for b in ordered), optimal_id=ordered[0].plan_id
     )

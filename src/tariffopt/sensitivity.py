@@ -16,28 +16,29 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog, SubscriberContext, _Record
-from .cost import LOOKUP, full_costs
+from .cost import LOOKUP, full_costs, tie_order
 from .traffic import ProfileError, TrafficProfile
 
 
 class Sweep(_Record):
     """Every candidate's cost over a grid of traffic multipliers.
 
-    Row i of `costs` is candidate ``plan_ids[i]`` (in
-    :func:`~tariffopt.cost.full_costs`' order), column j is multiplier
-    ``ks[j]``, and ``costs[i, j] = variable[i] * ks[j] + fixed[i]``.
-    `optimal` holds the optimum's row at each multiplier and `stay` the
-    current plan's row. ``len()`` is the number of multipliers, and
-    :meth:`table` the rows that reports print. A sweep compares by identity.
+    Row i of `costs` is candidate ``plan_ids[i]``, the rows in
+    :func:`~tariffopt.cost.tie_order`, so `stay`, the current plan's row,
+    is 0. Column j is multiplier ``ks[j]``, and
+    ``costs[i, j] = variable[i] * ks[j] + fixed[i]``. `optimal` holds the
+    optimum's row at each multiplier. ``len()`` is the number of
+    multipliers, and :meth:`table` the rows that reports print. A sweep
+    compares by identity.
     """
 
     __eq__ = object.__eq__
     __hash__ = object.__hash__
+    stay = 0
 
     def __init__(self, ks: np.ndarray, plan_ids: tuple[int, ...], fixed: np.ndarray, variable: np.ndarray,
-                 costs: np.ndarray, optimal: np.ndarray, stay: int):
-        vars(self).update(ks=ks, plan_ids=plan_ids, fixed=fixed, variable=variable, costs=costs, optimal=optimal,
-                          stay=stay)
+                 costs: np.ndarray, optimal: np.ndarray):
+        vars(self).update(ks=ks, plan_ids=plan_ids, fixed=fixed, variable=variable, costs=costs, optimal=optimal)
 
     def __len__(self) -> int:
         return self.ks.size
@@ -113,14 +114,15 @@ def sweep(
     mode: str = LOOKUP,
 ) -> Sweep:
     """Read every candidate's cost line ``fixed + k * variable`` from the
-    breakdowns of :func:`~tariffopt.cost.full_costs`, then evaluate the
-    lines as one (plans x grid) array. Right after ``full_costs`` or another
+    breakdowns of :func:`~tariffopt.cost.full_costs`, sorted by
+    :func:`~tariffopt.cost.tie_order`, then evaluate the lines as one
+    (plans x grid) array. So the sweep does not depend on the order in which
+    the catalog lists its plans. Right after ``full_costs`` or another
     sweep on the same catalog, profile, context and mode, those breakdowns
     are the ones they got. The sweep's arrays are read-only.
 
-    Each point's optimum is the first minimum of its column, with the rows
-    taken in :func:`rank`'s tie order (the current plan, then ascending id),
-    so it is the plan ``rank`` picks from the same float costs; where two
+    Each point's optimum is the first minimum of its column, so it is the
+    plan :func:`~tariffopt.cost.rank` picks from the same float costs; where two
     lines are within an ulp at a point, it can name another plan than the
     exact :func:`switch_points`. Fees and variable costs are never
     negative, so the grid's last k holds every plan's largest cost; a cost
@@ -139,20 +141,17 @@ def sweep(
         raise ProfileError("multiplier grid must be sorted")
     if ks[0] <= 0:
         raise ProfileError(f"traffic multiplier must be positive, got {grid[0]}")
-    lines = full_costs(catalog, context, profile, mode)
+    lines = sorted(full_costs(catalog, context, profile, mode), key=tie_order)
     fixed = np.array([b.fixed for b in lines])
     variable = np.array([b.variable for b in lines])
-    # rank's keys past the cost; the current plan, the stay row, comes first
-    tie_order = np.array(sorted(range(len(lines)), key=lambda i: (not lines[i].is_current, lines[i].plan_id)))
-    stay = int(tie_order[0])
     with np.errstate(over="ignore"):
         costs = variable[:, None] * ks + fixed[:, None]
     if not np.isfinite(costs[:, -1]).all():
         raise ProfileError(f"plan costs overflow at traffic multiplier {grid[-1]}")
-    optimal = tie_order[costs[tie_order].argmin(axis=0)]
+    optimal = costs.argmin(axis=0)
     for array in (ks, fixed, variable, costs, optimal):
         array.flags.writeable = False
-    return Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal, stay)
+    return Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal)
 
 
 #: crossings closer than this to each other or to the grid's ends, relative
@@ -167,13 +166,14 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
 
     The walk reads the sweep's exact lines, not its cost matrix. From the
     line exactly lowest at the first point (if several tie there, the first
-    in :func:`rank`'s order just past it), it moves to the line that first
-    undercuts the one it is on, and lines that only touch the envelope get
-    no interval. Of the lines that undercut it at one crossing, the one
-    first in :func:`rank`'s order past that crossing wins: the flattest,
-    then the cheapest, then the current plan, then the lowest id.
+    in :func:`~tariffopt.cost.rank`'s order just past it), it moves to the
+    line that first undercuts the one it is on, and lines that only touch
+    the envelope get no interval. Of the lines that undercut it at one
+    crossing, the one first in ``rank``'s order past that crossing wins: the
+    flattest, then the cheapest, then the first row, as the sweep's rows
+    are in rank's tie order.
     """
-    ids, stay = swept.plan_ids, swept.stay
+    ids = swept.plan_ids
     fixed, variable = swept.fixed.tolist(), swept.variable.tolist()
     first, last = float(swept.ks[0]), float(swept.ks[-1])
     touch = _TOUCH * max(1.0, abs(first), abs(last))
@@ -182,8 +182,7 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
     row, *tied = [i for i, cost in enumerate(at_first) if cost <= near]
     if tied:  # the exact costs there, then rank's keys just past it
         *_, row = min(
-            (Fraction(fixed[i]) + Fraction(first) * Fraction(variable[i]), variable[i], i != stay, ids[i], i)
-            for i in (row, *tied)
+            (Fraction(fixed[i]) + Fraction(first) * Fraction(variable[i]), variable[i], i) for i in (row, *tied)
         )
     start, intervals = first, []
     while True:
@@ -196,7 +195,7 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
         if crossing > start + touch:
             intervals.append(SwitchInterval(start, crossing, ids[row]))
             start = crossing
-        *_, row = min((variable[i], fixed[i], i != stay, ids[i], i) for c, i in below if c <= crossing + touch)
+        *_, row = min((variable[i], fixed[i], i) for c, i in below if c <= crossing + touch)
 
 
 def _powers(x: np.ndarray, degree: int) -> np.ndarray:
@@ -280,20 +279,16 @@ def fit_report(swept: Sweep) -> dict[str, RegressionFit]:
         raise ProfileError(f"need at least 5 sweep points, got {ks.size}")
     if np.all(ks == ks[0]):  # a hand-built sweep need not be sorted
         raise ProfileError("x values are all identical")
-    forms = {(degree, intercept) for _, _, degree, intercept in FIT_FORMS}
     with np.errstate(over="ignore"):
-        powers = _powers(ks, max(degree for degree, _ in forms))
+        powers = _powers(ks, max(degree for _, _, degree, _ in FIT_FORMS))
     # a power overflows only where |k| > 1, and there the highest is the largest
     if not np.isfinite(powers[:, -1]).all():
         raise ProfileError(f"{_span(ks)} is too wide to fit: its powers of k overflow")
-    # each distinct design once, C-contiguous as np.column_stack builds it:
-    # `design @ coef` must sum in the same order whichever caller built the columns
-    designs = {
-        (degree, intercept): np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1])
-        for degree, intercept in forms
-    }
     series = {"stay": _Series(swept.costs[swept.stay]), "optimal": _Series(swept.optimal_costs)}
+    # each design C-contiguous, as np.column_stack builds it: `design @ coef`
+    # must sum in the same order whichever caller built the columns
     return {
-        name: _fit(name, designs[degree, intercept], series[which], degree, intercept)
+        name: _fit(name, np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1]), series[which],
+                   degree, intercept)
         for name, which, degree, intercept in FIT_FORMS
     }

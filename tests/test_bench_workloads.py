@@ -77,6 +77,7 @@ def test_call_table_counts_the_unmapped_calls_of_every_bulk_printout(bench_modul
         before = prefixes.unmapped_count
         calls = classify_calls(parse_cdr(sub.cdr), prefixes, calendar)
         assert calls.unmapped == prefixes.unmapped_count - before == sub.unmapped
+        assert calls.zero_length == sub.zero_length
         total += calls.unmapped
     assert total > 0
 

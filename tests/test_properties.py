@@ -45,6 +45,7 @@ from tariffopt import (
     switch_points,
 )
 from tariffopt import cdr, simulate
+from tariffopt.cost import tie_order
 from tariffopt.sensitivity import FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
@@ -439,7 +440,7 @@ def catalogs_with_twins(draw):
 def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
     """At each multiplier, the sweep's optimum, its cost, the stay cost and
     every plan's cost equal what `rank` makes of the scaled breakdowns, bit
-    for bit, with plan costs in breakdown order."""
+    for bit, with plan costs in rank's tie order."""
     breakdowns = full_costs(catalog, catalog.context, profile, mode)
     current = next(b.plan_id for b in breakdowns if b.is_current)
     lines = {b.plan_id: (b.fixed, b.variable) for b in breakdowns}
@@ -456,7 +457,22 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
         best = rank(at_k).optimal_id
         assert (optimal[j], best_costs[j], stay_costs[j]) == (best, costs[best], costs[current])
         assert costs_at(swept, j) == costs
-        assert list(costs_at(swept, j)) == [b.plan_id for b in breakdowns]
+        assert list(costs_at(swept, j)) == [b.plan_id for b in sorted(breakdowns, key=tie_order)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogs_with_twins(), traffic_profiles(), st.sampled_from(BILLING_MODES), st.data())
+def test_sweep_does_not_depend_on_the_catalog_plan_order(catalog, profile, mode, data):
+    """A catalog with its plans shuffled gives the same sweep, array for
+    array and byte for byte, and the same switch points and fits."""
+    shuffled = rebuilt(catalog, plans=tuple(data.draw(st.permutations(catalog.plans))))
+    swept, other = (sweep(c, c.context, profile, k_grid(), mode) for c in (catalog, shuffled))
+    assert (other.plan_ids, other.stay) == (swept.plan_ids, swept.stay)
+    for name in ("ks", "fixed", "variable", "costs", "optimal"):
+        mine, theirs = getattr(swept, name), getattr(other, name)
+        assert (theirs.dtype, theirs.tobytes()) == (mine.dtype, mine.tobytes())
+    assert switch_points(other) == switch_points(swept)
+    assert fit_report(other) == fit_report(swept)
 
 
 @st.composite
@@ -587,14 +603,13 @@ def test_full_costs_equal_plan_by_plan_pricing(catalog_and_context, profile, mod
 @settings(max_examples=100, deadline=None)
 @given(shared_breakpoint_catalogs(), mixed_profiles(), st.sampled_from(BILLING_MODES), st.booleans())
 def test_sweep_points_lie_on_the_full_cost_lines(catalog_and_context, profile, mode, own_context):
-    """`sweep` prices the candidates without `full_costs`; its lines are
-    `full_costs`' lines in its order, and its cost of each plan at every
-    multiplier is still ``variable * k + fixed`` of `full_costs`, bit for
-    bit."""
+    """`sweep`'s lines are `full_costs`' lines in rank's tie order, and its
+    cost of each plan at every multiplier is still ``variable * k + fixed``
+    of `full_costs`, bit for bit."""
     catalog, other = catalog_and_context
     context = catalog.context if own_context else other
     grid = k_grid(0.25, 12.0, 0.25)
-    breakdowns = full_costs(catalog, context, profile, mode)
+    breakdowns = sorted(full_costs(catalog, context, profile, mode), key=tie_order)
     swept = sweep(catalog, context, profile, grid, mode)
     assert swept.plan_ids == tuple(b.plan_id for b in breakdowns)
     assert swept.fixed.tolist() == [b.fixed for b in breakdowns]

@@ -466,7 +466,7 @@ def hand_built_sweep(ks, fixed=1.0, variable=2.0):
     they need not be sorted."""
     ks = np.array(ks, dtype=float)
     costs = (variable * ks + fixed)[None, :]
-    return Sweep(ks, (1,), np.array([fixed]), np.array([variable]), costs, np.zeros(ks.size, dtype=np.intp), 0)
+    return Sweep(ks, (1,), np.array([fixed]), np.array([variable]), costs, np.zeros(ks.size, dtype=np.intp))
 
 
 def test_fit_report_rejects_a_grid_whose_cube_alone_overflows():

@@ -43,10 +43,10 @@ PREFIXES = PrefixTable(
 )
 
 
-def classify_rows(rows, prefixes=PREFIXES, calendar=WorkdayCalendar(), issues=None):
+def classify_rows(rows, prefixes=PREFIXES, calendar=WorkdayCalendar()):
     """`rows`, each ``(number, date, seconds)``, as :func:`classify_calls`
     reads them from a printout."""
-    return classify_calls(parse_cdr(cdr_text(rows)), prefixes, calendar, issues)
+    return classify_calls(parse_cdr(cdr_text(rows)), prefixes, calendar)
 
 
 def call_classes(calls):
@@ -301,15 +301,14 @@ def test_classify_longest_prefix_wins():
 
 
 def test_classify_calls_drops_sms_and_zero_duration():
-    issues = []
     text = (
         cdr_text([FRIDAY_CALL])
         + "20.08.2010;12:00:00;+79161234567;Moscow;SMS;1;2.542\n"
         + "20.08.2010;12:00:00;+79161234567;Moscow;Tel;0:00;2.542\n"
     )
-    calls = classify_calls(parse_cdr(text), PREFIXES, WorkdayCalendar(), issues)
+    calls = classify_calls(parse_cdr(text), PREFIXES, WorkdayCalendar())
     assert len(calls) == 1
-    assert "zero-duration" in issues[0]
+    assert calls.zero_length == 1
 
 
 def test_unmapped_count_adds_one_per_unmapped_call():
