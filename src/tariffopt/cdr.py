@@ -27,9 +27,9 @@ KNOWN_SERVICES = ("Tel", "SMS")
 #: longest call a printout row may record: 31 days
 MAX_CALL_SECONDS = 31 * 24 * 60 * 60
 
-# A field that csv + strip() reads unchanged: no quote, separator or line
-# break, no whitespace at either end, and far below csv's field size limit.
-_PLAIN_FIELD = r'(?:[^\s;"](?:[^;"\r\n]{0,254}[^\s;"])?)?'
+# A field that csv + strip() reads unchanged: empty, or 1 to 256 characters
+# with no quote, separator or line break and no whitespace at either end.
+_PLAIN_FIELD = r'(?:[^\s;"][^;"\r\n]{0,255}(?<!\s)|)'
 
 #: one printout line whose seven fields are all in their plain form, with the
 #: checks of the per-row reader built in: ASCII digits, a real day and month

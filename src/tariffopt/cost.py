@@ -11,7 +11,8 @@ of adopting a plan gives the full cost that ranks the candidates.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable
+from fractions import Fraction
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .catalog import (
     BillingPlan,
@@ -190,11 +191,32 @@ def tie_order(b: CostBreakdown) -> tuple[bool, int]:
     return not b.is_current, b.plan_id
 
 
+#: float costs within this factor of each other may be in either order exactly:
+#: none is negative, and a float sum of products lies within a few ulps of the exact sum
+NEAR = 1 + 2**-50
+
+
+def cheapest_first(items: Sequence, costs: list[float], exact: Callable, key: Callable) -> list:
+    """`items` by ascending float `costs` (none negative), except that each
+    run of neighbours whose costs are within :data:`NEAR` of each other, as
+    equal costs are, is sorted by ``(exact(item), *key(item))``: an exact
+    cost is computed only inside such a run."""
+    order = sorted(range(len(items)), key=costs.__getitem__)
+    ordered = [items[i] for i in order]
+    ends = [n for n in range(1, len(order)) if costs[order[n]] > costs[order[n - 1]] * NEAR]
+    if len(ends) < len(order) - 1:  # some run holds two or more
+        for start, end in zip([0, *ends], [*ends, len(order)]):
+            if end - start > 1:
+                ordered[start:end] = sorted(ordered[start:end], key=lambda item: (exact(item), *key(item)))
+    return ordered
+
+
 def rank(breakdowns: list[CostBreakdown]) -> Ranking:
-    """Order candidates by ascending full cost, ties in :func:`tie_order`."""
+    """Order candidates by ascending full cost, exact where the float sums
+    are near-ties (:func:`cheapest_first`), ties in :func:`tie_order`."""
     if not breakdowns:
         raise ValueError("nothing to rank")
-    ordered = sorted(breakdowns, key=lambda b: (b.full, *tie_order(b)))
-    return Ranking(
-        order=tuple(b.plan_id for b in ordered), optimal_id=ordered[0].plan_id
+    ordered = cheapest_first(
+        breakdowns, [b.full for b in breakdowns], lambda b: Fraction(b.fixed) + Fraction(b.variable), tie_order
     )
+    return Ranking(order=tuple(b.plan_id for b in ordered), optimal_id=ordered[0].plan_id)

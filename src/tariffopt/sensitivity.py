@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog, SubscriberContext, _Record
-from .cost import LOOKUP, full_costs, tie_order
+from .cost import LOOKUP, NEAR, cheapest_first, full_costs, tie_order
 from .traffic import ProfileError, TrafficProfile
 
 
@@ -27,9 +27,9 @@ class Sweep(_Record):
     :func:`~tariffopt.cost.tie_order`, so `stay`, the current plan's row,
     is 0. Column j is multiplier ``ks[j]``, and
     ``costs[i, j] = variable[i] * ks[j] + fixed[i]``. `optimal` holds the
-    optimum's row at each multiplier. ``len()`` is the number of
-    multipliers, and :meth:`table` the rows that reports print. A sweep
-    compares by identity.
+    row of the line exactly lowest at each multiplier, the first of exact
+    ties. ``len()`` is the number of multipliers, and :meth:`table` the rows
+    that reports print. A sweep compares by identity.
     """
 
     __eq__ = object.__eq__
@@ -121,10 +121,10 @@ def sweep(
     sweep on the same catalog, profile, context and mode, those breakdowns
     are the ones they got. The sweep's arrays are read-only.
 
-    Each point's optimum is the first minimum of its column, so it is the
-    plan :func:`~tariffopt.cost.rank` picks from the same float costs; where two
-    lines are within an ulp at a point, it can name another plan than the
-    exact :func:`switch_points`. Fees and variable costs are never
+    Each point's optimum is the line exactly lowest there, ties to the
+    first row: the column's float minimum, re-judged by
+    :func:`~tariffopt.cost.cheapest_first` at near-ties, so at k = 1 it is
+    :func:`~tariffopt.cost.rank`'s pick. Fees and variable costs are never
     negative, so the grid's last k holds every plan's largest cost; a cost
     that overflows there is a :class:`ProfileError`.
     ``grid`` is a sequence or a one-dimensional array of multipliers.
@@ -149,6 +149,12 @@ def sweep(
     if not np.isfinite(costs[:, -1]).all():
         raise ProfileError(f"plan costs overflow at traffic multiplier {grid[-1]}")
     optimal = costs.argmin(axis=0)
+    near = costs <= costs.min(axis=0) * NEAR
+    if np.count_nonzero(near) > ks.size:
+        for j in np.flatnonzero(np.count_nonzero(near, axis=0) > 1).tolist():
+            k, rows = Fraction(float(ks[j])), np.flatnonzero(near[:, j]).tolist()
+            exact = {i: Fraction(lines[i].fixed) + k * Fraction(lines[i].variable) for i in rows}  # all one run
+            optimal[j] = cheapest_first(rows, costs[rows, j].tolist(), exact.get, lambda i: (i,))[0]
     for array in (ks, fixed, variable, costs, optimal):
         array.flags.writeable = False
     return Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal)
@@ -164,26 +170,23 @@ _TOUCH = 1e-9
 def switch_points(swept: Sweep) -> list[SwitchInterval]:
     """Exact breakpoints of the lower envelope of the plans' cost lines.
 
-    The walk reads the sweep's exact lines, not its cost matrix. From the
-    line exactly lowest at the first point (if several tie there, the first
-    in :func:`~tariffopt.cost.rank`'s order just past it), it moves to the
-    line that first undercuts the one it is on, and lines that only touch
-    the envelope get no interval. Of the lines that undercut it at one
-    crossing, the one first in ``rank``'s order past that crossing wins: the
-    flattest, then the cheapest, then the first row, as the sweep's rows
-    are in rank's tie order.
+    The walk reads the sweep's exact lines, not its cost matrix. It starts
+    on the line exactly lowest at the first point
+    (:func:`~tariffopt.cost.cheapest_first`), exact ties going to
+    :func:`~tariffopt.cost.rank`'s order just past it, and moves to the line
+    that first undercuts the one it is on; lines that only touch the
+    envelope get no interval. Of the lines that undercut it at one crossing,
+    the first in ``rank``'s order past it wins: the flattest, then the
+    cheapest, then the first row, as the rows are in rank's tie order.
     """
     ids = swept.plan_ids
     fixed, variable = swept.fixed.tolist(), swept.variable.tolist()
     first, last = float(swept.ks[0]), float(swept.ks[-1])
     touch = _TOUCH * max(1.0, abs(first), abs(last))
-    at_first = [f + first * v for f, v in zip(fixed, variable)]  # none negative: each within an ulp of exact
-    near = min(at_first) * (1 + 2**-50)
-    row, *tied = [i for i, cost in enumerate(at_first) if cost <= near]
-    if tied:  # the exact costs there, then rank's keys just past it
-        *_, row = min(
-            (Fraction(fixed[i]) + Fraction(first) * Fraction(variable[i]), variable[i], i) for i in (row, *tied)
-        )
+    row = cheapest_first(
+        range(len(ids)), [f + first * v for f, v in zip(fixed, variable)],
+        lambda i: Fraction(fixed[i]) + Fraction(first) * Fraction(variable[i]), lambda i: (variable[i], i),
+    )[0]
     start, intervals = first, []
     while True:
         on_fixed, slope = fixed[row], variable[row]

@@ -1,7 +1,8 @@
 """The benchmark's workloads still run against the package: each one loads
 its inputs and makes one untraced pass with no failed operation, and its
 set-up probe runs in a fresh interpreter. A second pass runs the pricing
-kernel once per profile it prices, no more and no fewer.
+kernel once per profile it prices, no more and no fewer, and a pass builds
+an exact rational cost only where two float costs are a near-tie.
 
 The benchmark under bench/ calls the package's public API as it stands; a
 change that breaks one of those calls fails here, not first in a benchmark
@@ -63,6 +64,28 @@ def test_a_second_pass_prices_each_profile_once(bench_modules, name, monkeypatch
     result = workload.run_pass(spans.Tracer(False))
     assert result.unexpected == 0
     assert len(runs) == KERNEL_RUNS[name]
+
+
+#: rationals built in a pass: `rank`, `sweep` and `switch_points` compare exact
+#: costs only where floats cannot tell them apart. One bulk-ingest profile
+#: prices plan 2 at 315 + 1.7e-23 and plan 4 at 250 + 65, both 315.0 in
+#: floats, so `rank` builds their two exact sums
+RATIONALS = {"paper-oracle": 0, "bulk-ingest": 4, "growth-scan": 0}
+
+
+@pytest.mark.parametrize("name", sorted(RATIONALS))
+def test_a_pass_builds_rationals_only_at_near_ties(bench_modules, name, monkeypatch, tmp_path):
+    from tariffopt import cost, sensitivity
+
+    spans, workloads = bench_modules
+    workload = workloads.WORKLOADS[name](BENCH.parent, 111, work=tmp_path)
+    workload.load()
+    built = []
+    for module in (cost, sensitivity):
+        monkeypatch.setattr(module, "Fraction", lambda *args, make=module.Fraction: built.append(args) or make(*args))
+    result = workload.run_pass(spans.Tracer(False))
+    assert result.unexpected == 0
+    assert len(built) == RATIONALS[name]
 
 
 def test_call_table_counts_the_unmapped_calls_of_every_bulk_printout(bench_modules):

@@ -230,6 +230,32 @@ def test_rank_by_cost_then_id():
     assert rank(rows).order == (2, 3, 1)
 
 
+def test_rank_compares_exactly_where_float_full_costs_are_equal():
+    """Plan 1's variable cost 2**-60 is lost in its float full cost, 1.0, so
+    both plans cost 1.0 in floats and the current plan 1 would come first;
+    exactly, plan 2 is cheaper. Plan 3, equal to plan 2 exactly, follows it
+    by id, and plan 4, 2**-49 dearer, is never reordered."""
+    rows = [
+        CostBreakdown(4, "w", False, (), variable=0.0, fixed=1.0 + 2**-49),
+        CostBreakdown(1, "x", True, (), variable=2**-60, fixed=1.0),
+        CostBreakdown(3, "z", False, (), variable=0.0, fixed=1.0),
+        CostBreakdown(2, "y", False, (), variable=0.0, fixed=1.0),
+    ]
+    assert {b.full for b in rows[1:]} == {1.0}
+    assert rank(rows).order == (2, 3, 1, 4)
+
+
+def test_cheapest_first_reorders_only_near_ties():
+    """Only the run of float costs within NEAR of each other is ordered by
+    the exact costs, and only its items' exact costs are computed."""
+    costs = [3.0, 1.0, 1.0 * cost.NEAR, 2.0, 1.0]
+    exact = {0: 3, 1: 1, 2: 0, 3: 2, 4: 1}
+    asked = []
+    ordered = cost.cheapest_first(list(range(5)), costs, lambda i: asked.append(i) or exact[i], lambda i: (-i,))
+    assert ordered == [2, 4, 1, 3, 0]
+    assert sorted(asked) == [1, 2, 4]
+
+
 def test_rank_empty_rejected():
     with pytest.raises(ValueError):
         rank([])

@@ -45,8 +45,8 @@ from tariffopt import (
     switch_points,
 )
 from tariffopt import cdr, simulate
-from tariffopt.cost import tie_order
-from tariffopt.sensitivity import FIT_FORMS
+from tariffopt.cost import LOOKUP, tie_order
+from tariffopt.sensitivity import _TOUCH, FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
 from conftest import cdr_text, charges, classified, costs_at, first_match, optimal_ids, rebuilt
@@ -408,6 +408,16 @@ def test_switch_intervals_follow_rank_on_the_cost_lines(catalog, profile, grid, 
             assert iv.plan_id == best.plan_id
 
 
+def test_float_tie_has_one_cheapest_plan():
+    """On FLOAT_TIE, rank, every point of the sweep's optimum and the switch
+    points all name plan 2, the exactly cheaper line."""
+    catalog, profile, grid, _ = FLOAT_TIE
+    swept = sweep(catalog, catalog.context, profile, grid)
+    assert rank(full_costs(catalog, catalog.context, profile)).optimal_id == 2
+    assert optimal_ids(swept) == [2] * len(grid)
+    assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in switch_points(swept)] == [(0.5, 10.0, 2)]
+
+
 @st.composite
 def catalogs_with_twins(draw):
     """A catalog, maybe with a twin of the current plan (without a switch fee,
@@ -438,9 +448,12 @@ def catalogs_with_twins(draw):
     st.sampled_from(BILLING_MODES),
 )
 def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
-    """At each multiplier, the sweep's optimum, its cost, the stay cost and
-    every plan's cost equal what `rank` makes of the scaled breakdowns, bit
-    for bit, with plan costs in rank's tie order."""
+    """At each multiplier, the sweep's optimum is the line exactly lowest
+    there, ties by row, as the rows are in rank's tie order. Its cost, the
+    stay cost and every plan's cost equal the scaled breakdowns' full costs,
+    bit for bit, with plan costs in rank's tie order. (`rank` of those
+    breakdowns judges the exact sums of the rounded products k * variable,
+    so at a near-tie it can name another line.)"""
     breakdowns = full_costs(catalog, catalog.context, profile, mode)
     current = next(b.plan_id for b in breakdowns if b.is_current)
     lines = {b.plan_id: (b.fixed, b.variable) for b in breakdowns}
@@ -451,13 +464,41 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
     assert dict(zip(swept.plan_ids, zip(swept.fixed.tolist(), swept.variable.tolist()))) == lines
     optimal, best_costs = optimal_ids(swept), swept.optimal_costs.tolist()
     stay_costs = swept.costs[swept.stay].tolist()
+    ordered = sorted(breakdowns, key=tie_order)
     for j, k in enumerate(grid):
         at_k = [rebuilt(b, variable=k * b.variable) for b in breakdowns]
         costs = {b.plan_id: b.full for b in at_k}
-        best = rank(at_k).optimal_id
+        best = min(ordered, key=lambda b: Fraction(b.fixed) + Fraction(k) * Fraction(b.variable)).plan_id
         assert (optimal[j], best_costs[j], stay_costs[j]) == (best, costs[best], costs[current])
         assert costs_at(swept, j) == costs
-        assert list(costs_at(swept, j)) == [b.plan_id for b in sorted(breakdowns, key=tie_order)]
+        assert list(costs_at(swept, j)) == [b.plan_id for b in ordered]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    catalogs_with_twins(),
+    traffic_profiles(),
+    st.sampled_from(BILLING_MODES),
+    st.sampled_from([k_grid(), k_grid(0.25, 3.0, 0.25), k_grid(1.0, 40.0, 3.0), [2.0]]),
+)
+@example(*FLOAT_TIE[:2], LOOKUP, FLOAT_TIE[2])
+def test_rank_sweep_and_switch_points_agree_on_the_cheapest_plan(catalog, profile, mode, grid):
+    """Each point's optimum is the line exactly lowest there, ties by row; a
+    point more than the walk's touch tolerance inside a switch interval
+    names that interval's plan or one exactly as cheap there; and at k = 1,
+    rank picks the sweep's optimum."""
+    swept = sweep(catalog, catalog.context, profile, grid, mode)
+    lines = dict(zip(swept.plan_ids, zip(swept.fixed.tolist(), swept.variable.tolist())))
+    touch = _TOUCH * max(1.0, grid[0], grid[-1])
+    intervals = switch_points(swept)
+    for k, best in zip(grid, optimal_ids(swept)):
+        exact = {pid: Fraction(fixed) + Fraction(k) * Fraction(variable) for pid, (fixed, variable) in lines.items()}
+        assert best == min(swept.plan_ids, key=exact.get)
+        for iv in intervals:
+            if iv.k_start + touch < k < iv.k_end - touch:
+                assert exact[iv.plan_id] == exact[best]
+        if k == 1:
+            assert rank(full_costs(catalog, catalog.context, profile, mode)).optimal_id == best
 
 
 @settings(max_examples=100, deadline=None)
@@ -907,6 +948,8 @@ def printout(*lines, final_newline=True):
 @example([GOOD_ROW.replace(";Tel", "\r;Tel"), GOOD_ROW], True, 1 << 16)  # a bare CR
 @example(["", ";;;;;;", GOOD_ROW, "  "], False, 1 << 16)  # blank lines
 @example([GOOD_ROW, "bad", GOOD_ROW, GOOD_ROW.replace("Tel", "GPRS"), GOOD_ROW], True, 40)  # blocks
+@example([GOOD_ROW.replace("+79161234567", "7" * 256), GOOD_ROW.replace("+79161234567", "7" * 257)], True, 1 << 16)
+@example([GOOD_ROW.replace("Moscow", "Moscow\t")], True, 1 << 16)  # a field ending in a tab
 def test_block_reader_matches_the_per_row_reader(lines, final_newline, block_chars):
     """parse_cdr gives the rows and issues of the per-row reader run on every
     line, and under strict fails on the same line, whatever the block size."""

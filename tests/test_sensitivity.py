@@ -331,14 +331,14 @@ def test_switch_points_take_the_cheaper_of_near_parallel_lines():
 @pytest.mark.parametrize("steep, flat", [(1, 2), (2, 1)])
 def test_switch_points_start_on_the_exactly_lowest_line(steep, flat):
     """The steep plan's line 1 + 1.5 ulp(1) k crosses the current flat plan's
-    line 1 + ulp(1) at k = 2/3. At k = 0.5 both costs round to 1 + ulp(1), so
-    the sweep names the current plan there; exactly, the steep plan is
-    cheaper. The walk starts on the exactly lowest line at the first point,
-    whichever order the plans come in, not on the sweep's float optimum."""
+    line 1 + ulp(1) at k = 2/3. At k = 0.5 both costs round to 1 + ulp(1);
+    exactly, the steep plan is cheaper. The walk starts on the exactly lowest
+    line at the first point, whichever order the plans come in, and the
+    sweep names that line there too."""
     points = flat_plans_sweep(
         sorted([(steep, "1", str(Decimal(1.5 * 2**-52))), (flat, str(Decimal(1 + 2**-52)), "0")]), flat
     )
-    assert optimal_ids(points)[0] == flat
+    assert optimal_ids(points)[0] == steep
     intervals = switch_points(points)
     assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in intervals] == [
         (0.5, 0.6666666666666666, steep), (0.6666666666666666, 10.0, flat)
