@@ -111,31 +111,32 @@ class CallLog(_Record, Sequence):
 
 
 def _parse_duration(raw: str, service: str) -> int:
-    """Duration column: ``M:SS`` for calls; a bare count for SMS rows."""
+    """Duration column: ``M:SS`` for calls; a bare count for SMS rows; digits only."""
     raw = raw.strip()
     if ":" in raw:
-        minutes_part, _, seconds_part = raw.partition(":")
-        minutes = int(minutes_part)
-        seconds = int(seconds_part)
-        if minutes < 0 or not 0 <= seconds < 60:
+        minutes, _, seconds = raw.partition(":")
+        if not (minutes.isdecimal() and seconds.isdecimal() and int(seconds) < 60):
             raise ValueError(f"bad duration {raw!r}")
-        if minutes * 60 + seconds > MAX_CALL_SECONDS:
+        total = int(minutes) * 60 + int(seconds)
+        if total > MAX_CALL_SECONDS:
             raise ValueError(f"duration {raw!r} is longer than 31 days")
-        return minutes * 60 + seconds
+        return total
     if service == "SMS":
-        int(raw)  # must still be a number
+        if not raw.isdecimal():
+            raise ValueError(f"bad duration {raw!r}")
         return 0
     raise ValueError(f"bad duration {raw!r} for service {service!r}")
 
 
 def _parse_cost(raw: str) -> str:
-    """The cost column as printed, stripped, once it reads as a decimal."""
+    """The cost column as printed, stripped, once it reads as a finite decimal."""
     cost = raw.strip()
     try:
-        Decimal(cost.replace(",", "."))
+        if Decimal(cost.replace(",", ".")).is_finite():
+            return cost
     except InvalidOperation:
-        raise ValueError(f"bad cost {raw!r}") from None
-    return cost
+        pass
+    raise ValueError(f"bad cost {raw!r}")
 
 
 def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple | None:

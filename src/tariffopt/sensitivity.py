@@ -171,23 +171,19 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
     """Exact breakpoints of the lower envelope of the plans' cost lines.
 
     The walk reads the sweep's exact lines, not its cost matrix. It starts
-    on the line exactly lowest at the first point
-    (:func:`~tariffopt.cost.cheapest_first`), exact ties going to
-    :func:`~tariffopt.cost.rank`'s order just past it, and moves to the line
-    that first undercuts the one it is on; lines that only touch the
-    envelope get no interval. Of the lines that undercut it at one crossing,
-    the first in ``rank``'s order past it wins: the flattest, then the
-    cheapest, then the first row, as the rows are in rank's tie order.
+    on the sweep's optimum at the first point, the line exactly lowest there,
+    and moves to the line that first undercuts the one it is on; lines that
+    only touch the envelope get no interval. Of the lines that undercut it
+    at one crossing, the first in :func:`~tariffopt.cost.rank`'s order past
+    it wins: the flattest, then the cheapest, then the first row, as the
+    rows are in rank's tie order. So a flatter line tied with the optimum at
+    the first point, which meets it there, takes over at once.
     """
     ids = swept.plan_ids
     fixed, variable = swept.fixed.tolist(), swept.variable.tolist()
     first, last = float(swept.ks[0]), float(swept.ks[-1])
     touch = _TOUCH * max(1.0, abs(first), abs(last))
-    row = cheapest_first(
-        range(len(ids)), [f + first * v for f, v in zip(fixed, variable)],
-        lambda i: Fraction(fixed[i]) + Fraction(first) * Fraction(variable[i]), lambda i: (variable[i], i),
-    )[0]
-    start, intervals = first, []
+    start, row, intervals = first, int(swept.optimal[0]), []
     while True:
         on_fixed, slope = fixed[row], variable[row]
         below = [((fixed[i] - on_fixed) / (slope - variable[i]), i) for i in range(len(ids)) if variable[i] < slope]

@@ -44,7 +44,7 @@ from tariffopt import (
     sweep,
     switch_points,
 )
-from tariffopt import cdr, simulate
+from tariffopt import cdr, sensitivity, simulate
 from tariffopt.cost import LOOKUP, tie_order
 from tariffopt.sensitivity import _TOUCH, FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
@@ -418,6 +418,18 @@ def test_float_tie_has_one_cheapest_plan():
     assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in switch_points(swept)] == [(0.5, 10.0, 2)]
 
 
+def test_switch_points_build_no_rational(monkeypatch):
+    """The walk starts on the sweep's optimum at the first point, so on
+    FLOAT_TIE, where the sweep settles that point in rationals, the walk
+    builds none of its own."""
+    catalog, profile, grid, _ = FLOAT_TIE
+    swept = sweep(catalog, catalog.context, profile, grid)
+    built = []
+    monkeypatch.setattr(sensitivity, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    assert [iv.plan_id for iv in switch_points(swept)] == [2]
+    assert built == []
+
+
 @st.composite
 def catalogs_with_twins(draw):
     """A catalog, maybe with a twin of the current plan (without a switch fee,
@@ -485,8 +497,9 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
 def test_rank_sweep_and_switch_points_agree_on_the_cheapest_plan(catalog, profile, mode, grid):
     """Each point's optimum is the line exactly lowest there, ties by row; a
     point more than the walk's touch tolerance inside a switch interval
-    names that interval's plan or one exactly as cheap there; and at k = 1,
-    rank picks the sweep's optimum."""
+    names that interval's plan or one exactly as cheap there; on a one-point
+    grid the one interval names the point's optimum; and at k = 1, rank
+    picks the sweep's optimum."""
     swept = sweep(catalog, catalog.context, profile, grid, mode)
     lines = dict(zip(swept.plan_ids, zip(swept.fixed.tolist(), swept.variable.tolist())))
     touch = _TOUCH * max(1.0, grid[0], grid[-1])
@@ -499,6 +512,8 @@ def test_rank_sweep_and_switch_points_agree_on_the_cheapest_plan(catalog, profil
                 assert exact[iv.plan_id] == exact[best]
         if k == 1:
             assert rank(full_costs(catalog, catalog.context, profile, mode)).optimal_id == best
+    if len(grid) == 1:
+        assert [iv.plan_id for iv in intervals] == optimal_ids(swept)
 
 
 @settings(max_examples=100, deadline=None)
@@ -831,8 +846,8 @@ NEAR_MISS_FIELDS = {
     0: ("1.3.2010", "31.02.2010", "29.02.2011", "01.01.0000", "2010-08-20"),
     1: ("24:00:00", "9:05:03", "23:59:60", "12:01"),
     4: ("GPRS", "tel"),
-    5: ("1:75", "44640:01", "57", "+1", "1:5"),
-    6: ("3.0.0", "3,000", "1e5", "abc", " 1"),
+    5: ("1:75", "44640:01", "57", "+1", "1:5", "-0:30", "+1_0:30"),
+    6: ("3.0.0", "3,000", "1e5", "abc", " 1", "NaN", "Infinity"),
 }
 
 

@@ -252,9 +252,9 @@ def test_switch_points_tied_identical_plans():
     assert intervals[0].plan_id == 2  # tie resolved toward the current plan
 
 
-def flat_plans_sweep(plans, current_plan_id):
+def flat_plans_sweep(plans, current_plan_id, grid=None):
     """Sweep single-subgroup flat-rate plans, given as (id, fee, rate), at one
-    call a month over the default grid."""
+    call a month, whose cost is the rate, over `grid` or the default grid."""
     import json
 
     from tariffopt import Exponential, TrafficCell, TrafficProfile, load_catalog
@@ -285,7 +285,7 @@ def flat_plans_sweep(plans, current_plan_id):
         cells=(TrafficCell("landline", "workday", 1.0, Exponential(mu=0.5)),),
         observation_months=1.0,
     )
-    return sweep(catalog, catalog.context, profile, k_grid())
+    return sweep(catalog, catalog.context, profile, grid or k_grid())
 
 
 def test_switch_points_find_plan_optimal_between_grid_points():
@@ -343,6 +343,17 @@ def test_switch_points_start_on_the_exactly_lowest_line(steep, flat):
     assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in intervals] == [
         (0.5, 0.6666666666666666, steep), (0.6666666666666666, 10.0, flat)
     ]
+
+
+def test_switch_points_name_the_sweeps_optimum_on_a_one_point_tie():
+    """Plans 1 and 2 both cost 11 at k = 0.5. The sweep names the current
+    plan 1 there, and so does the one interval, though plan 2, the flatter
+    line, is cheaper just past it."""
+    points = flat_plans_sweep([(1, "10", "2"), (2, "10.5", "1")], 1, [0.5])
+    assert costs_at(points, 0) == {1: 11.0, 2: 11.0}
+    intervals = switch_points(points)
+    assert [(iv.k_start, iv.k_end, iv.plan_id) for iv in intervals] == [(0.5, 0.5, 1)]
+    assert optimal_ids(points) == [1]
 
 
 def test_switch_points_do_not_walk_the_crossings_below_the_grid():

@@ -136,6 +136,27 @@ def test_parse_tel_integer_duration_is_malformed():
     assert issues
 
 
+@pytest.mark.parametrize("service, duration, cost, message", [
+    ("Tel", "-0:30", "2.542", "bad duration '-0:30'"),
+    ("Tel", "+1_0:30", "2.542", "bad duration '+1_0:30'"),
+    ("Tel", "1: 30", "2.542", "bad duration '1: 30'"),
+    ("SMS", "+1", "2.542", "bad duration '+1'"),
+    ("Tel", "0:57", "NaN", "bad cost 'NaN'"),
+    ("Tel", "0:57", "sNaN", "bad cost 'sNaN'"),
+    ("Tel", "0:57", "Infinity", "bad cost 'Infinity'"),
+    ("Tel", "0:57", "-Infinity", "bad cost '-Infinity'"),
+])
+def test_parse_rejects_signed_durations_and_non_finite_costs(service, duration, cost, message):
+    """A duration is decimal digits, with no sign, underscore or inner space,
+    and a cost is a finite decimal; any other row is malformed."""
+    text = HEADER + f"20.08.2010;12:01:27;+7985;Moscow;{service};{duration};{cost}\n"
+    issues = []
+    assert list(parse_cdr(text, issues=issues)) == []
+    assert issues == [f"line 2: {message}, row skipped"]
+    with pytest.raises(CdrError, match=f"^line 2: {re.escape(message)}$"):
+        parse_cdr(text, strict=True)
+
+
 def test_parse_calls_longer_than_31_days_are_malformed():
     row = "20.08.2010;12:01:27;+7985;Moscow;Tel;{};2.542\n"
     rows = parse_cdr(HEADER + row.format("44640:00"))  # 31 days exactly
