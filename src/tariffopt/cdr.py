@@ -14,7 +14,7 @@ import operator
 import re
 from collections.abc import Sequence
 from datetime import date, datetime
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import IO, Union
 
 import numpy as np
@@ -129,14 +129,14 @@ def _parse_duration(raw: str, service: str) -> int:
 
 
 def _parse_cost(raw: str) -> str:
-    """The cost column as printed, stripped, once it reads as a finite decimal."""
+    """The cost column as printed, stripped: an optional leading ``-``, then
+    decimal digits with at most one ``.`` or ``,`` among them, at least one
+    digit in all; no ``+``, underscore, exponent or inner space."""
     cost = raw.strip()
-    try:
-        if Decimal(cost.replace(",", ".")).is_finite():
-            return cost
-    except InvalidOperation:
-        pass
-    raise ValueError(f"bad cost {raw!r}")
+    whole, _, fraction = cost.removeprefix("-").replace(",", ".").partition(".")
+    if not (whole + fraction).isdecimal():
+        raise ValueError(f"bad cost {raw!r}")
+    return cost
 
 
 def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple | None:

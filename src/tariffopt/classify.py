@@ -2,8 +2,10 @@
 (destination, day) class, one index into ``ALL_CALL_CLASSES``.
 
 :func:`classify_calls` reads the columns that :func:`tariffopt.cdr.parse_cdr`
-returns, looks each number up in a :class:`PrefixTable`, takes each date's
-day class from a :class:`WorkdayCalendar`, and returns the calls as columns
+returns, looks each distinct number up once in a :class:`PrefixTable` (one
+dict probe on its first characters, then a few ``startswith`` checks), takes
+each date's day class from a :class:`WorkdayCalendar` (a binary search in the
+calendar's sorted holidays), and returns the calls as columns
 (:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic` read.
 
 Loading a prefix table or a holiday list imports no numpy; only the
@@ -22,6 +24,11 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .cdr import CallLog
+
+
+#: each destination class's index into DESTINATION_CLASSES; None, a number
+#: with no listed prefix, gets -1
+_DESTINATION_INDEX = {**{dest: i for i, dest in enumerate(DESTINATION_CLASSES)}, None: -1}
 
 
 class CallTable(_Record):
@@ -65,6 +72,11 @@ class PrefixTable(_Record):
     `other-mobile` and counts it in `unmapped_count`, the one attribute that
     changes, so a table is not hashable. `mapping` is a read-only view of the
     table's own copy, fixed when the table is built, as is the lookup index.
+
+    The index files each non-empty prefix under its stem, its first
+    `_shortest` characters (the length of the shortest prefix), longest
+    prefix first; a lookup probes the number's stem once and takes the first
+    of those prefixes that the number starts with.
     """
 
     __hash__ = None
@@ -74,11 +86,14 @@ class PrefixTable(_Record):
         for prefix, dest in classes.items():
             if dest not in DESTINATION_CLASSES:
                 raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
-        # an empty prefix matches no number; it must leave the lookup dict
-        # too, since number[:n] of the empty number is "" for every n
-        lookup = {prefix: dest for prefix, dest in classes.items() if prefix}
+        # an empty prefix matches no number, so it leaves the index too
+        shortest = min(map(len, filter(None, classes)), default=0)
+        stems: dict[str, tuple[tuple[str, str], ...]] = {}
+        for prefix in sorted(filter(None, classes), key=len, reverse=True):
+            stem = prefix[:shortest]
+            stems[stem] = (*stems.get(stem, ()), (prefix, classes[prefix]))
         vars(self).update(mapping=MappingProxyType(classes), unmapped_count=unmapped_count,
-                          _classes=lookup, _lengths=tuple(sorted({len(p) for p in lookup}, reverse=True)))
+                          _shortest=shortest, _stems=stems)
 
     def __reduce__(self):
         """Pickle and copy through the constructor, as a mappingproxy does not pickle."""
@@ -118,19 +133,23 @@ class PrefixTable(_Record):
 
     def _lookup(self, number: str) -> str | None:
         """The class of `number`'s longest listed prefix; None when no prefix is listed."""
-        classes = self._classes
-        for length in self._lengths:
-            dest = classes.get(number[:length])
-            if dest is not None:
+        for prefix, dest in self._stems.get(number[:self._shortest], ()):
+            if number.startswith(prefix):
                 return dest
         return None
 
 
 class WorkdayCalendar(_Record):
-    """Workday/weekend rule; Saturdays, Sundays, and listed holidays are weekends."""
+    """Workday/weekend rule; Saturdays, Sundays, and listed holidays are weekends.
+
+    The holidays' ordinals are sorted once, when the calendar is built, and
+    end in one past `date.max`'s, which no date reaches, so a binary search
+    for any date lands on an entry.
+    """
 
     def __init__(self, holidays: frozenset[date] = frozenset()):
-        vars(self).update(holidays=holidays)
+        vars(self).update(holidays=holidays,
+                          _ordinals=(*sorted(day.toordinal() for day in holidays), date.max.toordinal() + 1))
 
     @classmethod
     def from_file(cls, source: Union[bytes, str, IO]) -> "WorkdayCalendar":
@@ -155,18 +174,20 @@ class WorkdayCalendar(_Record):
 
     def weekend(self, ordinals: np.ndarray) -> np.ndarray:
         """Whether each date, a proleptic Gregorian ordinal, is a weekend day
-        or a holiday; ordinal 1, 0001-01-01, is a Monday."""
+        or a holiday; ordinal 1, 0001-01-01, is a Monday. A date is a holiday
+        when the first holiday ordinal not below it is its own."""
         import numpy as np
 
-        holidays = np.array([day.toordinal() for day in self.holidays], dtype=np.int64)
-        return ((ordinals - 1) % 7 >= 5) | np.isin(ordinals, holidays)
+        holidays = np.array(self._ordinals, dtype=np.int64)
+        return ((ordinals - 1) % 7 >= 5) | (holidays[np.searchsorted(holidays, ordinals)] == ordinals)
 
 
 def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCalendar) -> CallTable:
     """Classify all outgoing calls, dropping SMS rows and zero-duration calls.
 
     Each call goes to the class of its number's longest listed prefix (each
-    distinct number is looked up once) and to its date's day class, which
+    distinct number is looked up once, and its class read into an index by
+    one dict) and to its date's day class, which
     :meth:`WorkdayCalendar.weekend` tells for all dates at once. A call to an
     unlisted number goes to `other-mobile` and counts in the returned
     `unmapped` and in the prefix table's `unmapped_count`; the returned
@@ -181,10 +202,12 @@ def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCal
     numbers = log.number[rows]
     per_number = np.bincount(numbers, minlength=len(log.strings))
     codes = np.flatnonzero(per_number)
-    found = [prefix_table._lookup(log.strings[code]) for code in codes.tolist()]
+    found = map(prefix_table._lookup, map(log.strings.__getitem__, codes.tolist()))
     destination = np.zeros(len(log.strings), dtype=np.int64)
-    destination[codes] = [DESTINATION_CLASSES.index(dest or "other-mobile") for dest in found]
-    unmapped = int(per_number[codes[[dest is None for dest in found]]].sum())
+    destination[codes] = np.fromiter(map(_DESTINATION_INDEX.__getitem__, found), np.int64, len(codes))
+    unlisted = destination < 0
+    unmapped = int(per_number[unlisted].sum())
+    destination[unlisted] = DESTINATION_CLASSES.index("other-mobile")
     vars(prefix_table)["unmapped_count"] += unmapped  # the one field that changes; assignment is refused
     weekend = calendar.weekend(log.date[rows])
     day = np.where(weekend, DAY_CLASSES.index("weekend"), DAY_CLASSES.index("workday"))

@@ -795,6 +795,10 @@ def prefix_tables_and_numbers(draw):
 @settings(max_examples=300, deadline=None)
 @given(prefix_tables_and_numbers())
 @example(({"": "landline", "1": "same-network"}, ["", "2", "1", "12"]))  # empty prefix, empty number
+# nested prefixes that share a stem, listed shortest first
+@example(({"01": "landline", "012": "same-network", "0123": "other-mobile"}, ["01239", "0129", "0199", "0"]))
+@example(({"0123": "landline"}, ["012", "", "0123", "01234"]))  # the one prefix longer than a number
+@example(({}, ["", "0", "012"]))  # an empty table
 def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
     mapping, numbers = table_and_numbers
     table = PrefixTable(mapping)
@@ -823,6 +827,10 @@ def call_dates_and_holidays(draw):
 @settings(max_examples=300, deadline=None)
 @given(call_dates_and_holidays())
 @example(([date(1, 1, 1), date(1, 1, 5), date(1, 1, 7), date(9999, 12, 31)], frozenset({date(1, 1, 1)})))
+@example(([date(2010, 3, 6), date(2010, 3, 8)], frozenset()))  # no holidays
+# holidays all before, or all after, every call date
+@example(([date(2010, 3, 8), date(9999, 12, 31)], frozenset({date(1, 1, 1), date(2010, 3, 7)})))
+@example(([date(1, 1, 1), date(2010, 3, 8)], frozenset({date(2010, 3, 9), date(9999, 12, 31)})))
 def test_day_column_is_the_weekday_and_holiday_rule(days_and_holidays):
     days, holidays = days_and_holidays
     text = cdr_text([("+79161234567", f"{d.day:02d}.{d.month:02d}.{d.year:04d}", 57) for d in days])
@@ -847,7 +855,7 @@ NEAR_MISS_FIELDS = {
     1: ("24:00:00", "9:05:03", "23:59:60", "12:01"),
     4: ("GPRS", "tel"),
     5: ("1:75", "44640:01", "57", "+1", "1:5", "-0:30", "+1_0:30"),
-    6: ("3.0.0", "3,000", "1e5", "abc", " 1", "NaN", "Infinity"),
+    6: ("3.0.0", "3,000", "1e5", "abc", " 1", "NaN", "Infinity", "1_000", "+3"),
 }
 
 

@@ -145,16 +145,32 @@ def test_parse_tel_integer_duration_is_malformed():
     ("Tel", "0:57", "sNaN", "bad cost 'sNaN'"),
     ("Tel", "0:57", "Infinity", "bad cost 'Infinity'"),
     ("Tel", "0:57", "-Infinity", "bad cost '-Infinity'"),
+    ("Tel", "0:57", "1_000", "bad cost '1_000'"),
+    ("Tel", "0:57", "+3", "bad cost '+3'"),
+    ("Tel", "0:57", "1e5", "bad cost '1e5'"),
+    ("Tel", "0:57", "1E-2", "bad cost '1E-2'"),
+    ("Tel", "0:57", ".", "bad cost '.'"),
+    ("Tel", "0:57", "1,2.3", "bad cost '1,2.3'"),
 ])
 def test_parse_rejects_signed_durations_and_non_finite_costs(service, duration, cost, message):
     """A duration is decimal digits, with no sign, underscore or inner space,
-    and a cost is a finite decimal; any other row is malformed."""
+    and a cost is an optional leading ``-``, then decimal digits with at most
+    one ``.`` or ``,`` among them; any other row is malformed, though
+    `Decimal` reads some of them (``1_000``, ``+3``, ``1e5``)."""
     text = HEADER + f"20.08.2010;12:01:27;+7985;Moscow;{service};{duration};{cost}\n"
     issues = []
     assert list(parse_cdr(text, issues=issues)) == []
     assert issues == [f"line 2: {message}, row skipped"]
     with pytest.raises(CdrError, match=f"^line 2: {re.escape(message)}$"):
         parse_cdr(text, strict=True)
+
+
+@pytest.mark.parametrize("cost, value", [
+    (".5", "0.5"), ("5.", "5"), ("-0,5", "-0.5"), ("\u0663.\u0660", "3.0"), (" 2,542 ", "2.542"), ("007", "7"),
+])
+def test_parse_cost_keeps_decimal_digits_with_one_point_or_comma(cost, value):
+    [row] = parse_cdr(HEADER + f"20.08.2010;12:01:27;+7985;Moscow;Tel;0:57;{cost}\n", strict=True)
+    assert row.cost == Decimal(value)
 
 
 def test_parse_calls_longer_than_31_days_are_malformed():
@@ -337,6 +353,20 @@ def test_unmapped_count_adds_one_per_unmapped_call():
     calls = classify_rows([("+15551234567", "20.08.2010", 57)] * 3 + [FRIDAY_CALL], table)
     assert [dest for dest, _, _ in call_classes(calls)] == ["other-mobile"] * 3 + ["same-network"]
     assert table.unmapped_count == 3
+
+
+def test_classify_looks_up_each_distinct_number_once(monkeypatch):
+    looked_up = []
+    lookup = PrefixTable._lookup
+
+    def counted(table, number):
+        looked_up.append(number)
+        return lookup(table, number)
+
+    monkeypatch.setattr(PrefixTable, "_lookup", counted)
+    calls = classify_rows([FRIDAY_CALL] * 3 + [UNLISTED_CALL], PrefixTable({"+7916": "same-network"}))
+    assert len(calls) == 4 and calls.unmapped == 1
+    assert sorted(looked_up) == sorted([FRIDAY_CALL[0], UNLISTED_CALL[0]])
 
 
 def test_prefix_table_from_csv():
