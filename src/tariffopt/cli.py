@@ -345,7 +345,7 @@ def cmd_fit(args) -> Report:
 
 
 def cmd_simulate(args) -> Report:
-    from .simulate import SimConfig, run
+    from .simulate import PERCENTILES, SimConfig, run
 
     inputs = _load_inputs(args)
     config = SimConfig.from_profile(
@@ -359,9 +359,7 @@ def cmd_simulate(args) -> Report:
             Column("mean", "mean"),
             Column("stddev", "stddev"),
             Column("stderr", "stderr", _fmt4),
-            Column("p5", "p5"),
-            Column("p50", "p50"),
-            Column("p95", "p95"),
+            *(Column(f"p{q}", f"p{q}") for q in PERCENTILES),
         ],
         rows=[[p.plan_id, p.mean, p.stddev, p.stderr, *p.percentiles] for p in result.plans],
         before=[
@@ -447,7 +445,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # engine invariant breach: should never happen
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)

@@ -5,7 +5,9 @@ Generates random months of traffic from the profile's own traffic cells
 durations) and pushes every generated call through each switch candidate's
 price schedule, routed to a subgroup by the plan's `routes` as in the
 pricing kernel. Sample means validate the analytic engine; sample
-percentiles describe the month-to-month cost spread.
+percentiles (:data:`PERCENTILES`) describe the month-to-month cost spread.
+A config holds only the cells with traffic; stream `i` of each chunk draws
+the i-th of them, however the config was built.
 
 Months are drawn in fixed chunks. A chunk's budget is :data:`CHUNK_CALLS`
 calls, each month counted at a bound about 9 standard deviations above its
@@ -46,6 +48,8 @@ class SimulationError(InputError):
 MAX_RUNS = 10**7
 #: most simulated months per chunk; each (chunk, cell) pair has its own stream
 CHUNK_RUNS = 4096
+#: the percentiles of each plan's monthly cost that a run reports
+PERCENTILES = (5, 50, 95)
 #: most calls one chunk budgets for: CHUNK_RUNS months of the bundled
 #: profile's cells, whose bounds come to 209 calls per month
 CHUNK_CALLS = CHUNK_RUNS * 209
@@ -58,17 +62,17 @@ def _cell_calls(rate: float) -> int:
 
 
 def _month_calls(cells: Sequence[TrafficCell]) -> int:
-    """Calls budgeted per month over the cells with traffic."""
-    return sum(_cell_calls(cell.rate) for cell in cells if cell.rate)
+    """Calls budgeted per month over the cells."""
+    return sum(_cell_calls(cell.rate) for cell in cells)
 
 
 class SimConfig(_Record):
-    """A seeded oracle run. `cells` are the profile's traffic cells; each
-    one with traffic needs an :class:`Exponential` duration model, and cell
-    `i`'s calls come from stream `i` of each chunk."""
+    """A seeded oracle run. It keeps only the given cells with traffic, each
+    of which needs an :class:`Exponential` duration model; the i-th of them
+    draws its calls from stream `i` of each chunk."""
 
     def __init__(self, seed: int, runs: int, cells: tuple[TrafficCell, ...], billing_mode: str = LOOKUP):
-        cells = tuple(cells)
+        cells = tuple(cell for cell in cells if cell.rate)
         for name, value in (("seed", seed), ("runs", runs)):
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise SimulationError(f"{name} must be an integer, got {value!r}")
@@ -81,7 +85,7 @@ class SimConfig(_Record):
         if self.billing_mode not in BILLING_MODES:
             raise SimulationError(f"unknown billing mode {self.billing_mode!r}")
         for cell in self.cells:
-            if cell.rate and not isinstance(cell.durations, Exponential):
+            if not isinstance(cell.durations, Exponential):
                 raise SimulationError(
                     f"cell ({cell.destination_class}, {cell.day_class}) has no "
                     f"exponential duration model to simulate from"
@@ -102,13 +106,12 @@ class SimConfig(_Record):
         billing_mode: str = LOOKUP,
     ) -> "SimConfig":
         """Simulation config over the profile's cells that have traffic."""
-        cells = tuple(cell for cell in profile.cells if cell.rate)
-        return cls(seed=seed, runs=runs, cells=cells, billing_mode=billing_mode)
+        return cls(seed=seed, runs=runs, cells=profile.cells, billing_mode=billing_mode)
 
 
 class PlanSample(_Record):
     """Monthly variable-cost sample statistics for one plan; `percentiles`
-    are the 5th, 50th and 95th."""
+    are those of :data:`PERCENTILES`, in order."""
 
     def __init__(self, plan_id: int, mean: float, stddev: float, stderr: float,
                  percentiles: tuple[float, float, float]):
@@ -123,7 +126,7 @@ class SimResult(_Record):
         """This result as plain dicts, lists and numbers, ready for JSON."""
         return {
             **vars(self),
-            "plans": [{**vars(p), "percentiles": dict(zip(("5", "50", "95"), p.percentiles))} for p in self.plans],
+            "plans": [{**vars(p), "percentiles": dict(zip(map(str, PERCENTILES), p.percentiles))} for p in self.plans],
         }
 
     def to_json(self) -> str:
@@ -150,8 +153,6 @@ def generate_months(
     the durations of all months follow in one draw, concatenated in run
     order.
     """
-    if cell.rate == 0:
-        return np.zeros(runs, dtype=np.int64), np.empty(0)
     counts = rng.poisson(cell.rate, runs)
     return counts, rng.exponential(1.0 / cell.durations.mu, int(counts.sum()))
 
@@ -204,15 +205,12 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
         # a (plans x runs) array of deviations
         stddevs = [float(row.std(ddof=1)) for row in totals] if runs > 1 else [0.0] * len(plans)
         # last: partitioning in place reorders each row
-        percentiles = np.percentile(totals, [5, 50, 95], axis=1, overwrite_input=True).T.tolist()
+        percentiles = np.percentile(totals, PERCENTILES, axis=1, overwrite_input=True).T.tolist()
+    samples = []
     for plan, mean, stddev, p in zip(plans, means, stddevs, percentiles):
         if not all(map(math.isfinite, (mean, stddev, *p))):
             raise SimulationError(f"plan {plan.id} ({plan.name!r}): its simulated monthly cost statistics overflow")
-    return SimResult(
-        seed=config.seed,
-        runs=config.runs,
-        billing_mode=config.billing_mode,
-        plans=tuple(
+        samples.append(
             PlanSample(
                 plan_id=plan.id,
                 mean=mean,
@@ -220,9 +218,8 @@ def run(config: SimConfig, catalog: Catalog) -> SimResult:
                 stderr=stddev / math.sqrt(runs),
                 percentiles=tuple(p),
             )
-            for plan, mean, stddev, p in zip(plans, means, stddevs, percentiles)
-        ),
-    )
+        )
+    return SimResult(seed=config.seed, runs=config.runs, billing_mode=config.billing_mode, plans=tuple(samples))
 
 
 def replay_trace(

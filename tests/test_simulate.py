@@ -233,6 +233,21 @@ def test_from_profile_keeps_the_profile_cells_with_traffic():
     assert config.cells == tuple(c for c in profile.cells if c.rate)
     assert config.cells == (cells[0], cells[2])
     assert (config.seed, config.runs, config.billing_mode) == (3, 10, "cumulative")
+    # the constructor keeps the same cells, in the same order
+    assert SimConfig(seed=3, runs=10, cells=cells, billing_mode="cumulative") == config
+
+
+def test_a_config_draws_the_same_traffic_however_it_was_built(mts_catalog):
+    """A cell without traffic takes no stream: stream `i` is the i-th cell
+    with traffic, whether the cells came through the constructor or from a
+    profile."""
+    zero = TrafficCell("same-network", "workday", 0.0, None)
+    a = TrafficCell("same-network", "weekend", 4.0, Exponential(0.41))
+    b = TrafficCell("landline", "workday", 8.0, Exponential(0.41))
+    profile = TrafficProfile(cells=(zero, a, b), observation_months=1.0)
+    built = run(SimConfig(seed=3, runs=500, cells=profile.cells), mts_catalog)
+    assert built == run(SimConfig.from_profile(profile, seed=3, runs=500), mts_catalog)
+    assert SimConfig(seed=3, runs=500, cells=(zero, a)) == SimConfig(seed=3, runs=500, cells=(a,))
 
 
 def test_from_profile_requires_exponential_durations(mts_catalog):
