@@ -185,7 +185,8 @@ class PricingTable(_Record):
     after the last span. The open tail's end is the column after the last
     point, so a row over `points` or `spans` with 0 appended prices each
     segment as ``rate * (row[first] - row[second])``. Both map each key of
-    the groups the table was built from to its payoffs.
+    the groups the table was built from to its payoffs, in the group's
+    order; a payoff listed more than once is the same tuple each time.
     """
 
     def __init__(
@@ -195,46 +196,41 @@ class PricingTable(_Record):
 
     @classmethod
     def of(cls, groups: dict) -> "PricingTable":
-        """Table of `groups`, a dict from any key to a sequence of payoffs."""
-        segments = {key: [payoff.float_segments for payoff in payoffs] for key, payoffs in groups.items()}
+        """Table of `groups`, a dict from any key to a sequence of payoffs;
+        each distinct payoff object is converted once, however often it is listed."""
+        segments = {id(payoff): payoff.float_segments for payoffs in groups.values() for payoff in payoffs}
         spans = {}
-        for payoffs in segments.values():
-            for payoff in payoffs:
-                for a, b, _ in payoff:
-                    spans.setdefault((a - 1, b), len(spans))
+        for payoff in segments.values():
+            for a, b, _ in payoff:
+                spans.setdefault((a - 1, b), len(spans))
         points = sorted({t for span in spans for t in span if t is not None})
         column = {t: c for c, t in enumerate(points)}
         column[None] = len(points)
+        by_point, by_span = {}, {}
+        for key, payoff in segments.items():
+            by_point[key] = tuple([(column[a - 1], column[b], rate) for a, b, rate in payoff])
+            by_span[key] = tuple([(spans[a - 1, b], len(spans), rate) for a, b, rate in payoff])
         return cls(
             spans=tuple(spans),
             points=tuple(points),
-            by_point={
-                key: tuple(
-                    tuple((column[a - 1], column[b], rate) for a, b, rate in payoff) for payoff in payoffs
-                )
-                for key, payoffs in segments.items()
-            },
-            by_span={
-                key: tuple(
-                    tuple((spans[a - 1, b], len(spans), rate) for a, b, rate in payoff) for payoff in payoffs
-                )
-                for key, payoffs in segments.items()
-            },
+            by_point={key: tuple([by_point[id(payoff)] for payoff in payoffs]) for key, payoffs in groups.items()},
+            by_span={key: tuple([by_span[id(payoff)] for payoff in payoffs]) for key, payoffs in groups.items()},
         )
 
     @cached_property
     def by_interval(self) -> tuple[np.ndarray, dict]:
         """`points` as an int64 array, and for each key the ``(from_minute,
-        rate, charge before)`` arrays of each payoff over the intervals of
-        `points`; built on first use.
+        rate, charge before)`` arrays of its payoffs over the intervals of
+        `points`, each a (payoff x interval) array, row p for the key's p-th
+        payoff; built on first use, each distinct payoff's rows once.
 
         Interval ``i = points.searchsorted(m)`` holds the minutes m with
         ``points[i-1] < m <= points[i]``. Segment ``(first, second, rate)``
         of `by_point` holds intervals ``first + 1`` to ``second``, and
         interval 0, which holds no minute, goes with the first segment. A
-        call of billed minute m is charged ``rate[i]`` per lookup, and
-        ``before[i] + (m - from_minute[i] + 1) * rate[i]`` cumulatively,
-        ``before`` being the charge of the whole segments ahead.
+        call of billed minute m is charged ``rate[p, i]`` per lookup, and
+        ``before[p, i] + (m - from_minute[p, i] + 1) * rate[p, i]``
+        cumulatively, ``before`` being the charge of the whole segments ahead.
         """
         import numpy as np
 
@@ -247,7 +243,12 @@ class PricingTable(_Record):
             counts[0] += 1
             return np.repeat(points[first] + 1, counts), np.repeat(rate, counts), np.repeat(before, counts)
 
-        return points, {key: tuple(map(arrays, payoffs)) for key, payoffs in self.by_point.items()}
+        distinct = {id(payoff): payoff for payoffs in self.by_point.values() for payoff in payoffs}
+        rows = {key: arrays(payoff) for key, payoff in distinct.items()}
+        return points, {
+            key: tuple(map(np.stack, zip(*(rows[id(payoff)] for payoff in payoffs))))
+            for key, payoffs in self.by_point.items()
+        }
 
 
 class SubgroupRule(_Record):
@@ -316,13 +317,15 @@ class BillingPlan(_Record):
                 raise CatalogError(f"plan {self.id} ({self.name!r}) has two subgroups named {name!r}")
         routes = []
         for dest, day in ALL_CALL_CLASSES:
-            matching = [j for j, (rule, _) in enumerate(self.subgroups) if rule.matches(dest, day)]
-            if not matching:
+            for j, (rule, _) in enumerate(self.subgroups):
+                if rule.matches(dest, day):
+                    routes.append(j)
+                    break
+            else:
                 raise CatalogError(
                     f"plan {self.id} ({self.name!r}) leaves ({dest}, {day}) "
                     f"calls with no subgroup"
                 )
-            routes.append(matching[0])
         vars(self)["routes"] = tuple(routes)
 
     def subgroup_names(self) -> tuple[str, ...]:
@@ -340,8 +343,10 @@ class Catalog(_Record):
     """The candidate plans and the subscriber's context.
 
     `pricing` holds every plan's payoffs over the catalog's shared
-    breakpoints, keyed by plan id. It is built once and is not a field:
-    equality, repr and serialization see only the plans.
+    breakpoints, keyed by plan id, one per call class: row k is the payoff
+    of the subgroup that ``plan.routes[k]`` sends class k to, so billing
+    reads no routes. It is built once and is not a field: equality, repr
+    and serialization see only the plans.
     """
 
     def __init__(self, plans: tuple[BillingPlan, ...], context: SubscriberContext):
@@ -355,7 +360,7 @@ class Catalog(_Record):
         vars(self)["_by_id"] = by_id
         self.check_context(self.context)
         vars(self)["pricing"] = PricingTable.of(
-            {plan.id: [payoff for _, payoff in plan.subgroups] for plan in self.plans}
+            {plan.id: [plan.subgroups[j][1] for j in plan.routes] for plan in self.plans}
         )
 
     def check_context(self, context: SubscriberContext) -> None:

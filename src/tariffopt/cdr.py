@@ -37,8 +37,9 @@ _PLAIN_FIELD = r'(?:[^\s;"][^;"\r\n]{0,255}(?<!\s)|)'
 #: for SMS, a plain decimal cost. The groups are the 10-character date, the
 #: number, the service, the duration's minutes and seconds and the cost; the
 #: time is checked and the zone matched, neither kept. Any other line takes
-#: the `.*` branch, all groups empty, and goes through `_read_row`; so does a
-#: line whose date does not exist (31.02) or whose call is longer than 31 days.
+#: the catch-all branch, whose one group is the line, and goes through
+#: `_read_row`; so does a line whose date does not exist (31.02) or whose call
+#: is longer than 31 days. An empty line is a row whose every group is empty.
 _PLAIN_ROW = re.compile(
     r"^(?:"
     r"((?:0[1-9]|[12][0-9]|3[01])\.(?:0[1-9]|1[0-2])\.[0-9]{4});"
@@ -46,7 +47,7 @@ _PLAIN_ROW = re.compile(
     rf"({_PLAIN_FIELD});{_PLAIN_FIELD};(Tel|SMS);"
     r"(?:([0-9]{1,5}):([0-5][0-9])|(?<=SMS;)[0-9]{1,9});"
     r"(-?[0-9]{1,64}(?:[.,][0-9]{1,64})?)\r?"
-    r"|.*)$",
+    r"|(.*))$",
     re.MULTILINE,
 )
 
@@ -170,6 +171,13 @@ def _read_row(line: str, lineno: int, strict: bool, issues: list[str]) -> tuple 
         return None
 
 
+def _digits(texts: tuple[str, ...], width: int) -> np.ndarray:
+    """The digits of texts of `width` ASCII digits, as :data:`_PLAIN_ROW`
+    lets through, one row per text; an empty text's digits are all -48."""
+    # each character is its code point, so code point - 48 is the digit, and NUL padding -48
+    return np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width).astype(np.int64) - ord("0")
+
+
 def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
     """The proleptic Gregorian ordinals of the dates (`date.toordinal`), or
     -1 where there is no such date (31.02, 29.02 of a common year, year 0).
@@ -179,18 +187,23 @@ def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.n
 
 
 class _LogBuilder:
-    """Collects a :class:`CallLog` block by block, numbering its distinct texts."""
+    """Collects a :class:`CallLog` block by block, numbering its distinct texts.
+
+    A block's rows are read column by column from one pass of
+    :data:`_PLAIN_ROW`: the date and the seconds from their fixed-width
+    digits, the minutes through a dict of digit texts, each text column's
+    codes in one pass. A row that drops (not plain, no such date, over 31
+    days) goes through `_read_row`, except an empty line, which is skipped.
+    """
 
     def __init__(self):
         self.strings: dict[str, int] = {}
         self.ints: dict[str, int] = {"": 0}  # digit text -> its value; "" when absent
         self.parts: list[np.ndarray] = []  # each a 5 x rows array
 
-    def codes_of(self, column: tuple[str, ...]) -> np.ndarray:
+    def codes_of(self, column: tuple[str, ...]) -> list[int]:
         strings = self.strings
-        for text in dict.fromkeys(column):
-            strings.setdefault(text, len(strings))
-        return np.fromiter(map(strings.__getitem__, column), np.int64, len(column))
+        return [strings.setdefault(text, len(strings)) for text in column]
 
     def ints_of(self, column: tuple[str, ...]) -> np.ndarray:
         ints = self.ints
@@ -203,27 +216,27 @@ class _LogBuilder:
         `lineno`, in line order; returns the block's line count."""
         rows = _PLAIN_ROW.findall(block)
         n = len(rows)
-        date_text, number, service, minutes, seconds, cost = zip(*rows)
-        dates = np.array(date_text, dtype="U10")
-        plain = dates != ""
-        # the pattern let only ASCII digits through, so code point - 48 is the digit
-        digits = dates.view(np.uint32).reshape(n, 10).astype(np.int64) - ord("0")
+        date_text, number, service, minutes, seconds, cost, line_text = zip(*rows)
+        digits = _digits(date_text, 10)
+        plain = digits[:, 0] >= 0
         day, month, year = (digits @ _DATE_PLACES).T
         ordinal = np.where(plain, _date_ordinals(year, month, day), -1)
-        duration = self.ints_of(minutes) * 60 + self.ints_of(seconds)
-        columns = np.stack([ordinal, self.codes_of(number), self.codes_of(service), duration, self.codes_of(cost)])
+        tens, ones = np.maximum(_digits(seconds, 2), 0).T  # a row without M:SS has none: 0 seconds
+        duration = self.ints_of(minutes) * 60 + tens * 10 + ones
+        columns = np.array([ordinal, self.codes_of(number), self.codes_of(service), duration, self.codes_of(cost)])
         keep = plain & (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
-        others = np.flatnonzero(~keep).tolist()
-        if others:
-            lines = block.split("\n")
-            for i in others:
-                row = _read_row(lines[i], lineno + i, strict, issues)
+        if not keep.all():
+            # a plain row that drops took the plain branch, not the line's: split for it
+            lines = block.split("\n") if plain[~keep].any() else line_text
+            for i in np.flatnonzero(~keep).tolist():
+                row = _read_row(lines[i], lineno + i, strict, issues) if lines[i] else None
                 if row is not None:
                     day, *texts, duration, cost = row
                     number, service, cost = self.codes_of((*texts, cost))
                     columns[:, i] = day, number, service, duration, cost
                     keep[i] = True
-        self.parts.append(columns[:, keep])
+            columns = columns[:, keep]
+        self.parts.append(columns)
         return n
 
     def build(self) -> CallLog:

@@ -103,8 +103,10 @@ class PrefixTable(_Record):
     def from_csv(cls, source: Union[bytes, str, IO]) -> "PrefixTable":
         """Load a ``prefix;destination_class`` table, one entry per line.
 
-        An unreadable line, an unknown class, an empty prefix, or a prefix
-        listed again with another class is an error that names its line.
+        A blank line is skipped, and so is a header line, those two names in
+        any case, wherever it stands. An unreadable line, an unknown class,
+        an empty prefix, or a prefix listed again with another class is an
+        error that names its line.
         """
         text = _read_source(source, CdrError, "prefix table")
         mapping: dict[str, str] = {}
@@ -115,11 +117,11 @@ class PrefixTable(_Record):
                 raise CdrError(f"prefix table line {lineno}: {exc}") from None
             if not row or all(not col.strip() for col in row):
                 continue
-            if [c.strip().lower() for c in row] == ["prefix", "destination_class"]:
-                continue
             if len(row) != 2:
                 raise CdrError(f"prefix table line {lineno}: expected 2 columns")
             prefix, dest = row[0].strip(), row[1].strip()
+            if dest.lower() == "destination_class" and prefix.lower() == "prefix":  # a header, on any line
+                continue
             if not prefix:
                 raise CdrError(f"prefix table line {lineno}: empty prefix")
             if dest not in DESTINATION_CLASSES:

@@ -135,12 +135,12 @@ def full_costs(
     """Cost breakdown per switch candidate (active plans plus the current
     one). The candidates depend on whose current plan it is.
 
-    Each traffic cell is priced under the subgroup its calls route to, with
-    one row per distinct duration model, through the catalog's own table,
-    which holds each plan's payoffs under its id. A subgroup aggregating
-    several cells reports the rate-weighted average one-call cost. A
-    candidate whose full cost overflows is a :class:`CatalogError` that
-    names it.
+    Each traffic cell is priced with one row per distinct duration model
+    through the catalog's own table, which holds each plan's payoff per
+    call class under its id; its cost counts toward the subgroup its class
+    routes to. A subgroup aggregating several cells reports the
+    rate-weighted average one-call cost. A candidate whose full cost
+    overflows is a :class:`CatalogError` that names it.
 
     The breakdowns of the last call are kept (:data:`_last`): a call on the
     same `catalog` and `profile` objects with an equal `context` and `mode`
@@ -172,7 +172,7 @@ def full_costs(
         for k, rate, row in cells:
             j = routes[k]
             rates[j] += rate
-            costs[j] += rate * _one_call(payoffs[j], row)
+            costs[j] += rate * _one_call(payoffs[k], row)
         variable, fee = sum(costs), _fee(plan, context)
         if not math.isfinite(variable + fee):
             raise CatalogError(f"plan {plan.id} ({plan.name!r}): its expected monthly cost overflows")

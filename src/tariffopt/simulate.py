@@ -2,9 +2,9 @@
 
 Generates random months of traffic from the profile's own traffic cells
 (:class:`~tariffopt.traffic.TrafficCell`: Poisson call counts, exponential
-durations) and pushes every generated call through each switch candidate's
-price schedule, routed to a subgroup by the plan's `routes` as in the
-pricing kernel. Sample means validate the analytic engine; sample
+durations) and bills every generated call under each switch candidate's
+payoff for its class, read from the catalog's class-indexed table as the
+pricing kernel reads it. Sample means validate the analytic engine; sample
 percentiles (:data:`PERCENTILES`) describe the month-to-month cost spread.
 A config holds only the cells with traffic; stream `i` of each chunk draws
 the i-th of them, however the config was built.
@@ -158,20 +158,22 @@ def generate_months(
 
 
 def _bill(
-    catalog: Catalog, plans: Sequence[BillingPlan], k: int, minutes: np.ndarray, mode: str
+    catalog: Catalog, plans: Sequence[BillingPlan], k: int | np.ndarray, minutes: np.ndarray, mode: str
 ) -> Iterator[np.ndarray]:
-    """Per-call charges of call class `k`'s billed `minutes` (`k` indexes
-    ALL_CALL_CLASSES) under each plan's subgroup for the class, plans in
-    order. The minutes are searched once against the catalog's shared
-    breakpoints (:attr:`~tariffopt.catalog.PricingTable.by_interval`)."""
+    """Per-call charges of billed `minutes` under each plan, plans in order.
+    `k` indexes ALL_CALL_CLASSES: one class (a 1-D gather on its row of each
+    plan's table) or an array of one class per minute (a 2-D gather). The
+    minutes are searched once (:attr:`~tariffopt.catalog.PricingTable.by_interval`)."""
     points, tables = catalog.pricing.by_interval
     interval = points.searchsorted(minutes)
+    per_call = np.ndim(k) > 0
+    at = (k, interval) if per_call else interval
     for plan in plans:
-        start, rate, before = tables[plan.id][plan.routes[k]]
+        start, rate, before = tables[plan.id] if per_call else [row[k] for row in tables[plan.id]]
         if mode == LOOKUP:
-            yield rate[interval]
+            yield rate[at]
         else:
-            yield before[interval] + (minutes - start[interval] + 1) * rate[interval]
+            yield before[at] + (minutes - start[at] + 1) * rate[at]
 
 
 def run(config: SimConfig, catalog: Catalog) -> SimResult:
@@ -232,17 +234,12 @@ def replay_trace(
     rubles/month per plan.
 
     A model-free cross-check of both the analytic engine and the synthetic
-    generator. Calls are grouped by (destination, day) class, classes in
-    order of first appearance, and each class is billed per plan in one
-    vectorised pass.
+    generator. Each plan bills all the calls in one gather on its
+    (call class x interval) table and one sum.
     """
     check_billing_mode(mode)
     if not (math.isfinite(months) and months > 0):
         raise SimulationError(f"months must be positive and finite, got {months}")
-    call_class = calls.call_class
     plans = catalog.switch_candidates()
-    totals = [0.0] * len(plans)
-    for k in dict.fromkeys(call_class.tolist()):
-        for pi, costs in enumerate(_bill(catalog, plans, k, calls.minute[call_class == k], mode)):
-            totals[pi] += float(costs.sum())
-    return {plan.id: total / months for plan, total in zip(plans, totals)}
+    bills = _bill(catalog, plans, calls.call_class, calls.minute, mode)
+    return {plan.id: float(costs.sum()) / months for plan, costs in zip(plans, bills)}

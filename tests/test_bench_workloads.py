@@ -1,7 +1,8 @@
 """The benchmark's workloads still run against the package: each one loads
 its inputs and makes one untraced pass with no failed operation, and its
 set-up probe runs in a fresh interpreter. A second pass runs the pricing
-kernel once per profile it prices, no more and no fewer, and a pass builds
+kernel once per profile it prices, no more and no fewer, and bills each
+candidate once per oracle cell and once per replayed printout; a pass builds
 an exact rational cost only where two float costs are a near-tie.
 
 The benchmark under bench/ calls the package's public API as it stands; a
@@ -86,6 +87,35 @@ def test_a_pass_builds_rationals_only_at_near_ties(bench_modules, name, monkeypa
     result = workload.run_pass(spans.Tracer(False))
     assert result.unexpected == 0
     assert len(built) == RATIONALS[name]
+
+
+#: charge arrays `simulate._bill` yields in a pass after the first: bulk-ingest
+#: replays each of its 40 printouts under its 6 candidates, one array per plan;
+#: paper-oracle's 1,000-run oracle is one chunk of 6 cells under 6 plans, and its
+#: replay 6 more; growth-scan neither simulates nor replays
+BILLED = {"paper-oracle": 36 + 6, "bulk-ingest": 40 * 6, "growth-scan": 0}
+
+
+@pytest.mark.parametrize("name", sorted(BILLED))
+def test_a_second_pass_bills_each_plan_once_per_printout(bench_modules, name, monkeypatch, tmp_path):
+    from tariffopt import simulate
+
+    spans, workloads = bench_modules
+    workload = workloads.WORKLOADS[name](BENCH.parent, 111, work=tmp_path)
+    workload.load()
+    workload.run_pass(spans.Tracer(False))
+    billed = []
+    bill = simulate._bill
+
+    def counted(*args):
+        for costs in bill(*args):
+            billed.append(len(costs))
+            yield costs
+
+    monkeypatch.setattr(simulate, "_bill", counted)
+    result = workload.run_pass(spans.Tracer(False))
+    assert result.unexpected == 0
+    assert len(billed) == BILLED[name]
 
 
 def test_call_table_counts_the_unmapped_calls_of_every_bulk_printout(bench_modules):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from tariffopt import (
     BILLING_MODES,
     BillingPlan,
+    CallTable,
     Catalog,
     CdrError,
     CostBreakdown,
@@ -38,8 +39,10 @@ from tariffopt import (
     fit_report,
     full_costs,
     k_grid,
+    load_catalog,
     parse_cdr,
     rank,
+    replay_trace,
     run,
     sweep,
     switch_points,
@@ -49,7 +52,18 @@ from tariffopt.cost import LOOKUP, tie_order
 from tariffopt.sensitivity import _TOUCH, FIT_FORMS
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
-from conftest import cdr_text, charges, classified, costs_at, first_match, optimal_ids, rebuilt
+from conftest import (
+    CATALOG_PATH,
+    CDR_PATH,
+    PREFIXES_PATH,
+    cdr_text,
+    charges,
+    classified,
+    costs_at,
+    first_match,
+    optimal_ids,
+    rebuilt,
+)
 
 rates_st = st.decimals(
     min_value=0, max_value=100, places=2, allow_nan=False, allow_infinity=False
@@ -143,7 +157,7 @@ def test_classification_is_a_partition(plan, rnd):
     assert ("any", "any") not in CALL_CLASS_INDEX
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(catalogs(), traffic_profiles())
 def test_row_totals_identical_across_plans(catalog, profile):
     """However a plan splits the traffic, the monthly total is the same."""
@@ -279,7 +293,7 @@ def test_discretized_exponential_masses(mu, truncation):
     assert math.isclose(float(masses.sum()), 1 - math.exp(-mu * truncation), abs_tol=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=200), st.integers(1, 50))
 def test_histogram_masses_sum_to_one(minutes, truncation):
     from tariffopt import build_histogram
@@ -375,7 +389,7 @@ FLOAT_TIE = (
 )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     catalogs(),
     traffic_profiles(),
@@ -764,6 +778,131 @@ def test_oracle_billing_matches_each_payoff(catalog_and_context, classes, mode):
         for plan, costs in zip(plans, billed):
             own = charges(plan.subgroups[plan.routes[k]][1], minutes, mode)
             assert costs.dtype == own.dtype and np.array_equal(costs, own)
+
+
+#: the bundled catalog, whose current plan (6) is inactive, and the bundled
+#: printout's calls, observed over 6 months
+BUNDLED_CATALOG = load_catalog(CATALOG_PATH.read_bytes())
+BUNDLED_CALLS = classify_calls(
+    parse_cdr(CDR_PATH.read_bytes()), PrefixTable.from_csv(PREFIXES_PATH.read_bytes()), WorkdayCalendar()
+)
+
+#: a light head ahead of a heavy tail: one plan charging minute 1 alone, and
+#: 100,000 calls of which one lasts a minute. Pricing cancels in S(0) - S(1),
+#: 4.6e-12 away from the replay. A table of classes and minutes alone, as the
+#: replay and the profile read nothing else.
+LIGHT_HEAD_CATALOG = Catalog(
+    plans=(
+        BillingPlan(1, "minute one", "ACME", True, FixedCostSpec(Decimal(0), Decimal(0), Decimal(0)), (
+            (SubgroupRule("all", "any", "any"),
+             PayoffFunction((RateSegment(1, 1, Decimal(1)), RateSegment(2, None, Decimal(0))))),
+        )),
+    ),
+    context=SubscriberContext(1),
+)
+LIGHT_HEAD_CALLS = CallTable(
+    None, np.arange(10**5), np.zeros(10**5, dtype=np.int64), np.array([1] + [2] * (10**5 - 1), dtype=np.int64)
+)
+
+#: printouts of up to 40 calls, zero-length ones (which classification drops)
+#: among them, up to two hours long
+printout_calls = st.lists(
+    st.tuples(st.sampled_from(DESTINATION_CLASSES), st.sampled_from(DAY_CLASSES), st.integers(0, 7200)),
+    max_size=40,
+).map(classified)
+
+
+def printout_profile(calls, months):
+    """The printout as its own model: each call class's own `Empirical`, its
+    masses the class's billed-minute counts over its call count, its rate
+    that count over the `months` of the window."""
+    cells = []
+    for k, (dest, day) in enumerate(ALL_CALL_CLASSES):
+        minutes = calls.minute[calls.call_class == k]
+        model = Empirical(tuple(np.bincount(minutes)[1:] / len(minutes))) if len(minutes) else None
+        cells.append(TrafficCell(dest, day, len(minutes) / months, model))
+    return TrafficProfile(cells=tuple(cells), observation_months=months)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shared_breakpoint_catalogs().map(lambda pair: pair[0]),
+    printout_calls,
+    st.floats(0.25, 24.0),
+    st.sampled_from(BILLING_MODES),
+)
+@example(BUNDLED_CATALOG, BUNDLED_CALLS, 6.0, "lookup")
+@example(BUNDLED_CATALOG, BUNDLED_CALLS, 6.0, "cumulative")
+@example(LIGHT_HEAD_CATALOG, LIGHT_HEAD_CALLS, 1.0, "lookup")
+def test_full_costs_of_the_printouts_own_profile_replay_it(catalog, calls, months, mode):
+    """Priced under the printout's own profile (:func:`printout_profile`),
+    each candidate's variable cost is the printout's own bill per month,
+    `replay_trace`'s: within 1e-12 of it, relative. Where a light head sits
+    ahead of a heavy tail, `S(a-1) - S(b)` cancels, and the gap may also
+    take the kernel's float summation bound, (2T + 8) units of 2**-53 of the
+    terms it subtracts, for each class's cell (as in
+    `test_empirical_cost_matches_an_exact_sum`)."""
+    profile = printout_profile(calls, months)
+    priced = {b.plan_id: b.variable for b in full_costs(catalog, catalog.context, profile, mode)}
+    replayed = replay_trace(catalog, calls, months, mode)
+    assert priced.keys() == replayed.keys()
+    for plan in catalog.switch_candidates():
+        gap = Fraction(abs(priced[plan.id] - replayed[plan.id]))
+        bound = Fraction(1e-12) * Fraction(replayed[plan.id])
+        if gap > bound:  # the cancellation bound of each cell
+            for cell in profile.cells:
+                if cell.rate:
+                    payoff = plan.subgroups[first_match(plan, cell.destination_class, cell.day_class)][1]
+                    _, scale = exact_call_cost(payoff, cell.durations.masses, mode)
+                    bound += Fraction(cell.rate) * Fraction(2 * cell.durations.truncation + 8, 2**53) * scale
+        assert gap <= bound
+
+
+def per_call_bill(catalog, calls, months, mode):
+    """Reference replay: every call billed on its own under the subgroup its
+    class routes to, found by scanning the rules, through `rate_at` in
+    lookup mode and the tests' cumulative reference (`charges`) otherwise,
+    summed with `math.fsum`; rubles per month by plan id."""
+    bills = {}
+    for plan in catalog.switch_candidates():
+        billed = []
+        for k, minute in zip(calls.call_class.tolist(), calls.minute.tolist()):
+            payoff = plan.subgroups[first_match(plan, *ALL_CALL_CLASSES[k])][1]
+            billed.append(payoff.rate_at(minute) if mode == LOOKUP else float(charges(payoff, [minute], mode)[0]))
+        bills[plan.id] = math.fsum(billed) / months
+    return bills
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shared_breakpoint_catalogs(),
+    st.booleans(),
+    printout_calls,
+    st.floats(0.25, 24.0),
+    st.sampled_from(BILLING_MODES),
+)
+@example((BUNDLED_CATALOG, BUNDLED_CATALOG.context), True, BUNDLED_CALLS, 6.0, "lookup")
+@example((BUNDLED_CATALOG, BUNDLED_CATALOG.context), True, BUNDLED_CALLS, 6.0, "cumulative")
+@example((BUNDLED_CATALOG, BUNDLED_CATALOG.context), True, classified([]), 6.0, "cumulative")  # an empty trace
+def test_oracle_and_replay_bill_through_one_table(catalog_and_context, own_context, calls, months, mode):
+    """The oracle's one class given once (a 1-D gather on its row) is charged
+    exactly (array_equal) as that class given per call (the replay's 2-D
+    gather), and `replay_trace` is the per-call reference bill within 1e-12,
+    relative, whether or not the current plan is active."""
+    catalog, other = catalog_and_context
+    if not own_context:
+        catalog = rebuilt(catalog, context=other)
+    plans = catalog.switch_candidates()
+    for k in range(len(ALL_CALL_CLASSES)):
+        once = simulate._bill(catalog, plans, k, calls.minute, mode)
+        per_call = simulate._bill(catalog, plans, np.full(len(calls), k), calls.minute, mode)
+        for by_class, by_call in zip(once, per_call, strict=True):
+            assert by_class.dtype == by_call.dtype and np.array_equal(by_class, by_call)
+    expected = per_call_bill(catalog, calls, months, mode)
+    replayed = replay_trace(catalog, calls, months, mode)
+    assert replayed.keys() == expected.keys()
+    for plan_id, bill in expected.items():
+        assert math.isclose(replayed[plan_id], bill, rel_tol=1e-12)
 
 
 def longest_prefix_scan(mapping, number):

@@ -377,6 +377,20 @@ def test_prefix_table_from_csv():
     assert table._lookup("+74951") == "landline"
 
 
+def test_prefix_table_skips_a_header_on_any_line():
+    """A header line, its two names stripped and in any case, is skipped
+    wherever it stands: first, between entries or last. A line that is
+    not both names is an entry, and an error when its class is unknown."""
+    table = PrefixTable.from_csv(
+        "+7916;same-network\n PREFIX ; Destination_Class \n+7495;landline\nprefix;destination_class"
+    )
+    assert dict(table.mapping) == {"+7916": "same-network", "+7495": "landline"}
+    with pytest.raises(CdrError, match=r"^prefix table line 2: unknown destination class 'destination_class'$"):
+        PrefixTable.from_csv("+7916;same-network\nprefixes;destination_class\n")
+    with pytest.raises(CdrError, match=r"^prefix table line 1: expected 2 columns$"):
+        PrefixTable.from_csv("prefix;destination_class;\n")
+
+
 @pytest.mark.parametrize(
     "rows, message",
     [
