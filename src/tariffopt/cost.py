@@ -167,8 +167,8 @@ def full_costs(
     priced = []
     for plan in catalog.switch_candidates(context):
         payoffs, routes = by_plan[plan.id], plan.routes
-        rates = [0.0] * len(payoffs)
-        costs = [0.0] * len(payoffs)
+        rates = [0.0] * len(plan.subgroups)
+        costs = [0.0] * len(plan.subgroups)
         for k, rate, row in cells:
             j = routes[k]
             rates[j] += rate

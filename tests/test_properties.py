@@ -157,7 +157,7 @@ def test_classification_is_a_partition(plan, rnd):
     assert ("any", "any") not in CALL_CLASS_INDEX
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(catalogs(), traffic_profiles())
 def test_row_totals_identical_across_plans(catalog, profile):
     """However a plan splits the traffic, the monthly total is the same."""
@@ -293,7 +293,7 @@ def test_discretized_exponential_masses(mu, truncation):
     assert math.isclose(float(masses.sum()), 1 - math.exp(-mu * truncation), abs_tol=1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 40), min_size=1, max_size=200), st.integers(1, 50))
 def test_histogram_masses_sum_to_one(minutes, truncation):
     from tariffopt import build_histogram
@@ -389,7 +389,7 @@ FLOAT_TIE = (
 )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     catalogs(),
     traffic_profiles(),
@@ -668,6 +668,36 @@ def test_full_costs_equal_plan_by_plan_pricing(catalog_and_context, profile, mod
         for _, payoff in plan.subgroups:
             for model in models.values():
                 assert expected_call_cost(payoff, model, mode) == one_call_by_segment(payoff, model, mode)
+
+
+@st.composite
+def many_rule_plans(draw):
+    """A plan with more subgroups than call classes: one rule per class in a
+    drawn order, shadowed copies of earlier rules ahead of the last class's
+    rule (so it routes at index 6 or later), then a catch-all nothing
+    reaches."""
+    order = draw(st.permutations(ALL_CALL_CLASSES))
+    rules = [SubgroupRule(f"class-{i}", dest, day) for i, (dest, day) in enumerate(order[:-1])]
+    for i in range(draw(st.integers(1, 3))):
+        dest, day = draw(st.sampled_from(order[:-1]))
+        rules.append(SubgroupRule(f"shadowed-{i}", dest, day))
+    rules.append(SubgroupRule("last-class", *order[-1]))
+    rules.append(SubgroupRule("rest", "any", "any"))
+    plan = draw(billing_plans())
+    return rebuilt(plan, subgroups=tuple((rule, draw(payoff_functions())) for rule in rules))
+
+
+@settings(max_examples=100, deadline=None)
+@given(many_rule_plans(), mixed_profiles(), st.sampled_from(BILLING_MODES))
+def test_full_costs_keep_every_subgroup_of_a_many_rule_plan(plan, profile, mode):
+    """A plan with shadowed rules and more subgroups than call classes is
+    priced like plan by plan: every subgroup, the unreached ones too, has
+    its breakdown, and a class routed past index 5 is counted."""
+    catalog = Catalog(plans=(plan,), context=SubscriberContext(plan.id, frozenset({"ACME"})))
+    assert max(plan.routes) >= 6
+    (priced,) = full_costs(catalog, catalog.context, profile, mode)
+    assert len(priced.subgroups) == len(plan.subgroups)
+    assert [priced] == priced_plan_by_plan(catalog, catalog.context, profile, mode)
 
 
 @settings(max_examples=100, deadline=None)
