@@ -2,8 +2,8 @@
 sweep traffic growth, fit cost regressions, and run the Monte-Carlo check.
 
 Exit codes: 0 success, 1 validation error (one of the package's input
-errors), 2 I/O error, 3 internal error (anything else, a bare ValueError
-included).
+errors), 2 I/O error or usage error (argparse prints the usage on stderr),
+3 internal error (anything else, a bare ValueError included).
 """
 
 from __future__ import annotations
@@ -96,6 +96,9 @@ def render(report: Report, fmt: str) -> str:
 
 
 class Inputs(_Record):
+    """A report command's inputs, loaded once by :func:`main` for its handler: the
+    catalog, the printout's classified calls, their profile over `months`, the reader's warnings."""
+
     def __init__(self, catalog: Catalog, calls: CallTable, profile: TrafficProfile, months: float, issues: list[str]):
         vars(self).update(catalog=catalog, calls=calls, profile=profile, months=months, issues=issues)
 
@@ -153,10 +156,9 @@ def cmd_validate(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_analyze(args) -> Report:
+def cmd_analyze(inputs: Inputs, args) -> Report:
     from .traffic import build_histogram, fit_exponential
 
-    inputs = _load_inputs(args)
     catalog, calls, profile = inputs.catalog, inputs.calls, inputs.profile
     duration_fit = fit_exponential(calls.duration / 60.0)
     histogram = build_histogram(calls, truncation=int(calls.minute.max()))
@@ -207,8 +209,7 @@ def cmd_analyze(args) -> Report:
     )
 
 
-def cmd_rank(args) -> Report:
-    inputs = _load_inputs(args)
+def cmd_rank(inputs: Inputs, args) -> Report:
     catalog = inputs.catalog
     breakdowns = full_costs(catalog, catalog.context, inputs.profile, args.billing_mode)
     ranking = rank(breakdowns)
@@ -254,18 +255,17 @@ def cmd_rank(args) -> Report:
     )
 
 
-def _sweep(args):
+def _sweep(inputs: Inputs, args):
     from .sensitivity import k_grid, sweep
 
-    inputs = _load_inputs(args)
     grid = k_grid(args.k_from, args.k_to, args.k_step)
     return sweep(inputs.catalog, inputs.catalog.context, inputs.profile, grid, args.billing_mode)
 
 
-def cmd_sweep(args) -> Report:
+def cmd_sweep(inputs: Inputs, args) -> Report:
     from .sensitivity import switch_points
 
-    swept = _sweep(args)
+    swept = _sweep(inputs, args)
     intervals = switch_points(swept)
     plan_ids, rows = swept.table()
     doc = {
@@ -315,10 +315,10 @@ def _equation(fit: RegressionFit) -> str:
     return " + ".join(terms)
 
 
-def cmd_fit(args) -> Report:
+def cmd_fit(inputs: Inputs, args) -> Report:
     from .sensitivity import fit_report
 
-    fits = fit_report(_sweep(args))
+    fits = fit_report(_sweep(inputs, args))
     # the CSV spells out the coefficients; the table shows the equation
     return Report(
         doc={name: dict(vars(fit)) for name, fit in fits.items()},
@@ -344,13 +344,10 @@ def cmd_fit(args) -> Report:
     )
 
 
-def cmd_simulate(args) -> Report:
+def cmd_simulate(inputs: Inputs, args) -> Report:
     from .simulate import PERCENTILES, SimConfig, run
 
-    inputs = _load_inputs(args)
-    config = SimConfig.from_profile(
-        inputs.profile, seed=args.seed, runs=args.runs, billing_mode=args.billing_mode
-    )
+    config = SimConfig.from_profile(inputs.profile, seed=args.seed, runs=args.runs, billing_mode=args.billing_mode)
     result = run(config, inputs.catalog)
     return Report(
         doc=result.document(),
@@ -435,7 +432,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text = cmd_validate(args) if args.command == "validate" else render(args.handler(args), args.format)
+        if args.command == "validate":
+            text = cmd_validate(args)
+        else:
+            text = render(args.handler(_load_inputs(args), args), args.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

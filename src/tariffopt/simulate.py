@@ -161,21 +161,19 @@ def _bill(
     catalog: Catalog, plans: Sequence[BillingPlan], k: int | np.ndarray, minutes: np.ndarray, mode: str
 ) -> Iterator[np.ndarray]:
     """Per-call charges of billed `minutes` under each plan, plans in order.
-    `k` indexes ALL_CALL_CLASSES: one class (a 1-D gather on its row of each
-    plan's table) or an array of one class per minute (a 2-D gather). The
-    two gathers stay apart because a 2-D gather with one class made `run`
-    15-20% slower. The minutes are searched once
-    (:attr:`~tariffopt.catalog.PricingTable.by_interval`)."""
+    `k` indexes ALL_CALL_CLASSES: one class for every minute, or an array of
+    one class per minute. The minutes are searched once, and each call's
+    (class, interval) cell becomes one flat index into every plan's
+    (class x interval) arrays (:attr:`~tariffopt.catalog.PricingTable.by_interval`),
+    which are C-contiguous, so a plan's charges are one `take` per array."""
     points, tables = catalog.pricing.by_interval
-    interval = points.searchsorted(minutes)
-    per_call = np.ndim(k) > 0
-    at = (k, interval) if per_call else interval
+    at = np.multiply(k, points.size + 1) + points.searchsorted(minutes)
     for plan in plans:
-        start, rate, before = tables[plan.id] if per_call else [row[k] for row in tables[plan.id]]
+        start, rate, before = tables[plan.id]
         if mode == LOOKUP:
-            yield rate[at]
+            yield rate.take(at)
         else:
-            yield before[at] + (minutes - start[at] + 1) * rate[at]
+            yield before.take(at) + (minutes - start.take(at) + 1) * rate.take(at)
 
 
 def run(config: SimConfig, catalog: Catalog) -> SimResult:

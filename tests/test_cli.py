@@ -505,6 +505,38 @@ def test_engine_value_error_is_internal_error(monkeypatch, capsys):
         assert invoke(capsys, "simulate", *BASE, "--runs", "10") == (code, "", f"{prefix}: {message}\n"), error
 
 
+@pytest.mark.parametrize("argv,reads,classifies,prices", [
+    (["analyze", *BASE], 1, 1, 0),
+    (["rank", *BASE], 1, 1, 1),
+    (["sweep", *BASE], 1, 1, 1),
+    (["fit", *BASE], 1, 1, 1),
+    (["simulate", *BASE, "--runs", "10"], 1, 1, 0),
+    (["validate", "--catalog", str(CATALOG_PATH), "--cdr", str(CDR_PATH)], 1, 0, 0),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_a_command_reads_classifies_and_prices_its_inputs_once(argv, reads, classifies, prices, monkeypatch, capsys):
+    """A report command reads the printout once, classifies its calls once
+    and builds at most one pricing's rows; `validate --cdr` only reads the
+    printout."""
+    from tariffopt import cdr, classify, cost
+
+    counts = dict.fromkeys(["parse_cdr", "classify_calls", "_rows"], 0)
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(cdr, "parse_cdr")
+    count(classify, "classify_calls")
+    count(cost, "_rows")
+    assert invoke(capsys, *argv)[0] == 0
+    assert counts == {"parse_cdr": reads, "classify_calls": classifies, "_rows": prices}
+
+
 def test_absurd_run_count_is_validation_error(monkeypatch, capsys):
     from tariffopt import simulate
 

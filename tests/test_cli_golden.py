@@ -1,6 +1,7 @@
 """The exact stdout of every report command in every format, on the bundled
 data (lookup billing, six months, `simulate --runs 200 --seed 7`), and of
-`rank` and `simulate` under cumulative billing (files `<command>-cumulative.*`).
+`rank`, `sweep`, `fit` and `simulate` under cumulative billing (files
+`<command>-cumulative.*`).
 
 A mismatch prints a unified diff against the pinned file in `tests/golden/`.
 After a deliberate output change, regenerate the files from the repository
@@ -43,6 +44,8 @@ COMMANDS = {
     "fit": ["fit"],
     "simulate": ["simulate", *SIMULATE],
     "rank-cumulative": ["rank", *CUMULATIVE],
+    "sweep-cumulative": ["sweep", *CUMULATIVE],
+    "fit-cumulative": ["fit", *CUMULATIVE],
     "simulate-cumulative": ["simulate", *SIMULATE, *CUMULATIVE],
 }
 

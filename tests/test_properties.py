@@ -915,10 +915,10 @@ def per_call_bill(catalog, calls, months, mode):
 @example((BUNDLED_CATALOG, BUNDLED_CATALOG.context), True, BUNDLED_CALLS, 6.0, "cumulative")
 @example((BUNDLED_CATALOG, BUNDLED_CATALOG.context), True, classified([]), 6.0, "cumulative")  # an empty trace
 def test_oracle_and_replay_bill_through_one_table(catalog_and_context, own_context, calls, months, mode):
-    """The oracle's one class given once (a 1-D gather on its row) is charged
-    exactly (array_equal) as that class given per call (the replay's 2-D
-    gather), and `replay_trace` is the per-call reference bill within 1e-12,
-    relative, whether or not the current plan is active."""
+    """The oracle's one class given once is charged exactly (array_equal) as
+    that class given per call, as the replay gives it, and `replay_trace` is
+    the per-call reference bill within 1e-12, relative, whether or not the
+    current plan is active."""
     catalog, other = catalog_and_context
     if not own_context:
         catalog = rebuilt(catalog, context=other)
