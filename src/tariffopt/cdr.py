@@ -192,8 +192,10 @@ class _LogBuilder:
     A block's rows are read column by column from one pass of
     :data:`_PLAIN_ROW`: the date and the seconds from their fixed-width
     digits, the minutes through a dict of digit texts, each text column's
-    codes in one pass. A row that drops (not plain, no such date, over 31
-    days) goes through `_read_row`, except an empty line, which is skipped.
+    codes in one pass. A row is kept by its date ordinal and duration alone:
+    a catch-all row's date digits are padding, a year below 1, so its
+    ordinal is -1. A row that drops (not plain, no such date, over 31 days)
+    goes through `_read_row`, except an empty line, which is skipped.
     """
 
     def __init__(self):
@@ -218,16 +220,15 @@ class _LogBuilder:
         n = len(rows)
         date_text, number, service, minutes, seconds, cost, line_text = zip(*rows)
         digits = _digits(date_text, 10)
-        plain = digits[:, 0] >= 0
         day, month, year = (digits @ _DATE_PLACES).T
-        ordinal = np.where(plain, _date_ordinals(year, month, day), -1)
+        ordinal = _date_ordinals(year, month, day)  # -1 for a catch-all row, whose year is below 1
         tens, ones = np.maximum(_digits(seconds, 2), 0).T  # a row without M:SS has none: 0 seconds
         duration = self.ints_of(minutes) * 60 + tens * 10 + ones
         columns = np.array([ordinal, self.codes_of(number), self.codes_of(service), duration, self.codes_of(cost)])
-        keep = plain & (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
+        keep = (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
         if not keep.all():
             # a plain row that drops took the plain branch, not the line's: split for it
-            lines = block.split("\n") if plain[~keep].any() else line_text
+            lines = block.split("\n") if (digits[~keep, 0] >= 0).any() else line_text
             for i in np.flatnonzero(~keep).tolist():
                 row = _read_row(lines[i], lineno + i, strict, issues) if lines[i] else None
                 if row is not None:

@@ -3,9 +3,10 @@
 
 :func:`classify_calls` reads the columns that :func:`tariffopt.cdr.parse_cdr`
 returns, looks each distinct number up once in a :class:`PrefixTable` (one
-dict probe on its first characters, then a few ``startswith`` checks), takes
-each date's day class from a :class:`WorkdayCalendar` (a binary search in the
-calendar's sorted holidays), and returns the calls as columns
+dict probe on its first characters, then a few ``startswith`` checks, which
+give the class's index in ``DESTINATION_CLASSES``, or -1 for no listed
+prefix), takes each date's day class from a :class:`WorkdayCalendar` (a binary
+search in the calendar's sorted holidays), and returns the calls as columns
 (:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic` read.
 
 Loading a prefix table or a holiday list imports no numpy; only the
@@ -24,11 +25,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .cdr import CallLog
-
-
-#: each destination class's index into DESTINATION_CLASSES; None, a number
-#: with no listed prefix, gets -1
-_DESTINATION_INDEX = {**{dest: i for i, dest in enumerate(DESTINATION_CLASSES)}, None: -1}
 
 
 class CallTable(_Record):
@@ -75,8 +71,9 @@ class PrefixTable(_Record):
 
     The index files each non-empty prefix under its stem, its first
     `_shortest` characters (the length of the shortest prefix), longest
-    prefix first; a lookup probes the number's stem once and takes the first
-    of those prefixes that the number starts with.
+    prefix first, with its class's index in ``DESTINATION_CLASSES`` (a class
+    becomes an index once, when the table is built); a lookup probes the
+    number's stem once and takes the first of them that the number starts with.
     """
 
     __hash__ = None
@@ -88,10 +85,10 @@ class PrefixTable(_Record):
                 raise CdrError(f"prefix {prefix!r}: unknown destination class {dest!r}")
         # an empty prefix matches no number, so it leaves the index too
         shortest = min(map(len, filter(None, classes)), default=0)
-        stems: dict[str, tuple[tuple[str, str], ...]] = {}
+        stems: dict[str, tuple[tuple[str, int], ...]] = {}
         for prefix in sorted(filter(None, classes), key=len, reverse=True):
             stem = prefix[:shortest]
-            stems[stem] = (*stems.get(stem, ()), (prefix, classes[prefix]))
+            stems[stem] = (*stems.get(stem, ()), (prefix, DESTINATION_CLASSES.index(classes[prefix])))
         vars(self).update(mapping=MappingProxyType(classes), unmapped_count=unmapped_count,
                           _shortest=shortest, _stems=stems)
 
@@ -133,12 +130,12 @@ class PrefixTable(_Record):
                 )
         return cls(mapping)
 
-    def _lookup(self, number: str) -> str | None:
-        """The class of `number`'s longest listed prefix; None when no prefix is listed."""
+    def _lookup(self, number: str) -> int:
+        """The class index of `number`'s longest listed prefix; -1 when no prefix is listed."""
         for prefix, dest in self._stems.get(number[:self._shortest], ()):
             if number.startswith(prefix):
                 return dest
-        return None
+        return -1
 
 
 class WorkdayCalendar(_Record):
@@ -188,8 +185,8 @@ def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCal
     """Classify all outgoing calls, dropping SMS rows and zero-duration calls.
 
     Each call goes to the class of its number's longest listed prefix (each
-    distinct number is looked up once, and its class read into an index by
-    one dict) and to its date's day class, which
+    distinct number is looked up once, and the table gives the class's
+    index, -1 for no listed prefix) and to its date's day class, which
     :meth:`WorkdayCalendar.weekend` tells for all dates at once. A call to an
     unlisted number goes to `other-mobile` and counts in the returned
     `unmapped` and in the prefix table's `unmapped_count`; the returned
@@ -206,7 +203,7 @@ def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCal
     codes = np.flatnonzero(per_number)
     found = map(prefix_table._lookup, map(log.strings.__getitem__, codes.tolist()))
     destination = np.zeros(len(log.strings), dtype=np.int64)
-    destination[codes] = np.fromiter(map(_DESTINATION_INDEX.__getitem__, found), np.int64, len(codes))
+    destination[codes] = np.fromiter(found, np.int64, len(codes))
     unlisted = destination < 0
     unmapped = int(per_number[unlisted].sum())
     destination[unlisted] = DESTINATION_CLASSES.index("other-mobile")

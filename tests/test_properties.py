@@ -972,7 +972,9 @@ def test_bucketed_prefix_lookup_matches_a_linear_scan(table_and_numbers):
     mapping, numbers = table_and_numbers
     table = PrefixTable(mapping)
     expected = [longest_prefix_scan(mapping, number) for number in numbers]
-    assert [table._lookup(number) for number in numbers] == expected
+    assert [table._lookup(number) for number in numbers] == [
+        -1 if dest is None else DESTINATION_CLASSES.index(dest) for dest in expected
+    ]
     calls = classify_calls(
         parse_cdr(cdr_text([(number, "20.08.2010", 57) for number in numbers])), table, WorkdayCalendar()
     )

@@ -28,7 +28,7 @@ from tariffopt import (
     observation_months,
     parse_cdr,
 )
-from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX
+from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DESTINATION_CLASSES
 from tariffopt.traffic import TrafficCell, TrafficProfile
 
 from conftest import CDR_HEADER as HEADER, REFERENCE_CELL_RATES, cdr_text, classified, make_reference_profile, rebuilt
@@ -273,6 +273,19 @@ def test_date_ordinals_match_date_toordinal(year):
     assert got.tolist() == expected
 
 
+def test_date_ordinals_reject_the_padding_of_a_row_with_no_plain_date():
+    """A catch-all row has no date text, so each of its ten date digits is
+    the padding -48: day and month -528, year -53,328. Its ordinal is -1,
+    so the reader drops the row by its ordinal alone."""
+    from tariffopt.cdr import _DATE_PLACES, _date_ordinals, _digits
+
+    padding = _digits(("",), 10)
+    assert padding.tolist() == [[-48] * 10]
+    day, month, year = (padding @ _DATE_PLACES).T
+    assert (day.tolist(), month.tolist(), year.tolist()) == ([-528], [-528], [-53328])
+    assert _date_ordinals(year, month, day).tolist() == [-1]
+
+
 @pytest.mark.parametrize("years", [range(1, 40), range(1890, 2110), range(9960, 10000)],
                          ids=["1-39", "1890-2109", "9960-9999"])
 def test_add_months_matches_calendar_monthrange(years):
@@ -373,8 +386,8 @@ def test_prefix_table_from_csv():
     table = PrefixTable.from_csv(
         "prefix;destination_class\n+7916;same-network\n+7495;landline\n+7916;same-network\n"
     )
-    assert table._lookup("+79161") == "same-network"
-    assert table._lookup("+74951") == "landline"
+    assert table._lookup("+79161") == DESTINATION_CLASSES.index("same-network")
+    assert table._lookup("+74951") == DESTINATION_CLASSES.index("landline")
 
 
 def test_prefix_table_skips_a_header_on_any_line():
@@ -448,12 +461,12 @@ def test_prefix_table_keeps_a_read_only_copy():
     source = {"+7916": "same-network"}
     table = PrefixTable(source)
     source["+79165"] = "landline"
-    assert table._lookup("+791650") == "same-network"
+    assert table._lookup("+791650") == DESTINATION_CLASSES.index("same-network")
     with pytest.raises(TypeError):
         table.mapping["+79165"] = "landline"
     with pytest.raises(AttributeError, match="^cannot assign to field 'mapping'$"):
         table.mapping = source
-    assert table._lookup("+791650") == "same-network"
+    assert table._lookup("+791650") == DESTINATION_CLASSES.index("same-network")
 
 
 def test_prefix_table_converts_to_a_dict_and_prints_a_view():
@@ -467,7 +480,7 @@ def test_prefix_table_converts_to_a_dict_and_prints_a_view():
     assert repr(table) == "PrefixTable(mapping=mappingproxy({'+7916': 'same-network'}), unmapped_count=1)"
     with pytest.raises(TypeError):
         table.mapping |= {"+79165": "landline"}
-    assert table._lookup("+791650") == "same-network"
+    assert table._lookup("+791650") == DESTINATION_CLASSES.index("same-network")
 
 
 @pytest.mark.parametrize(
@@ -494,7 +507,7 @@ def test_prefix_table_copies_and_pickles(clone):
     classify_rows([UNLISTED_CALL], table)
     twin = clone(table)
     assert twin == table and twin.unmapped_count == 1
-    assert twin._lookup("+79165550000") == "landline"
+    assert twin._lookup("+79165550000") == DESTINATION_CLASSES.index("landline")
     assert call_classes(classify_rows([UNLISTED_CALL], twin))[0][0] == "other-mobile"
     assert (twin.unmapped_count, table.unmapped_count) == (2, 1)
 
