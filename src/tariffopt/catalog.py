@@ -30,6 +30,8 @@ if TYPE_CHECKING:
 
 DESTINATION_CLASSES = ("same-network", "other-mobile", "landline")
 DAY_CLASSES = ("workday", "weekend")
+#: the printout's service tags; a printout log's service column indexes them
+KNOWN_SERVICES = ("Tel", "SMS")
 ANY = "any"
 
 #: every (destination, day) combination a classifier must cover

@@ -4,8 +4,10 @@ into columns.
 :func:`parse_cdr` reads printout text into a :class:`CallLog`, the accepted
 rows as columns of ints, in line order; :mod:`tariffopt.classify` classifies
 those rows. Of a row's seven fields the reader keeps the five that the
-pipeline reads; it checks the time and keeps neither it nor the zone.
-:class:`CallRecord` is the row view that indexing and iterating a log build.
+pipeline reads; it checks the time and keeps neither it nor the zone. The
+service is kept as its index in ``KNOWN_SERVICES``, the number and the cost
+as indices into the log's distinct texts. :class:`CallRecord` is the row
+view that indexing and iterating a log build.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from typing import IO, Union
 
 import numpy as np
 
-from .catalog import CdrError, _fields, _ordinal, _read_source, _Record
+from .catalog import KNOWN_SERVICES, CdrError, _fields, _ordinal, _read_source, _Record
 
 CDR_HEADER = ("date", "time", "number", "zone", "service", "duration", "cost")
-KNOWN_SERVICES = ("Tel", "SMS")
 
 #: longest call a printout row may record: 31 days
 MAX_CALL_SECONDS = 31 * 24 * 60 * 60
@@ -72,13 +73,14 @@ class CallRecord(_Record):
 
 class CallLog(_Record, Sequence):
     """The accepted rows of a printout as columns of ints, in line order:
-    `date` the proleptic Gregorian ordinal, `duration` the seconds (0 for an
-    SMS row with a bare count).
+    `date` the proleptic Gregorian ordinal, `service` the index in
+    ``KNOWN_SERVICES`` (Tel 0, SMS 1), `duration` the seconds (0 for an SMS
+    row with a bare count).
 
-    The text columns, `number`, `service` and `cost` (the cost as printed,
-    decimal comma allowed), hold indices into `strings`, the distinct texts
-    of the printout. Indexing and iteration build :class:`CallRecord` views;
-    a log compares by identity.
+    The text columns, `number` and `cost` (the cost as printed, decimal
+    comma allowed), hold indices into `strings`, the distinct number and
+    cost texts of the printout. Indexing and iteration build
+    :class:`CallRecord` views; a log compares by identity.
     """
 
     __eq__ = object.__eq__
@@ -89,13 +91,6 @@ class CallLog(_Record, Sequence):
         vars(self).update(date=date, number=number, service=service, duration=duration, cost=cost,
                           strings=strings)
 
-    def code(self, text: str) -> int:
-        """The index of `text` in `strings`, or -1 when no row holds it."""
-        try:
-            return self.strings.index(text)
-        except ValueError:
-            return -1
-
     def __len__(self) -> int:
         return len(self.date)
 
@@ -105,7 +100,7 @@ class CallLog(_Record, Sequence):
         return CallRecord(
             date=date.fromordinal(int(self.date[i])),
             number=text[self.number[i]],
-            service=text[self.service[i]],
+            service=KNOWN_SERVICES[self.service[i]],
             duration_seconds=int(self.duration[i]),
             cost=Decimal(text[self.cost[i]].replace(",", ".")),
         )
@@ -186,16 +181,21 @@ def _date_ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.n
     return np.where((year >= 1) & (ordinal < _ordinal(year, month + 1, 1)), ordinal, -1)
 
 
+#: a service tag's index in ``KNOWN_SERVICES``; a catch-all row's empty tag -1
+_SERVICE_INDEX = {tag: i for i, tag in enumerate(("", *KNOWN_SERVICES), start=-1)}
+
+
 class _LogBuilder:
     """Collects a :class:`CallLog` block by block, numbering its distinct texts.
 
     A block's rows are read column by column from one pass of
     :data:`_PLAIN_ROW`: the date and the seconds from their fixed-width
-    digits, the minutes through a dict of digit texts, each text column's
-    codes in one pass. A row is kept by its date ordinal and duration alone:
-    a catch-all row's date digits are padding, a year below 1, so its
-    ordinal is -1. A row that drops (not plain, no such date, over 31 days)
-    goes through `_read_row`, except an empty line, which is skipped.
+    digits, the minutes through a dict of digit texts, the service through
+    :data:`_SERVICE_INDEX`, each text column's codes in one pass. A row is
+    kept by its date ordinal and duration alone: a catch-all row's date
+    digits are padding, a year below 1, so its ordinal is -1. A row that
+    drops (not plain, no such date, over 31 days) goes through `_read_row`,
+    except an empty line, which is skipped.
     """
 
     def __init__(self):
@@ -224,7 +224,8 @@ class _LogBuilder:
         ordinal = _date_ordinals(year, month, day)  # -1 for a catch-all row, whose year is below 1
         tens, ones = np.maximum(_digits(seconds, 2), 0).T  # a row without M:SS has none: 0 seconds
         duration = self.ints_of(minutes) * 60 + tens * 10 + ones
-        columns = np.array([ordinal, self.codes_of(number), self.codes_of(service), duration, self.codes_of(cost)])
+        service = list(map(_SERVICE_INDEX.__getitem__, service))
+        columns = np.array([ordinal, self.codes_of(number), service, duration, self.codes_of(cost)])
         keep = (ordinal >= 0) & (duration <= MAX_CALL_SECONDS)
         if not keep.all():
             # a plain row that drops took the plain branch, not the line's: split for it
@@ -232,9 +233,9 @@ class _LogBuilder:
             for i in np.flatnonzero(~keep).tolist():
                 row = _read_row(lines[i], lineno + i, strict, issues) if lines[i] else None
                 if row is not None:
-                    day, *texts, duration, cost = row
-                    number, service, cost = self.codes_of((*texts, cost))
-                    columns[:, i] = day, number, service, duration, cost
+                    day, number, service, duration, cost = row
+                    number, cost = self.codes_of((number, cost))
+                    columns[:, i] = day, number, _SERVICE_INDEX[service], duration, cost
                     keep[i] = True
             columns = columns[:, keep]
         self.parts.append(columns)

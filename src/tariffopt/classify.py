@@ -2,12 +2,15 @@
 (destination, day) class, one index into ``ALL_CALL_CLASSES``.
 
 :func:`classify_calls` reads the columns that :func:`tariffopt.cdr.parse_cdr`
-returns, looks each distinct number up once in a :class:`PrefixTable` (one
-dict probe on its first characters, then a few ``startswith`` checks, which
-give the class's index in ``DESTINATION_CLASSES``, or -1 for no listed
-prefix), takes each date's day class from a :class:`WorkdayCalendar` (a binary
-search in the calendar's sorted holidays), and returns the calls as columns
-(:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic` read.
+returns, keeps the Tel rows of positive duration (the service column is an
+index into ``KNOWN_SERVICES``), looks each distinct number up once in a
+:class:`PrefixTable` (one dict probe on its first characters, then a few
+``startswith`` checks, which give the class's index in
+``DESTINATION_CLASSES``, or -1 for no listed prefix), takes each date's
+day class from a :class:`WorkdayCalendar` (a binary search in the
+calendar's sorted holidays), and returns the calls as columns of their own
+(:class:`CallTable`), which the estimators in :mod:`tariffopt.traffic`
+read; a table keeps no reference to its printout.
 
 Loading a prefix table or a holiday list imports no numpy; only the
 functions that build columns do.
@@ -19,7 +22,7 @@ from datetime import date
 from types import MappingProxyType
 from typing import IO, TYPE_CHECKING, Mapping, Union
 
-from .catalog import DAY_CLASSES, DESTINATION_CLASSES, CdrError, _fields, _read_source, _Record
+from .catalog import DAY_CLASSES, DESTINATION_CLASSES, KNOWN_SERVICES, CdrError, _fields, _read_source, _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,7 +32,8 @@ if TYPE_CHECKING:
 
 class CallTable(_Record):
     """Classified calls as columns, in printout order: what
-    :func:`classify_calls` returns and the estimators read. Two tables are
+    :func:`classify_calls` returns and the estimators read. The columns are
+    the table's own arrays, not views of the printout's log. Two tables are
     equal only if they are the same object."""
 
     __eq__ = object.__eq__
@@ -37,28 +41,18 @@ class CallTable(_Record):
 
     def __init__(
         self,
-        log: CallLog,  # the printout the calls come from
-        rows: np.ndarray,  # each call's row in `log`
         call_class: np.ndarray,  # index into ALL_CALL_CLASSES
         minute: np.ndarray,  # billed minute: the duration in minutes rounded up, at least 1
+        date: np.ndarray,  # each call's date, as an ordinal
+        duration: np.ndarray,  # each call's duration in seconds
         unmapped: int = 0,  # calls sent to `other-mobile` because no listed prefix matches their number
         zero_length: int = 0,  # Tel rows dropped because their duration is 0
     ):
-        vars(self).update(log=log, rows=rows, call_class=call_class, minute=minute, unmapped=unmapped,
+        vars(self).update(call_class=call_class, minute=minute, date=date, duration=duration, unmapped=unmapped,
                           zero_length=zero_length)
 
-    @property
-    def date(self) -> np.ndarray:
-        """Each call's date, as an ordinal."""
-        return self.log.date[self.rows]
-
-    @property
-    def duration(self) -> np.ndarray:
-        """Each call's duration in seconds."""
-        return self.log.duration[self.rows]
-
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.call_class)
 
 
 class PrefixTable(_Record):
@@ -191,14 +185,15 @@ def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCal
     unlisted number goes to `other-mobile` and counts in the returned
     `unmapped` and in the prefix table's `unmapped_count`; the returned
     `zero_length` counts the Tel rows dropped. The billing minute is the
-    ceiling of the duration in minutes. `log` is what :func:`parse_cdr`
-    returns.
+    ceiling of the duration in minutes. The table keeps each call's date and
+    duration, gathered from `log` once, and not `log` itself. `log` is what
+    :func:`parse_cdr` returns.
     """
     import numpy as np
 
-    tel = log.service == log.code("Tel")
+    tel = log.service == KNOWN_SERVICES.index("Tel")
     rows = np.flatnonzero(tel & (log.duration > 0))
-    numbers = log.number[rows]
+    numbers, dates, seconds = log.number[rows], log.date[rows], log.duration[rows]
     per_number = np.bincount(numbers, minlength=len(log.strings))
     codes = np.flatnonzero(per_number)
     found = map(prefix_table._lookup, map(log.strings.__getitem__, codes.tolist()))
@@ -208,13 +203,13 @@ def classify_calls(log: CallLog, prefix_table: PrefixTable, calendar: WorkdayCal
     unmapped = int(per_number[unlisted].sum())
     destination[unlisted] = DESTINATION_CLASSES.index("other-mobile")
     vars(prefix_table)["unmapped_count"] += unmapped  # the one field that changes; assignment is refused
-    weekend = calendar.weekend(log.date[rows])
+    weekend = calendar.weekend(dates)
     day = np.where(weekend, DAY_CLASSES.index("weekend"), DAY_CLASSES.index("workday"))
     return CallTable(
-        log=log,
-        rows=rows,
         call_class=destination[numbers] * len(DAY_CLASSES) + day,
-        minute=np.maximum(1, -(-log.duration[rows] // 60)),
+        minute=np.maximum(1, -(-seconds // 60)),
+        date=dates,
+        duration=seconds,
         unmapped=unmapped,
         zero_length=int(np.count_nonzero(tel)) - len(rows),
     )

@@ -121,7 +121,8 @@ def _load_inputs(args) -> Inputs:
     records = _read(args.cdr, lambda fh: parse_cdr(fh, strict=args.strict, issues=issues))
     calls = classify_calls(records, prefixes, calendar)
     if not calls:
-        raise CdrError("no Tel traffic in the CDR")
+        dropped = f" (zero-length Tel rows dropped: {calls.zero_length})" if calls.zero_length else ""
+        raise CdrError(f"no Tel traffic in the CDR{dropped}")
     if args.months is not None:
         months = args.months
     else:

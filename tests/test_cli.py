@@ -163,6 +163,25 @@ def test_analyze_sms_only_cdr_fails(tmp_path, capsys):
     assert "no Tel traffic" in err
 
 
+def test_analyze_of_zero_length_tel_calls_alone_names_them(tmp_path, capsys):
+    """A printout whose only Tel call lasts 0:00 has no Tel traffic, and the
+    error says how many Tel rows were dropped for their length."""
+    cdr = tmp_path / "zero.csv"
+    cdr.write_text(
+        "date;time;number;zone;service;duration;cost\n"
+        "20.08.2010;12:14:39;+79101112233;;SMS;1;4.449\n"
+        "20.08.2010;12:15:00;+79101112233;;Tel;0:00;0.000\n"
+    )
+    code, out, err = invoke(
+        capsys, "analyze",
+        "--catalog", str(CATALOG_PATH),
+        "--cdr", str(cdr),
+        "--prefixes", str(PREFIXES_PATH),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: no Tel traffic in the CDR (zero-length Tel rows dropped: 1)\n"
+
+
 def test_rank_recommends_staying(capsys):
     code, out, _ = invoke(capsys, "rank", *BASE)
     assert code == 0

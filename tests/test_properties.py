@@ -831,7 +831,7 @@ LIGHT_HEAD_CATALOG = Catalog(
     context=SubscriberContext(1),
 )
 LIGHT_HEAD_CALLS = CallTable(
-    None, np.arange(10**5), np.zeros(10**5, dtype=np.int64), np.array([1] + [2] * (10**5 - 1), dtype=np.int64)
+    np.zeros(10**5, dtype=np.int64), np.array([1] + [2] * (10**5 - 1), dtype=np.int64), None, None
 )
 
 #: printouts of up to 40 calls, zero-length ones (which classification drops)

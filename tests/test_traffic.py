@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import pickle
 import re
+import weakref
 from datetime import date, datetime
 from decimal import Decimal
 
@@ -359,6 +361,32 @@ def test_classify_calls_drops_sms_and_zero_duration():
     calls = classify_calls(parse_cdr(text), PREFIXES, WorkdayCalendar())
     assert len(calls) == 1
     assert calls.zero_length == 1
+
+
+def test_a_call_table_holds_its_own_columns_and_not_the_log():
+    """A table's dates and durations are the log's, row for row, for the Tel
+    calls of positive duration; SMS rows and a 0:00 call drop. The table
+    keeps no reference to the log: once the log is dropped and only the
+    table is kept, the log is gone."""
+    text = (
+        cdr_text([("+74951234567", "06.03.2010", 125)])
+        + "07.03.2010;12:00:00;+79161234567;Moscow;SMS;1;2.542\n"
+        + "08.03.2010;12:00:00;+79161234567;Moscow;SMS;0:00;2.542\n"
+        + "09.03.2010;12:00:00;+79161234567;Moscow;Tel;0:00;2.542\n"
+        + cdr_text([FRIDAY_CALL, ("+79261234567", "23.08.2010", 181)]).partition("\n")[2]
+    )
+    log = parse_cdr(text)
+    calls = classify_calls(log, PREFIXES, WorkdayCalendar())
+    kept = [record for record in log if record.service == "Tel" and record.duration_seconds > 0]
+    assert [record.service for record in log] == ["Tel", "SMS", "SMS", "Tel", "Tel", "Tel"]
+    assert calls.date.tolist() == [record.date.toordinal() for record in kept]
+    assert calls.duration.tolist() == [125, 57, 181] == [record.duration_seconds for record in kept]
+    assert calls.zero_length == 1
+    alive = weakref.ref(log)
+    del log, kept
+    gc.collect()
+    assert alive() is None
+    assert len(calls) == 3
 
 
 def test_unmapped_count_adds_one_per_unmapped_call():
