@@ -9,9 +9,10 @@ cost lines, and its breakpoints are exactly where the best plan changes.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,12 +21,74 @@ from .cost import LOOKUP, NEAR, cheapest_first, full_costs, tie_order
 from .traffic import ProfileError, TrafficProfile
 
 
+class Grid(_Record, Sequence):
+    """The traffic multipliers of a sweep: an immutable sequence of floats.
+
+    `points` holds them as given, each as a float; `ks` holds them as a
+    read-only float64 array, built once with the grid and not a field, so
+    every sweep on the grid shares it. A grid is one-dimensional, non-empty
+    and finite; order and sign are what :func:`sweep` requires of it.
+    Pickling and copying rebuild the grid from its points.
+    """
+
+    def __init__(self, points: Sequence[float]):
+        ks = np.array(points, dtype=float)
+        if ks.ndim != 1:
+            raise ProfileError(f"multiplier grid must be one-dimensional, got shape {ks.shape}")
+        if not len(ks):
+            raise ProfileError("empty multiplier grid")
+        finite = np.isfinite(ks)
+        if not finite.all():
+            raise ProfileError(f"traffic multiplier must be finite, got {points[int(finite.argmin())]}")
+        ks.flags.writeable = False
+        vars(self).update(points=tuple(ks.tolist()), ks=ks)
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, so a copy's `ks` is read-only and its designs not yet built."""
+        return type(self), (self.points,)
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i):
+        return self.points[i]
+
+    def __iter__(self):
+        return iter(self.points)
+
+    @cached_property
+    def designs(self) -> MappingProxyType:
+        """The design matrix of each form of :data:`FIT_FORMS`, by name:
+        ``k**0 ... k**degree`` with an intercept, ``k**1 ... k**degree``
+        without (see :func:`_powers`). Built on first use, and read-only, as
+        every fit on the grid shares them. A grid of fewer than 5 points, of
+        one value, or whose powers of k overflow is a :class:`ProfileError`
+        on every use."""
+        ks = self.ks
+        if ks.size < 5:
+            raise ProfileError(f"need at least 5 sweep points, got {ks.size}")
+        if np.all(ks == ks[0]):  # a grid need not be sorted, so its ends can be equal
+            raise ProfileError("x values are all identical")
+        with np.errstate(over="ignore"):
+            powers = _powers(ks, max(degree for _, _, degree, _ in FIT_FORMS))
+        # a power overflows only where |k| > 1, and there the highest is the largest
+        if not np.isfinite(powers[:, -1]).all():
+            raise ProfileError(f"{_span(ks)} is too wide to fit: its powers of k overflow")
+        designs = {}
+        for name, _, degree, intercept in FIT_FORMS:
+            # C-contiguous, as np.column_stack builds it: `design @ coef` must
+            # sum in the same order whichever caller built the columns
+            design = designs[name] = np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1])
+            design.flags.writeable = False
+        return MappingProxyType(designs)
+
+
 class Sweep(_Record):
     """Every candidate's cost over a grid of traffic multipliers.
 
     Row i of `costs` is candidate ``plan_ids[i]``, the rows in
     :func:`~tariffopt.cost.tie_order`, so `stay`, the current plan's row,
-    is 0. Column j is multiplier ``ks[j]``, and
+    is 0. Column j is multiplier ``ks[j]``, the `grid`'s point j, and
     ``costs[i, j] = variable[i] * ks[j] + fixed[i]``. `optimal` holds the
     row of the line exactly lowest at each multiplier, the first of exact
     ties. ``len()`` is the number of multipliers, and :meth:`table` the rows
@@ -36,12 +99,17 @@ class Sweep(_Record):
     __hash__ = object.__hash__
     stay = 0
 
-    def __init__(self, ks: np.ndarray, plan_ids: tuple[int, ...], fixed: np.ndarray, variable: np.ndarray,
+    def __init__(self, grid: Grid, plan_ids: tuple[int, ...], fixed: np.ndarray, variable: np.ndarray,
                  costs: np.ndarray, optimal: np.ndarray):
-        vars(self).update(ks=ks, plan_ids=plan_ids, fixed=fixed, variable=variable, costs=costs, optimal=optimal)
+        vars(self).update(grid=grid, plan_ids=plan_ids, fixed=fixed, variable=variable, costs=costs, optimal=optimal)
 
     def __len__(self) -> int:
-        return self.ks.size
+        return len(self.grid)
+
+    @property
+    def ks(self) -> np.ndarray:
+        """The multipliers, the grid's read-only array."""
+        return self.grid.ks
 
     @property
     def optimal_costs(self) -> np.ndarray:
@@ -55,7 +123,7 @@ class Sweep(_Record):
         by_id = [self.plan_ids.index(pid) for pid in plan_ids]
         return plan_ids, [
             [k, self.plan_ids[best], at_k[best], at_k[self.stay], *(at_k[i] for i in by_id)]
-            for k, best, at_k in zip(self.ks.tolist(), self.optimal.tolist(), self.costs.T.tolist())
+            for k, best, at_k in zip(self.grid, self.optimal.tolist(), self.costs.T.tolist())
         ]
 
 
@@ -85,13 +153,14 @@ class RegressionFit(_Record):
 MAX_GRID_POINTS = 10**6
 
 
-def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> list[float]:
+def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> Grid:
     """Inclusive multiplier grid, built without floating-point drift.
 
-    Each point is rounded to 12 decimals, so a start that rounds to 0 or a
-    step below that resolution would give a zero multiplier or repeat
-    points; such a grid, and one of more than :data:`MAX_GRID_POINTS`
-    points, is a :class:`ProfileError`.
+    Each point is a float rounded to 12 decimals, and the last does not
+    exceed `stop` at that resolution. So a start that rounds to 0 or a step
+    below it would give a zero multiplier or repeat points; such a grid, and
+    one of more than :data:`MAX_GRID_POINTS` points, is a
+    :class:`ProfileError`.
     """
     if not (0 < round(start, 12) and start <= stop < math.inf and 0 < step < math.inf):
         raise ProfileError(f"bad grid spec start={start} stop={stop} step={step}")
@@ -100,10 +169,12 @@ def k_grid(start: float = 0.5, stop: float = 10.0, step: float = 0.5) -> list[fl
         raise ProfileError(
             f"grid from {start} to {stop} by {step} has more than {MAX_GRID_POINTS} points"
         )
-    grid = [round(start + i * step, 12) for i in range(int(steps) + 1)]
-    if len(set(grid)) < len(grid):
+    points = [round(start + i * step, 12) for i in range(int(steps) + 1)]
+    if points[-1] > round(stop, 12):  # the slack above admitted a point past the stop
+        points.pop()
+    if len(set(points)) < len(points):
         raise ProfileError(f"grid step {step} is too fine: points rounded to 12 decimals coincide")
-    return grid
+    return Grid(points)
 
 
 def sweep(
@@ -127,16 +198,13 @@ def sweep(
     :func:`~tariffopt.cost.rank`'s pick. Fees and variable costs are never
     negative, so the grid's last k holds every plan's largest cost; a cost
     that overflows there is a :class:`ProfileError`.
-    ``grid`` is a sequence or a one-dimensional array of multipliers.
+    ``grid`` is a :class:`Grid`, used as it is, or a sequence or a
+    one-dimensional array of multipliers, made one; it must be sorted and
+    start above 0.
     """
-    ks = np.array(grid, dtype=float)
-    if ks.ndim != 1:
-        raise ProfileError(f"multiplier grid must be one-dimensional, got shape {ks.shape}")
-    if not len(ks):
-        raise ProfileError("empty multiplier grid")
-    finite = np.isfinite(ks)
-    if not finite.all():
-        raise ProfileError(f"traffic multiplier must be finite, got {grid[int(finite.argmin())]}")
+    if not isinstance(grid, Grid):
+        grid = Grid(grid)
+    ks = grid.ks
     if (ks[1:] < ks[:-1]).any():
         raise ProfileError("multiplier grid must be sorted")
     if ks[0] <= 0:
@@ -155,9 +223,9 @@ def sweep(
             k, rows = Fraction(float(ks[j])), np.flatnonzero(near[:, j]).tolist()
             exact = {i: Fraction(lines[i].fixed) + k * Fraction(lines[i].variable) for i in rows}  # all one run
             optimal[j] = cheapest_first(rows, costs[rows, j].tolist(), exact.get, lambda i: (i,))[0]
-    for array in (ks, fixed, variable, costs, optimal):
+    for array in (fixed, variable, costs, optimal):
         array.flags.writeable = False
-    return Sweep(ks, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal)
+    return Sweep(grid, tuple(b.plan_id for b in lines), fixed, variable, costs, optimal)
 
 
 #: crossings closer than this to each other or to the grid's ends, relative
@@ -181,7 +249,7 @@ def switch_points(swept: Sweep) -> list[SwitchInterval]:
     """
     ids = swept.plan_ids
     fixed, variable = swept.fixed.tolist(), swept.variable.tolist()
-    first, last = float(swept.ks[0]), float(swept.ks[-1])
+    first, last = swept.grid[0], swept.grid[-1]
     touch = _TOUCH * max(1.0, abs(first), abs(last))
     start, row, intervals = first, int(swept.optimal[0]), []
     while True:
@@ -273,21 +341,9 @@ def fit_report(swept: Sweep) -> dict[str, RegressionFit]:
     :class:`ProfileError`, as is a fit with a coefficient past the float
     range.
     """
-    ks = swept.ks
-    if ks.size < 5:
-        raise ProfileError(f"need at least 5 sweep points, got {ks.size}")
-    if np.all(ks == ks[0]):  # a hand-built sweep need not be sorted
-        raise ProfileError("x values are all identical")
-    with np.errstate(over="ignore"):
-        powers = _powers(ks, max(degree for _, _, degree, _ in FIT_FORMS))
-    # a power overflows only where |k| > 1, and there the highest is the largest
-    if not np.isfinite(powers[:, -1]).all():
-        raise ProfileError(f"{_span(ks)} is too wide to fit: its powers of k overflow")
+    designs = swept.grid.designs
     series = {"stay": _Series(swept.costs[swept.stay]), "optimal": _Series(swept.optimal_costs)}
-    # each design C-contiguous, as np.column_stack builds it: `design @ coef`
-    # must sum in the same order whichever caller built the columns
     return {
-        name: _fit(name, np.ascontiguousarray(powers[:, (0 if intercept else 1) : degree + 1]), series[which],
-                   degree, intercept)
+        name: _fit(name, designs[name], series[which], degree, intercept)
         for name, which, degree, intercept in FIT_FORMS
     }

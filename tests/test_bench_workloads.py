@@ -67,6 +67,29 @@ def test_a_second_pass_prices_each_profile_once(bench_modules, name, monkeypatch
     assert len(runs) == KERNEL_RUNS[name]
 
 
+#: fit designs built in a pass after the first, counted as `sensitivity._powers`
+#: calls: a grid builds its designs once, so growth-scan's two kept grids and
+#: paper-oracle's kept grid build none; paper-oracle's `fit` command builds its
+#: own grid, and bulk-ingest fits nothing
+DESIGN_BUILDS = {"paper-oracle": 1, "bulk-ingest": 0, "growth-scan": 0}
+
+
+@pytest.mark.parametrize("name", sorted(DESIGN_BUILDS))
+def test_a_second_pass_builds_designs_only_for_new_grids(bench_modules, name, monkeypatch, tmp_path):
+    from tariffopt import sensitivity
+
+    spans, workloads = bench_modules
+    workload = workloads.WORKLOADS[name](BENCH.parent, 111, work=tmp_path)
+    workload.load()
+    workload.run_pass(spans.Tracer(False))
+    built = []
+    powers = sensitivity._powers
+    monkeypatch.setattr(sensitivity, "_powers", lambda x, degree: built.append(degree) or powers(x, degree))
+    result = workload.run_pass(spans.Tracer(False))
+    assert result.unexpected == 0
+    assert len(built) == DESIGN_BUILDS[name]
+
+
 #: rationals built in a pass: `rank`, `sweep` and `switch_points` compare exact
 #: costs only where floats cannot tell them apart. One bulk-ingest profile
 #: prices plan 2 at 315 + 1.7e-23 and plan 4 at 250 + 65, both 315.0 in

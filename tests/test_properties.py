@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import re
 from datetime import date
 from decimal import Decimal
@@ -25,6 +27,7 @@ from tariffopt import (
     FixedCostSpec,
     PayoffFunction,
     PrefixTable,
+    ProfileError,
     RateSegment,
     RegressionFit,
     SimConfig,
@@ -49,7 +52,7 @@ from tariffopt import (
 )
 from tariffopt import cdr, sensitivity, simulate
 from tariffopt.cost import LOOKUP, tie_order
-from tariffopt.sensitivity import _TOUCH, FIT_FORMS
+from tariffopt.sensitivity import _TOUCH, FIT_FORMS, Grid
 from tariffopt.catalog import ALL_CALL_CLASSES, CALL_CLASS_INDEX, DAY_CLASSES, DESTINATION_CLASSES
 
 from conftest import (
@@ -485,7 +488,7 @@ def test_sweep_matches_rank_at_each_multiplier(catalog, profile, grid, mode):
     lines = {b.plan_id: (b.fixed, b.variable) for b in breakdowns}
     swept = sweep(catalog, catalog.context, profile, grid, mode)
     assert len(swept) == len(grid)
-    assert swept.ks.tolist() == grid
+    assert swept.ks.tolist() == list(grid)
     assert swept.plan_ids[swept.stay] == current
     assert dict(zip(swept.plan_ids, zip(swept.fixed.tolist(), swept.variable.tolist()))) == lines
     optimal, best_costs = optimal_ids(swept), swept.optimal_costs.tolist()
@@ -782,6 +785,76 @@ def test_fit_report_matches_the_reference_fit(catalog_and_context, profile, grid
             fit_report(swept)
     else:
         assert repr(fit_report(swept)) == expected
+
+
+#: grids of one point, of too few points to fit, of stepped and of drawn points
+grid_points = fit_grids() | st.sampled_from([k_grid(), k_grid(0.25, 3.0, 0.25), k_grid(1.0, 40.0, 3.0), [2.0]])
+
+
+def fits_or_error(swept):
+    """`fit_report`'s fits by repr, or the message of the error it raises."""
+    try:
+        return repr(fit_report(swept))
+    except ProfileError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogs(), traffic_profiles(), grid_points, st.sampled_from(BILLING_MODES))
+def test_a_sweep_on_a_grid_is_the_sweep_on_its_points(catalog, profile, points, mode):
+    """A sweep on a `Grid` has the costs, optima, switch points and fits of a
+    sweep on the grid's points as a list. Two sweeps on one grid share its
+    array, and the second one's fits build no designs of their own."""
+    grid = Grid(points)
+    on_grid, again, on_list = (sweep(catalog, catalog.context, profile, g, mode) for g in (grid, grid, list(grid)))
+    for name in ("costs", "optimal"):
+        mine, theirs = getattr(on_grid, name), getattr(on_list, name)
+        assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes())
+    assert switch_points(on_grid) == switch_points(on_list)
+    fits = fits_or_error(on_grid)
+    assert fits == fits_or_error(on_list)
+    assert on_grid.grid is again.grid is grid and on_grid.ks is again.ks is grid.ks
+    designs = vars(grid).get("designs")
+    assert fits_or_error(again) == fits and vars(grid).get("designs") is designs
+    if designs is not None:
+        assert all(again.grid.designs[name] is design for name, design in designs.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(catalogs(), traffic_profiles(), fit_grids(), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_a_grid_refuses_what_sweep_refused_with_its_message(catalog, profile, points, bad, data):
+    """A two-dimensional, empty or non-finite grid is a `ProfileError` from
+    `Grid`, with the message `sweep` gave it, which `sweep` still gives."""
+    points = list(points)
+    at = data.draw(st.integers(0, len(points)))
+    for wrong, message in (
+        ([points, points], f"multiplier grid must be one-dimensional, got shape (2, {len(points)})"),
+        (np.array(points)[:, None], f"multiplier grid must be one-dimensional, got shape ({len(points)}, 1)"),
+        ([], "empty multiplier grid"),
+        (np.array([]), "empty multiplier grid"),
+        ([*points[:at], bad, *points[at:]], f"traffic multiplier must be finite, got {bad}"),
+    ):
+        for refuse in (Grid, lambda grid: sweep(catalog, catalog.context, profile, grid)):
+            with pytest.raises(ProfileError, match=f"^{re.escape(message)}$"):
+                refuse(wrong)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_points, st.booleans())
+def test_a_copied_grid_is_equal_and_read_only(points, fitted):
+    """A pickled or copied `Grid` equals the original and has a read-only
+    array of its own; its designs are built anew, whether or not the
+    original's were."""
+    grid = Grid(points)
+    if fitted:
+        try:
+            grid.designs
+        except ProfileError:
+            pass
+    for other in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid), copy.copy(grid)):
+        assert other == grid and hash(other) == hash(grid) and other is not grid
+        assert other.ks.tobytes() == grid.ks.tobytes() and not other.ks.flags.writeable
+        assert other.ks is not grid.ks and "designs" not in vars(other)
 
 
 @settings(max_examples=200, deadline=None)

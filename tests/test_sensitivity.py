@@ -23,7 +23,7 @@ from tariffopt import (
 )
 
 from tariffopt.catalog import ALL_CALL_CLASSES
-from tariffopt.sensitivity import MAX_GRID_POINTS, Sweep, _fit, _powers, _Series
+from tariffopt.sensitivity import MAX_GRID_POINTS, Grid, Sweep, _fit, _powers, _Series
 
 from conftest import costs_at, make_reference_profile, optimal_ids
 
@@ -49,6 +49,15 @@ def test_k_grid_rejects_coinciding_points():
     with pytest.raises(ProfileError, match="coincide"):
         k_grid(1.0, 1.0000000000001, 1e-14)
     assert len(k_grid(1.0, 1.00000000001, 1e-12)) == 11
+
+
+def test_k_grid_stops_at_its_stop_in_floats():
+    # the point count's slack must not admit 3, a point past the stop, and
+    # integer arguments give float points
+    grid = k_grid(1, 2.9999999996, 1)
+    assert grid == Grid((1.0, 2.0)) and [type(k) for k in grid] == [float, float]
+    # a stop past the last point by less than 12 decimals still holds it
+    assert k_grid(1, 2.9999999999996, 1).points == (1.0, 2.0, 3.0)
 
 
 def test_k_grid_point_limit():
@@ -461,9 +470,12 @@ def test_fit_report_model_forms(reference_sweep):
 
 
 def test_fit_report_needs_five_points(mts_catalog):
+    """A failed check of the grid's designs raises on every use and caches nothing."""
     points = sweep(mts_catalog, mts_catalog.context, make_reference_profile(), GRID[:4])
-    with pytest.raises(ValueError, match="at least 5"):
-        fit_report(points)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="at least 5 sweep points, got 4"):
+            fit_report(points)
+    assert "designs" not in vars(points.grid)
 
 
 def test_fit_report_rejects_points_at_one_multiplier(mts_catalog):
@@ -473,11 +485,12 @@ def test_fit_report_rejects_points_at_one_multiplier(mts_catalog):
 
 
 def hand_built_sweep(ks, fixed=1.0, variable=2.0):
-    """One plan's `Sweep` over `ks` as given, which `sweep` would not check:
-    they need not be sorted."""
-    ks = np.array(ks, dtype=float)
+    """One plan's `Sweep` over the `Grid` of `ks` as given, which `sweep`
+    would not check: they need not be sorted."""
+    grid = Grid(ks)
+    ks = grid.ks
     costs = (variable * ks + fixed)[None, :]
-    return Sweep(ks, (1,), np.array([fixed]), np.array([variable]), costs, np.zeros(ks.size, dtype=np.intp))
+    return Sweep(grid, (1,), np.array([fixed]), np.array([variable]), costs, np.zeros(ks.size, dtype=np.intp))
 
 
 def test_fit_report_rejects_a_grid_whose_cube_alone_overflows():
